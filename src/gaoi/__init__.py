@@ -8,7 +8,14 @@ from .bayes import (
     bayes_gaoi,
     h_closed,
 )
-from .ensemble import EnsembleConfig, EnsembleStats, derive_stream, run_ensemble, simulate_path
+from .ensemble import (
+    EnsembleConfig,
+    EnsembleStats,
+    StationaryLaw,
+    derive_stream,
+    run_ensemble,
+    simulate_path,
+)
 from .markov import (
     ChangeKernel,
     DwellKernel,
@@ -29,6 +36,7 @@ from .markov import (
 from .metrics import (
     RunSummary,
     SamplePath,
+    change_delays,
     closed_form_aoi,
     cumulative_aoi,
     cumulative_gaoi_stationary,

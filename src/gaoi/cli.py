@@ -24,7 +24,7 @@ import numpy as np
 
 from .bayes import BayesModel, bayes_constant_c, bayes_cumulative_gaoi, bayes_expected_delay
 from .config import ConfigError, RunConfig, load_config, preset_config
-from .ensemble import EnsembleConfig, EnsembleStats, derive_stream, run_ensemble
+from .ensemble import EnsembleConfig, EnsembleStats, StationaryLaw, derive_stream, run_ensemble
 from .markov import IrreducibilityError, ModelError, entropy_rate, prob_change, stationary_distribution
 from .metrics import closed_form_aoi, cumulative_aoi, delay_double_sum, verify_proportionality
 from .schedule import DelayLaw, PolicySpec, generate_schedule, random_schedule
@@ -69,6 +69,11 @@ def _load(args) -> RunConfig:
     return cfg
 
 
+def _require_paths(cfg: RunConfig, least: int, why: str) -> None:
+    if cfg.num_paths < least:
+        raise ConfigError(f"--paths {cfg.num_paths} < {least}: {why}")
+
+
 def _policy_label(policy: PolicySpec) -> str:
     if policy.kind == "periodic":
         return f"periodic{policy.period}"
@@ -93,11 +98,9 @@ def _summary_row(cfg: RunConfig, policy: PolicySpec, stats: EnsembleStats) -> di
             stats.mean["cum_gaoi"] - model.h1 / model.p * stats.mean["cum_delay"]
         )
     else:
-        dist = stationary_distribution(cfg.model)
-        p = prob_change(dist)
-        row["p_change"] = p
-        row["entropy_rate"] = entropy_rate(cfg.model, dist).bits
-        row["scaled_aoi"] = p * stats.mean["cum_aoi"]
+        row["p_change"] = stats.p_change
+        row["entropy_rate"] = stats.rate
+        row["scaled_aoi"] = stats.p_change * stats.mean["cum_aoi"]
     return row
 
 
@@ -148,6 +151,7 @@ def cmd_simulate(args) -> int:
     cfg = _load(args)
     if not cfg.policies:
         raise ConfigError("simulate needs a 'policy' or 'policies' section")
+    _require_paths(cfg, 1, "simulate needs at least one path")
     out = Path(args.out or ".")
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -157,12 +161,13 @@ def cmd_simulate(args) -> int:
     except OSError as exc:
         print(f"error: cannot write to {out}: {exc}", file=sys.stderr)
         return EXIT_IO
+    law = None if cfg.is_bayesian else StationaryLaw.of(cfg.model)
     summary_rows = []
     for i, policy in enumerate(cfg.policies):
         stats = run_ensemble(
             EnsembleConfig(model=cfg.model, policy=policy, horizon=cfg.horizon,
                            num_paths=cfg.num_paths, base_seed=cfg.base_seed),
-            workers=args.workers,
+            workers=args.workers, law=law,
         )
         summary_rows.append(_summary_row(cfg, policy, stats))
         series = _series_rows(stats)
@@ -176,10 +181,9 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _verify_thm1(cfg: RunConfig, workers: int) -> int:
-    dist = stationary_distribution(cfg.model)
-    rate = entropy_rate(cfg.model, dist).bits
-    p = prob_change(dist)
+def _verify_thm1(cfg: RunConfig) -> int:
+    law = StationaryLaw.of(cfg.model)
+    rate, p = law.rate, law.p_change
     # analytic check: the three scaled quantities coincide on arbitrary schedules
     rng = derive_stream(cfg.base_seed, 0, 99)
     worst = 0.0
@@ -203,7 +207,7 @@ def _verify_thm1(cfg: RunConfig, workers: int) -> int:
         stats = run_ensemble(
             EnsembleConfig(model=cfg.model, policy=policy, horizon=cfg.horizon,
                            num_paths=cfg.num_paths, base_seed=cfg.base_seed),
-            workers=workers,
+            law=law,
         )
         report = verify_proportionality(
             stats.mean["cum_gaoi"], stats.mean["cum_aoi"], stats.mean["cum_delay"],
@@ -275,10 +279,11 @@ def cmd_verify(args) -> int:
     cfg = _load(args)
     if not cfg.policies:
         raise ConfigError("verify needs a 'policy' or 'policies' section")
+    _require_paths(cfg, 2, "a standard error needs at least two paths")
     if args.theorem == "thm1":
         if cfg.is_bayesian:
             raise ConfigError("thm1 needs a stationary model")
-        return _verify_thm1(cfg, args.workers)
+        return _verify_thm1(cfg)
     if not cfg.is_bayesian:
         raise ConfigError("thm2 needs a bayesian model")
     return _verify_thm2(cfg, args.workers)
@@ -294,7 +299,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--preset", help="built-in preset name (fig5, fig6)")
         p.add_argument("--seed", type=int, help="override run.base_seed")
         p.add_argument("--paths", type=int, help="override run.num_paths")
-        p.add_argument("--workers", type=int, default=1, help="parallel path workers")
+        p.add_argument("--workers", type=int, default=1,
+                       help="parallel path workers (Bayesian models only)")
 
     p = sub.add_parser("entropy-rate", help="print entropy rate of a stationary model")
     common(p)

@@ -3,8 +3,15 @@
 Every path gets its own random stream derived from (base_seed, path index,
 salt); schedules use a different salt than paths, so the realized schedule
 never depends on the state process (the policies are state-independent by
-construction).  Aggregation is order-insensitive, so results are bit-identical
-for any worker count.
+construction).
+
+Stationary paths run through one sampler, ``sample_block``, in lockstep
+blocks of ``BLOCK_PATHS`` paths: one Python iteration per slot, numpy
+operations across the block.  Path k draws only from its own path stream
+(two uniforms per slot, drawn up front), so its realization does not depend
+on which paths share its block or on the block size.  Aggregation runs in
+path order, so results are bit-identical for any block size and any worker
+count (workers only fan out the Bayesian branch).
 """
 
 from __future__ import annotations
@@ -20,16 +27,18 @@ from .markov import (
     JointState,
     StationaryDistribution,
     entropy_rate,
-    joint_step,
     prob_change,
     stationary_distribution,
 )
-from .metrics import RunSummary, SamplePath, cumulative_aoi, detection_delays
+from .metrics import RunSummary, SamplePath, change_delays, cumulative_aoi
 from .schedule import PolicySpec, UpdateSchedule, aoi_series, generate_schedule
 
 PATH_SALT = 0
 POLICY_SALT = 1
 INIT_SALT = 2
+
+# Paths sampled in lockstep; memory per block is O(BLOCK_PATHS x horizon).
+BLOCK_PATHS = 256
 
 METRICS = ("cum_aoi", "cum_gaoi", "cum_delay", "num_changes")
 
@@ -50,8 +59,27 @@ class EnsembleConfig:
 
 
 @dataclass(frozen=True)
+class StationaryLaw:
+    """A stationary model's law, entropy rate (bits/slot) and per-slot change
+    probability: computed once, shared by every ensemble over the model."""
+
+    dist: StationaryDistribution
+    rate: float
+    p_change: float
+
+    @classmethod
+    def of(cls, model: JointModel) -> "StationaryLaw":
+        dist = stationary_distribution(model)
+        return cls(dist=dist, rate=entropy_rate(model, dist).bits, p_change=prob_change(dist))
+
+
+@dataclass(frozen=True)
 class EnsembleStats:
-    """Ensemble means with standard errors, plus per-slot average series."""
+    """Ensemble means with standard errors, plus per-slot average series.
+
+    ``rate`` and ``p_change`` are the stationary model's entropy rate and
+    per-slot change probability (None for a Bayesian model).
+    """
 
     num_paths: int
     horizon: int
@@ -59,6 +87,8 @@ class EnsembleStats:
     se: dict[str, float]
     mean_aoi_series: np.ndarray
     mean_gaoi_series: np.ndarray
+    rate: float | None = None
+    p_change: float | None = None
 
 
 def derive_stream(base_seed: int, path_index: int, salt: int) -> np.random.Generator:
@@ -72,56 +102,97 @@ def derive_stream(base_seed: int, path_index: int, salt: int) -> np.random.Gener
     return np.random.Generator(np.random.PCG64(seq))
 
 
+def sample_block(model: JointModel, x0, t0, uniforms: np.ndarray,
+                 states: np.ndarray | None = None) -> np.ndarray:
+    """Roll a block of paths of the joint chain forward in lockstep.
+
+    Path k starts at (x0[k], t0[k]).  ``uniforms[n, :, k]`` holds its two
+    draws for slot n+1: the change test ``u1 < q_t(x)`` and the inverse-CDF
+    jump target.  Returns the (slots, paths) boolean mask of change slots
+    (T_n = 0) and, if ``states`` is given, fills ``states[n, k]`` with X_{n+1}.
+    """
+    m = model.dwell.prefix_len
+    hazard = np.column_stack([model.dwell.prefix, model.dwell.tail])  # q = hazard[x, min(t, m)]
+    cdf = np.cumsum(model.change.rows, axis=1)
+    # Dividing by the row total ends every CDF at exactly 1.0, above any
+    # uniform, so a zero-probability entry keeps zero width even at the top of
+    # its row.  Counting only the first n-1 bounds clamps targets to n-1.
+    bounds = (cdf / cdf[:, -1:])[:, :-1]
+    x = np.array(x0, dtype=np.intp)
+    t = np.array(t0, dtype=np.int64)
+    changed = np.empty(uniforms.shape[::2], dtype=bool)
+    for n, (u_change, u_jump) in enumerate(uniforms):
+        change = u_change < hazard[x, np.minimum(t, m)]
+        target = (bounds[x] <= u_jump[:, None]).sum(axis=1)
+        x = np.where(change, target, x)
+        t = np.where(change, 0, t + 1)
+        changed[n] = change
+        if states is not None:
+            states[n] = x
+    return changed
+
+
 def simulate_path(model: JointModel, u0: JointState, horizon: int,
                   rng: np.random.Generator) -> SamplePath:
-    """Roll the joint chain forward over slots 1..horizon."""
-    states = np.empty(horizon, dtype=np.int64)
-    dwells = np.empty(horizon, dtype=np.int64)
-    u = u0
-    for n in range(horizon):
-        u = joint_step(model, u, rng)
-        states[n] = u.x
-        dwells[n] = u.t
-    return SamplePath(x0=u0.x, t0=u0.t, states=states, dwells=dwells)
+    """Roll the joint chain forward over slots 1..horizon (a block of one path)."""
+    states = np.empty((horizon, 1), dtype=np.int64)
+    changed = sample_block(model, [u0.x], [u0.t], rng.random((horizon, 2))[:, :, None], states)
+    slots = np.arange(horizon)
+    # dwell = slots since the last change, or since the start at dwell t0
+    last = np.maximum.accumulate(np.where(changed[:, 0], slots, -1 - u0.t))
+    return SamplePath(x0=u0.x, t0=u0.t, states=states[:, 0], dwells=slots - last)
+
+
+def _stationary_cdf(dist: StationaryDistribution) -> tuple[np.ndarray, np.ndarray]:
+    """CDF over the stored (x, t) levels, plus the index of each state's first
+    level.  The tiny tail mass is folded into each state's last stored level."""
+    weights = np.concatenate(dist.mu)
+    offsets = np.cumsum([0] + [len(m) for m in dist.mu])
+    weights[offsets[1:] - 1] += dist.state_tail_mass
+    cdf = np.cumsum(weights)
+    return cdf / cdf[-1], offsets
+
+
+def _initial_states(cdf: np.ndarray, offsets: np.ndarray, u) -> tuple[np.ndarray, np.ndarray]:
+    """Inverse-CDF draw of initial (x, t) from uniforms ``u``."""
+    idx = np.searchsorted(cdf, u, side="right")
+    x = np.searchsorted(offsets, idx, side="right") - 1
+    return x, idx - offsets[x]
 
 
 def draw_stationary_state(dist: StationaryDistribution, rng: np.random.Generator) -> JointState:
-    """Sample an initial (x, t) from the truncated stationary law.
-
-    The tiny tail mass is folded into each state's last stored level.
-    """
-    weights = np.concatenate([m.copy() for m in dist.mu])
-    offsets = np.cumsum([0] + [len(m) for m in dist.mu])
-    for x in range(len(dist.mu)):
-        weights[offsets[x + 1] - 1] += dist.state_tail_mass[x]
-    idx = int(rng.choice(len(weights), p=weights / weights.sum()))
-    x = int(np.searchsorted(offsets, idx, side="right") - 1)
-    return JointState(x=x, t=idx - int(offsets[x]))
+    """Sample an initial (x, t) from the truncated stationary law."""
+    x, t = _initial_states(*_stationary_cdf(dist), rng.random())
+    return JointState(x=int(x), t=int(t))
 
 
-def _stationary_path_summary(
-    model: JointModel,
-    dist: StationaryDistribution,
-    rate: float,
-    policy: PolicySpec,
-    horizon: int,
-    base_seed: int,
-    k: int,
-) -> tuple[RunSummary, UpdateSchedule]:
-    schedule = generate_schedule(policy, horizon, derive_stream(base_seed, k, POLICY_SALT))
-    u0 = draw_stationary_state(dist, derive_stream(base_seed, k, INIT_SALT))
-    path = simulate_path(model, u0, horizon, derive_stream(base_seed, k, PATH_SALT))
-    delays = detection_delays(path, schedule)
-    cum_aoi = cumulative_aoi(schedule)
-    return (
-        RunSummary(
-            cum_aoi=cum_aoi,
-            cum_gaoi=rate * cum_aoi,
-            cum_delay=sum(d for _, d in delays),
-            num_changes=len(delays),
-        ),
-        schedule,
-    )
+def _run_stationary(config: EnsembleConfig, law: StationaryLaw) -> EnsembleStats:
+    model, horizon, seed = config.model, config.horizon, config.base_seed
+    cdf, offsets = _stationary_cdf(law.dist)
+    cum_aoi = np.empty(config.num_paths)
+    cum_delay = np.empty(config.num_paths)
+    num_changes = np.empty(config.num_paths)
+    aoi_acc = np.zeros(horizon)
+    for lo in range(0, config.num_paths, BLOCK_PATHS):
+        block = range(lo, min(lo + BLOCK_PATHS, config.num_paths))
+        uniforms = np.empty((horizon, 2, len(block)))
+        for i, k in enumerate(block):
+            uniforms[:, :, i] = derive_stream(seed, k, PATH_SALT).random((horizon, 2))
+        x0, t0 = _initial_states(
+            cdf, offsets, [derive_stream(seed, k, INIT_SALT).random() for k in block]
+        )
+        changed = sample_block(model, x0, t0, uniforms).T
+        num_changes[block.start:block.stop] = changed.sum(axis=1)
+        for k, mask in zip(block, changed):
+            schedule = generate_schedule(config.policy, horizon,
+                                         derive_stream(seed, k, POLICY_SALT))
+            ages = aoi_series(schedule)
+            aoi_acc += ages
+            cum_aoi[k] = ages.sum()
+            cum_delay[k] = change_delays(np.flatnonzero(mask) + 1, schedule).sum()
+    values = {"cum_aoi": cum_aoi, "cum_gaoi": law.rate * cum_aoi,
+              "cum_delay": cum_delay, "num_changes": num_changes}
+    return _aggregate(config, values, aoi_acc, law.rate * aoi_acc, law.rate, law.p_change)
 
 
 def _bayes_path_summary(
@@ -168,28 +239,38 @@ def _bayes_gaoi_series(model: bayes_mod.BayesModel, schedule: UpdateSchedule) ->
     ])
 
 
-def run_ensemble(config: EnsembleConfig, workers: int = 1) -> EnsembleStats:
+def _aggregate(config: EnsembleConfig, values: dict[str, np.ndarray], aoi_acc: np.ndarray,
+               gaoi_acc: np.ndarray, rate: float | None = None,
+               p_change: float | None = None) -> EnsembleStats:
+    n = config.num_paths
+    return EnsembleStats(
+        num_paths=n,
+        horizon=config.horizon,
+        mean={name: float(v.mean()) for name, v in values.items()},
+        se={name: float(v.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
+            for name, v in values.items()},
+        mean_aoi_series=aoi_acc / n,
+        mean_gaoi_series=gaoi_acc / n,
+        rate=rate,
+        p_change=p_change,
+    )
+
+
+def run_ensemble(config: EnsembleConfig, workers: int = 1,
+                 law: StationaryLaw | None = None) -> EnsembleStats:
     """Simulate ``num_paths`` independent (path, schedule) pairs and aggregate.
 
-    Output depends only on the config; worker count and completion order do
-    not affect it.
+    ``law`` is the stationary model's law when the caller already holds it
+    (computed here otherwise; unused for a Bayesian model).  ``workers`` fans
+    out the Bayesian branch only.  Output depends only on the config.
     """
-    if isinstance(config.model, bayes_mod.BayesModel):
-        def one(k: int):
-            return _bayes_path_summary(
-                config.model, config.policy, config.horizon, config.base_seed, k
-            )
+    if not isinstance(config.model, bayes_mod.BayesModel):
+        return _run_stationary(config, law or StationaryLaw.of(config.model))
 
-        rate = None
-    else:
-        dist = stationary_distribution(config.model)
-        rate = entropy_rate(config.model, dist).bits
-
-        def one(k: int):
-            return _stationary_path_summary(
-                config.model, dist, rate, config.policy,
-                config.horizon, config.base_seed, k,
-            )
+    def one(k: int):
+        return _bayes_path_summary(
+            config.model, config.policy, config.horizon, config.base_seed, k
+        )
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -201,26 +282,9 @@ def run_ensemble(config: EnsembleConfig, workers: int = 1) -> EnsembleStats:
         name: np.array([getattr(summary, name) for summary, _ in results], dtype=float)
         for name in METRICS
     }
-    mean = {name: float(v.mean()) for name, v in values.items()}
-    se = {
-        name: float(v.std(ddof=1) / np.sqrt(len(v))) if len(v) > 1 else 0.0
-        for name, v in values.items()
-    }
-
     aoi_acc = np.zeros(config.horizon)
     gaoi_acc = np.zeros(config.horizon)
-    for summary, schedule in results:
-        ages = aoi_series(schedule)
-        aoi_acc += ages
-        if isinstance(config.model, bayes_mod.BayesModel):
-            gaoi_acc += _bayes_gaoi_series(config.model, schedule)
-        else:
-            gaoi_acc += ages * rate
-    return EnsembleStats(
-        num_paths=config.num_paths,
-        horizon=config.horizon,
-        mean=mean,
-        se=se,
-        mean_aoi_series=aoi_acc / config.num_paths,
-        mean_gaoi_series=gaoi_acc / config.num_paths,
-    )
+    for _, schedule in results:
+        aoi_acc += aoi_series(schedule)
+        gaoi_acc += _bayes_gaoi_series(config.model, schedule)
+    return _aggregate(config, values, aoi_acc, gaoi_acc)

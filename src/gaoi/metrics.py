@@ -80,18 +80,29 @@ def delay_double_sum(schedule: UpdateSchedule) -> int:
     return total
 
 
+def change_delays(change_slots, schedule: UpdateSchedule) -> np.ndarray:
+    """Detection delay of a change at each of ``change_slots`` (slots in [1, T]).
+
+    A change at slot n is detected at the first delivery whose sample was
+    taken at or after n; with no such delivery within the horizon it is
+    capped at T (delay T - n).
+    """
+    slots = np.asarray(change_slots, dtype=np.int64)
+    samples = np.asarray(schedule.samples, dtype=np.int64)
+    detect = np.append(np.asarray(schedule.deliveries, dtype=np.int64), schedule.horizon)
+    return detect[np.searchsorted(samples, slots, side="left")] - slots
+
+
 def detection_delays(path: SamplePath, schedule: UpdateSchedule) -> list[tuple[int, int]]:
     """(change slot, delay) for every change point of the path.
 
-    A change at slot n is detected at the first delivery whose sample was
-    taken at or after n; changes with no such delivery within the horizon are
-    capped at T (delay T - n).  Changes between two delivered samples all
-    count as detected at the same delivery.
+    Delays follow ``change_delays``: changes between two delivered samples
+    all count as detected at the same delivery.
     """
     if path.horizon != schedule.horizon:
         raise ValueError("path and schedule horizons differ")
-    return [(int(n), schedule.delivery_for_change(int(n)) - int(n))
-            for n in path.change_points]
+    slots = path.change_points
+    return [(int(n), int(d)) for n, d in zip(slots, change_delays(slots, schedule))]
 
 
 def expected_cumulative_delay_stationary(schedule: UpdateSchedule, p_change: float) -> float:

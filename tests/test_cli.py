@@ -5,6 +5,7 @@ import stat
 import pytest
 import yaml
 
+from gaoi import cli, ensemble
 from gaoi.cli import EXIT_CONFIG, EXIT_IO, EXIT_MODEL, EXIT_OK, SUMMARY_COLUMNS, main
 
 SWAP_CONFIG = {
@@ -142,6 +143,31 @@ class TestSimulate:
         blocked.chmod(stat.S_IRUSR | stat.S_IXUSR)
         assert main(["simulate", "--config", cfg, "--out", str(blocked / "x")]) == EXIT_IO
 
+    def test_zero_paths_exit_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, SWAP_CONFIG)
+        assert main(["simulate", "--config", cfg, "--paths", "0",
+                     "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert "--paths 0 < 1" in capsys.readouterr().err
+
+    def test_stationary_law_computed_once(self, tmp_path, monkeypatch):
+        calls = []
+        real = ensemble.stationary_distribution
+
+        def counted(model):
+            calls.append(model)
+            return real(model)
+
+        for module in (ensemble, cli):
+            monkeypatch.setattr(module, "stationary_distribution", counted)
+        data = {**SWAP_CONFIG, "policies": [SWAP_CONFIG["policy"],
+                                            {"kind": "greedy", "delay": {"uniform": [1, 9]}}]}
+        del data["policy"]
+        cfg = write_config(tmp_path, data)
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_OK
+        assert len(calls) == 1
+        assert main(["verify", "thm1", "--config", cfg]) == EXIT_OK
+        assert len(calls) == 2
+
     def test_explicit_schedule_file(self, tmp_path):
         pairs = tmp_path / "sched.txt"
         pairs.write_text("3 5\n8 9\n")
@@ -182,6 +208,11 @@ class TestVerify:
     def test_theorem_model_mismatch_exit_2(self, tmp_path):
         assert main(["verify", "thm2", "--config", write_config(tmp_path, SWAP_CONFIG)]) == EXIT_CONFIG
         assert main(["verify", "thm1", "--config", write_config(tmp_path, BAYES_CONFIG)]) == EXIT_CONFIG
+
+    def test_one_path_exit_2(self, capsys):
+        # a standard error needs two paths
+        assert main(["verify", "thm2", "--preset", "fig6", "--paths", "1"]) == EXIT_CONFIG
+        assert "--paths 1 < 2" in capsys.readouterr().err
 
     def test_preset_fig6_verifies(self, tmp_path):
         assert main(["verify", "thm2", "--preset", "fig6", "--paths", "400"]) == EXIT_OK

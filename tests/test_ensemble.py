@@ -4,21 +4,32 @@ from scipy import stats as sps
 
 from gaoi import (
     BayesModel,
+    ChangeKernel,
     DelayLaw,
+    DwellKernel,
     EnsembleConfig,
     PolicySpec,
     bayes_constant_c,
     derive_stream,
     run_ensemble,
+    validate_model,
 )
-from gaoi.ensemble import draw_stationary_state, simulate_path
-from gaoi.markov import JointState, stationary_distribution
+from gaoi import ensemble
+from gaoi.ensemble import PATH_SALT, draw_stationary_state, sample_block, simulate_path
+from gaoi.markov import JointState, joint_step, stationary_distribution
 
 from conftest import make_cycle, make_two_state_swap
 
 
 PERIODIC_50 = PolicySpec(kind="periodic", period=50, delay=DelayLaw.deterministic(0))
 GREEDY_2080 = PolicySpec(kind="greedy", delay=DelayLaw.uniform(20, 80))
+
+
+def make_ragged_three():
+    """Three statuses with ragged dwell prefixes and self-transition mass."""
+    rows = np.array([[0.2, 0.5, 0.3], [0.3, 0.3, 0.4], [0.5, 0.25, 0.25]])
+    dwell = DwellKernel.from_lists([[0.0, 0.1, 0.5], [0.9], []], [0.3, 0.2, 0.4])
+    return validate_model(ChangeKernel(rows), dwell)
 
 
 class TestDeriveStream:
@@ -146,3 +157,179 @@ class TestRunEnsemble:
         large = run_ensemble(EnsembleConfig(num_paths=1000, **base))
         ratio = large.se["cum_delay"] / small.se["cum_delay"]
         assert 0.4 <= ratio <= 0.6
+
+
+EQUIVALENCE_MODELS = {"swap": make_two_state_swap(0.6), "ragged": make_ragged_three()}
+
+
+def _both_samplers(model, paths: int = 400, horizon: int = 100):
+    """Paths from repeated joint_step and from sample_block, same starts.
+
+    Returns (x0, changed, states) per sampler, arrays shaped (paths, slots).
+    """
+    x0 = np.arange(paths) % model.alphabet_size
+    rng = np.random.default_rng(2024)
+    ref_states = np.empty((paths, horizon), dtype=np.int64)
+    ref_dwells = np.empty((paths, horizon), dtype=np.int64)
+    for k in range(paths):
+        u = JointState(int(x0[k]), 0)
+        for n in range(horizon):
+            u = joint_step(model, u, rng)
+            ref_states[k, n], ref_dwells[k, n] = u.x, u.t
+    states = np.empty((horizon, paths), dtype=np.int64)
+    changed = sample_block(model, x0, np.zeros(paths, dtype=int),
+                           np.random.default_rng(2025).random((horizon, 2, paths)), states)
+    return (x0, ref_dwells == 0, ref_states), (x0, changed.T, states.T)
+
+
+@pytest.fixture(scope="module")
+def equivalence_samples():
+    return {name: _both_samplers(model) for name, model in EQUIVALENCE_MODELS.items()}
+
+
+def _dwell_lengths(x0, changed, states):
+    return np.concatenate([np.diff(np.flatnonzero(row)) for row in changed])
+
+
+def _change_counts(x0, changed, states):
+    return changed.sum(axis=1)
+
+
+def _change_transitions(x0, changed, states):
+    """(status before, status after) at every change, coded before * 3 + after."""
+    before = np.column_stack([x0, states[:, :-1]])
+    return before[changed] * 3 + states[changed]
+
+
+def _homogeneity_pvalue(a: np.ndarray, b: np.ndarray, bins: int | None = 10) -> float:
+    """Chi-square test that two samples share one law.
+
+    Numeric samples are cut at the pooled deciles; ``bins=None`` keeps every
+    distinct value as its own category.
+    """
+    pooled = np.concatenate([a, b])
+    if bins is None:
+        edges = np.unique(pooled)[1:]
+    else:
+        edges = np.unique(np.quantile(pooled, np.linspace(0, 1, bins + 1))[1:-1])
+    table = np.array([
+        np.bincount(np.searchsorted(edges, v, side="right"), minlength=len(edges) + 1)
+        for v in (a, b)
+    ])
+    return sps.chi2_contingency(table[:, table.sum(axis=0) > 0]).pvalue
+
+
+class TestSamplerEquivalence:
+    """sample_block against repeated joint_step: same law, different draws."""
+
+    @pytest.mark.parametrize("name", sorted(EQUIVALENCE_MODELS))
+    @pytest.mark.parametrize("statistic, bins", [
+        (_dwell_lengths, 10), (_change_counts, 10), (_change_transitions, None),
+    ])
+    def test_same_law_as_joint_step(self, equivalence_samples, name, statistic, bins):
+        reference, block = equivalence_samples[name]
+        a, b = statistic(*reference), statistic(*block)
+        assert len(a) > 1000 or statistic is _change_counts
+        assert _homogeneity_pvalue(a, b, bins) > 1e-3
+
+    def test_path_alone_equals_path_in_block(self):
+        model, horizon, seed = make_ragged_three(), 200, 5
+        x0, t0 = np.arange(12) % 3, np.arange(12)
+        uniforms = np.stack(
+            [derive_stream(seed, k, PATH_SALT).random((horizon, 2)) for k in range(12)], axis=2
+        )
+        states = np.empty((horizon, 12), dtype=np.int64)
+        changed = sample_block(model, x0, t0, uniforms, states)
+        for k in range(12):
+            path = simulate_path(model, JointState(int(x0[k]), int(t0[k])), horizon,
+                                 derive_stream(seed, k, PATH_SALT))
+            assert np.array_equal(path.states, states[:, k])
+            assert np.array_equal(path.dwells == 0, changed[:, k])
+
+    @pytest.mark.parametrize("block_paths", [1, 3, 64])
+    def test_ensemble_independent_of_block_size(self, monkeypatch, block_paths):
+        config = EnsembleConfig(model=make_ragged_three(), policy=GREEDY_2080, horizon=150,
+                                num_paths=70, base_seed=8)
+        default = run_ensemble(config)
+        monkeypatch.setattr(ensemble, "BLOCK_PATHS", block_paths)
+        other = run_ensemble(config)
+        assert default.mean == other.mean and default.se == other.se
+        assert np.array_equal(default.mean_aoi_series, other.mean_aoi_series)
+        assert np.array_equal(default.mean_gaoi_series, other.mean_gaoi_series)
+
+
+class TestSamplerEdgeCases:
+    def test_horizon_one(self, rng):
+        path = simulate_path(make_two_state_swap(0.6), JointState(1, 4), 1, rng)
+        assert path.horizon == 1
+        assert path.dwells[0] in (0, 5)
+        assert path.states[0] == (0 if path.dwells[0] == 0 else 1)
+        stats = run_ensemble(EnsembleConfig(model=make_two_state_swap(0.6), policy=GREEDY_2080,
+                                            horizon=1, num_paths=5, base_seed=3))
+        # age 0 at slot 0; a change at slot 1 = T is detected at T
+        assert stats.mean["cum_aoi"] == 0.0 and stats.mean["cum_delay"] == 0.0
+        assert 0.0 <= stats.mean["num_changes"] <= 1.0
+        assert stats.mean_aoi_series.shape == (1,)
+
+    def test_one_and_two_paths(self):
+        base = dict(model=make_ragged_three(), policy=GREEDY_2080, horizon=300, base_seed=17)
+        one = run_ensemble(EnsembleConfig(num_paths=1, **base))
+        two = run_ensemble(EnsembleConfig(num_paths=2, **base))
+        assert all(v == 0.0 for v in one.se.values())
+        for name in ("cum_aoi", "cum_delay", "num_changes"):
+            # path 0 is shared, so the two-path SE is |v0 - v1| / 2 = |mean1 - mean2|
+            assert two.se[name] == pytest.approx(abs(one.mean[name] - two.mean[name]), rel=1e-12)
+
+    def test_q_one_cycle(self):
+        model, horizon = make_cycle(3), 60
+        x0 = np.arange(9) % 3
+        states = np.empty((horizon, 9), dtype=np.int64)
+        changed = sample_block(model, x0, np.arange(9),
+                               np.random.default_rng(4).random((horizon, 2, 9)), states)
+        assert changed.all()
+        assert np.array_equal(states, (x0 + np.arange(1, horizon + 1)[:, None]) % 3)
+        stats = run_ensemble(EnsembleConfig(model=model, policy=GREEDY_2080, horizon=horizon,
+                                            num_paths=20, base_seed=4))
+        assert stats.mean["num_changes"] == horizon and stats.se["num_changes"] == 0.0
+        # a change in every slot: total delay is the delay double sum, which equals the
+        # cumulative AoI of each schedule exactly
+        assert stats.mean["cum_delay"] == stats.mean["cum_aoi"]
+        assert stats.se["cum_delay"] == stats.se["cum_aoi"]
+
+    def test_zero_probability_targets_never_drawn(self):
+        rows = np.array([
+            [0.0, 0.3, 0.6, 0.1, 0.0],  # float row sum just below 1
+            [0.5, 0.0, 0.0, 0.5, 0.0],
+            [0.0, 0.0, 0.7, 0.2, 0.1],
+            [0.25, 0.25, 0.25, 0.25, 0.0],
+            [1.0, 0.0, 0.0, 0.0, 0.0],
+        ])
+        model = validate_model(ChangeKernel(rows), DwellKernel.homogeneous(5, [], 1.0))
+        paths, horizon = 50, 400
+        uniforms = np.random.default_rng(6).random((horizon, 2, paths))
+        # the first paths always jump from the bottom or the top of the CDF
+        uniforms[:, 1, :10] = 0.0
+        uniforms[:, 1, 10:20] = np.nextafter(1.0, 0.0)
+        x0 = np.arange(paths) % 5
+        states = np.empty((horizon, paths), dtype=np.int64)
+        assert sample_block(model, x0, np.zeros(paths, dtype=int), uniforms, states).all()
+        before = np.vstack([x0, states[:-1]])
+        drawn = set(zip(before.ravel().tolist(), states.ravel().tolist()))
+        assert drawn == set(zip(*np.argwhere(rows).T.tolist()))
+
+    def test_initial_dwell_past_prefix(self):
+        # no change possible in the first 3 dwell slots, certain change after
+        model = validate_model(ChangeKernel(np.array([[0.0, 1.0], [1.0, 0.0]])),
+                               DwellKernel.homogeneous(2, [0.0, 0.0, 0.0], 1.0))
+        horizon = 12
+        t0 = np.array([0, 2, 3, 5, 40])
+        changed = sample_block(model, np.zeros(5, dtype=int), t0,
+                               np.random.default_rng(9).random((horizon, 2, 5)))
+        first = changed.argmax(axis=0) + 1
+        assert np.array_equal(first, [4, 2, 1, 1, 1])
+        for k in range(5):
+            path = simulate_path(model, JointState(0, int(t0[k])), horizon,
+                                 np.random.default_rng(k))
+            assert path.change_points[0] == first[k]
+            assert np.array_equal(path.change_points[1:] - path.change_points[:-1],
+                                  np.full(len(path.change_points) - 1, 4))
