@@ -17,6 +17,7 @@ intercept C(T).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .markov import binary_entropy
@@ -61,8 +62,14 @@ def bayes_gaoi(model: BayesModel, age: int, observed_state: int) -> float:
 
 
 def _expected_theta_capped(p: float, t: int) -> float:
-    """sum_{k=1}^{T} k (1-p)^{k-1} p, the mean change time restricted to [1,T]."""
-    return sum(k * (1.0 - p) ** (k - 1) * p for k in range(1, t + 1))
+    """sum_{k=1}^{T} k (1-p)^{k-1} p, the mean change time restricted to [1,T].
+
+    Closed form (1 - (1-p)^T (1 + T p)) / p, evaluated as (g - T p) / p + T g
+    with g = 1 - (1-p)^T from expm1/log1p: taken literally, the numerator
+    cancels to O((T p)^2) and loses every digit by p = 1e-8.
+    """
+    g = -math.expm1(t * math.log1p(-p))
+    return (g - t * p) / p + t * g
 
 
 def bayes_cumulative_gaoi(model: BayesModel, schedule: UpdateSchedule, t: int | None = None) -> float:

@@ -2,8 +2,8 @@
 
 Subcommands:
 
-* ``entropy-rate``: print the entropy rate, per-slot change probability, and
-  truncation bound of a stationary model.
+* ``entropy-rate``: print the exact entropy rate and per-slot change
+  probability of a stationary model.
 * ``simulate``: run the configured ensemble and write ``series.csv`` /
   ``summary.csv`` to the output directory (deterministic for a fixed seed).
 * ``verify``: check the stationary proportionality law (``thm1``) or the
@@ -60,6 +60,8 @@ def _load(args) -> RunConfig:
         raise ConfigError("either --config or --preset is required")
     overrides = {}
     if args.seed is not None:
+        if args.seed < 0:
+            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
         overrides["base_seed"] = args.seed
     if getattr(args, "paths", None) is not None:
         overrides["num_paths"] = args.paths
@@ -138,7 +140,6 @@ def cmd_entropy_rate(args) -> int:
     p = prob_change(dist)
     print(f"entropy_rate_bits_per_slot: {rate.bits!r}")
     print(f"p_change: {p!r}")
-    print(f"truncation_bound: {rate.truncation_bound!r}")
     row = {c: "" for c in SUMMARY_COLUMNS}
     row.update(policy="", num_paths=0, horizon=cfg.horizon, p_change=p,
                entropy_rate=rate.bits)

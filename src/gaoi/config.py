@@ -9,7 +9,7 @@ import numpy as np
 import yaml
 
 from .bayes import BayesModel
-from .markov import ChangeKernel, DwellKernel, JointModel, validate_model
+from .markov import ChangeKernel, DwellKernel, JointModel, ModelError, validate_model
 from .schedule import DelayLaw, PolicySpec
 
 
@@ -30,29 +30,40 @@ class RunConfig:
         return isinstance(self.model, BayesModel)
 
 
-def _require_keys(section: dict, allowed: set[str], where: str) -> None:
+def _require_keys(section, allowed: set[str], where: str) -> None:
+    if not isinstance(section, dict):
+        raise ConfigError(f"{where} must be a mapping, got {section!r}")
     unknown = set(section) - allowed
     if unknown:
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
 
 
+def _int(value, where: str, least: int | None = None) -> int:
+    """A strict integer (a float or a bool is an error), at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{where} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ConfigError(f"{where} must be >= {least}, got {value}")
+    return value
+
+
+def _dwell_entry(entry, where: str) -> tuple[list[float], float]:
+    _require_keys(entry, {"prefix", "tail"}, where)
+    if "tail" not in entry:
+        raise ConfigError(f"{where} needs tail")
+    return [float(v) for v in entry.get("prefix", [])], float(entry["tail"])
+
+
 def _parse_dwell(raw, n_states: int) -> DwellKernel:
-    if isinstance(raw, (int, float)):
+    if isinstance(raw, (int, float)) and not isinstance(raw, bool):
         return DwellKernel.homogeneous(n_states, [], float(raw))
     if isinstance(raw, dict):
-        _require_keys(raw, {"prefix", "tail"}, "model.dwell")
-        return DwellKernel.homogeneous(
-            n_states, [float(v) for v in raw.get("prefix", [])], float(raw["tail"])
-        )
+        return DwellKernel.homogeneous(n_states, *_dwell_entry(raw, "model.dwell"))
     if isinstance(raw, list):
         if len(raw) != n_states:
             raise ConfigError(f"need one dwell entry per state ({n_states}), got {len(raw)}")
-        prefixes, tails = [], []
-        for i, entry in enumerate(raw):
-            _require_keys(entry, {"prefix", "tail"}, f"model.dwell[{i}]")
-            prefixes.append([float(v) for v in entry.get("prefix", [])])
-            tails.append(float(entry["tail"]))
-        return DwellKernel.from_lists(prefixes, tails)
+        prefixes, tails = zip(*(_dwell_entry(e, f"model.dwell[{i}]") for i, e in enumerate(raw)))
+        return DwellKernel.from_lists(list(prefixes), list(tails))
     raise ConfigError("model.dwell must be a probability, a {prefix, tail} map, or a per-state list")
 
 
@@ -74,7 +85,7 @@ def _parse_model(section: dict):
         rows = np.array(section["px_rows"], dtype=float)
     except KeyError:
         raise ConfigError("stationary model needs px_rows") from None
-    n = int(section.get("alphabet_size", rows.shape[0]))
+    n = _int(section.get("alphabet_size", len(rows)), "model.alphabet_size")
     if rows.shape != (n, n):
         raise ConfigError(f"px_rows has shape {rows.shape}, expected ({n}, {n})")
     if "dwell" not in section:
@@ -89,9 +100,11 @@ def _parse_delay(raw) -> DelayLaw:
     if len(raw) != 1:
         raise ConfigError("policy.delay takes exactly one of 'deterministic' or 'uniform'")
     if "deterministic" in raw:
-        return DelayLaw.deterministic(int(raw["deterministic"]))
-    lo, hi = raw["uniform"]
-    return DelayLaw.uniform(int(lo), int(hi))
+        return DelayLaw.deterministic(_int(raw["deterministic"], "policy.delay.deterministic"))
+    bounds = raw["uniform"]
+    if not isinstance(bounds, list) or len(bounds) != 2:
+        raise ConfigError(f"policy.delay.uniform must be a [lo, hi] pair, got {bounds!r}")
+    return DelayLaw.uniform(*(_int(b, "policy.delay.uniform") for b in bounds))
 
 
 def read_explicit_pairs(path: str | Path) -> tuple[tuple[int, int], ...]:
@@ -119,7 +132,7 @@ def _parse_policy(section: dict, idx: int | None = None) -> PolicySpec:
     if kind == "periodic":
         if "period" not in section:
             raise ConfigError(f"{where}: periodic policy needs period")
-        return PolicySpec(kind="periodic", period=int(section["period"]),
+        return PolicySpec(kind="periodic", period=_int(section["period"], f"{where}.period"),
                           delay=_parse_delay(section.get("delay")))
     if kind == "greedy":
         return PolicySpec(kind="greedy", delay=_parse_delay(section.get("delay")))
@@ -127,9 +140,21 @@ def _parse_policy(section: dict, idx: int | None = None) -> PolicySpec:
 
 
 def parse_config(data: dict) -> RunConfig:
-    """Validate a config mapping; unknown keys anywhere are errors."""
-    if not isinstance(data, dict):
-        raise ConfigError("config root must be a mapping")
+    """Validate a config mapping; unknown keys anywhere are errors.
+
+    This is the one boundary for config content: a malformed or out-of-range
+    value raises ConfigError, a change structure that is not a valid model
+    raises ModelError.
+    """
+    try:
+        return _parse_config(data)
+    except (ConfigError, ModelError):
+        raise
+    except (TypeError, ValueError) as exc:  # domain checks of the model and policy types
+        raise ConfigError(str(exc)) from exc
+
+
+def _parse_config(data: dict) -> RunConfig:
     _require_keys(data, {"model", "policy", "policies", "run"}, "config")
     if "model" not in data:
         raise ConfigError("missing config section 'model'")
@@ -147,9 +172,9 @@ def parse_config(data: dict) -> RunConfig:
     return RunConfig(
         model=model,
         policies=policies,
-        horizon=int(run.get("horizon", 1)),
-        num_paths=int(run.get("num_paths", 1)),
-        base_seed=int(run.get("base_seed", 0)),
+        horizon=_int(run.get("horizon", 1), "run.horizon", least=1),
+        num_paths=_int(run.get("num_paths", 1), "run.num_paths"),
+        base_seed=_int(run.get("base_seed", 0), "run.base_seed", least=0),
     )
 
 

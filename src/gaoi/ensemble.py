@@ -30,7 +30,7 @@ from .markov import (
     prob_change,
     stationary_distribution,
 )
-from .metrics import RunSummary, SamplePath, change_delays, cumulative_aoi
+from .metrics import SamplePath, change_delays
 from .schedule import PolicySpec, UpdateSchedule, aoi_series, generate_schedule
 
 PATH_SALT = 0
@@ -143,32 +143,14 @@ def simulate_path(model: JointModel, u0: JointState, horizon: int,
     return SamplePath(x0=u0.x, t0=u0.t, states=states[:, 0], dwells=slots - last)
 
 
-def _stationary_cdf(dist: StationaryDistribution) -> tuple[np.ndarray, np.ndarray]:
-    """CDF over the stored (x, t) levels, plus the index of each state's first
-    level.  The tiny tail mass is folded into each state's last stored level."""
-    weights = np.concatenate(dist.mu)
-    offsets = np.cumsum([0] + [len(m) for m in dist.mu])
-    weights[offsets[1:] - 1] += dist.state_tail_mass
-    cdf = np.cumsum(weights)
-    return cdf / cdf[-1], offsets
-
-
-def _initial_states(cdf: np.ndarray, offsets: np.ndarray, u) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse-CDF draw of initial (x, t) from uniforms ``u``."""
-    idx = np.searchsorted(cdf, u, side="right")
-    x = np.searchsorted(offsets, idx, side="right") - 1
-    return x, idx - offsets[x]
-
-
 def draw_stationary_state(dist: StationaryDistribution, rng: np.random.Generator) -> JointState:
-    """Sample an initial (x, t) from the truncated stationary law."""
-    x, t = _initial_states(*_stationary_cdf(dist), rng.random())
-    return JointState(x=int(x), t=int(t))
+    """Sample an initial (x, t) from the exact stationary law."""
+    x, t = dist.sample(rng.random((1, 2)))
+    return JointState(x=int(x[0]), t=int(t[0]))
 
 
 def _run_stationary(config: EnsembleConfig, law: StationaryLaw) -> EnsembleStats:
     model, horizon, seed = config.model, config.horizon, config.base_seed
-    cdf, offsets = _stationary_cdf(law.dist)
     cum_aoi = np.empty(config.num_paths)
     cum_delay = np.empty(config.num_paths)
     num_changes = np.empty(config.num_paths)
@@ -178,8 +160,8 @@ def _run_stationary(config: EnsembleConfig, law: StationaryLaw) -> EnsembleStats
         uniforms = np.empty((horizon, 2, len(block)))
         for i, k in enumerate(block):
             uniforms[:, :, i] = derive_stream(seed, k, PATH_SALT).random((horizon, 2))
-        x0, t0 = _initial_states(
-            cdf, offsets, [derive_stream(seed, k, INIT_SALT).random() for k in block]
+        x0, t0 = law.dist.sample(
+            np.array([derive_stream(seed, k, INIT_SALT).random(2) for k in block])
         )
         changed = sample_block(model, x0, t0, uniforms).T
         num_changes[block.start:block.stop] = changed.sum(axis=1)
@@ -195,44 +177,32 @@ def _run_stationary(config: EnsembleConfig, law: StationaryLaw) -> EnsembleStats
     return _aggregate(config, values, aoi_acc, law.rate * aoi_acc, law.rate, law.p_change)
 
 
-def _bayes_path_summary(
+def _bayes_path(
     model: bayes_mod.BayesModel,
     policy: PolicySpec,
     horizon: int,
     base_seed: int,
     k: int,
-) -> tuple[RunSummary, UpdateSchedule]:
+) -> tuple[UpdateSchedule, float, int, int]:
+    """Path k's schedule, cumulative staleness, detection delay and change count."""
     schedule = generate_schedule(policy, horizon, derive_stream(base_seed, k, POLICY_SALT))
-    rng = derive_stream(base_seed, k, PATH_SALT)
-    theta = int(rng.geometric(model.p))
-    if theta <= horizon:
-        cum_delay = schedule.delivery_for_change(theta) - theta
-        num_changes = 1
-    else:
-        cum_delay = 0
-        num_changes = 0
-    return (
-        RunSummary(
-            cum_aoi=cumulative_aoi(schedule),
-            # staleness is an expectation over paths; evaluate it analytically
-            # per schedule, the path realization drives the delay only
-            cum_gaoi=bayes_mod.bayes_cumulative_gaoi(model, schedule),
-            cum_delay=cum_delay,
-            num_changes=num_changes,
-        ),
-        schedule,
-    )
+    theta = int(derive_stream(base_seed, k, PATH_SALT).geometric(model.p))
+    changed = theta <= horizon
+    cum_delay = schedule.delivery_for_change(theta) - theta if changed else 0
+    # staleness is an expectation over paths; evaluate it analytically per
+    # schedule, the path realization drives the delay only
+    return schedule, bayes_mod.bayes_cumulative_gaoi(model, schedule), cum_delay, int(changed)
 
 
-def _bayes_gaoi_series(model: bayes_mod.BayesModel, schedule: UpdateSchedule) -> np.ndarray:
+def _bayes_gaoi_series(model: bayes_mod.BayesModel, ages: np.ndarray) -> np.ndarray:
     """Expected staleness h(age) * P[last sample pre-change], slot by slot.
 
-    Row n holds the value for slot n+1 under the (d_i, d_{i+1}] grouping (a
-    delivery informs the monitor from the next slot onward), so the series
-    sums exactly to the cumulative closed form over [1, T].
+    ``ages`` is the schedule's AoI series.  Row n holds the value for slot
+    n+1 under the (d_i, d_{i+1}] grouping (a delivery informs the monitor
+    from the next slot onward), so the series sums exactly to the cumulative
+    closed form over [1, T].
     """
-    ages = aoi_series(schedule)
-    delta = np.arange(schedule.horizon) - ages  # sampling time of freshest delivery
+    delta = np.arange(len(ages)) - ages  # sampling time of freshest delivery
     return np.array([
         bayes_mod.h_closed(model, int(a) + 1) * (1.0 - model.p) ** int(d)
         for a, d in zip(ages, delta)
@@ -268,9 +238,7 @@ def run_ensemble(config: EnsembleConfig, workers: int = 1,
         return _run_stationary(config, law or StationaryLaw.of(config.model))
 
     def one(k: int):
-        return _bayes_path_summary(
-            config.model, config.policy, config.horizon, config.base_seed, k
-        )
+        return _bayes_path(config.model, config.policy, config.horizon, config.base_seed, k)
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -278,13 +246,15 @@ def run_ensemble(config: EnsembleConfig, workers: int = 1,
     else:
         results = [one(k) for k in range(config.num_paths)]
 
-    values = {
-        name: np.array([getattr(summary, name) for summary, _ in results], dtype=float)
-        for name in METRICS
-    }
+    values = {name: np.empty(config.num_paths) for name in METRICS}
     aoi_acc = np.zeros(config.horizon)
     gaoi_acc = np.zeros(config.horizon)
-    for _, schedule in results:
-        aoi_acc += aoi_series(schedule)
-        gaoi_acc += _bayes_gaoi_series(config.model, schedule)
+    for k, (schedule, cum_gaoi, cum_delay, num_changes) in enumerate(results):
+        ages = aoi_series(schedule)
+        aoi_acc += ages
+        gaoi_acc += _bayes_gaoi_series(config.model, ages)
+        values["cum_aoi"][k] = ages.sum()
+        values["cum_gaoi"][k] = cum_gaoi
+        values["cum_delay"][k] = cum_delay
+        values["num_changes"][k] = num_changes
     return _aggregate(config, values, aoi_acc, gaoi_acc)

@@ -9,8 +9,9 @@ from row ``x`` of the change matrix, and the counter resets to 0.
 Dwell laws are stored as an explicit prefix ``q_0(x)..q_{m-1}(x)`` plus a
 constant tail used for every dwell index >= m.  The tail must be positive so
 a change eventually happens and the joint chain is recurrent; with that
-representation all the infinite series below (normalization, entropy rate)
-have closed-form tails and are summed exactly.
+representation the stationary law is geometric past the prefix, and all the
+infinite series below (normalization, entropy rate) have closed-form tails,
+so the law and the entropy rate are exact.
 """
 
 from __future__ import annotations
@@ -135,40 +136,50 @@ class JointModel:
             head *= (1.0 - float(self.dwell.tail[x])) ** (i - m)
         return head
 
-    def expected_dwell(self, x: int) -> float:
-        """Mean number of slots per visit to status x (>= 1)."""
-        m = self.dwell.prefix_len
-        total = 0.0
-        surv = 1.0
-        for i in range(m):
-            total += surv
-            surv *= 1.0 - float(self.dwell.prefix[x, i])
-        return total + surv / float(self.dwell.tail[x])
-
 
 @dataclass(frozen=True)
 class StationaryDistribution:
-    """Truncated stationary law of the joint chain.
+    """Exact stationary law of the joint chain.
 
-    ``mu[x]`` stores mu_{x,0..M_x}; ``state_tail_mass[x]`` is the exact mass
-    of the geometric tail beyond the stored indices, so stored mass plus tail
-    mass is exactly 1 (up to float rounding).
+    ``mu[x, i]`` is mu_{x,i} for the dwell levels i = 0..m, m the dwell
+    prefix length.  Past the prefix the law is geometric,
+    mu_{x,i} = mu[x, m] (1 - tail[x])^(i-m), so the array holds all of it.
     """
 
-    mu: tuple[np.ndarray, ...]
-    state_tail_mass: np.ndarray
+    mu: np.ndarray  # shape (n_states, m + 1)
+    tail: np.ndarray  # tail change probability per state
     embedded: np.ndarray = field(repr=False)  # stationary vector of the change chain
 
     @property
-    def tail_mass(self) -> float:
-        return float(self.state_tail_mass.sum())
+    def mu0(self) -> np.ndarray:
+        return self.mu[:, 0]
 
     @property
-    def mu0(self) -> np.ndarray:
-        return np.array([m[0] for m in self.mu])
+    def group_weights(self) -> np.ndarray:
+        """Stationary mass of each group (x, min(t, m)), shape (n_states, m + 1).
 
-    def truncation_index(self, x: int) -> int:
-        return len(self.mu[x]) - 1
+        States past the prefix share one trajectory law, so column m holds
+        the whole geometric tail, mu[x, m] / tail[x]; the weights sum to 1.
+        """
+        weights = self.mu.copy()
+        weights[:, -1] /= self.tail
+        return weights
+
+    def sample(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Inverse-CDF draw of (x, t), one state per row of uniforms ``u``.
+
+        ``u[:, 0]`` picks the group (x, min(t, m)); in the tail group
+        ``u[:, 1]`` draws t - m from the exact geometric law.  Zero-weight
+        groups have zero width, so they are never drawn.
+        """
+        cdf = np.cumsum(self.group_weights.ravel())
+        x, t = np.divmod(np.searchsorted(cdf / cdf[-1], u[:, 0], side="right"),
+                         self.mu.shape[1])
+        m = self.mu.shape[1] - 1
+        with np.errstate(divide="ignore"):  # a tail hazard of 1 gives t = m
+            extra = np.floor(np.log1p(-u[:, 1]) / np.log1p(-self.tail[x]))
+        # a tiny hazard can give a dwell past int64; any t >= m acts the same
+        return x, np.where(t == m, m + np.minimum(extra, 2**62).astype(np.int64), t)
 
 
 def validate_model(change: ChangeKernel, dwell: DwellKernel) -> JointModel:
@@ -233,49 +244,22 @@ def embedded_stationary(model: JointModel) -> np.ndarray:
     return pi / pi.sum()
 
 
-def stationary_distribution(model: JointModel, tail_tol: float = 1e-12) -> StationaryDistribution:
-    """Stationary law mu_{x,i} of the joint chain.
+def stationary_distribution(model: JointModel) -> StationaryDistribution:
+    """Exact stationary law mu_{x,i} of the joint chain.
 
     Solves the embedded change chain for mu_{x,0} (the per-slot change mass
-    factors through the change matrix alone), then fills dwell levels with the
-    survival products mu_{x,i} = mu_{x,0} * prod_{j<i}(1-q_j(x)).  Each
-    state's dwell axis is truncated once the remaining (geometric) mass drops
-    below ``tail_tol`` / alphabet; that remainder is recorded, not dropped.
+    factors through the change matrix alone); every other level is the
+    survival product mu_{x,i} = mu_{x,0} S_x(i), S_x(i) = prod_{j<i}(1-q_j(x)),
+    which is geometric past the prefix.  Costs O(n m), whatever the hazards.
     """
     pi = embedded_stationary(model)
     n = model.alphabet_size
-    mean_dwell = np.array([model.expected_dwell(x) for x in range(n)])
-    mu0 = pi / float(pi @ mean_dwell)
-
-    per_state_tol = tail_tol / n
-    mu = []
-    tail_mass = np.zeros(n)
-    m = model.dwell.prefix_len
-    for x in range(n):
-        qt = float(model.dwell.tail[x])
-        levels = [mu0[x]]
-        surv = 1.0
-        i = 0
-        while True:
-            surv *= 1.0 - model.dwell.q(x, i)
-            i += 1
-            # remaining mass at indices >= i, summed in closed form once the
-            # constant tail applies
-            if i >= m:
-                remaining = mu0[x] * surv / qt
-            else:
-                remaining = mu0[x] * (
-                    sum(model.survival(x, j) for j in range(i, m))
-                    + model.survival(x, m) / qt
-                )
-            if remaining < per_state_tol or surv == 0.0:
-                tail_mass[x] = remaining
-                break
-            levels.append(mu0[x] * surv)
-        arr = np.array(levels)
-        arr.setflags(write=False)
-        mu.append(arr)
-    return StationaryDistribution(mu=tuple(mu), state_tail_mass=tail_mass, embedded=pi)
+    tail = model.dwell.tail
+    survival = np.cumprod(np.column_stack([np.ones(n), 1.0 - model.dwell.prefix]), axis=1)
+    mean_dwell = survival[:, :-1].sum(axis=1) + survival[:, -1] / tail
+    mu = pi[:, None] / float(pi @ mean_dwell) * survival
+    mu.setflags(write=False)
+    return StationaryDistribution(mu=mu, tail=tail, embedded=pi)
 
 
 def prob_change(dist: StationaryDistribution) -> float:
@@ -302,10 +286,9 @@ def binary_entropy(q: float) -> float:
 
 @dataclass(frozen=True)
 class EntropyRate:
-    """Entropy rate in bits/slot plus a bound on the truncation error."""
+    """Entropy rate in bits/slot."""
 
     bits: float
-    truncation_bound: float
 
 
 def _dwell_entropy_series(model: JointModel, x: int, h_change: float) -> float:
@@ -326,20 +309,17 @@ def _dwell_entropy_series(model: JointModel, x: int, h_change: float) -> float:
 
 
 def entropy_rate(model: JointModel, dist: StationaryDistribution) -> EntropyRate:
-    """Entropy rate of the joint chain in bits/slot.
+    """Entropy rate of the joint chain in bits/slot, exactly.
 
-    Evaluates the change-weighted dwell series per status; the reported bound
-    covers the stationary-distribution truncation (the series tail itself is
-    summed in closed form, so the bound is conservative).
+    Evaluates the change-weighted dwell series per status; the series tail is
+    summed in closed form.
     """
     mu0 = dist.mu0
     rate = 0.0
     for x in range(model.alphabet_size):
         h_px = discrete_entropy(model.change.rows[x])
         rate += mu0[x] * _dwell_entropy_series(model, x, h_px)
-    span = max(len(m) for m in dist.mu)
-    bound = dist.tail_mass * np.log2(max(2, model.alphabet_size * span))
-    return EntropyRate(bits=float(rate), truncation_bound=float(bound))
+    return EntropyRate(bits=float(rate))
 
 
 def entropy_rate_homogeneous(model: JointModel, dist: StationaryDistribution) -> EntropyRate:
@@ -349,17 +329,15 @@ def entropy_rate_homogeneous(model: JointModel, dist: StationaryDistribution) ->
     """
     if not model.dwell.is_homogeneous():
         raise ModelError("dwell kernel differs across states; split formula does not apply")
-    mean_dwell = model.expected_dwell(0)
+    p_change = prob_change(dist)  # one change per mean dwell
     # entropy rate of the dwell counter chain alone
-    h_dwell = _dwell_entropy_series(model, 0, 0.0) / mean_dwell
+    h_dwell = _dwell_entropy_series(model, 0, 0.0) * p_change
     h_change = float(
         sum(dist.embedded[x] * discrete_entropy(model.change.rows[x])
             for x in range(model.alphabet_size))
     )
-    rate = h_dwell + h_change * prob_change(dist)
-    span = max(len(m) for m in dist.mu)
-    bound = dist.tail_mass * np.log2(max(2, model.alphabet_size * span))
-    return EntropyRate(bits=float(rate), truncation_bound=float(bound))
+    rate = h_dwell + h_change * p_change
+    return EntropyRate(bits=float(rate))
 
 
 def joint_step(model: JointModel, u: JointState, rng: np.random.Generator) -> JointState:

@@ -66,23 +66,15 @@ def exact_ensemble_gaoi(model: JointModel, dist: StationaryDistribution, a: int,
     """Stationary average of the a-slot conditional entropy (bits).
 
     Trajectory laws from (x, t) coincide for every t past the dwell prefix,
-    so states are grouped by their effective dwell index; the group weights
-    include the exact geometric tail of the stationary law.
+    so states are grouped by their effective dwell index and weighted by the
+    exact group masses of the stationary law, geometric tail included.
     """
     if a == 0:
         return 0.0
-    m = model.dwell.prefix_len
     total = 0.0
-    for x in range(model.alphabet_size):
-        levels = dist.mu[x]
-        weights = np.zeros(m + 1)
-        for i, mass in enumerate(levels):
-            weights[min(i, m)] += mass
-        weights[m] += dist.state_tail_mass[x]
-        for t_eff in range(m + 1):
-            if weights[t_eff] > 0.0:
-                h = exact_conditional_entropy(model, JointState(x, t_eff), a, budget)
-                total += weights[t_eff] * h
+    for (x, t_eff), weight in np.ndenumerate(dist.group_weights):
+        if weight > 0.0:
+            total += weight * exact_conditional_entropy(model, JointState(x, t_eff), a, budget)
     return total
 
 

@@ -89,7 +89,7 @@ def test_criterion_3_rate_matches_one_step_oracle():
             dist = stationary_distribution(model)
             er = entropy_rate(model, dist)
             oracle = exact_ensemble_gaoi(model, dist, 1)
-            assert abs(er.bits - oracle) <= 1e-9 + er.truncation_bound
+            assert abs(er.bits - oracle) <= 1e-9
             if homogeneous:
                 split = entropy_rate_homogeneous(model, dist)
                 assert abs(er.bits - split.bits) <= 1e-9
@@ -104,7 +104,7 @@ def test_criterion_4_gaoi_is_age_times_rate():
             er = entropy_rate(model, dist)
             for a in range(1, 7):
                 gaoi = exact_ensemble_gaoi(model, dist, a)
-                assert abs(gaoi - a * er.bits) <= 1e-9 + a * er.truncation_bound
+                assert abs(gaoi - a * er.bits) <= 1e-9
 
 
 def test_criterion_5_cyclic_model_is_degenerate():

@@ -13,6 +13,7 @@ from gaoi import (
     h_closed,
     random_schedule,
 )
+from gaoi.bayes import _expected_theta_capped
 from gaoi.oracle import exact_bayes_delay, exact_bayes_gaoi
 
 
@@ -111,6 +112,19 @@ class TestExpectedDelay:
             assert bayes_expected_delay(model, sched) == pytest.approx(
                 exact_bayes_delay(model, sched), abs=1e-12
             )
+
+    @pytest.mark.parametrize("p", [0.04, 0.2, 0.5, 0.95])
+    @pytest.mark.parametrize("t", [0, 1, 2, 7, 100, 1000])
+    def test_capped_mean_change_time_closed_form(self, p, t):
+        direct = sum(k * (1.0 - p) ** (k - 1) * p for k in range(1, t + 1))
+        assert abs(_expected_theta_capped(p, t) - direct) <= 1e-12 * abs(direct)
+
+    @pytest.mark.parametrize("p", [1e-4, 1e-6])
+    @pytest.mark.parametrize("t", [2, 100, 1000])
+    def test_capped_mean_change_time_small_hazard(self, p, t):
+        # (1 - (1-p)^T (1 + T p)) / p evaluated literally is off by 9e-5 here
+        direct = sum(k * (1.0 - p) ** (k - 1) * p for k in range(1, t + 1))
+        assert abs(_expected_theta_capped(p, t) - direct) <= 1e-9 * direct
 
 
 class TestAffineLaw:

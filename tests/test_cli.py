@@ -149,6 +149,38 @@ class TestSimulate:
                      "--out", str(tmp_path / "out")]) == EXIT_CONFIG
         assert "--paths 0 < 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section, edit", [
+        ("model", {"kind": "bayesian", "bayes_p": 1.5}),
+        ("policy", {"kind": "periodic", "period": 0}),
+        ("policy", {"kind": "greedy", "delay": {"uniform": 5}}),
+        ("model", None),
+        ("run", {"horizon": 0}),
+        ("run", {"horizon": -3}),
+        ("run", {"horizon": 2.7}),
+        ("run", {"horizon": True}),
+        ("run", {"num_paths": 20.0}),
+        ("run", {"base_seed": -1}),
+        ("policy", {"kind": "periodic", "period": 5.0}),
+        ("policy", {"kind": "greedy", "delay": {"uniform": [2, 8.5]}}),
+        ("policy", {"kind": "greedy", "delay": {"deterministic": False}}),
+        ("model", {"kind": "stationary", "px_rows": [[0, 1], [1, 0]],
+                   "dwell": {"prefix": [0.5]}}),
+    ], ids=["bayes_p", "period_0", "uniform_scalar", "model_null", "horizon_0",
+            "horizon_negative", "horizon_float", "horizon_bool", "num_paths_float",
+            "seed_negative", "period_float", "delay_float", "delay_bool", "dwell_no_tail"])
+    def test_bad_config_exit_2(self, tmp_path, capsys, section, edit):
+        data = {**SWAP_CONFIG, section: edit}
+        if section == "run":
+            data["run"] = {**SWAP_CONFIG["run"], **edit}
+        assert main(["simulate", "--config", write_config(tmp_path, data),
+                     "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert "config error:" in capsys.readouterr().err
+
+    def test_negative_seed_override_exit_2(self, tmp_path):
+        cfg = write_config(tmp_path, SWAP_CONFIG)
+        assert main(["simulate", "--config", cfg, "--seed", "-1",
+                     "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+
     def test_stationary_law_computed_once(self, tmp_path, monkeypatch):
         calls = []
         real = ensemble.stationary_distribution

@@ -15,7 +15,13 @@ from gaoi import (
     validate_model,
 )
 from gaoi import ensemble
-from gaoi.ensemble import PATH_SALT, draw_stationary_state, sample_block, simulate_path
+from gaoi.ensemble import (
+    INIT_SALT,
+    PATH_SALT,
+    draw_stationary_state,
+    sample_block,
+    simulate_path,
+)
 from gaoi.markov import JointState, joint_step, stationary_distribution
 
 from conftest import make_cycle, make_two_state_swap
@@ -83,6 +89,53 @@ class TestDrawStationaryState:
         assert frac_t0 == pytest.approx(0.6, abs=0.02)
         frac_x0 = np.mean([u.x == 0 for u in draws])
         assert frac_x0 == pytest.approx(0.5, abs=0.02)
+
+    def test_chi_square_against_exact_law(self):
+        # bins: every (x, t) for t < m + 6, then (x, t >= m + 6), so three of
+        # each status's bins lie past the prefix
+        model = make_ragged_three()
+        m, extra = model.dwell.prefix_len, 6
+        dist = stationary_distribution(model)
+        draws = 20000
+        u = np.array([derive_stream(13, k, INIT_SALT).random(2) for k in range(draws)])
+        x, t = dist.sample(u)
+        width = m + extra + 1
+        observed = np.bincount(x * width + np.minimum(t, m + extra), minlength=3 * width)
+        expected = np.empty((3, width))
+        for s in range(3):
+            # independent of the stored levels: mu_{s,0} times the survival product
+            expected[s, :-1] = [dist.mu0[s] * model.survival(s, i) for i in range(m + extra)]
+            expected[s, -1] = dist.mu0[s] * model.survival(s, m + extra) / model.dwell.tail[s]
+        assert expected.sum() == pytest.approx(1.0, abs=1e-12)
+        keep = expected.ravel() > 0.0
+        assert observed[~keep].sum() == 0
+        assert (t > m).mean() > 0.1
+        assert sps.chisquare(observed[keep], draws * expected.ravel()[keep]).pvalue > 1e-3
+
+    def test_tiny_tail_hazard_draws_exact_geometric(self):
+        # dwell t of the swap chain at q = 1e-6: P[t >= k] = (1 - q)^k, binned
+        # at the law's exact deciles (t is about 1e6 on average)
+        q = 1e-6
+        dist = stationary_distribution(make_two_state_swap(q))
+        draws = 20000
+        _, t = dist.sample(np.random.default_rng(21).random((draws, 2)))
+        edges = np.ceil(np.log1p(-np.arange(1, 10) / 10) / np.log1p(-q)).astype(np.int64)
+        tail = (1.0 - q) ** np.concatenate([[0], edges]).astype(float)
+        probs = tail - np.append(tail[1:], 0.0)
+        observed = np.bincount(np.searchsorted(edges, t, side="right"), minlength=10)
+        assert sps.chisquare(observed, draws * probs).pvalue > 1e-3
+
+    def test_zero_weight_groups_never_drawn(self):
+        # q = 1 at dwell 1: dwell 2 and the tail t >= 3 have zero mass
+        model = validate_model(ChangeKernel(np.array([[0.0, 1.0], [1.0, 0.0]])),
+                               DwellKernel.homogeneous(2, [0.3, 1.0, 0.2], 0.5))
+        dist = stationary_distribution(model)
+        u = np.random.default_rng(8).random((5000, 2))
+        u[:10, 0] = 0.0
+        u[10:20, 0] = np.nextafter(1.0, 0.0)
+        x, t = dist.sample(u)
+        assert set(zip(x.tolist(), t.tolist())) == {(0, 0), (0, 1), (1, 0), (1, 1)}
+        assert (x[10:20] == 1).all() and (t[10:20] == 1).all()
 
 
 class TestRunEnsemble:

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,12 @@ from gaoi.markov import IrreducibilityError, embedded_stationary
 from conftest import make_cycle, make_two_state_swap, make_uniform_three, random_model
 
 H_06 = 0.9709505944546686  # binary entropy of 0.6 in bits
+
+
+def exact_level(dist, x: int, i: int) -> float:
+    """mu_{x,i} from the stored levels 0..m and the geometric tail past m."""
+    m = dist.mu.shape[1] - 1
+    return dist.mu[x, min(i, m)] * (1.0 - dist.tail[x]) ** max(i - m, 0)
 
 
 class TestValidateModel:
@@ -98,15 +106,14 @@ class TestStationaryDistribution:
         dist = stationary_distribution(make_two_state_swap(0.6))
         for x in (0, 1):
             for i in range(10):
-                assert dist.mu[x][i] == pytest.approx(0.3 * 0.4**i, abs=1e-12)
-        assert dist.tail_mass <= 1e-12
+                assert exact_level(dist, x, i) == pytest.approx(0.3 * 0.4**i, abs=1e-12)
+        assert dist.group_weights.sum() == pytest.approx(1.0, abs=1e-15)
 
     def test_total_mass_is_one(self, rng):
         for _ in range(10):
             model = random_model(rng)
             dist = stationary_distribution(model)
-            stored = sum(m.sum() for m in dist.mu)
-            assert stored + dist.tail_mass == pytest.approx(1.0, abs=1e-12)
+            assert dist.group_weights.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_cycle_all_mass_at_zero(self):
         dist = stationary_distribution(make_cycle(3))
@@ -115,14 +122,16 @@ class TestStationaryDistribution:
             assert dist.mu[x][1:].sum() == 0.0
 
     def test_balance_product_structure(self, rng):
+        # 400 levels past the prefix reach beyond where a 1e-12 tail cut would
+        # stop for every tail hazard >= 0.1 that random_model draws
         for _ in range(10):
             model = random_model(rng)
             dist = stationary_distribution(model)
             for x in range(model.alphabet_size):
                 mu0 = dist.mu[x][0]
-                for i in range(len(dist.mu[x])):
-                    assert dist.mu[x][i] == pytest.approx(
-                        mu0 * model.survival(x, i), abs=1e-12
+                for i in range(model.dwell.prefix_len + 400):
+                    assert exact_level(dist, x, i) == pytest.approx(
+                        mu0 * model.survival(x, i), rel=1e-12, abs=1e-300
                     )
 
     def test_matches_power_iteration_on_truncated_joint_chain(self, rng):
@@ -148,8 +157,50 @@ class TestStationaryDistribution:
                 v = v @ P
             v /= v.sum()
             for x in range(n):
-                for i in range(min(len(dist.mu[x]), 20)):
-                    assert v[x * cap + i] == pytest.approx(dist.mu[x][i], abs=1e-8)
+                for i in range(20):
+                    assert v[x * cap + i] == pytest.approx(exact_level(dist, x, i), abs=1e-8)
+
+    def test_tiny_tail_hazard_is_exact_at_constant_cost(self):
+        # the law stores n (m + 1) levels whatever the hazard; a tail cut at
+        # 1e-12 would need ~2.8e7 levels per state here
+        q = 1e-6
+        start = time.perf_counter()
+        dist = stationary_distribution(make_two_state_swap(q))
+        assert time.perf_counter() - start < 0.5
+        assert dist.mu.shape == (2, 1)
+        assert prob_change(dist) == pytest.approx(q, rel=1e-12)
+        assert dist.group_weights == pytest.approx(np.full((2, 1), 0.5), rel=1e-12)
+        assert exact_level(dist, 0, 10**6) == pytest.approx(
+            q / 2 * (1 - q) ** 10**6, rel=1e-9
+        )
+
+    def test_long_prefix_matches_survival_product(self):
+        rng = np.random.default_rng(400)
+        m = 400
+        model = validate_model(
+            ChangeKernel(np.array([[0.0, 0.4, 0.6], [0.5, 0.0, 0.5], [0.7, 0.3, 0.0]])),
+            DwellKernel(rng.uniform(0.001, 0.02, size=(3, m)), np.array([0.05, 0.01, 0.2])),
+        )
+        dist = stationary_distribution(model)
+        assert dist.mu.shape == (3, m + 1)
+        assert dist.group_weights.sum() == pytest.approx(1.0, abs=1e-12)
+        mean_dwell = np.empty(3)
+        for x in range(3):
+            surv = np.array([model.survival(x, i) for i in range(m + 1)])
+            np.testing.assert_allclose(dist.mu[x], dist.mu[x, 0] * surv, rtol=1e-12, atol=0)
+            mean_dwell[x] = surv[:-1].sum() + surv[-1] / model.dwell.tail[x]
+        # mu_{x,0}: the change chain's mass over the mean dwell
+        pi = embedded_stationary(model)
+        np.testing.assert_allclose(dist.mu0, pi / (pi @ mean_dwell), rtol=1e-12, atol=0)
+
+    def test_certain_change_inside_prefix_empties_later_groups(self):
+        model = validate_model(ChangeKernel(np.array([[0.0, 1.0], [1.0, 0.0]])),
+                               DwellKernel.homogeneous(2, [0.3, 1.0, 0.2], 0.5))
+        dist = stationary_distribution(model)
+        weights = dist.group_weights
+        assert np.array_equal(weights[:, 2:], np.zeros((2, 2)))
+        assert weights[:, :2] == pytest.approx(np.array([[1.0, 0.7]] * 2) / 3.4, rel=1e-12)
+        assert prob_change(dist) == pytest.approx(1 / 1.7, rel=1e-12)
 
     def test_unreachable_states_reported(self):
         rows = np.array([[1.0, 0.0], [0.5, 0.5]])

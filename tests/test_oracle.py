@@ -3,6 +3,8 @@ import pytest
 
 from gaoi import (
     BayesModel,
+    ChangeKernel,
+    DwellKernel,
     JointState,
     UpdateSchedule,
     bayes_expected_delay,
@@ -11,6 +13,7 @@ from gaoi import (
     h_closed,
     random_schedule,
     stationary_distribution,
+    validate_model,
 )
 from gaoi.oracle import (
     EnumerationBudgetError,
@@ -68,7 +71,7 @@ class TestExactEnsembleGaoi:
             dist = stationary_distribution(model)
             rate = entropy_rate(model, dist)
             assert exact_ensemble_gaoi(model, dist, 1) == pytest.approx(
-                rate.bits, abs=1e-9 + rate.truncation_bound
+                rate.bits, abs=1e-9
             )
 
     def test_age_scaling_three_state(self, rng):
@@ -76,8 +79,19 @@ class TestExactEnsembleGaoi:
         dist = stationary_distribution(model)
         rate = entropy_rate(model, dist)
         assert exact_ensemble_gaoi(model, dist, 4) == pytest.approx(
-            4 * rate.bits, abs=1e-9 + rate.truncation_bound
+            4 * rate.bits, abs=1e-9
         )
+
+    def test_certain_change_inside_prefix(self):
+        # q = 1 at dwell 1 leaves zero-weight groups, which the oracle skips
+        model = validate_model(
+            ChangeKernel(np.array([[0.0, 0.5, 0.5], [0.2, 0.0, 0.8], [0.6, 0.4, 0.0]])),
+            DwellKernel.homogeneous(3, [0.3, 1.0, 0.2], 0.5),
+        )
+        dist = stationary_distribution(model)
+        rate = entropy_rate(model, dist)
+        for a in range(1, 5):
+            assert exact_ensemble_gaoi(model, dist, a) == pytest.approx(a * rate.bits, abs=1e-9)
 
 
 class TestExactBayes:
