@@ -122,8 +122,8 @@ class TestStationaryDistribution:
             assert dist.mu[x][1:].sum() == 0.0
 
     def test_balance_product_structure(self, rng):
-        # 400 levels past the prefix reach beyond where a 1e-12 tail cut would
-        # stop for every tail hazard >= 0.1 that random_model draws
+        # 400 levels past the prefix: the mass left beyond them is below 1e-18
+        # for every tail hazard >= 0.1 that random_model draws
         for _ in range(10):
             model = random_model(rng)
             dist = stationary_distribution(model)
@@ -161,8 +161,8 @@ class TestStationaryDistribution:
                     assert v[x * cap + i] == pytest.approx(exact_level(dist, x, i), abs=1e-8)
 
     def test_tiny_tail_hazard_is_exact_at_constant_cost(self):
-        # the law stores n (m + 1) levels whatever the hazard; a tail cut at
-        # 1e-12 would need ~2.8e7 levels per state here
+        # the law holds n (m + 1) levels whatever the hazard, though here the
+        # mass past dwell 10^7 is still 4.5e-5
         q = 1e-6
         start = time.perf_counter()
         dist = stationary_distribution(make_two_state_swap(q))
