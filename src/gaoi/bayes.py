@@ -20,6 +20,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .markov import binary_entropy
 from .schedule import UpdateSchedule
 
@@ -40,12 +42,30 @@ class BayesModel:
         return binary_entropy(self.p)
 
 
-def h_closed(model: BayesModel, x: int) -> float:
-    """Uncertainty of an x-slot window starting from the pre-change state."""
-    if x < 0:
+def survival_table(model: BayesModel, n: int) -> np.ndarray:
+    """P[theta > k] = (1-p)^k for k = 0..n.
+
+    Each entry is Python's float power, the value the scalar closed forms use;
+    numpy's vectorised power can differ from it in the last bit.
+    """
+    q = 1.0 - model.p
+    return np.array([q**k for k in range(n + 1)])
+
+
+def h_closed(model: BayesModel, x):
+    """Uncertainty of an x-slot window starting from the pre-change state.
+
+    ``x`` is an int or an integer array; an array gives the scalar values
+    elementwise, bit for bit.
+    """
+    if np.any(np.less(x, 0)):
         raise ValueError("window length must be non-negative")
     p = model.p
-    return (1.0 - (1.0 - p) ** x) / p * model.h1
+    if np.ndim(x) == 0:
+        stay = (1.0 - p) ** x
+    else:
+        stay = survival_table(model, int(np.max(x, initial=0)))[x]
+    return (1.0 - stay) / p * model.h1
 
 
 def bayes_gaoi(model: BayesModel, age: int, observed_state: int) -> float:
@@ -61,14 +81,20 @@ def bayes_gaoi(model: BayesModel, age: int, observed_state: int) -> float:
     return h_closed(model, age)
 
 
+def _change_by(p: float, t: int) -> float:
+    """P[theta <= T] = 1 - (1-p)^T from expm1/log1p, accurate at small p T
+    where the literal form cancels."""
+    return -math.expm1(t * math.log1p(-p))
+
+
 def _expected_theta_capped(p: float, t: int) -> float:
     """sum_{k=1}^{T} k (1-p)^{k-1} p, the mean change time restricted to [1,T].
 
     Closed form (1 - (1-p)^T (1 + T p)) / p, evaluated as (g - T p) / p + T g
-    with g = 1 - (1-p)^T from expm1/log1p: taken literally, the numerator
-    cancels to O((T p)^2) and loses every digit by p = 1e-8.
+    with g = P[theta <= T]: taken literally, the numerator cancels to
+    O((T p)^2) and loses every digit by p = 1e-8.
     """
-    g = -math.expm1(t * math.log1p(-p))
+    g = _change_by(p, t)
     return (g - t * p) / p + t * g
 
 
@@ -85,7 +111,7 @@ def bayes_cumulative_gaoi(model: BayesModel, schedule: UpdateSchedule, t: int | 
     p = model.p
     s_cap = schedule.capped_samples()
     d_cap = schedule.capped_deliveries()
-    acc = (1.0 - p) * ((1.0 - p) ** t - 1.0) / p
+    acc = -(1.0 - p) * _change_by(p, t) / p
     for i in range(len(s_cap) - 1):
         acc += (d_cap[i + 1] - d_cap[i]) * (1.0 - p) ** s_cap[i]
     return model.h1 / p * acc
@@ -112,12 +138,13 @@ def bayes_expected_delay(model: BayesModel, schedule: UpdateSchedule, t: int | N
 
 def bayes_constant_c(model: BayesModel, t: int) -> float:
     """Schedule-independent residual between cumulative staleness (bits) and
-    h(1)/p times the expected detection delay, for horizon T."""
+    h(1)/p times the expected detection delay, for horizon T.
+
+    Its three terms (the intercepts of the two closed forms and the capped
+    mean change time) sum to h1 (1 - (1-p)^T) / p: C(T) is h(T), the
+    uncertainty of the whole window.  Evaluated in that form, since the
+    terms cancel at small p T.
+    """
     if t < 0:
         raise ValueError("horizon must be non-negative")
-    p = model.p
-    return model.h1 / p * (
-        (1.0 - p) * ((1.0 - p) ** t - 1.0) / p
-        + t * (1.0 - p) ** t
-        + _expected_theta_capped(p, t)
-    )
+    return model.h1 * _change_by(model.p, t) / model.p

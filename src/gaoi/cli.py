@@ -301,7 +301,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, help="override run.base_seed")
         p.add_argument("--paths", type=int, help="override run.num_paths")
         p.add_argument("--workers", type=int, default=1,
-                       help="parallel path workers (Bayesian models only)")
+                       help="accepted for compatibility; starts no workers, "
+                            "results never depend on it")
 
     p = sub.add_parser("entropy-rate", help="print entropy rate of a stationary model")
     common(p)

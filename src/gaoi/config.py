@@ -81,10 +81,15 @@ def _parse_model(section: dict):
         raise ConfigError(f"model.kind must be 'stationary' or 'bayesian', got {kind!r}")
     if "bayes_p" in section:
         raise ConfigError("model.bayes_p does not apply to a stationary model")
+    if "px_rows" not in section:
+        raise ConfigError("stationary model needs px_rows")
+    raw = section["px_rows"]
     try:
-        rows = np.array(section["px_rows"], dtype=float)
-    except KeyError:
-        raise ConfigError("stationary model needs px_rows") from None
+        rows = np.array(raw, dtype=float)
+    except (TypeError, ValueError):
+        rows = None
+    if rows is None or rows.ndim != 2:
+        raise ConfigError(f"model.px_rows must be an n x n list of numbers, got {raw!r}")
     n = _int(section.get("alphabet_size", len(rows)), "model.alphabet_size")
     if rows.shape != (n, n):
         raise ConfigError(f"px_rows has shape {rows.shape}, expected ({n}, {n})")

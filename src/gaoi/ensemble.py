@@ -9,14 +9,14 @@ Stationary paths run through one sampler, ``sample_block``, in lockstep
 blocks of ``BLOCK_PATHS`` paths: one Python iteration per slot, numpy
 operations across the block.  Path k draws only from its own path stream
 (two uniforms per slot, drawn up front), so its realization does not depend
-on which paths share its block or on the block size.  Aggregation runs in
-path order, so results are bit-identical for any block size and any worker
-count (workers only fan out the Bayesian branch).
+on which paths share its block or on the block size.  Bayesian paths keep
+their staleness in closed form: each path's series is two look-ups in
+tables of h(x) and (1-p)^k built once per ensemble.  Aggregation runs in
+path order, so results are bit-identical for any block size.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -194,19 +194,18 @@ def _bayes_path(
     return schedule, bayes_mod.bayes_cumulative_gaoi(model, schedule), cum_delay, int(changed)
 
 
-def _bayes_gaoi_series(model: bayes_mod.BayesModel, ages: np.ndarray) -> np.ndarray:
-    """Expected staleness h(age) * P[last sample pre-change], slot by slot.
+def _bayes_gaoi_series(h: np.ndarray, decay: np.ndarray, ages: np.ndarray) -> np.ndarray:
+    """Expected staleness h(age + 1) * P[last sample pre-change], slot by slot.
 
-    ``ages`` is the schedule's AoI series.  Row n holds the value for slot
-    n+1 under the (d_i, d_{i+1}] grouping (a delivery informs the monitor
-    from the next slot onward), so the series sums exactly to the cumulative
-    closed form over [1, T].
+    ``h[x]`` is ``h_closed(model, x)`` and ``decay[k]`` is (1-p)^k, both over
+    0..T; ``ages`` is the schedule's AoI series.  Row n holds the value for
+    slot n+1 under the (d_i, d_{i+1}] grouping (a delivery informs the monitor
+    from the next slot onward), so the series sums to the cumulative closed
+    form over [1, T], and each entry equals the scalar
+    ``h_closed(model, a_n + 1) * (1-p)**(n - a_n)`` bit for bit.
     """
     delta = np.arange(len(ages)) - ages  # sampling time of freshest delivery
-    return np.array([
-        bayes_mod.h_closed(model, int(a) + 1) * (1.0 - model.p) ** int(d)
-        for a, d in zip(ages, delta)
-    ])
+    return h[ages + 1] * decay[delta]
 
 
 def _aggregate(config: EnsembleConfig, values: dict[str, np.ndarray], aoi_acc: np.ndarray,
@@ -231,28 +230,25 @@ def run_ensemble(config: EnsembleConfig, workers: int = 1,
     """Simulate ``num_paths`` independent (path, schedule) pairs and aggregate.
 
     ``law`` is the stationary model's law when the caller already holds it
-    (computed here otherwise; unused for a Bayesian model).  ``workers`` fans
-    out the Bayesian branch only.  Output depends only on the config.
+    (computed here otherwise; unused for a Bayesian model).  ``workers`` is
+    accepted and ignored: every path runs in the calling thread.  Output
+    depends only on the config.
     """
     if not isinstance(config.model, bayes_mod.BayesModel):
         return _run_stationary(config, law or StationaryLaw.of(config.model))
 
-    def one(k: int):
-        return _bayes_path(config.model, config.policy, config.horizon, config.base_seed, k)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, range(config.num_paths)))
-    else:
-        results = [one(k) for k in range(config.num_paths)]
-
+    model, horizon = config.model, config.horizon
+    h = bayes_mod.h_closed(model, np.arange(horizon + 1))
+    decay = bayes_mod.survival_table(model, horizon)
     values = {name: np.empty(config.num_paths) for name in METRICS}
-    aoi_acc = np.zeros(config.horizon)
-    gaoi_acc = np.zeros(config.horizon)
-    for k, (schedule, cum_gaoi, cum_delay, num_changes) in enumerate(results):
+    aoi_acc = np.zeros(horizon)
+    gaoi_acc = np.zeros(horizon)
+    for k in range(config.num_paths):
+        schedule, cum_gaoi, cum_delay, num_changes = _bayes_path(
+            model, config.policy, horizon, config.base_seed, k)
         ages = aoi_series(schedule)
         aoi_acc += ages
-        gaoi_acc += _bayes_gaoi_series(config.model, ages)
+        gaoi_acc += _bayes_gaoi_series(h, decay, ages)
         values["cum_aoi"][k] = ages.sum()
         values["cum_gaoi"][k] = cum_gaoi
         values["cum_delay"][k] = cum_delay

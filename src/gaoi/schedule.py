@@ -182,13 +182,12 @@ def random_schedule(horizon: int, rng: np.random.Generator,
 
 
 def aoi_series(schedule: UpdateSchedule) -> np.ndarray:
-    """Per-slot ages a_n = n - s_j for n in [d_j, d_{j+1}), n = 0..horizon-1."""
-    t = schedule.horizon
-    ages = np.zeros(t, dtype=np.int64)
-    s_cap = schedule.capped_samples()
-    d_cap = schedule.capped_deliveries()
-    for j in range(len(d_cap) - 1):
-        lo, hi = d_cap[j], min(d_cap[j + 1], t)
-        if hi > lo:
-            ages[lo:hi] = np.arange(lo, hi) - s_cap[j]
-    return ages
+    """Per-slot ages a_n = n - s_j for n in [d_j, d_{j+1}), n = 0..horizon-1.
+
+    j is the number of deliveries at or before n, so s_j is the freshest
+    sample the monitor holds at slot n.
+    """
+    n = np.arange(schedule.horizon, dtype=np.int64)
+    s = np.array((0, *schedule.samples), dtype=np.int64)
+    d = np.array(schedule.deliveries, dtype=np.int64)
+    return n - s[np.searchsorted(d, n, side="right")]

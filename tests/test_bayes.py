@@ -1,3 +1,5 @@
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -35,6 +37,19 @@ class TestHClosed:
         model = BayesModel(p)
         lhs = h_closed(model, x + 1) - h_closed(model, x)
         assert lhs == pytest.approx((1.0 - p) ** x * model.h1, abs=1e-12)
+
+    @pytest.mark.parametrize("p", [0.04, 0.5, 0.95, 1e-6])
+    def test_array_matches_scalar_bit_for_bit(self, p):
+        model = BayesModel(p)
+        x = np.array([0, 1, 2, 7, 3, 1000, 0, 99])
+        assert np.array_equal(h_closed(model, x), [h_closed(model, int(v)) for v in x])
+        assert h_closed(model, np.zeros(0, dtype=np.int64)).shape == (0,)
+
+    def test_negative_window_rejected(self):
+        with pytest.raises(ValueError):
+            h_closed(BayesModel(0.3), -1)
+        with pytest.raises(ValueError):
+            h_closed(BayesModel(0.3), np.array([2, -1]))
 
 
 class TestBayesGaoi:
@@ -150,3 +165,21 @@ class TestAffineLaw:
         sched = random_schedule(horizon, rng)
         lhs = bayes_cumulative_gaoi(model, sched) - model.h1 / p * bayes_expected_delay(model, sched)
         assert lhs == pytest.approx(bayes_constant_c(model, horizon), abs=1e-9)
+
+    @given(st.floats(0.02, 0.98), st.integers(0, 5000))
+    @settings(max_examples=200)
+    def test_constant_is_window_entropy(self, p, t):
+        model = BayesModel(p)
+        assert abs(bayes_constant_c(model, t) - h_closed(model, t)) <= 1e-12
+
+    @pytest.mark.parametrize("p", [1e-4, 1e-6, 1e-8])
+    @pytest.mark.parametrize("t", [1, 2, 100, 1000])
+    def test_constant_small_hazard_against_decimal(self, p, t):
+        # h1 is taken from the model: this checks the window factor
+        # (1 - (1-p)^T) / p, which cancels at small p T when taken literally
+        model = BayesModel(p)
+        with localcontext() as ctx:
+            ctx.prec = 80
+            dp = Decimal(p)
+            exact = Decimal(float(model.h1)) * (1 - (1 - dp) ** t) / dp
+        assert abs(Decimal(float(bayes_constant_c(model, t))) - exact) <= Decimal(1e-12) * exact

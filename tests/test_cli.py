@@ -165,16 +165,22 @@ class TestSimulate:
         ("policy", {"kind": "greedy", "delay": {"deterministic": False}}),
         ("model", {"kind": "stationary", "px_rows": [[0, 1], [1, 0]],
                    "dwell": {"prefix": [0.5]}}),
+        ("model", {"kind": "stationary", "px_rows": 5, "dwell": 0.5}),
+        ("model", {"kind": "stationary", "px_rows": [[0, 1], [1]], "dwell": 0.5}),
     ], ids=["bayes_p", "period_0", "uniform_scalar", "model_null", "horizon_0",
             "horizon_negative", "horizon_float", "horizon_bool", "num_paths_float",
-            "seed_negative", "period_float", "delay_float", "delay_bool", "dwell_no_tail"])
-    def test_bad_config_exit_2(self, tmp_path, capsys, section, edit):
+            "seed_negative", "period_float", "delay_float", "delay_bool", "dwell_no_tail",
+            "px_rows_scalar", "px_rows_ragged"])
+    def test_bad_config_exit_2(self, tmp_path, capsys, request, section, edit):
         data = {**SWAP_CONFIG, section: edit}
         if section == "run":
             data["run"] = {**SWAP_CONFIG["run"], **edit}
         assert main(["simulate", "--config", write_config(tmp_path, data),
                      "--out", str(tmp_path / "out")]) == EXIT_CONFIG
-        assert "config error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "config error:" in err
+        if request.node.callspec.id.startswith("px_rows"):
+            assert "model.px_rows must be an n x n list of numbers, got" in err
 
     def test_negative_seed_override_exit_2(self, tmp_path):
         cfg = write_config(tmp_path, SWAP_CONFIG)

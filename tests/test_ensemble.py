@@ -9,12 +9,16 @@ from gaoi import (
     DwellKernel,
     EnsembleConfig,
     PolicySpec,
+    aoi_series,
     bayes_constant_c,
+    bayes_cumulative_gaoi,
     derive_stream,
+    h_closed,
+    random_schedule,
     run_ensemble,
     validate_model,
 )
-from gaoi import ensemble
+from gaoi import bayes, ensemble, markov
 from gaoi.ensemble import (
     INIT_SALT,
     PATH_SALT,
@@ -270,6 +274,52 @@ def _homogeneity_pvalue(a: np.ndarray, b: np.ndarray, bins: int | None = 10) -> 
         for v in (a, b)
     ])
     return sps.chi2_contingency(table[:, table.sum(axis=0) > 0]).pvalue
+
+
+class TestBayesBranch:
+    @pytest.mark.parametrize("p", [0.04, 0.5, 0.95])
+    def test_series_matches_per_slot_closed_form(self, rng, p):
+        model = BayesModel(p)
+        horizon = 100
+        h = h_closed(model, np.arange(horizon + 1))
+        decay = bayes.survival_table(model, horizon)
+        for _ in range(30):
+            sched = random_schedule(horizon, rng)
+            ages = aoi_series(sched)
+            series = ensemble._bayes_gaoi_series(h, decay, ages)
+            reference = [h_closed(model, int(a) + 1) * (1.0 - p) ** (n - int(a))
+                         for n, a in enumerate(ages)]
+            assert np.array_equal(series, reference)
+            assert abs(series.sum() - bayes_cumulative_gaoi(model, sched)) <= 1e-9
+
+    @pytest.mark.parametrize("policy", [PERIODIC_50, GREEDY_2080])
+    def test_mean_series_sums_to_mean_cumulative(self, policy):
+        stats = run_ensemble(EnsembleConfig(model=BayesModel(0.04), policy=policy,
+                                            horizon=300, num_paths=30, base_seed=8))
+        cum = stats.mean["cum_gaoi"]
+        assert abs(stats.mean_gaoi_series.sum() - cum) <= 1e-12 * cum
+
+    def test_closed_form_calls_do_not_grow_with_horizon(self, monkeypatch):
+        calls = {"h_closed": 0, "binary_entropy": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(bayes, "h_closed", counted("h_closed", bayes.h_closed))
+        entropy = counted("binary_entropy", bayes.binary_entropy)
+        monkeypatch.setattr(bayes, "binary_entropy", entropy)
+        monkeypatch.setattr(markov, "binary_entropy", entropy)
+        counts = []
+        for horizon in (50, 400):
+            calls.update(h_closed=0, binary_entropy=0)
+            run_ensemble(EnsembleConfig(model=BayesModel(0.04), policy=GREEDY_2080,
+                                        horizon=horizon, num_paths=20, base_seed=4))
+            counts.append(dict(calls))
+        assert counts[0] == counts[1]
+        assert counts[0]["h_closed"] > 0 and counts[0]["binary_entropy"] > 0
 
 
 class TestSamplerEquivalence:

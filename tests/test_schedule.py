@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gaoi import (
@@ -148,3 +148,35 @@ class TestAoiSeries:
             for j in range(1, sched.num_updates + 1):
                 if d_cap[j] < 100:
                     assert ages[d_cap[j]] == d_cap[j] - s_cap[j]
+
+
+@st.composite
+def valid_schedules(draw, max_horizon=40):
+    """Stale-filtered schedules; deliveries clipped to the horizon, so a
+    delivery at exactly T and a zero delay (s = d) are both common."""
+    horizon = draw(st.integers(1, max_horizon))
+    if horizon < 2:
+        return UpdateSchedule(horizon=horizon, samples=(), deliveries=())
+    pairs = draw(st.lists(
+        st.tuples(st.integers(1, horizon - 1), st.integers(0, horizon)).map(
+            lambda sd: (sd[0], min(sd[0] + sd[1], horizon))),
+        max_size=12,
+    ))
+    return filter_stale(pairs, horizon)
+
+
+class TestAoiSeriesDefinition:
+    @given(valid_schedules())
+    @example(UpdateSchedule(horizon=1, samples=(), deliveries=()))
+    @example(UpdateSchedule(horizon=6, samples=(), deliveries=()))
+    @example(UpdateSchedule(horizon=6, samples=(2, 5), deliveries=(4, 6)))
+    @example(UpdateSchedule(horizon=6, samples=(1, 3, 5), deliveries=(1, 3, 5)))
+    @example(UpdateSchedule(horizon=2, samples=(1,), deliveries=(2,)))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_slot_by_slot_definition(self, sched):
+        # a_n = n - max{s_j : d_j <= n}, with s_0 = d_0 = 0
+        pairs = [(0, 0), *zip(sched.samples, sched.deliveries)]
+        expected = [n - max(s for s, d in pairs if d <= n) for n in range(sched.horizon)]
+        ages = aoi_series(sched)
+        assert ages.dtype == np.int64
+        assert ages.tolist() == expected
