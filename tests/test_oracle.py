@@ -15,6 +15,7 @@ from gaoi import (
     stationary_distribution,
     validate_model,
 )
+from gaoi import oracle
 from gaoi.oracle import (
     EnumerationBudgetError,
     exact_bayes_delay,
@@ -26,6 +27,53 @@ from gaoi.oracle import (
 from conftest import make_two_state_swap, random_model
 
 H_06 = 0.9709505944546686
+
+
+def reference_probs(model, u0, a):
+    """Probabilities of all length-``a`` trajectories from ``u0``, by dict frontier.
+
+    The oracle's original enumerator, kept as the reference for its
+    table-driven replacement: trajectories ending in the same (x, t) share
+    their next-step law, so the frontier groups path probabilities by endpoint.
+    """
+    frontier = {(u0.x, u0.t): np.ones(1)}
+    for _ in range(a):
+        nxt = {}
+        for (x, t), probs in frontier.items():
+            q = model.dwell.q(x, t)
+            if q < 1.0:
+                nxt.setdefault((x, t + 1), []).append(probs * (1.0 - q))
+            if q > 0.0:
+                row = model.change.rows[x]
+                for y in range(model.alphabet_size):
+                    if row[y] > 0.0:
+                        nxt.setdefault((y, 0), []).append(probs * (q * row[y]))
+        frontier = {key: np.concatenate(parts) for key, parts in nxt.items()}
+    return np.concatenate(list(frontier.values()))
+
+
+def reference_entropy(model, u0, a):
+    probs = reference_probs(model, u0, a)
+    pos = probs[probs > 0.0]
+    return float(-(pos * np.log2(pos)).sum())
+
+
+def edge_models(rng):
+    """Models that exercise every branch of the transition table."""
+    zero_diagonal = np.array([[0.0, 0.3, 0.7], [0.5, 0.0, 0.5], [1.0, 0.0, 0.0]])
+    return [
+        random_model(rng, max_prefix=4),
+        random_model(rng, max_alphabet=3, max_prefix=4),
+        # zero-diagonal change rows, certain and impossible changes inside the prefix
+        validate_model(ChangeKernel(zero_diagonal), DwellKernel(
+            np.array([[0.0, 1.0, 0.3], [0.5, 0.0, 0.2], [1.0, 0.0, 0.7]]),
+            np.array([0.4, 0.6, 0.9]),
+        )),
+        # ragged prefixes, padded with each state's tail
+        validate_model(ChangeKernel(zero_diagonal), DwellKernel.from_lists(
+            [[0.2, 0.0, 1.0, 0.4], [0.7], []], [0.3, 0.6, 0.9]
+        )),
+    ]
 
 
 class TestExactConditionalEntropy:
@@ -57,6 +105,38 @@ class TestExactConditionalEntropy:
         model = random_model(rng)
         with pytest.raises(EnumerationBudgetError):
             exact_conditional_entropy(model, JointState(0, 0), 6, budget=10)
+
+    def test_negative_window_rejected(self, rng):
+        model = random_model(rng)
+        with pytest.raises(ValueError, match="window length must be non-negative"):
+            exact_conditional_entropy(model, JointState(0, 0), -1)
+
+    def test_matches_reference_enumerator(self, rng):
+        # every start (x, t), the prefix plus starts past it, a = 1..5
+        for model in edge_models(rng):
+            m = model.dwell.prefix_len
+            for x in range(model.alphabet_size):
+                for t in [*range(m + 1), m + 5]:
+                    u0 = JointState(x, t)
+                    for a in range(1, 6):
+                        assert exact_conditional_entropy(model, u0, a) == pytest.approx(
+                            reference_entropy(model, u0, a), rel=1e-12, abs=1e-12
+                        )
+
+    def test_same_trajectory_probabilities_as_reference(self, rng):
+        # same multiset of path probabilities, bit for bit: no zero-probability
+        # move is enumerated and every product is taken in the same order
+        for model in edge_models(rng):
+            m = model.dwell.prefix_len
+            table = oracle._transition_table(model)
+            for x in range(model.alphabet_size):
+                for t in [*range(m + 1), m + 5]:
+                    start = np.array([x * (m + 1) + min(t, m)])
+                    for a in range(1, 6):
+                        probs, _ = oracle._enumerate(table, start, a)
+                        assert np.array_equal(
+                            np.sort(probs), np.sort(reference_probs(model, JointState(x, t), a))
+                        )
 
 
 class TestExactEnsembleGaoi:
@@ -92,6 +172,55 @@ class TestExactEnsembleGaoi:
         rate = entropy_rate(model, dist)
         for a in range(1, 5):
             assert exact_ensemble_gaoi(model, dist, a) == pytest.approx(a * rate.bits, abs=1e-9)
+
+
+    def test_negative_window_rejected(self, rng):
+        model = random_model(rng)
+        dist = stationary_distribution(model)
+        with pytest.raises(ValueError, match="window length must be non-negative"):
+            exact_ensemble_gaoi(model, dist, -2)
+
+    def test_returns_python_float(self, rng):
+        model = random_model(rng)
+        dist = stationary_distribution(model)
+        for a in (0, 1, 3):
+            assert type(exact_ensemble_gaoi(model, dist, a)) is float
+
+    def test_budget_exceeded(self, rng):
+        model = random_model(rng)
+        dist = stationary_distribution(model)
+        with pytest.raises(EnumerationBudgetError):
+            exact_ensemble_gaoi(model, dist, 6, budget=10)
+
+
+class TestBlockIndependence:
+    def test_ensemble_is_weighted_sum_of_starts(self, rng):
+        # each start's trajectories stay contiguous, so the batched reduction
+        # adds them in the same order as a lone start: equal bit for bit
+        for model in edge_models(rng):
+            dist = stationary_distribution(model)
+            for a in range(1, 6):
+                total = 0.0
+                for (x, t), weight in np.ndenumerate(dist.group_weights):
+                    if weight > 0.0:
+                        total += weight * exact_conditional_entropy(model, JointState(x, t), a)
+                assert exact_ensemble_gaoi(model, dist, a) == total
+
+    def test_block_size_does_not_change_entropies(self, rng, monkeypatch):
+        models = edge_models(rng)
+
+        def entropies(block):
+            monkeypatch.setattr(oracle, "BLOCK_TRAJECTORIES", block)
+            out = []
+            for model in models:
+                groups = np.arange(model.alphabet_size * (model.dwell.prefix_len + 1))
+                out += [oracle._entropies(model, groups, a, oracle.ENUMERATION_BUDGET)
+                        for a in range(1, 6)]
+            return out
+
+        expected = entropies(oracle.BLOCK_TRAJECTORIES)
+        for block in (1, 10**7):
+            assert all(map(np.array_equal, entropies(block), expected))
 
 
 class TestExactBayes:
