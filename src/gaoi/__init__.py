@@ -34,7 +34,6 @@ from .markov import (
     validate_model,
 )
 from .metrics import (
-    RunSummary,
     SamplePath,
     change_delays,
     closed_form_aoi,
@@ -55,11 +54,13 @@ from .oracle import (
 from .schedule import (
     DelayLaw,
     PolicySpec,
+    ScheduleBlock,
     ScheduleError,
     UpdateSchedule,
     aoi_series,
     filter_stale,
     generate_schedule,
+    generate_schedules,
     random_schedule,
 )
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .markov import binary_entropy
-from .schedule import UpdateSchedule
+from .schedule import ScheduleBlock, UpdateSchedule
 
 
 @dataclass(frozen=True)
@@ -98,23 +98,35 @@ def _expected_theta_capped(p: float, t: int) -> float:
     return (g - t * p) / p + t * g
 
 
-def bayes_cumulative_gaoi(model: BayesModel, schedule: UpdateSchedule, t: int | None = None) -> float:
-    """Expected total staleness over [1, T] for a given schedule (bits).
+def cumulative_gaoi_block(model: BayesModel, block: ScheduleBlock) -> np.ndarray:
+    """Expected total staleness over [1, T] of every row of a schedule block.
 
-    Averages the state-conditioned value over the change time: a sample taken
-    at s_i still shows state 0 with probability (1-p)^{s_i}.
+    h(1)/p times the intercept -(1-p) P[theta <= T] / p plus one term per
+    inter-delivery interval, (d_{i+1} - d_i) (1-p)^{s_i} for i = 0..K: a
+    sample taken at s_i still shows state 0 with probability (1-p)^{s_i}.
+    The terms are added column by column, in index order, so every row sums
+    the same operands in the same order whatever the other rows hold; a
+    padding column adds an exact zero.
     """
+    p, t = model.p, block.horizon
+    zeros = np.zeros((block.num_paths, 1), dtype=np.int64)
+    s_cap = np.concatenate([zeros, block.samples], axis=1)
+    d_cap = np.concatenate([zeros, block.deliveries, zeros + t], axis=1)
+    terms = np.diff(d_cap, axis=1) * survival_table(model, t)[s_cap]
+    acc = np.full(block.num_paths, -(1.0 - p) * _change_by(p, t) / p)
+    for column in terms.T:
+        acc += column
+    return model.h1 / p * acc
+
+
+def bayes_cumulative_gaoi(model: BayesModel, schedule: UpdateSchedule, t: int | None = None) -> float:
+    """Expected total staleness over [1, T] for a given schedule (bits):
+    ``cumulative_gaoi_block`` of one schedule."""
     if t is None:
         t = schedule.horizon
     if t != schedule.horizon:
         raise ValueError("horizon must match the schedule")
-    p = model.p
-    s_cap = schedule.capped_samples()
-    d_cap = schedule.capped_deliveries()
-    acc = -(1.0 - p) * _change_by(p, t) / p
-    for i in range(len(s_cap) - 1):
-        acc += (d_cap[i + 1] - d_cap[i]) * (1.0 - p) ** s_cap[i]
-    return model.h1 / p * acc
+    return float(cumulative_gaoi_block(model, ScheduleBlock.of(schedule))[0])
 
 
 def bayes_expected_delay(model: BayesModel, schedule: UpdateSchedule, t: int | None = None) -> float:

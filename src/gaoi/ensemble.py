@@ -1,18 +1,29 @@
 """Deterministic Monte Carlo ensembles over (path, schedule) pairs.
 
-Every path gets its own random stream derived from (base_seed, path index,
+Every path gets its own random streams derived from (base_seed, path index,
 salt); schedules use a different salt than paths, so the realized schedule
 never depends on the state process (the policies are state-independent by
 construction).
 
-Stationary paths run through one sampler, ``sample_block``, in lockstep
-blocks of ``BLOCK_PATHS`` paths: one Python iteration per slot, numpy
-operations across the block.  Path k draws only from its own path stream
-(two uniforms per slot, drawn up front), so its realization does not depend
-on which paths share its block or on the block size.  Bayesian paths keep
-their staleness in closed form: each path's series is two look-ups in
-tables of h(x) and (1-p)^k built once per ensemble.  Aggregation runs in
-path order, so results are bit-identical for any block size.
+Paths run in blocks of ``BLOCK_PATHS``, and every layer works on a whole
+block at once:
+
+* Stationary paths run through one sampler, ``sample_block``, in lockstep:
+  one Python iteration per slot, numpy operations across the block.  Path k
+  draws only from its own path stream (two uniforms per slot, drawn up
+  front), so its realization does not depend on which paths share its block
+  or on the block size.
+* Schedules come from ``generate_schedules`` as ``(paths, K)`` arrays, with
+  path k's delays drawn from its own policy stream in one call; ages and
+  detection times are read off them for the whole block.  A fixed policy
+  (no random delay) is realised once per ensemble and shared by every path,
+  and derives no policy streams.
+* Bayesian paths keep their staleness in closed form: each path's series is
+  two look-ups in tables of h(x) and (1-p)^k built once per ensemble, and
+  its cumulative staleness is summed term by term in the scalar order.
+
+Aggregation runs in path order (float series are added one path at a time,
+never by a pairwise sum), so results are bit-identical for any block size.
 """
 
 from __future__ import annotations
@@ -30,8 +41,8 @@ from .markov import (
     prob_change,
     stationary_distribution,
 )
-from .metrics import SamplePath, change_delays
-from .schedule import PolicySpec, UpdateSchedule, aoi_series, generate_schedule
+from .metrics import SamplePath
+from .schedule import PolicySpec, ScheduleBlock, aoi_block, detection_block, generate_schedules
 
 PATH_SALT = 0
 POLICY_SALT = 1
@@ -149,14 +160,38 @@ def draw_stationary_state(dist: StationaryDistribution, rng: np.random.Generator
     return JointState(x=int(x[0]), t=int(t[0]))
 
 
+def _blocks(num_paths: int):
+    for lo in range(0, num_paths, BLOCK_PATHS):
+        yield range(lo, min(lo + BLOCK_PATHS, num_paths))
+
+
+def _fixed_schedule(policy: PolicySpec, horizon: int) -> ScheduleBlock | None:
+    """A fixed policy's one realisation, built once per ensemble (None for a
+    policy with random delays)."""
+    return generate_schedules(policy, horizon, [None]) if policy.is_fixed else None
+
+
+def _block_schedules(config: EnsembleConfig, block: range,
+                     fixed: ScheduleBlock | None) -> ScheduleBlock:
+    """The block's schedules: the fixed one on every row, or each path's own
+    from its policy stream."""
+    if fixed is not None:
+        return fixed.take(np.zeros(len(block), dtype=np.intp))
+    # a generator expression: each stream is derived, drawn from and dropped in turn
+    streams = (derive_stream(config.base_seed, k, POLICY_SALT) for k in block)
+    return generate_schedules(config.policy, config.horizon, streams)
+
+
 def _run_stationary(config: EnsembleConfig, law: StationaryLaw) -> EnsembleStats:
     model, horizon, seed = config.model, config.horizon, config.base_seed
+    fixed = _fixed_schedule(config.policy, horizon)
     cum_aoi = np.empty(config.num_paths)
     cum_delay = np.empty(config.num_paths)
     num_changes = np.empty(config.num_paths)
     aoi_acc = np.zeros(horizon)
-    for lo in range(0, config.num_paths, BLOCK_PATHS):
-        block = range(lo, min(lo + BLOCK_PATHS, config.num_paths))
+    slots = np.arange(1, horizon + 1)
+    for block in _blocks(config.num_paths):
+        part = slice(block.start, block.stop)
         uniforms = np.empty((horizon, 2, len(block)))
         for i, k in enumerate(block):
             uniforms[:, :, i] = derive_stream(seed, k, PATH_SALT).random((horizon, 2))
@@ -164,47 +199,58 @@ def _run_stationary(config: EnsembleConfig, law: StationaryLaw) -> EnsembleStats
             np.array([derive_stream(seed, k, INIT_SALT).random(2) for k in block])
         )
         changed = sample_block(model, x0, t0, uniforms).T
-        num_changes[block.start:block.stop] = changed.sum(axis=1)
-        for k, mask in zip(block, changed):
-            schedule = generate_schedule(config.policy, horizon,
-                                         derive_stream(seed, k, POLICY_SALT))
-            ages = aoi_series(schedule)
-            aoi_acc += ages
-            cum_aoi[k] = ages.sum()
-            cum_delay[k] = change_delays(np.flatnonzero(mask) + 1, schedule).sum()
+        del uniforms  # block-sized arrays are freed as soon as they are used
+        num_changes[part] = changed.sum(axis=1)
+        schedules = _block_schedules(config, block, fixed)
+        ages = aoi_block(schedules)
+        aoi_acc += ages.sum(axis=0)  # integers: exact in any order
+        cum_aoi[part] = ages.sum(axis=1)
+        del ages
+        delays = detection_block(schedules)[:, 1:] - slots
+        cum_delay[part] = delays.sum(axis=1, where=changed)
     values = {"cum_aoi": cum_aoi, "cum_gaoi": law.rate * cum_aoi,
               "cum_delay": cum_delay, "num_changes": num_changes}
     return _aggregate(config, values, aoi_acc, law.rate * aoi_acc, law.rate, law.p_change)
 
 
-def _bayes_path(
-    model: bayes_mod.BayesModel,
-    policy: PolicySpec,
-    horizon: int,
-    base_seed: int,
-    k: int,
-) -> tuple[UpdateSchedule, float, int, int]:
-    """Path k's schedule, cumulative staleness, detection delay and change count."""
-    schedule = generate_schedule(policy, horizon, derive_stream(base_seed, k, POLICY_SALT))
-    theta = int(derive_stream(base_seed, k, PATH_SALT).geometric(model.p))
-    changed = theta <= horizon
-    cum_delay = schedule.delivery_for_change(theta) - theta if changed else 0
-    # staleness is an expectation over paths; evaluate it analytically per
-    # schedule, the path realization drives the delay only
-    return schedule, bayes_mod.bayes_cumulative_gaoi(model, schedule), cum_delay, int(changed)
+def _run_bayes(config: EnsembleConfig) -> EnsembleStats:
+    model, horizon, seed = config.model, config.horizon, config.base_seed
+    h = bayes_mod.h_closed(model, np.arange(horizon + 1))
+    decay = bayes_mod.survival_table(model, horizon)
+    fixed = _fixed_schedule(config.policy, horizon)
+    values = {name: np.empty(config.num_paths) for name in METRICS}
+    aoi_acc = np.zeros(horizon)
+    gaoi_acc = np.zeros(horizon)
+    for block in _blocks(config.num_paths):
+        part = slice(block.start, block.stop)
+        schedules = _block_schedules(config, block, fixed)
+        ages = aoi_block(schedules)
+        theta = np.array([derive_stream(seed, k, PATH_SALT).geometric(model.p) for k in block])
+        changed = theta <= horizon
+        # the path realization drives the delay only; staleness is an
+        # expectation over paths, evaluated analytically per schedule
+        detected = detection_block(schedules)[np.arange(len(block)), np.minimum(theta, horizon)]
+        values["cum_aoi"][part] = ages.sum(axis=1)
+        values["cum_gaoi"][part] = bayes_mod.cumulative_gaoi_block(model, schedules)
+        values["cum_delay"][part] = np.where(changed, detected - theta, 0)
+        values["num_changes"][part] = changed
+        aoi_acc += ages.sum(axis=0)
+        for series in _bayes_gaoi_series(h, decay, ages):
+            gaoi_acc += series
+    return _aggregate(config, values, aoi_acc, gaoi_acc)
 
 
 def _bayes_gaoi_series(h: np.ndarray, decay: np.ndarray, ages: np.ndarray) -> np.ndarray:
     """Expected staleness h(age + 1) * P[last sample pre-change], slot by slot.
 
     ``h[x]`` is ``h_closed(model, x)`` and ``decay[k]`` is (1-p)^k, both over
-    0..T; ``ages`` is the schedule's AoI series.  Row n holds the value for
-    slot n+1 under the (d_i, d_{i+1}] grouping (a delivery informs the monitor
-    from the next slot onward), so the series sums to the cumulative closed
-    form over [1, T], and each entry equals the scalar
+    0..T; ``ages`` holds AoI series, one row per path.  Column n holds the
+    value for slot n+1 under the (d_i, d_{i+1}] grouping (a delivery informs
+    the monitor from the next slot onward), so a row sums to the cumulative
+    closed form over [1, T], and each entry equals the scalar
     ``h_closed(model, a_n + 1) * (1-p)**(n - a_n)`` bit for bit.
     """
-    delta = np.arange(len(ages)) - ages  # sampling time of freshest delivery
+    delta = np.arange(ages.shape[-1]) - ages  # sampling time of freshest delivery
     return h[ages + 1] * decay[delta]
 
 
@@ -234,23 +280,6 @@ def run_ensemble(config: EnsembleConfig, workers: int = 1,
     accepted and ignored: every path runs in the calling thread.  Output
     depends only on the config.
     """
-    if not isinstance(config.model, bayes_mod.BayesModel):
-        return _run_stationary(config, law or StationaryLaw.of(config.model))
-
-    model, horizon = config.model, config.horizon
-    h = bayes_mod.h_closed(model, np.arange(horizon + 1))
-    decay = bayes_mod.survival_table(model, horizon)
-    values = {name: np.empty(config.num_paths) for name in METRICS}
-    aoi_acc = np.zeros(horizon)
-    gaoi_acc = np.zeros(horizon)
-    for k in range(config.num_paths):
-        schedule, cum_gaoi, cum_delay, num_changes = _bayes_path(
-            model, config.policy, horizon, config.base_seed, k)
-        ages = aoi_series(schedule)
-        aoi_acc += ages
-        gaoi_acc += _bayes_gaoi_series(h, decay, ages)
-        values["cum_aoi"][k] = ages.sum()
-        values["cum_gaoi"][k] = cum_gaoi
-        values["cum_delay"][k] = cum_delay
-        values["num_changes"][k] = num_changes
-    return _aggregate(config, values, aoi_acc, gaoi_acc)
+    if isinstance(config.model, bayes_mod.BayesModel):
+        return _run_bayes(config)
+    return _run_stationary(config, law or StationaryLaw.of(config.model))

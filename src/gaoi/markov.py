@@ -191,6 +191,11 @@ def validate_model(change: ChangeKernel, dwell: DwellKernel) -> JointModel:
         raise ModelError(
             f"dwell kernel covers {dwell.n_states} states, change matrix {rows.shape[0]}"
         )
+    if dwell.prefix.ndim != 2 or dwell.prefix.shape[0] != rows.shape[0]:
+        raise ModelError(
+            f"dwell prefix must have one row per state ({rows.shape[0]}), "
+            f"got shape {dwell.prefix.shape}"
+        )
     if np.any(rows < 0.0) or np.any(rows > 1.0):
         raise ModelError("change matrix entries must lie in [0, 1]")
     bad = np.abs(rows.sum(axis=1) - 1.0) > ATOL_STOCHASTIC

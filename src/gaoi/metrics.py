@@ -39,16 +39,6 @@ class SamplePath:
         return np.flatnonzero(self.dwells == 0) + 1
 
 
-@dataclass(frozen=True)
-class RunSummary:
-    """Per-path totals over the horizon."""
-
-    cum_aoi: int
-    cum_gaoi: float
-    cum_delay: int
-    num_changes: int
-
-
 def cumulative_aoi(schedule: UpdateSchedule) -> int:
     """Total age over slots 0..T-1, by direct summation of the sawtooth."""
     return int(aoi_series(schedule).sum())

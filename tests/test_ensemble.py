@@ -22,6 +22,7 @@ from gaoi import bayes, ensemble, markov
 from gaoi.ensemble import (
     INIT_SALT,
     PATH_SALT,
+    POLICY_SALT,
     draw_stationary_state,
     sample_block,
     simulate_path,
@@ -29,6 +30,7 @@ from gaoi.ensemble import (
 from gaoi.markov import JointState, joint_step, stationary_distribution
 
 from conftest import make_cycle, make_two_state_swap
+from reference import reference_ensemble
 
 
 PERIODIC_50 = PolicySpec(kind="periodic", period=50, delay=DelayLaw.deterministic(0))
@@ -323,7 +325,18 @@ class TestBayesBranch:
 
 
 class TestSamplerEquivalence:
-    """sample_block against repeated joint_step: same law, different draws."""
+    """sample_block against repeated joint_step (same law, different draws)
+    and against the declared change probability."""
+
+    def test_empirical_change_frequency(self):
+        # 10^6 slots in lockstep: 1000 paths of 1000 slots, every slot a
+        # change with probability 0.6 from any start
+        model = make_two_state_swap(0.6)
+        paths, horizon = 1000, 1000
+        uniforms = np.random.default_rng(7).random((horizon, 2, paths))
+        changed = sample_block(model, np.zeros(paths, dtype=int), np.zeros(paths, dtype=int),
+                               uniforms)
+        assert changed.mean() == pytest.approx(0.6, abs=2e-3)
 
     @pytest.mark.parametrize("name", sorted(EQUIVALENCE_MODELS))
     @pytest.mark.parametrize("statistic, bins", [
@@ -436,3 +449,64 @@ class TestSamplerEdgeCases:
             assert path.change_points[0] == first[k]
             assert np.array_equal(path.change_points[1:] - path.change_points[:-1],
                                   np.full(len(path.change_points) - 1, 4))
+
+
+ENSEMBLE_MODELS = {"swap": make_two_state_swap(0.6), "bayes": BayesModel(0.04)}
+ENSEMBLE_POLICIES = {
+    "periodic_fixed": PolicySpec(kind="periodic", period=7, delay=DelayLaw.deterministic(3)),
+    "periodic_random": PolicySpec(kind="periodic", period=5, delay=DelayLaw.uniform(0, 12)),
+    "greedy_fixed": PolicySpec(kind="greedy", delay=DelayLaw.uniform(4, 4)),
+    "greedy_random": PolicySpec(kind="greedy", delay=DelayLaw.uniform(2, 8)),
+    "explicit": PolicySpec(kind="explicit",
+                           pairs=((3, 9), (5, 6), (20, 41), (30, 35), (90, 130))),
+}
+
+
+@pytest.fixture(scope="module")
+def reference_stats():
+    """The per-path reference loop, once per (model, policy)."""
+    cache = {}
+
+    def get(model_name, policy_name):
+        key = model_name, policy_name
+        if key not in cache:
+            cache[key] = reference_ensemble(_reference_config(model_name, policy_name))
+        return cache[key]
+    return get
+
+
+def _reference_config(model_name, policy_name):
+    return EnsembleConfig(model=ENSEMBLE_MODELS[model_name],
+                          policy=ENSEMBLE_POLICIES[policy_name],
+                          horizon=120, num_paths=10, base_seed=11)
+
+
+class TestEnsembleMatchesReference:
+    @pytest.mark.parametrize("block_paths", [1, 3, 256])
+    @pytest.mark.parametrize("policy_name", sorted(ENSEMBLE_POLICIES))
+    @pytest.mark.parametrize("model_name", sorted(ENSEMBLE_MODELS))
+    def test_bit_identical_to_per_path_loop(self, monkeypatch, reference_stats, model_name,
+                                            policy_name, block_paths):
+        monkeypatch.setattr(ensemble, "BLOCK_PATHS", block_paths)
+        stats = run_ensemble(_reference_config(model_name, policy_name))
+        ref = reference_stats(model_name, policy_name)
+        assert stats.mean == ref.mean and stats.se == ref.se
+        assert np.array_equal(stats.mean_aoi_series, ref.mean_aoi_series)
+        assert np.array_equal(stats.mean_gaoi_series, ref.mean_gaoi_series)
+
+    @pytest.mark.parametrize("policy_name, policy_streams", [
+        ("periodic_fixed", 0), ("greedy_fixed", 0), ("explicit", 0),
+        ("periodic_random", 10), ("greedy_random", 10),
+    ])
+    def test_policy_streams_only_for_random_delays(self, monkeypatch, policy_name,
+                                                   policy_streams):
+        salts = []
+
+        def counted(seed, k, salt):
+            salts.append(salt)
+            return derive_stream(seed, k, salt)
+
+        monkeypatch.setattr(ensemble, "derive_stream", counted)
+        run_ensemble(_reference_config("bayes", policy_name))
+        assert salts.count(POLICY_SALT) == policy_streams
+        assert salts.count(PATH_SALT) == 10

@@ -4,6 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gaoi import (
+    BayesModel,
     DelayLaw,
     PolicySpec,
     ScheduleError,
@@ -13,6 +14,10 @@ from gaoi import (
     generate_schedule,
     random_schedule,
 )
+from gaoi.bayes import cumulative_gaoi_block
+from gaoi.schedule import aoi_block, detection_block, generate_schedules
+
+from reference import reference_cumulative_gaoi, reference_generate_schedule
 
 
 def raw_pairs(horizon=60):
@@ -120,9 +125,9 @@ class TestGenerateSchedule:
 
     def test_uniform_delay_is_integer_in_range(self, rng):
         law = DelayLaw.uniform(20, 80)
-        draws = [law.draw(rng) for _ in range(500)]
-        assert all(isinstance(d, int) and 20 <= d <= 80 for d in draws)
-        assert min(draws) == 20 and max(draws) == 80
+        draws = law.draw_rows([rng], 500, cap=100)
+        assert draws.shape == (1, 500) and draws.dtype == np.int64
+        assert draws.min() == 20 and draws.max() == 80
 
 
 class TestAoiSeries:
@@ -180,3 +185,75 @@ class TestAoiSeriesDefinition:
         ages = aoi_series(sched)
         assert ages.dtype == np.int64
         assert ages.tolist() == expected
+
+
+@st.composite
+def policies(draw):
+    """(policy, horizon): periodic and greedy under deterministic and uniform
+    delays (lo = 0 and delays past the horizon included), periods at and past
+    the horizon, and explicit pairs in any order, stale or out of range."""
+    horizon = draw(st.integers(1, 60))
+    kind = draw(st.sampled_from(["periodic", "greedy", "explicit"]))
+    if kind == "explicit":
+        pairs = draw(st.lists(
+            st.tuples(st.integers(-2, horizon + 2), st.integers(0, horizon)).map(
+                lambda sd: (sd[0], sd[0] + sd[1])),
+            max_size=12,
+        ))
+        return PolicySpec(kind="explicit", pairs=tuple(pairs)), horizon
+    lo = draw(st.integers(0, horizon + 3))
+    if draw(st.booleans()):
+        delay = DelayLaw.deterministic(lo)
+    else:
+        delay = DelayLaw.uniform(lo, draw(st.integers(lo, lo + horizon + 3)))
+    period = draw(st.integers(1, horizon + 3)) if kind == "periodic" else 0
+    return PolicySpec(kind=kind, period=period, delay=delay), horizon
+
+
+class TestGenerateSchedules:
+    """Every row of a block equals the one-update-at-a-time loop on the same stream."""
+
+    @given(policies(), st.integers(1, 4), st.integers(0, 2**32 - 1))
+    @example((PolicySpec(kind="greedy", delay=DelayLaw.uniform(0, 3)), 1), 3, 0)
+    @example((PolicySpec(kind="periodic", period=7, delay=DelayLaw.uniform(0, 9)), 7), 2, 1)
+    @example((PolicySpec(kind="periodic", period=2, delay=DelayLaw.uniform(0, 30)), 20), 4, 2)
+    @example((PolicySpec(kind="greedy", delay=DelayLaw.uniform(5, 5)), 30), 2, 3)
+    @example((PolicySpec(kind="explicit", pairs=((3, 8), (5, 8), (3, 4), (2, 9))), 10), 2, 4)
+    @example((PolicySpec(kind="periodic", period=3, delay=DelayLaw.uniform(0, 2**62)), 30), 2, 5)
+    @example((PolicySpec(kind="greedy", delay=DelayLaw.uniform(1, 2**62)), 30), 2, 6)
+    @example((PolicySpec(kind="greedy", delay=DelayLaw.deterministic(10**30)), 30), 1, 7)
+    @example((PolicySpec(kind="periodic", period=10**30), 30), 1, 8)
+    # delays near the int64 limit: s + D must not wrap around
+    @example((PolicySpec(kind="periodic", period=3,
+                         delay=DelayLaw.uniform(2**63 - 10, 2**63 - 2)), 30), 2, 9)
+    # delays 3, 2, 2, 3, 0: a delivery at T, then a drawn pair sampled and
+    # delivered at T, which lies outside the horizon and must not make it stale
+    @example((PolicySpec(kind="greedy", delay=DelayLaw.uniform(0, 3)), 10), 1, 15)
+    @settings(max_examples=400, deadline=None)
+    def test_rows_match_reference_loop(self, case, paths, seed):
+        policy, horizon = case
+        block = generate_schedules(
+            policy, horizon, [np.random.default_rng([seed, k]) for k in range(paths)])
+        assert block.num_paths == paths and block.samples.shape == block.deliveries.shape
+        assert block.samples.shape[1] == block.counts.max(initial=0)
+        ages, detect = aoi_block(block), detection_block(block)
+        staleness = cumulative_gaoi_block(BayesModel(0.3), block)
+        for k in range(paths):
+            ref = reference_generate_schedule(policy, horizon, np.random.default_rng([seed, k]))
+            assert block.schedule(k) == ref
+            assert (block.samples[k, ref.num_updates:] == horizon).all()
+            assert (block.deliveries[k, ref.num_updates:] == horizon).all()
+            pairs = [(0, 0), *zip(ref.samples, ref.deliveries)]
+            assert ages[k].tolist() == [n - max(s for s, d in pairs if d <= n)
+                                        for n in range(horizon)]
+            assert detect[k].tolist() == [ref.delivery_for_change(n) for n in range(horizon + 1)]
+            assert staleness[k] == reference_cumulative_gaoi(BayesModel(0.3), ref)
+
+    def test_fixed_policy_draws_nothing(self):
+        fixed = PolicySpec(kind="greedy", delay=DelayLaw.uniform(4, 4))
+        assert fixed.is_fixed
+        assert not PolicySpec(kind="greedy", delay=DelayLaw.uniform(2, 8)).is_fixed
+        block = generate_schedules(fixed, 50, [None, None])
+        assert block.schedule(0) == block.schedule(1)
+        # the sample at 48 would be delivered at 52, past the horizon
+        assert block.schedule(0).samples == tuple(range(4, 47, 4))
