@@ -6,7 +6,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from .bayes import BayesModel
 from .markov import ChangeKernel, DwellKernel, JointModel, ModelError, validate_model
@@ -184,6 +183,8 @@ def _parse_config(data: dict) -> RunConfig:
 
 
 def load_config(path: str | Path) -> RunConfig:
+    import yaml  # here, not at module level: presets never pay for the import
+
     try:
         data = yaml.safe_load(Path(path).read_text())
     except yaml.YAMLError as exc:

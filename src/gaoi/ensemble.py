@@ -1,9 +1,15 @@
 """Deterministic Monte Carlo ensembles over (path, schedule) pairs.
 
-Every path gets its own random streams derived from (base_seed, path index,
-salt); schedules use a different salt than paths, so the realized schedule
-never depends on the state process (the policies are state-independent by
-construction).
+Random numbers come in stream families, one per (base_seed, salt): numpy's
+counter-based ``Philox`` is keyed once per family from a ``SeedSequence`` of
+(seed, salt), and path k's stream starts at counter (0, k, 0, 0), so distinct
+paths never share a counter block (Salmon et al., "Parallel Random Numbers:
+As Easy as 1, 2, 3", SC 2011).  Schedules use a different salt than paths,
+so the realized schedule never depends on the state process (the policies
+are state-independent by construction).  An ensemble holds one generator per
+family and moves it from path to path by setting its whole state
+(``StreamFamily.at``); ``derive_stream`` builds the same stream as a fresh
+generator, the per-path reference the shared one is checked against.
 
 Paths run in blocks of ``BLOCK_PATHS``, and every layer works on a whole
 block at once:
@@ -17,7 +23,7 @@ block at once:
   path k's delays drawn from its own policy stream in one call; ages and
   detection times are read off them for the whole block.  A fixed policy
   (no random delay) is realised once per ensemble and shared by every path,
-  and derives no policy streams.
+  and draws from no policy stream.
 * Bayesian paths keep their staleness in closed form: each path's series is
   two look-ups in tables of h(x) and (1-p)^k built once per ensemble, and
   its cumulative staleness is summed term by term in the scalar order.
@@ -42,7 +48,7 @@ from .markov import (
     stationary_distribution,
 )
 from .metrics import SamplePath
-from .schedule import PolicySpec, ScheduleBlock, aoi_block, detection_block, generate_schedules
+from .schedule import PolicySpec, aoi_block, detection_block, generate_schedules
 
 PATH_SALT = 0
 POLICY_SALT = 1
@@ -102,15 +108,49 @@ class EnsembleStats:
     p_change: float | None = None
 
 
-def derive_stream(base_seed: int, path_index: int, salt: int) -> np.random.Generator:
-    """Independent, reproducible stream for (seed, path, salt).
+def _philox_key(base_seed: int, salt: int) -> np.ndarray:
+    """The Philox key of the (seed, salt) stream family."""
+    return np.random.SeedSequence(entropy=base_seed, spawn_key=(salt,)).generate_state(
+        2, np.uint64)
 
-    The seed sequence hashes its entropy and spawn key through a counter-based
-    mixer, so distinct (path, salt) pairs give statistically independent
-    streams and identical inputs always reproduce the same draws.
+
+def derive_stream(base_seed: int, path_index: int, salt: int) -> np.random.Generator:
+    """Path ``path_index``'s stream in the (seed, salt) family, as a fresh generator.
+
+    A ``Philox`` generator keyed by (seed, salt), its counter set to
+    (0, path_index, 0, 0): distinct salts give distinct keys, distinct paths
+    distinct counter blocks, and identical inputs always reproduce the same
+    draws.  ``StreamFamily.at`` yields the same stream from a shared generator.
     """
-    seq = np.random.SeedSequence(entropy=base_seed, spawn_key=(path_index, salt))
-    return np.random.Generator(np.random.PCG64(seq))
+    counter = np.array([0, path_index, 0, 0], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=_philox_key(base_seed, salt),
+                                                counter=counter))
+
+
+class StreamFamily:
+    """The (seed, salt) family's per-path streams through one shared generator.
+
+    ``at(k)`` resets the generator to the start of path k's stream and returns
+    it: its draws equal ``derive_stream(seed, k, salt)``'s bit for bit, until
+    the next ``at``.  Setting the whole ``Philox`` state costs a few
+    microseconds, against a ``SeedSequence`` and a new generator per stream.
+    """
+
+    def __init__(self, base_seed: int, salt: int):
+        self.salt = salt
+        key = _philox_key(base_seed, salt)
+        self._key = key.tolist()
+        self._rng = np.random.Generator(np.random.Philox(key=key))
+
+    def at(self, path_index: int) -> np.random.Generator:
+        # an empty buffer and no held 32-bit half, so nothing the previous
+        # path left unread leaks into this one
+        self._rng.bit_generator.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": [0, path_index, 0, 0], "key": self._key},
+            "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+        }
+        return self._rng
 
 
 def sample_block(model: JointModel, x0, t0, uniforms: np.ndarray,
@@ -165,26 +205,24 @@ def _blocks(num_paths: int):
         yield range(lo, min(lo + BLOCK_PATHS, num_paths))
 
 
-def _fixed_schedule(policy: PolicySpec, horizon: int) -> ScheduleBlock | None:
-    """A fixed policy's one realisation, built once per ensemble (None for a
-    policy with random delays)."""
-    return generate_schedules(policy, horizon, [None]) if policy.is_fixed else None
-
-
-def _block_schedules(config: EnsembleConfig, block: range,
-                     fixed: ScheduleBlock | None) -> ScheduleBlock:
-    """The block's schedules: the fixed one on every row, or each path's own
+def _schedule_source(config: EnsembleConfig):
+    """The function from a block of paths to its schedules: the fixed policy's
+    one realisation on every row, built once per ensemble, or each path's own
     from its policy stream."""
-    if fixed is not None:
-        return fixed.take(np.zeros(len(block), dtype=np.intp))
-    # a generator expression: each stream is derived, drawn from and dropped in turn
-    streams = (derive_stream(config.base_seed, k, POLICY_SALT) for k in block)
-    return generate_schedules(config.policy, config.horizon, streams)
+    policy, horizon = config.policy, config.horizon
+    if policy.is_fixed:
+        fixed = generate_schedules(policy, horizon, [None])
+        return lambda block: fixed.take(np.zeros(len(block), dtype=np.intp))
+    streams = StreamFamily(config.base_seed, POLICY_SALT)
+    # a generator expression: each path's stream is set up and drawn from in turn
+    return lambda block: generate_schedules(policy, horizon, (streams.at(k) for k in block))
 
 
 def _run_stationary(config: EnsembleConfig, law: StationaryLaw) -> EnsembleStats:
-    model, horizon, seed = config.model, config.horizon, config.base_seed
-    fixed = _fixed_schedule(config.policy, horizon)
+    model, horizon = config.model, config.horizon
+    schedules_of = _schedule_source(config)
+    paths = StreamFamily(config.base_seed, PATH_SALT)
+    inits = StreamFamily(config.base_seed, INIT_SALT)
     cum_aoi = np.empty(config.num_paths)
     cum_delay = np.empty(config.num_paths)
     num_changes = np.empty(config.num_paths)
@@ -194,14 +232,12 @@ def _run_stationary(config: EnsembleConfig, law: StationaryLaw) -> EnsembleStats
         part = slice(block.start, block.stop)
         uniforms = np.empty((horizon, 2, len(block)))
         for i, k in enumerate(block):
-            uniforms[:, :, i] = derive_stream(seed, k, PATH_SALT).random((horizon, 2))
-        x0, t0 = law.dist.sample(
-            np.array([derive_stream(seed, k, INIT_SALT).random(2) for k in block])
-        )
+            uniforms[:, :, i] = paths.at(k).random((horizon, 2))
+        x0, t0 = law.dist.sample(np.array([inits.at(k).random(2) for k in block]))
         changed = sample_block(model, x0, t0, uniforms).T
         del uniforms  # block-sized arrays are freed as soon as they are used
         num_changes[part] = changed.sum(axis=1)
-        schedules = _block_schedules(config, block, fixed)
+        schedules = schedules_of(block)
         ages = aoi_block(schedules)
         aoi_acc += ages.sum(axis=0)  # integers: exact in any order
         cum_aoi[part] = ages.sum(axis=1)
@@ -214,18 +250,19 @@ def _run_stationary(config: EnsembleConfig, law: StationaryLaw) -> EnsembleStats
 
 
 def _run_bayes(config: EnsembleConfig) -> EnsembleStats:
-    model, horizon, seed = config.model, config.horizon, config.base_seed
+    model, horizon = config.model, config.horizon
     h = bayes_mod.h_closed(model, np.arange(horizon + 1))
     decay = bayes_mod.survival_table(model, horizon)
-    fixed = _fixed_schedule(config.policy, horizon)
+    schedules_of = _schedule_source(config)
+    paths = StreamFamily(config.base_seed, PATH_SALT)
     values = {name: np.empty(config.num_paths) for name in METRICS}
     aoi_acc = np.zeros(horizon)
     gaoi_acc = np.zeros(horizon)
     for block in _blocks(config.num_paths):
         part = slice(block.start, block.stop)
-        schedules = _block_schedules(config, block, fixed)
+        schedules = schedules_of(block)
         ages = aoi_block(schedules)
-        theta = np.array([derive_stream(seed, k, PATH_SALT).geometric(model.p) for k in block])
+        theta = np.array([paths.at(k).geometric(model.p) for k in block])
         changed = theta <= horizon
         # the path realization drives the delay only; staleness is an
         # expectation over paths, evaluated analytically per schedule

@@ -286,7 +286,8 @@ def discrete_entropy(pi: np.ndarray) -> float:
 def binary_entropy(q: float) -> float:
     if q <= 0.0 or q >= 1.0:
         return 0.0
-    return -q * np.log2(q) - (1.0 - q) * np.log2(1.0 - q)
+    # log1p keeps the digits of ln(1 - q) that 1 - q rounds away at small q
+    return -q * np.log2(q) - (1.0 - q) * np.log1p(-q) / np.log(2.0)
 
 
 @dataclass(frozen=True)

@@ -280,8 +280,9 @@ def random_schedule(horizon: int, rng: np.random.Generator,
     if horizon < 2:
         return UpdateSchedule(horizon=horizon, samples=(), deliveries=())
     k = int(rng.integers(0, max(1, int(mean_updates * 2)) + 1))
-    samples = np.unique(rng.integers(1, horizon, size=k))
-    pairs = [(int(s), int(s + rng.integers(0, max_delay + 1))) for s in samples]
+    # sorted distinct draws, as np.unique gives, without importing numpy.ma
+    samples = sorted(set(rng.integers(1, horizon, size=k).tolist()))
+    pairs = [(s, s + int(rng.integers(0, max_delay + 1))) for s in samples]
     return filter_stale(pairs, horizon)
 
 

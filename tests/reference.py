@@ -3,7 +3,11 @@
 These are the schedule, staleness and ensemble loops written one update and
 one path at a time, in the plainest form: ``generate_schedules``,
 ``cumulative_gaoi_block`` and ``run_ensemble`` must agree with them bit for
-bit.  Both loops share ``filter_stale``, which is itself a loop.
+bit.  Both loops share ``filter_stale``, which is itself a loop.  The
+per-path ensemble draws from a fresh ``derive_stream`` generator per path,
+where ``run_ensemble`` resets one shared generator per salt.
+``reference_random_schedule`` is ``random_schedule`` with its sampling times
+taken by ``np.unique``.
 """
 
 from __future__ import annotations
@@ -50,6 +54,18 @@ def reference_generate_schedule(policy: PolicySpec, horizon: int,
             d = s + _draw(policy.delay, rng)
             pairs.append((s, d))
             s = max(d, s + 1)
+    return filter_stale(pairs, horizon)
+
+
+def reference_random_schedule(horizon: int, rng: np.random.Generator,
+                              mean_updates: float = 8.0, max_delay: int = 20) -> UpdateSchedule:
+    """Random samples (sorted and distinct by ``np.unique``) with random
+    delays, stale-filtered."""
+    if horizon < 2:
+        return UpdateSchedule(horizon=horizon, samples=(), deliveries=())
+    k = int(rng.integers(0, max(1, int(mean_updates * 2)) + 1))
+    samples = np.unique(rng.integers(1, horizon, size=k))
+    pairs = [(int(s), int(s + rng.integers(0, max_delay + 1))) for s in samples]
     return filter_stale(pairs, horizon)
 
 

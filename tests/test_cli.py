@@ -1,6 +1,9 @@
 import csv
 import os
 import stat
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import yaml
@@ -254,3 +257,17 @@ class TestVerify:
 
     def test_preset_fig6_verifies(self, tmp_path):
         assert main(["verify", "thm2", "--preset", "fig6", "--paths", "400"]) == EXIT_OK
+
+    def test_preset_verify_skips_yaml_and_numpy_ma(self):
+        # a preset needs no YAML parser, and nothing on the verify path needs
+        # numpy.ma: importing either costs 10-30 ms of every run's start-up
+        code = ("import sys\n"
+                "from gaoi import cli\n"
+                "code = cli.main(['verify', 'thm2', '--preset', 'fig6', '--paths', '20'])\n"
+                "print(code, sorted({'yaml', 'numpy.ma'} & set(sys.modules)))\n")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env, check=True).stdout
+        assert out.splitlines()[-1] in ("0 []", "1 []")

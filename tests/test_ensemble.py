@@ -44,7 +44,54 @@ def make_ragged_three():
     return validate_model(ChangeKernel(rows), dwell)
 
 
+def _draws(rng: np.random.Generator) -> list:
+    """Draws through every path the ensemble uses: 32-bit integers (odd and
+    even counts), 64-bit integers, doubles and a geometric."""
+    return [rng.integers(0, 10, size=3, dtype=np.uint32), rng.integers(2, 9, size=4),
+            rng.random(5), rng.integers(0, 2**40, size=2), rng.geometric(0.04, size=3),
+            rng.integers(0, 10, size=2, dtype=np.uint32)]
+
+
+def _same_draws(a: list, b: list) -> bool:
+    return all(np.array_equal(x, y) for x, y in zip(a, b, strict=True))
+
+
 class TestDeriveStream:
+    @pytest.mark.parametrize("salt", [PATH_SALT, POLICY_SALT, INIT_SALT, 98])
+    def test_reset_equals_fresh_stream(self, salt):
+        family = ensemble.StreamFamily(20240102, salt)
+        for k in (0, 1, 7, 255, 256, 2**40):
+            assert _same_draws(_draws(family.at(k)), _draws(derive_stream(20240102, k, salt)))
+
+    def test_reset_drops_buffered_halves(self):
+        # each earlier path leaves a 32-bit half and part of a Philox block
+        # unread; the next path (later or earlier) must not see either
+        family = ensemble.StreamFamily(5, POLICY_SALT)
+        leftovers = [
+            lambda rng: rng.integers(2, 9),
+            lambda rng: rng.integers(0, 10, size=3, dtype=np.uint32),
+            lambda rng: rng.integers(0, 10, size=1, dtype=np.uint32),
+            lambda rng: rng.random(3),
+        ]
+        for prev, k in [(4, 5), (9, 2), (3, 3), (6, 0)]:
+            for leave in leftovers:
+                rng = family.at(prev)
+                leave(rng)
+                left = rng.bit_generator.state
+                assert left["has_uint32"] == 1 or left["buffer_pos"] < 4
+                assert _same_draws(_draws(family.at(k)), _draws(derive_stream(5, k, POLICY_SALT)))
+
+    def test_salts_give_distinct_keys(self):
+        def state(k, salt):
+            return derive_stream(42, k, salt).bit_generator.state["state"]
+
+        salts = [PATH_SALT, POLICY_SALT, INIT_SALT, 96, 97, 98, 99]
+        keys = {tuple(state(0, salt)["key"].tolist()) for salt in salts}
+        assert len(keys) == len(salts)
+        # the key depends on the seed and the salt only; the path is the counter
+        assert np.array_equal(state(12, PATH_SALT)["key"], state(0, PATH_SALT)["key"])
+        assert state(12, PATH_SALT)["counter"].tolist() == [0, 12, 0, 0]
+
     def test_same_inputs_same_draws(self):
         a = derive_stream(42, 3, 1).random(100)
         b = derive_stream(42, 3, 1).random(100)
@@ -501,12 +548,13 @@ class TestEnsembleMatchesReference:
     def test_policy_streams_only_for_random_delays(self, monkeypatch, policy_name,
                                                    policy_streams):
         salts = []
+        at = ensemble.StreamFamily.at
 
-        def counted(seed, k, salt):
-            salts.append(salt)
-            return derive_stream(seed, k, salt)
+        def counted(family, k):
+            salts.append(family.salt)
+            return at(family, k)
 
-        monkeypatch.setattr(ensemble, "derive_stream", counted)
+        monkeypatch.setattr(ensemble.StreamFamily, "at", counted)
         run_ensemble(_reference_config("bayes", policy_name))
         assert salts.count(POLICY_SALT) == policy_streams
         assert salts.count(PATH_SALT) == 10

@@ -1,4 +1,5 @@
 import time
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from gaoi import (
     stationary_distribution,
     validate_model,
 )
-from gaoi.markov import IrreducibilityError, embedded_stationary
+from gaoi.markov import IrreducibilityError, binary_entropy, embedded_stationary
 
 from conftest import make_cycle, make_two_state_swap, make_uniform_three, random_model
 
@@ -238,6 +239,18 @@ class TestDiscreteEntropy:
     def test_bad_normalization_rejected(self):
         with pytest.raises(ValueError):
             discrete_entropy(np.array([0.5, 0.4]))
+
+
+class TestBinaryEntropy:
+    @pytest.mark.parametrize("q", [1e-8, 1e-6, 0.3, 0.5])
+    def test_against_decimal(self, q):
+        # (1 - q) log2(1 - q) taken literally loses about 2.6e-10 (relative)
+        # at q = 1e-8, since 1 - q rounds away the low digits of q
+        with localcontext() as ctx:
+            ctx.prec = 60
+            d = Decimal(q)
+            exact = -(d * d.ln() + (1 - d) * (1 - d).ln()) / Decimal(2).ln()
+        assert abs(Decimal(float(binary_entropy(q))) - exact) <= Decimal(1e-15) * exact
 
 
 class TestEntropyRate:

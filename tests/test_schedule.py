@@ -17,7 +17,11 @@ from gaoi import (
 from gaoi.bayes import cumulative_gaoi_block
 from gaoi.schedule import aoi_block, detection_block, generate_schedules
 
-from reference import reference_cumulative_gaoi, reference_generate_schedule
+from reference import (
+    reference_cumulative_gaoi,
+    reference_generate_schedule,
+    reference_random_schedule,
+)
 
 
 def raw_pairs(horizon=60):
@@ -153,6 +157,17 @@ class TestAoiSeries:
             for j in range(1, sched.num_updates + 1):
                 if d_cap[j] < 100:
                     assert ages[d_cap[j]] == d_cap[j] - s_cap[j]
+
+
+class TestRandomSchedule:
+    def test_matches_unique_reference(self):
+        # the same draws in the same order, so the same schedule and the same
+        # generator state afterwards, on horizons down to the empty schedule
+        for seed in range(200):
+            horizon = (1, 2, 3, 10, 100, 5000)[seed % 6]
+            a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert random_schedule(horizon, a) == reference_random_schedule(horizon, b)
+            assert a.bit_generator.state == b.bit_generator.state
 
 
 @st.composite
