@@ -14,7 +14,6 @@ from .ensemble import (
     StationaryLaw,
     derive_stream,
     run_ensemble,
-    simulate_path,
 )
 from .markov import (
     ChangeKernel,
@@ -27,22 +26,14 @@ from .markov import (
     StationaryDistribution,
     discrete_entropy,
     entropy_rate,
-    entropy_rate_homogeneous,
-    joint_step,
     prob_change,
     stationary_distribution,
     validate_model,
 )
 from .metrics import (
-    SamplePath,
-    change_delays,
     closed_form_aoi,
     cumulative_aoi,
-    cumulative_gaoi_stationary,
     delay_double_sum,
-    detection_delays,
-    expected_cumulative_delay_stationary,
-    gaoi_series_stationary,
     verify_proportionality,
 )
 from .oracle import (

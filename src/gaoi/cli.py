@@ -168,7 +168,7 @@ def cmd_simulate(args) -> int:
         stats = run_ensemble(
             EnsembleConfig(model=cfg.model, policy=policy, horizon=cfg.horizon,
                            num_paths=cfg.num_paths, base_seed=cfg.base_seed),
-            workers=args.workers, law=law,
+            law=law,
         )
         summary_rows.append(_summary_row(cfg, policy, stats))
         series = _series_rows(stats)
@@ -230,7 +230,7 @@ def _verify_thm1(cfg: RunConfig) -> int:
     return EXIT_OK if analytic_ok and mc_ok else EXIT_VERIFY_FAILED
 
 
-def _verify_thm2(cfg: RunConfig, workers: int) -> int:
+def _verify_thm2(cfg: RunConfig) -> int:
     model: BayesModel = cfg.model
     t = cfg.horizon
     c_t = float(bayes_constant_c(model, t))
@@ -257,7 +257,6 @@ def _verify_thm2(cfg: RunConfig, workers: int) -> int:
         stats = run_ensemble(
             EnsembleConfig(model=model, policy=policy, horizon=t,
                            num_paths=cfg.num_paths, base_seed=cfg.base_seed),
-            workers=workers,
         )
         res = float(stats.mean["cum_gaoi"] - scale * stats.mean["cum_delay"])
         se = float(scale * stats.se["cum_delay"])
@@ -287,7 +286,7 @@ def cmd_verify(args) -> int:
         return _verify_thm1(cfg)
     if not cfg.is_bayesian:
         raise ConfigError("thm2 needs a bayesian model")
-    return _verify_thm2(cfg, args.workers)
+    return _verify_thm2(cfg)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -108,7 +108,10 @@ def _parse_delay(raw) -> DelayLaw:
     bounds = raw["uniform"]
     if not isinstance(bounds, list) or len(bounds) != 2:
         raise ConfigError(f"policy.delay.uniform must be a [lo, hi] pair, got {bounds!r}")
-    return DelayLaw.uniform(*(_int(b, "policy.delay.uniform") for b in bounds))
+    lo, hi = (_int(b, "policy.delay.uniform") for b in bounds)
+    if hi >= 2**63:  # delays are drawn as int64
+        raise ConfigError(f"policy.delay.uniform bound must be < 2**63, got {hi}")
+    return DelayLaw.uniform(lo, hi)
 
 
 def read_explicit_pairs(path: str | Path) -> tuple[tuple[int, int], ...]:
@@ -132,7 +135,11 @@ def _parse_policy(section: dict, idx: int | None = None) -> PolicySpec:
     if kind == "explicit":
         if "schedule_path" not in section:
             raise ConfigError(f"{where}: explicit policy needs schedule_path")
-        return PolicySpec(kind="explicit", pairs=read_explicit_pairs(section["schedule_path"]))
+        pairs = read_explicit_pairs(section["schedule_path"])
+        for s, d in pairs:
+            if s > d:
+                raise ConfigError(f"{where}: pair ({s}, {d}) is sampled after its delivery")
+        return PolicySpec(kind="explicit", pairs=pairs)
     if kind == "periodic":
         if "period" not in section:
             raise ConfigError(f"{where}: periodic policy needs period")

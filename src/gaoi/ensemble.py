@@ -11,25 +11,25 @@ family and moves it from path to path by setting its whole state
 (``StreamFamily.at``); ``derive_stream`` builds the same stream as a fresh
 generator, the per-path reference the shared one is checked against.
 
-Paths run in blocks of ``BLOCK_PATHS``, and every layer works on a whole
-block at once:
+Paths run in blocks of ``BLOCK_PATHS`` through one block loop for both
+source models.  The models differ only in their change slots, a
+``(paths, horizon)`` mask per block, and in their staleness:
 
-* Stationary paths run through one sampler, ``sample_block``, in lockstep:
-  one Python iteration per slot, numpy operations across the block.  Path k
-  draws only from its own path stream (two uniforms per slot, drawn up
-  front), so its realization does not depend on which paths share its block
-  or on the block size.
-* Schedules come from ``generate_schedules`` as ``(paths, K)`` arrays, with
-  path k's delays drawn from its own policy stream in one call; ages and
-  detection times are read off them for the whole block.  A fixed policy
-  (no random delay) is realised once per ensemble and shared by every path,
-  and draws from no policy stream.
-* Bayesian paths keep their staleness in closed form: each path's series is
-  two look-ups in tables of h(x) and (1-p)^k built once per ensemble, and
-  its cumulative staleness is summed term by term in the scalar order.
+* A stationary path is rolled forward by one sampler, ``sample_block``, in
+  lockstep with its block (one Python iteration per slot), from a start drawn
+  from the exact stationary law.  Path k draws only from its own streams, so
+  its realization does not depend on the block size or on the other paths in
+  its block.  Its staleness is the entropy rate times its age.
+* A Bayesian path has one change, at a geometric time.  Its staleness is in
+  closed form per schedule: the series is two look-ups in tables of h(x) and
+  (1-p)^k built once per ensemble, and the total is summed term by term.
 
-Aggregation runs in path order (float series are added one path at a time,
-never by a pairwise sum), so results are bit-identical for any block size.
+Schedules come from ``generate_schedules`` as ``(paths, K)`` arrays, each
+path's delays from its own policy stream; ages and detection times are read
+off them for the whole block.  A fixed policy (no random delay) is realised
+once per ensemble and shared by every path.  Aggregation runs in path order
+(float series are added one path at a time, never by a pairwise sum), so
+results are bit-identical for any block size.
 """
 
 from __future__ import annotations
@@ -41,13 +41,11 @@ import numpy as np
 from . import bayes as bayes_mod
 from .markov import (
     JointModel,
-    JointState,
     StationaryDistribution,
     entropy_rate,
     prob_change,
     stationary_distribution,
 )
-from .metrics import SamplePath
 from .schedule import PolicySpec, aoi_block, detection_block, generate_schedules
 
 PATH_SALT = 0
@@ -183,23 +181,6 @@ def sample_block(model: JointModel, x0, t0, uniforms: np.ndarray,
     return changed
 
 
-def simulate_path(model: JointModel, u0: JointState, horizon: int,
-                  rng: np.random.Generator) -> SamplePath:
-    """Roll the joint chain forward over slots 1..horizon (a block of one path)."""
-    states = np.empty((horizon, 1), dtype=np.int64)
-    changed = sample_block(model, [u0.x], [u0.t], rng.random((horizon, 2))[:, :, None], states)
-    slots = np.arange(horizon)
-    # dwell = slots since the last change, or since the start at dwell t0
-    last = np.maximum.accumulate(np.where(changed[:, 0], slots, -1 - u0.t))
-    return SamplePath(x0=u0.x, t0=u0.t, states=states[:, 0], dwells=slots - last)
-
-
-def draw_stationary_state(dist: StationaryDistribution, rng: np.random.Generator) -> JointState:
-    """Sample an initial (x, t) from the exact stationary law."""
-    x, t = dist.sample(rng.random((1, 2)))
-    return JointState(x=int(x[0]), t=int(t[0]))
-
-
 def _blocks(num_paths: int):
     for lo in range(0, num_paths, BLOCK_PATHS):
         yield range(lo, min(lo + BLOCK_PATHS, num_paths))
@@ -218,63 +199,49 @@ def _schedule_source(config: EnsembleConfig):
     return lambda block: generate_schedules(policy, horizon, (streams.at(k) for k in block))
 
 
-def _run_stationary(config: EnsembleConfig, law: StationaryLaw) -> EnsembleStats:
+def _run(config: EnsembleConfig, law: StationaryLaw | None) -> EnsembleStats:
     model, horizon = config.model, config.horizon
     schedules_of = _schedule_source(config)
     paths = StreamFamily(config.base_seed, PATH_SALT)
     inits = StreamFamily(config.base_seed, INIT_SALT)
-    cum_aoi = np.empty(config.num_paths)
-    cum_delay = np.empty(config.num_paths)
-    num_changes = np.empty(config.num_paths)
-    aoi_acc = np.zeros(horizon)
-    slots = np.arange(1, horizon + 1)
-    for block in _blocks(config.num_paths):
-        part = slice(block.start, block.stop)
-        uniforms = np.empty((horizon, 2, len(block)))
-        for i, k in enumerate(block):
-            uniforms[:, :, i] = paths.at(k).random((horizon, 2))
-        x0, t0 = law.dist.sample(np.array([inits.at(k).random(2) for k in block]))
-        changed = sample_block(model, x0, t0, uniforms).T
-        del uniforms  # block-sized arrays are freed as soon as they are used
-        num_changes[part] = changed.sum(axis=1)
-        schedules = schedules_of(block)
-        ages = aoi_block(schedules)
-        aoi_acc += ages.sum(axis=0)  # integers: exact in any order
-        cum_aoi[part] = ages.sum(axis=1)
-        del ages
-        delays = detection_block(schedules)[:, 1:] - slots
-        cum_delay[part] = delays.sum(axis=1, where=changed)
-    values = {"cum_aoi": cum_aoi, "cum_gaoi": law.rate * cum_aoi,
-              "cum_delay": cum_delay, "num_changes": num_changes}
-    return _aggregate(config, values, aoi_acc, law.rate * aoi_acc, law.rate, law.p_change)
-
-
-def _run_bayes(config: EnsembleConfig) -> EnsembleStats:
-    model, horizon = config.model, config.horizon
-    h = bayes_mod.h_closed(model, np.arange(horizon + 1))
-    decay = bayes_mod.survival_table(model, horizon)
-    schedules_of = _schedule_source(config)
-    paths = StreamFamily(config.base_seed, PATH_SALT)
+    if law is None:
+        h = bayes_mod.h_closed(model, np.arange(horizon + 1))
+        decay = bayes_mod.survival_table(model, horizon)
     values = {name: np.empty(config.num_paths) for name in METRICS}
     aoi_acc = np.zeros(horizon)
     gaoi_acc = np.zeros(horizon)
+    slots = np.arange(1, horizon + 1)
     for block in _blocks(config.num_paths):
         part = slice(block.start, block.stop)
+        # the (paths, horizon) mask of change slots, from each path's own streams
+        if law is None:
+            theta = np.array([paths.at(k).geometric(model.p) for k in block])
+            changed = theta[:, None] == slots
+        else:
+            uniforms = np.empty((horizon, 2, len(block)))
+            for i, k in enumerate(block):
+                uniforms[:, :, i] = paths.at(k).random((horizon, 2))
+            x0, t0 = law.dist.sample(np.array([inits.at(k).random(2) for k in block]))
+            changed = sample_block(model, x0, t0, uniforms).T
+            del uniforms  # block-sized arrays are freed as soon as they are used
+        values["num_changes"][part] = changed.sum(axis=1)
         schedules = schedules_of(block)
         ages = aoi_block(schedules)
-        theta = np.array([paths.at(k).geometric(model.p) for k in block])
-        changed = theta <= horizon
-        # the path realization drives the delay only; staleness is an
-        # expectation over paths, evaluated analytically per schedule
-        detected = detection_block(schedules)[np.arange(len(block)), np.minimum(theta, horizon)]
+        aoi_acc += ages.sum(axis=0)  # integers: exact in any order
         values["cum_aoi"][part] = ages.sum(axis=1)
-        values["cum_gaoi"][part] = bayes_mod.cumulative_gaoi_block(model, schedules)
-        values["cum_delay"][part] = np.where(changed, detected - theta, 0)
-        values["num_changes"][part] = changed
-        aoi_acc += ages.sum(axis=0)
-        for series in _bayes_gaoi_series(h, decay, ages):
-            gaoi_acc += series
-    return _aggregate(config, values, aoi_acc, gaoi_acc)
+        if law is None:
+            # the path realization drives the delay only; staleness is an
+            # expectation over paths, evaluated analytically per schedule
+            values["cum_gaoi"][part] = bayes_mod.cumulative_gaoi_block(model, schedules)
+            for series in _bayes_gaoi_series(h, decay, ages):
+                gaoi_acc += series
+        del ages
+        delays = detection_block(schedules)[:, 1:] - slots
+        values["cum_delay"][part] = delays.sum(axis=1, where=changed)
+    if law is None:
+        return _aggregate(config, values, aoi_acc, gaoi_acc)
+    values["cum_gaoi"] = law.rate * values["cum_aoi"]
+    return _aggregate(config, values, aoi_acc, law.rate * aoi_acc, law.rate, law.p_change)
 
 
 def _bayes_gaoi_series(h: np.ndarray, decay: np.ndarray, ages: np.ndarray) -> np.ndarray:
@@ -308,15 +275,13 @@ def _aggregate(config: EnsembleConfig, values: dict[str, np.ndarray], aoi_acc: n
     )
 
 
-def run_ensemble(config: EnsembleConfig, workers: int = 1,
-                 law: StationaryLaw | None = None) -> EnsembleStats:
+def run_ensemble(config: EnsembleConfig, law: StationaryLaw | None = None) -> EnsembleStats:
     """Simulate ``num_paths`` independent (path, schedule) pairs and aggregate.
 
     ``law`` is the stationary model's law when the caller already holds it
-    (computed here otherwise; unused for a Bayesian model).  ``workers`` is
-    accepted and ignored: every path runs in the calling thread.  Output
-    depends only on the config.
+    (computed here otherwise; unused for a Bayesian model).  Every path runs
+    in the calling thread, and the output depends only on the config.
     """
     if isinstance(config.model, bayes_mod.BayesModel):
-        return _run_bayes(config)
-    return _run_stationary(config, law or StationaryLaw.of(config.model))
+        return _run(config, None)
+    return _run(config, law or StationaryLaw.of(config.model))

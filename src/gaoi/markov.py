@@ -99,11 +99,6 @@ class DwellKernel:
             return float(self.prefix[x, i])
         return float(self.tail[x])
 
-    def is_homogeneous(self) -> bool:
-        return bool(
-            np.all(self.prefix == self.prefix[0:1, :]) and np.all(self.tail == self.tail[0])
-        )
-
 
 @dataclass(frozen=True)
 class JointState:
@@ -196,16 +191,17 @@ def validate_model(change: ChangeKernel, dwell: DwellKernel) -> JointModel:
             f"dwell prefix must have one row per state ({rows.shape[0]}), "
             f"got shape {dwell.prefix.shape}"
         )
-    if np.any(rows < 0.0) or np.any(rows > 1.0):
+    # every range test is written so that NaN fails it
+    if np.any(~((rows >= 0.0) & (rows <= 1.0))):
         raise ModelError("change matrix entries must lie in [0, 1]")
     bad = np.abs(rows.sum(axis=1) - 1.0) > ATOL_STOCHASTIC
     if np.any(bad):
         raise ModelError(f"change matrix rows {np.flatnonzero(bad).tolist()} do not sum to 1")
     q_all = np.concatenate([dwell.prefix.ravel(), dwell.tail])
-    if np.any(q_all < 0.0) or np.any(q_all > 1.0):
+    if np.any(~((q_all >= 0.0) & (q_all <= 1.0))):
         raise ModelError("dwell probabilities must lie in [0, 1]")
-    if np.any(dwell.tail <= 0.0):
-        zero = np.flatnonzero(dwell.tail <= 0.0).tolist()
+    if np.any(~(dwell.tail > 0.0)):
+        zero = np.flatnonzero(~(dwell.tail > 0.0)).tolist()
         raise ModelError(
             f"dwell tail must be positive (states {zero} would never change again)"
         )
@@ -326,30 +322,3 @@ def entropy_rate(model: JointModel, dist: StationaryDistribution) -> EntropyRate
         h_px = discrete_entropy(model.change.rows[x])
         rate += mu0[x] * _dwell_entropy_series(model, x, h_px)
     return EntropyRate(bits=float(rate))
-
-
-def entropy_rate_homogeneous(model: JointModel, dist: StationaryDistribution) -> EntropyRate:
-    """Entropy rate via the split H(dwell chain) + H(change chain) * P[T_n=0].
-
-    Only valid when every status shares the same dwell law.
-    """
-    if not model.dwell.is_homogeneous():
-        raise ModelError("dwell kernel differs across states; split formula does not apply")
-    p_change = prob_change(dist)  # one change per mean dwell
-    # entropy rate of the dwell counter chain alone
-    h_dwell = _dwell_entropy_series(model, 0, 0.0) * p_change
-    h_change = float(
-        sum(dist.embedded[x] * discrete_entropy(model.change.rows[x])
-            for x in range(model.alphabet_size))
-    )
-    rate = h_dwell + h_change * p_change
-    return EntropyRate(bits=float(rate))
-
-
-def joint_step(model: JointModel, u: JointState, rng: np.random.Generator) -> JointState:
-    """Advance the joint chain one slot using draws from ``rng``."""
-    q = model.dwell.q(u.x, u.t)
-    if rng.random() < q:
-        x_new = int(rng.choice(model.alphabet_size, p=model.change.rows[u.x]))
-        return JointState(x=x_new, t=0)
-    return JointState(x=u.x, t=u.t + 1)

@@ -1,4 +1,5 @@
-"""Cumulative age, uncertainty, and detection-delay metrics.
+"""Schedule-level identities for cumulative age and detection delay, and
+the proportionality report of ``verify thm1``.
 
 Cumulative AoI is accounted over slots 0..T-1 (age 0 at slot 0, where the
 monitor knows the state), which is the convention under which the closed form
@@ -11,32 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .schedule import UpdateSchedule, aoi_series
-
-
-@dataclass(frozen=True)
-class SamplePath:
-    """One realization of the joint chain over slots 1..T.
-
-    ``states[n-1]`` and ``dwells[n-1]`` hold (X_n, T_n); the initial state
-    (X_0, T_0) is stored separately.  Change points are the slots n in [1, T]
-    with T_n = 0.
-    """
-
-    x0: int
-    t0: int
-    states: np.ndarray
-    dwells: np.ndarray
-
-    @property
-    def horizon(self) -> int:
-        return len(self.states)
-
-    @property
-    def change_points(self) -> np.ndarray:
-        return np.flatnonzero(self.dwells == 0) + 1
 
 
 def cumulative_aoi(schedule: UpdateSchedule) -> int:
@@ -68,50 +44,6 @@ def delay_double_sum(schedule: UpdateSchedule) -> int:
         for j in range(s_cap[i] + 1, s_cap[i + 1] + 1):
             total += d_cap[i + 1] - j
     return total
-
-
-def change_delays(change_slots, schedule: UpdateSchedule) -> np.ndarray:
-    """Detection delay of a change at each of ``change_slots`` (slots in [1, T]).
-
-    A change at slot n is detected at the first delivery whose sample was
-    taken at or after n; with no such delivery within the horizon it is
-    capped at T (delay T - n).
-    """
-    slots = np.asarray(change_slots, dtype=np.int64)
-    samples = np.asarray(schedule.samples, dtype=np.int64)
-    detect = np.append(np.asarray(schedule.deliveries, dtype=np.int64), schedule.horizon)
-    return detect[np.searchsorted(samples, slots, side="left")] - slots
-
-
-def detection_delays(path: SamplePath, schedule: UpdateSchedule) -> list[tuple[int, int]]:
-    """(change slot, delay) for every change point of the path.
-
-    Delays follow ``change_delays``: changes between two delivered samples
-    all count as detected at the same delivery.
-    """
-    if path.horizon != schedule.horizon:
-        raise ValueError("path and schedule horizons differ")
-    slots = path.change_points
-    return [(int(n), int(d)) for n, d in zip(slots, change_delays(slots, schedule))]
-
-
-def expected_cumulative_delay_stationary(schedule: UpdateSchedule, p_change: float) -> float:
-    """Expected total detection delay over [1, T] in the stationary regime.
-
-    With a constant per-slot change probability this is p_change times the
-    schedule's closed-form cumulative AoI.
-    """
-    return p_change * closed_form_aoi(schedule)
-
-
-def gaoi_series_stationary(schedule: UpdateSchedule, rate: float) -> np.ndarray:
-    """Per-slot uncertainty: age times the chain's entropy rate (bits)."""
-    return aoi_series(schedule).astype(float) * rate
-
-
-def cumulative_gaoi_stationary(schedule: UpdateSchedule, rate: float) -> float:
-    """Total uncertainty over the horizon: rate times cumulative AoI (bits)."""
-    return rate * cumulative_aoi(schedule)
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,20 @@
-"""Per-update and per-path loops that the batched code is checked against.
+"""Independent references that the package code is checked against.
 
-These are the schedule, staleness and ensemble loops written one update and
-one path at a time, in the plainest form: ``generate_schedules``,
+The schedule, staleness and ensemble loops are written one update and one
+path at a time, in the plainest form: ``generate_schedules``,
 ``cumulative_gaoi_block`` and ``run_ensemble`` must agree with them bit for
-bit.  Both loops share ``filter_stale``, which is itself a loop.  The
-per-path ensemble draws from a fresh ``derive_stream`` generator per path,
-where ``run_ensemble`` resets one shared generator per salt.
-``reference_random_schedule`` is ``random_schedule`` with its sampling times
-taken by ``np.unique``.
+bit.  Both schedule loops share ``filter_stale``, which is itself a loop.
+The per-path ensemble draws from a fresh ``derive_stream`` generator per
+path, where ``run_ensemble`` resets one shared generator per salt; it rolls
+each stationary path alone (a one-path ``sample_block``) and finds each
+change's detection by bisection (``delivery_for_change``), not by
+``detection_block``.  ``reference_random_schedule`` is ``random_schedule``
+with its sampling times taken by ``np.unique``.
+
+``joint_step`` is the per-slot sampler of the joint chain, one state at a
+time, that ``sample_block``'s law is tested against, and
+``entropy_rate_homogeneous`` is an entropy-rate formula for models whose
+statuses share one dwell law, against which ``entropy_rate`` is tested.
 """
 
 from __future__ import annotations
@@ -24,11 +31,47 @@ from gaoi.ensemble import (
     StationaryLaw,
     _aggregate,
     derive_stream,
-    draw_stationary_state,
-    simulate_path,
+    sample_block,
 )
-from gaoi.metrics import change_delays
+from gaoi.markov import (
+    EntropyRate,
+    JointModel,
+    JointState,
+    ModelError,
+    StationaryDistribution,
+    _dwell_entropy_series,
+    discrete_entropy,
+    prob_change,
+)
 from gaoi.schedule import DelayLaw, PolicySpec, UpdateSchedule, aoi_series, filter_stale
+
+
+def joint_step(model: JointModel, u: JointState, rng: np.random.Generator) -> JointState:
+    """Advance the joint chain one slot using draws from ``rng``."""
+    q = model.dwell.q(u.x, u.t)
+    if rng.random() < q:
+        x_new = int(rng.choice(model.alphabet_size, p=model.change.rows[u.x]))
+        return JointState(x=x_new, t=0)
+    return JointState(x=u.x, t=u.t + 1)
+
+
+def entropy_rate_homogeneous(model: JointModel, dist: StationaryDistribution) -> EntropyRate:
+    """Entropy rate via the split H(dwell chain) + H(change chain) * P[T_n=0].
+
+    Only valid when every status shares the same dwell law.
+    """
+    dwell = model.dwell
+    if not (np.all(dwell.prefix == dwell.prefix[0:1, :]) and np.all(dwell.tail == dwell.tail[0])):
+        raise ModelError("dwell kernel differs across states; split formula does not apply")
+    p_change = prob_change(dist)  # one change per mean dwell
+    # entropy rate of the dwell counter chain alone
+    h_dwell = _dwell_entropy_series(model, 0, 0.0) * p_change
+    h_change = float(
+        sum(dist.embedded[x] * discrete_entropy(model.change.rows[x])
+            for x in range(model.alphabet_size))
+    )
+    rate = h_dwell + h_change * p_change
+    return EntropyRate(bits=float(rate))
 
 
 def _draw(law: DelayLaw, rng: np.random.Generator) -> int:
@@ -82,8 +125,9 @@ def reference_cumulative_gaoi(model: bayes.BayesModel, schedule: UpdateSchedule)
 
 def reference_ensemble(config: EnsembleConfig) -> EnsembleStats:
     """``run_ensemble`` one path at a time: each path's schedule from its own
-    policy stream, its sample path from ``simulate_path`` (stationary) or its
-    change time (Bayesian), and every series added in path order."""
+    policy stream, its change slots from a one-path ``sample_block``
+    (stationary) or its geometric change time (Bayesian), each change's delay
+    from ``delivery_for_change``, and every series added in path order."""
     model, horizon, seed = config.model, config.horizon, config.base_seed
     bayesian = isinstance(model, bayes.BayesModel)
     law = None if bayesian else StationaryLaw.of(model)
@@ -109,10 +153,12 @@ def reference_ensemble(config: EnsembleConfig) -> EnsembleStats:
             delta = np.arange(horizon) - ages
             gaoi_acc += h[ages + 1] * decay[delta]
         else:
-            u0 = draw_stationary_state(law.dist, derive_stream(seed, k, INIT_SALT))
-            path = simulate_path(model, u0, horizon, derive_stream(seed, k, PATH_SALT))
-            values["cum_delay"][k] = change_delays(path.change_points, schedule).sum()
-            values["num_changes"][k] = len(path.change_points)
+            x0, t0 = law.dist.sample(derive_stream(seed, k, INIT_SALT).random((1, 2)))
+            uniforms = derive_stream(seed, k, PATH_SALT).random((horizon, 2))[:, :, None]
+            slots = np.flatnonzero(sample_block(model, x0, t0, uniforms)[:, 0]) + 1
+            values["cum_delay"][k] = sum(schedule.delivery_for_change(n) - n
+                                         for n in slots.tolist())
+            values["num_changes"][k] = len(slots)
             values["cum_gaoi"][k] = law.rate * values["cum_aoi"][k]
     if bayesian:
         return _aggregate(config, values, aoi_acc, gaoi_acc)

@@ -114,8 +114,9 @@ class TestSimulate:
         assert row["residual"] != ""
         assert row["p_change"] == "" and row["entropy_rate"] == ""
 
-    def test_deterministic_across_runs_and_workers(self, tmp_path):
-        cfg = write_config(tmp_path, SWAP_CONFIG)
+    @pytest.mark.parametrize("config", [SWAP_CONFIG, BAYES_CONFIG], ids=["swap", "bayes"])
+    def test_deterministic_across_runs_and_workers(self, tmp_path, config):
+        cfg = write_config(tmp_path, config)
         outputs = []
         for name, workers in (("a", "1"), ("b", "1"), ("c", "4")):
             out = tmp_path / name
@@ -170,20 +171,42 @@ class TestSimulate:
                    "dwell": {"prefix": [0.5]}}),
         ("model", {"kind": "stationary", "px_rows": 5, "dwell": 0.5}),
         ("model", {"kind": "stationary", "px_rows": [[0, 1], [1]], "dwell": 0.5}),
+        ("policy", {"kind": "greedy", "delay": {"uniform": [2, 2**63]}}),
+        ("policy", {"kind": "explicit", "schedule_path": "late_pair.txt"}),
     ], ids=["bayes_p", "period_0", "uniform_scalar", "model_null", "horizon_0",
             "horizon_negative", "horizon_float", "horizon_bool", "num_paths_float",
             "seed_negative", "period_float", "delay_float", "delay_bool", "dwell_no_tail",
-            "px_rows_scalar", "px_rows_ragged"])
-    def test_bad_config_exit_2(self, tmp_path, capsys, request, section, edit):
+            "px_rows_scalar", "px_rows_ragged", "delay_past_int64", "explicit_late_pair"])
+    def test_bad_config_exit_2(self, tmp_path, capsys, monkeypatch, request, section, edit):
+        (tmp_path / "late_pair.txt").write_text("5 3\n")  # sampled after its delivery
+        monkeypatch.chdir(tmp_path)
         data = {**SWAP_CONFIG, section: edit}
         if section == "run":
             data["run"] = {**SWAP_CONFIG["run"], **edit}
         assert main(["simulate", "--config", write_config(tmp_path, data),
                      "--out", str(tmp_path / "out")]) == EXIT_CONFIG
         err = capsys.readouterr().err
-        assert "config error:" in err
+        assert err.startswith("config error:") and err.count("\n") == 1
         if request.node.callspec.id.startswith("px_rows"):
             assert "model.px_rows must be an n x n list of numbers, got" in err
+
+    @pytest.mark.parametrize("command", [["entropy-rate"], ["simulate", "--out", "out"]],
+                             ids=["entropy_rate", "simulate"])
+    @pytest.mark.parametrize("model", [
+        {"kind": "stationary", "px_rows": [[0, 1], [1, 0]], "dwell": float("nan")},
+        {"kind": "stationary", "px_rows": [[float("nan"), 1], [1, 0]], "dwell": 0.5},
+    ], ids=["dwell_nan", "px_rows_nan"])
+    def test_nan_model_exit_3(self, tmp_path, capsys, monkeypatch, command, model):
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path, {**SWAP_CONFIG, "model": model})
+        assert main([command[0], "--config", cfg, *command[1:]]) == EXIT_MODEL
+        err = capsys.readouterr().err
+        assert err.startswith("model error:") and err.count("\n") == 1
+
+    def test_delay_bound_at_int64_max_runs(self, tmp_path):
+        data = {**SWAP_CONFIG, "policy": {"kind": "greedy", "delay": {"uniform": [2, 2**63 - 1]}}}
+        assert main(["simulate", "--config", write_config(tmp_path, data),
+                     "--out", str(tmp_path / "out")]) == EXIT_OK
 
     def test_negative_seed_override_exit_2(self, tmp_path):
         cfg = write_config(tmp_path, SWAP_CONFIG)

@@ -19,18 +19,11 @@ from gaoi import (
     validate_model,
 )
 from gaoi import bayes, ensemble, markov
-from gaoi.ensemble import (
-    INIT_SALT,
-    PATH_SALT,
-    POLICY_SALT,
-    draw_stationary_state,
-    sample_block,
-    simulate_path,
-)
-from gaoi.markov import JointState, joint_step, stationary_distribution
+from gaoi.ensemble import INIT_SALT, PATH_SALT, POLICY_SALT, sample_block
+from gaoi.markov import JointState, stationary_distribution
 
 from conftest import make_cycle, make_two_state_swap
-from reference import reference_ensemble
+from reference import joint_step, reference_ensemble
 
 
 PERIODIC_50 = PolicySpec(kind="periodic", period=50, delay=DelayLaw.deterministic(0))
@@ -54,6 +47,14 @@ def _draws(rng: np.random.Generator) -> list:
 
 def _same_draws(a: list, b: list) -> bool:
     return all(np.array_equal(x, y) for x, y in zip(a, b, strict=True))
+
+
+def _one_path(model, x0: int, t0: int, horizon: int, rng: np.random.Generator):
+    """One path rolled alone, a one-column ``sample_block`` from (x0, t0):
+    its change mask and its statuses over slots 1..horizon."""
+    states = np.empty((horizon, 1), dtype=np.int64)
+    changed = sample_block(model, [x0], [t0], rng.random((horizon, 2))[:, :, None], states)
+    return changed[:, 0], states[:, 0]
 
 
 class TestDeriveStream:
@@ -110,38 +111,26 @@ class TestDeriveStream:
         assert sps.kstest(z, "norm").pvalue > 0.01
 
 
-class TestSimulatePath:
-    def test_dwell_counters_consistent(self, rng):
-        model = make_two_state_swap(0.6)
-        path = simulate_path(model, JointState(0, 0), 500, rng)
-        prev_x, prev_t = 0, 0
-        for x, t in zip(path.states, path.dwells):
-            if x == prev_x:
-                assert t == prev_t + 1
-            else:
-                assert t == 0
-            prev_x, prev_t = x, t
-
-    def test_change_points_match_dwell_zeros(self, rng):
-        model = make_two_state_swap(0.6)
-        path = simulate_path(model, JointState(0, 0), 200, rng)
-        assert np.array_equal(path.change_points, np.flatnonzero(path.dwells == 0) + 1)
+class TestOnePathBlock:
+    def test_status_moves_only_at_changes(self, rng):
+        # the swap chain has no self-transitions: the status moves exactly at
+        # the change slots
+        changed, states = _one_path(make_two_state_swap(0.6), 0, 0, 500, rng)
+        assert np.array_equal(states != np.concatenate([[0], states[:-1]]), changed)
+        assert 0 < changed.sum() < 500
 
     def test_cycle_changes_every_slot(self, rng):
-        path = simulate_path(make_cycle(3), JointState(0, 0), 50, rng)
-        assert (path.dwells == 0).all()
-        assert np.array_equal(path.states[:3], [1, 2, 0])
+        changed, states = _one_path(make_cycle(3), 0, 0, 50, rng)
+        assert changed.all()
+        assert np.array_equal(states[:3], [1, 2, 0])
 
 
-class TestDrawStationaryState:
+class TestStationarySample:
     def test_frequencies_match_distribution(self):
         dist = stationary_distribution(make_two_state_swap(0.6))
-        rng = np.random.default_rng(11)
-        draws = [draw_stationary_state(dist, rng) for _ in range(20000)]
-        frac_t0 = np.mean([u.t == 0 for u in draws])
-        assert frac_t0 == pytest.approx(0.6, abs=0.02)
-        frac_x0 = np.mean([u.x == 0 for u in draws])
-        assert frac_x0 == pytest.approx(0.5, abs=0.02)
+        x, t = dist.sample(np.random.default_rng(11).random((20000, 2)))
+        assert (t == 0).mean() == pytest.approx(0.6, abs=0.02)
+        assert (x == 0).mean() == pytest.approx(0.5, abs=0.02)
 
     def test_chi_square_against_exact_law(self):
         # bins: every (x, t) for t < m + 6, then (x, t >= m + 6), so three of
@@ -200,27 +189,6 @@ class TestRunEnsemble:
         stats = run_ensemble(config)
         assert stats.mean["cum_gaoi"] == 0.0
         assert not stats.mean_gaoi_series.any()
-
-    def test_bit_identical_across_workers(self):
-        config = EnsembleConfig(
-            model=make_two_state_swap(0.6), policy=GREEDY_2080, horizon=300,
-            num_paths=40, base_seed=99,
-        )
-        a = run_ensemble(config, workers=1)
-        b = run_ensemble(config, workers=8)
-        assert a.mean == b.mean and a.se == b.se
-        assert np.array_equal(a.mean_aoi_series, b.mean_aoi_series)
-        assert np.array_equal(a.mean_gaoi_series, b.mean_gaoi_series)
-
-    def test_bayes_bit_identical_across_workers(self):
-        config = EnsembleConfig(
-            model=BayesModel(0.04), policy=GREEDY_2080, horizon=100,
-            num_paths=40, base_seed=99,
-        )
-        a = run_ensemble(config, workers=1)
-        b = run_ensemble(config, workers=6)
-        assert a.mean == b.mean and a.se == b.se
-        assert np.array_equal(a.mean_gaoi_series, b.mean_gaoi_series)
 
     def test_schedule_independent_of_path_stream(self):
         # swapping the base seed's path salt must not move the schedules:
@@ -404,10 +372,10 @@ class TestSamplerEquivalence:
         states = np.empty((horizon, 12), dtype=np.int64)
         changed = sample_block(model, x0, t0, uniforms, states)
         for k in range(12):
-            path = simulate_path(model, JointState(int(x0[k]), int(t0[k])), horizon,
-                                 derive_stream(seed, k, PATH_SALT))
-            assert np.array_equal(path.states, states[:, k])
-            assert np.array_equal(path.dwells == 0, changed[:, k])
+            alone = _one_path(model, int(x0[k]), int(t0[k]), horizon,
+                              derive_stream(seed, k, PATH_SALT))
+            assert np.array_equal(alone[0], changed[:, k])
+            assert np.array_equal(alone[1], states[:, k])
 
     @pytest.mark.parametrize("block_paths", [1, 3, 64])
     def test_ensemble_independent_of_block_size(self, monkeypatch, block_paths):
@@ -423,10 +391,9 @@ class TestSamplerEquivalence:
 
 class TestSamplerEdgeCases:
     def test_horizon_one(self, rng):
-        path = simulate_path(make_two_state_swap(0.6), JointState(1, 4), 1, rng)
-        assert path.horizon == 1
-        assert path.dwells[0] in (0, 5)
-        assert path.states[0] == (0 if path.dwells[0] == 0 else 1)
+        changed, states = _one_path(make_two_state_swap(0.6), 1, 4, 1, rng)
+        assert changed.shape == states.shape == (1,)
+        assert states[0] == (0 if changed[0] else 1)
         stats = run_ensemble(EnsembleConfig(model=make_two_state_swap(0.6), policy=GREEDY_2080,
                                             horizon=1, num_paths=5, base_seed=3))
         # age 0 at slot 0; a change at slot 1 = T is detected at T
@@ -491,14 +458,14 @@ class TestSamplerEdgeCases:
         first = changed.argmax(axis=0) + 1
         assert np.array_equal(first, [4, 2, 1, 1, 1])
         for k in range(5):
-            path = simulate_path(model, JointState(0, int(t0[k])), horizon,
-                                 np.random.default_rng(k))
-            assert path.change_points[0] == first[k]
-            assert np.array_equal(path.change_points[1:] - path.change_points[:-1],
-                                  np.full(len(path.change_points) - 1, 4))
+            alone, _ = _one_path(model, 0, int(t0[k]), horizon, np.random.default_rng(k))
+            slots = np.flatnonzero(alone) + 1
+            assert slots[0] == first[k]
+            assert np.array_equal(np.diff(slots), np.full(len(slots) - 1, 4))
 
 
-ENSEMBLE_MODELS = {"swap": make_two_state_swap(0.6), "bayes": BayesModel(0.04)}
+ENSEMBLE_MODELS = {"swap": make_two_state_swap(0.6), "ragged": make_ragged_three(),
+                   "bayes": BayesModel(0.04)}
 ENSEMBLE_POLICIES = {
     "periodic_fixed": PolicySpec(kind="periodic", period=7, delay=DelayLaw.deterministic(3)),
     "periodic_random": PolicySpec(kind="periodic", period=5, delay=DelayLaw.uniform(0, 12)),

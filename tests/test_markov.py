@@ -11,8 +11,6 @@ from gaoi import (
     ModelError,
     discrete_entropy,
     entropy_rate,
-    entropy_rate_homogeneous,
-    joint_step,
     prob_change,
     stationary_distribution,
     validate_model,
@@ -20,6 +18,7 @@ from gaoi import (
 from gaoi.markov import IrreducibilityError, binary_entropy, embedded_stationary
 
 from conftest import make_cycle, make_two_state_swap, make_uniform_three, random_model
+from reference import entropy_rate_homogeneous, joint_step
 
 H_06 = 0.9709505944546686  # binary entropy of 0.6 in bits
 

@@ -4,19 +4,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gaoi import (
-    SamplePath,
+    ScheduleBlock,
     UpdateSchedule,
+    aoi_series,
     closed_form_aoi,
     cumulative_aoi,
-    cumulative_gaoi_stationary,
     delay_double_sum,
-    detection_delays,
-    expected_cumulative_delay_stationary,
     filter_stale,
-    gaoi_series_stationary,
     random_schedule,
     verify_proportionality,
 )
+from gaoi.schedule import detection_block
 
 H_06 = 0.9709505944546686
 
@@ -35,18 +33,10 @@ def schedules(draw, max_horizon=200):
     return filter_stale(pairs, horizon)
 
 
-def make_path(horizon, change_slots, x0=0):
-    states = np.zeros(horizon, dtype=np.int64)
-    dwells = np.zeros(horizon, dtype=np.int64)
-    x, t = x0, 0
-    for n in range(1, horizon + 1):
-        if n in change_slots:
-            x, t = 1 - x, 0
-        else:
-            t += 1
-        states[n - 1] = x
-        dwells[n - 1] = t
-    return SamplePath(x0=x0, t0=0, states=states, dwells=dwells)
+def detection_delays(sched, change_slots):
+    """(change slot, delay) for each change, read off ``detection_block``."""
+    detect = detection_block(ScheduleBlock.of(sched))[0]
+    return [(n, int(detect[n]) - n) for n in sorted(change_slots)]
 
 
 class TestCumulativeAoi:
@@ -99,42 +89,35 @@ class TestCumulativeAoi:
 class TestDetectionDelays:
     def test_change_after_last_sample_capped(self):
         sched = UpdateSchedule(horizon=10, samples=(3,), deliveries=(5,))
-        path = make_path(10, {4})
-        assert detection_delays(path, sched) == [(4, 6)]
+        assert detection_delays(sched, {4}) == [(4, 6)]
 
     def test_change_before_sample(self):
         sched = UpdateSchedule(horizon=10, samples=(3,), deliveries=(5,))
-        path = make_path(10, {2})
-        assert detection_delays(path, sched) == [(2, 3)]
+        assert detection_delays(sched, {2}) == [(2, 3)]
 
     def test_change_at_sampling_slot_instant_delivery(self):
         sched = UpdateSchedule(horizon=10, samples=(3,), deliveries=(3,))
-        path = make_path(10, {3})
-        assert detection_delays(path, sched) == [(3, 0)]
+        assert detection_delays(sched, {3}) == [(3, 0)]
 
     def test_multiple_changes_detected_at_same_delivery(self):
         sched = UpdateSchedule(horizon=20, samples=(10,), deliveries=(12,))
-        path = make_path(20, {2, 5, 7})
-        assert detection_delays(path, sched) == [(2, 10), (5, 7), (7, 5)]
-
-    def test_horizon_mismatch_rejected(self):
-        sched = UpdateSchedule(horizon=10, samples=(), deliveries=())
-        with pytest.raises(ValueError):
-            detection_delays(make_path(9, set()), sched)
+        assert detection_delays(sched, {2, 5, 7}) == [(2, 10), (5, 7), (7, 5)]
 
 
 class TestExpectedDelayStationary:
+    """With a change in each slot with probability p, the expected total
+    detection delay is p times the closed-form cumulative AoI."""
+
     def test_p_one_equals_double_sum(self):
         sched = UpdateSchedule(horizon=10, samples=(3,), deliveries=(5,))
-        assert expected_cumulative_delay_stationary(sched, 1.0) == 30.0
+        assert 1.0 * closed_form_aoi(sched) == delay_double_sum(sched) == 30
 
-    def test_p_zero(self, rng):
-        assert expected_cumulative_delay_stationary(random_schedule(50, rng), 0.0) == 0.0
-
-    @given(schedules(), st.floats(0.01, 1.0))
+    @given(schedules(), st.floats(0.0, 1.0))
     @settings(max_examples=100, deadline=None)
     def test_proportional_to_closed_form(self, sched, p):
-        assert expected_cumulative_delay_stationary(sched, p) == pytest.approx(
+        # p times the delay of a change in every slot, as the ensemble reads it
+        every_slot = detection_delays(sched, range(1, sched.horizon + 1))
+        assert p * sum(d for _, d in every_slot) == pytest.approx(
             p * closed_form_aoi(sched), rel=1e-12
         )
 
@@ -142,12 +125,12 @@ class TestExpectedDelayStationary:
 class TestGaoiStationary:
     def test_zero_rate_all_zero(self, rng):
         sched = random_schedule(50, rng)
-        assert not gaoi_series_stationary(sched, 0.0).any()
+        assert not (aoi_series(sched) * 0.0).any()
 
     def test_cumulative_scaling(self):
         sched = UpdateSchedule(horizon=10, samples=(3,), deliveries=(5,))
-        assert cumulative_gaoi_stationary(sched, H_06) == pytest.approx(30 * H_06, abs=1e-9)
-        assert gaoi_series_stationary(sched, H_06).sum() == pytest.approx(30 * H_06, abs=1e-9)
+        assert H_06 * cumulative_aoi(sched) == pytest.approx(30 * H_06, abs=1e-9)
+        assert (aoi_series(sched) * H_06).sum() == pytest.approx(30 * H_06, abs=1e-9)
 
 
 class TestVerifyProportionality:
