@@ -9,8 +9,8 @@ Subcommands:
 * ``verify``: check the stationary proportionality law (``thm1``) or the
   Bayesian affine law (``thm2``), both analytically and by Monte Carlo.
 
-Exit codes: 0 success, 1 verification failure, 2 config error, 3 model
-error, 4 I/O error.
+Exit codes: 0 success, 1 verification failed or inconclusive, 2 config
+error, 3 model error, 4 I/O error.
 """
 
 from __future__ import annotations
@@ -230,6 +230,14 @@ def _verify_thm1(cfg: RunConfig) -> int:
     return EXIT_OK if analytic_ok and mc_ok else EXIT_VERIFY_FAILED
 
 
+def _verdict(ok: bool, se: float) -> str:
+    """A Monte Carlo check's verdict.  A zero standard error (no path saw a
+    change) carries no information: the check neither passes nor fails."""
+    if se == 0.0:
+        return "inconclusive: se=0"
+    return "ok" if ok else "FAIL"
+
+
 def _verify_thm2(cfg: RunConfig) -> int:
     model: BayesModel = cfg.model
     t = cfg.horizon
@@ -260,18 +268,17 @@ def _verify_thm2(cfg: RunConfig) -> int:
         )
         res = float(stats.mean["cum_gaoi"] - scale * stats.mean["cum_delay"])
         se = float(scale * stats.se["cum_delay"])
-        ok = abs(res - c_t) <= 3.0 * se
+        ok = se > 0.0 and abs(res - c_t) <= 3.0 * se
         mc_ok = mc_ok and ok
         residuals.append((res, se))
-        print(f"{_policy_label(policy)}: residual={res!r} se={se!r} "
-              f"({'ok' if ok else 'FAIL'})")
+        print(f"{_policy_label(policy)}: residual={res!r} se={se!r} ({_verdict(ok, se)})")
     if len(residuals) >= 2:
         (r1, e1), (r2, e2) = residuals[:2]
         combined = (e1**2 + e2**2) ** 0.5
-        ok = abs(r1 - r2) <= 3.0 * combined
+        ok = combined > 0.0 and abs(r1 - r2) <= 3.0 * combined
         mc_ok = mc_ok and ok
         print(f"policy residual gap {abs(r1 - r2)!r} vs 3*combined_se "
-              f"{3.0 * combined!r} ({'ok' if ok else 'FAIL'})")
+              f"{3.0 * combined!r} ({_verdict(ok, combined)})")
     return EXIT_OK if analytic_ok and mc_ok else EXIT_VERIFY_FAILED
 
 

@@ -9,7 +9,8 @@ import pytest
 import yaml
 
 from gaoi import cli, ensemble
-from gaoi.cli import EXIT_CONFIG, EXIT_IO, EXIT_MODEL, EXIT_OK, SUMMARY_COLUMNS, main
+from gaoi.cli import (EXIT_CONFIG, EXIT_IO, EXIT_MODEL, EXIT_OK, EXIT_VERIFY_FAILED,
+                      SUMMARY_COLUMNS, main)
 
 SWAP_CONFIG = {
     "model": {
@@ -268,6 +269,20 @@ class TestVerify:
         data = dict(BAYES_CONFIG)
         data["run"] = {"horizon": 100, "num_paths": 1000, "base_seed": 2}
         assert main(["verify", "thm2", "--config", write_config(tmp_path, data)]) == EXIT_OK
+
+    def test_thm2_zero_se_is_inconclusive(self, tmp_path, capsys):
+        # no path sees a change before its delivery: the residual's standard
+        # error is 0, which neither passes nor fails the 3-sigma check
+        data = dict(BAYES_CONFIG)
+        data["policy"] = {"kind": "greedy", "delay": {"uniform": [2, 2**63 - 1]}}
+        data["run"] = {"horizon": 10, "num_paths": 5, "base_seed": 0}
+        code = main(["verify", "thm2", "--config", write_config(tmp_path, data)])
+        out = capsys.readouterr().out
+        assert code == EXIT_VERIFY_FAILED
+        assert "analytic: " in out and "(ok)" in out
+        [line] = [s for s in out.splitlines() if s.startswith("greedy: ")]
+        assert line.endswith(" se=0.0 (inconclusive: se=0)")
+        assert "FAIL" not in out
 
     def test_theorem_model_mismatch_exit_2(self, tmp_path):
         assert main(["verify", "thm2", "--config", write_config(tmp_path, SWAP_CONFIG)]) == EXIT_CONFIG

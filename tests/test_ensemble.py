@@ -37,6 +37,14 @@ def make_ragged_three():
     return validate_model(ChangeKernel(rows), dwell)
 
 
+def make_split_hazards():
+    """Three statuses with hazards 0.05, 0.5 and 0.95: a path's first dwell
+    shows which status it started in."""
+    rows = np.array([[0.0, 0.5, 0.5], [0.5, 0.0, 0.5], [0.5, 0.5, 0.0]])
+    return validate_model(ChangeKernel(rows),
+                          DwellKernel(np.empty((3, 0)), np.array([0.05, 0.5, 0.95])))
+
+
 def _draws(rng: np.random.Generator) -> list:
     """Draws through every path the ensemble uses: 32-bit integers (odd and
     even counts), 64-bit integers, doubles and a geometric."""
@@ -507,6 +515,20 @@ class TestEnsembleMatchesReference:
         assert stats.mean == ref.mean and stats.se == ref.se
         assert np.array_equal(stats.mean_aoi_series, ref.mean_aoi_series)
         assert np.array_equal(stats.mean_gaoi_series, ref.mean_gaoi_series)
+
+    @pytest.mark.parametrize("block_paths", [7, 256])
+    def test_start_status_reaches_the_sampler(self, monkeypatch, block_paths):
+        # about 13 % of the stationary law sits outside status 0, so some of
+        # 200 paths start in a status whose hazard differs from status 0's by
+        # 10 to 19 times: any start status but the drawn one moves their changes
+        config = EnsembleConfig(model=make_split_hazards(),
+                                policy=ENSEMBLE_POLICIES["greedy_random"],
+                                horizon=40, num_paths=200, base_seed=23)
+        ref = reference_ensemble(config)
+        monkeypatch.setattr(ensemble, "BLOCK_PATHS", block_paths)
+        stats = run_ensemble(config)
+        assert stats.mean == ref.mean and stats.se == ref.se
+        assert np.array_equal(stats.mean_aoi_series, ref.mean_aoi_series)
 
     @pytest.mark.parametrize("policy_name, policy_streams", [
         ("periodic_fixed", 0), ("greedy_fixed", 0), ("explicit", 0),

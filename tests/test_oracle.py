@@ -24,7 +24,7 @@ from gaoi.oracle import (
     exact_ensemble_gaoi,
 )
 
-from conftest import make_two_state_swap, random_model
+from conftest import make_cycle, make_two_state_swap, random_model
 
 H_06 = 0.9709505944546686
 
@@ -72,6 +72,10 @@ def edge_models(rng):
         # ragged prefixes, padded with each state's tail
         validate_model(ChangeKernel(zero_diagonal), DwellKernel.from_lists(
             [[0.2, 0.0, 1.0, 0.4], [0.7], []], [0.3, 0.6, 0.9]
+        )),
+        # runs of q = 0: stay-only groups, one live move and the most padding
+        validate_model(ChangeKernel(zero_diagonal), DwellKernel.from_lists(
+            [[0.0, 0.0, 0.0, 0.5], [0.0, 0.8], [0.0]], [0.3, 0.6, 0.9]
         )),
     ]
 
@@ -124,19 +128,67 @@ class TestExactConditionalEntropy:
                         )
 
     def test_same_trajectory_probabilities_as_reference(self, rng):
-        # same multiset of path probabilities, bit for bit: no zero-probability
-        # move is enumerated and every product is taken in the same order
+        # same multiset of positive path probabilities, bit for bit: every
+        # product is taken in the same order, and a trajectory through a pad
+        # move carries exactly 0.0.  All starts are enumerated together, so
+        # each row is checked beside the others.
         for model in edge_models(rng):
             m = model.dwell.prefix_len
             table = oracle._transition_table(model)
-            for x in range(model.alphabet_size):
-                for t in [*range(m + 1), m + 5]:
-                    start = np.array([x * (m + 1) + min(t, m)])
-                    for a in range(1, 6):
-                        probs, _ = oracle._enumerate(table, start, a)
-                        assert np.array_equal(
-                            np.sort(probs), np.sort(reference_probs(model, JointState(x, t), a))
-                        )
+            starts = [JointState(x, t) for x in range(model.alphabet_size)
+                      for t in [*range(m + 1), m + 5]]
+            groups = np.array([u.x * (m + 1) + min(u.t, m) for u in starts])
+            for a in range(1, 6):
+                rows = oracle._enumerate(table, groups, a)
+                for u0, probs in zip(starts, rows, strict=True):
+                    ref = reference_probs(model, u0, a)
+                    assert np.all(ref > 0.0)
+                    pos = probs > 0.0
+                    assert pos.sum() == len(ref)
+                    assert np.array_equal(np.sort(probs[pos]), np.sort(ref))
+                    assert np.all(probs[~pos] == 0.0)
+
+    def test_padded_table_rows(self, rng):
+        # live moves first, stay then changes by target, pads of probability 0
+        for model in edge_models(rng):
+            child, prob = oracle._transition_table(model)
+            n, m = model.alphabet_size, model.dwell.prefix_len
+            assert child.shape == prob.shape == (n * (m + 1), (prob > 0.0).sum(axis=1).max())
+            assert np.all((child >= 0) & (child < n * (m + 1)))
+            for g in range(n * (m + 1)):
+                x, i = divmod(g, m + 1)
+                q = model.dwell.q(x, i)
+                moves = ([(x * (m + 1) + min(i + 1, m), 1.0 - q)] if q < 1.0 else []) + [
+                    (y * (m + 1), q * p) for y, p in enumerate(model.change.rows[x])
+                    if q * p > 0.0]
+                live = len(moves)
+                assert list(zip(child[g, :live].tolist(), prob[g, :live].tolist())) == moves
+                assert np.all(prob[g, live:] == 0.0)
+
+    def test_cycle_has_fan_out_one_and_zero_entropy(self):
+        # q = 1 everywhere: one live move per group, a certain trajectory
+        model = make_cycle(3)
+        dist = stationary_distribution(model)
+        assert oracle._transition_table(model)[0].shape[1] == 1
+        for a in range(1, 9):
+            assert exact_conditional_entropy(model, JointState(1, 0), a) == 0.0
+            assert exact_ensemble_gaoi(model, dist, a) == 0.0
+
+    def test_one_start_over_block_cap(self):
+        # 3^8 = 6561 trajectories from one start exceed BLOCK_TRAJECTORIES:
+        # each block then holds a single start
+        rng = np.random.default_rng(99)
+        rows = np.zeros((3, 3))
+        for x in range(3):
+            rows[x, [y for y in range(3) if y != x]] = rng.dirichlet(np.ones(2))
+        model = validate_model(ChangeKernel(rows),
+                               DwellKernel(rng.uniform(0.05, 0.95, (3, 2)),
+                                           rng.uniform(0.05, 0.95, 3)))
+        assert oracle._transition_table(model)[0].shape[1] == 3
+        assert 3**8 > oracle.BLOCK_TRAJECTORIES
+        dist = stationary_distribution(model)
+        rate = entropy_rate(model, dist)
+        assert exact_ensemble_gaoi(model, dist, 8) == pytest.approx(8 * rate.bits, abs=1e-9)
 
 
 class TestExactEnsembleGaoi:
