@@ -47,10 +47,7 @@ from .schedule import (
     PolicySpec,
     ScheduleBlock,
     ScheduleError,
-    UpdateSchedule,
-    aoi_series,
     filter_stale,
-    generate_schedule,
     generate_schedules,
     random_schedule,
 )

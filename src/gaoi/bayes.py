@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .markov import binary_entropy
-from .schedule import ScheduleBlock, UpdateSchedule
+from .schedule import ScheduleBlock
 
 
 @dataclass(frozen=True)
@@ -98,54 +98,43 @@ def _expected_theta_capped(p: float, t: int) -> float:
     return (g - t * p) / p + t * g
 
 
-def cumulative_gaoi_block(model: BayesModel, block: ScheduleBlock) -> np.ndarray:
-    """Expected total staleness over [1, T] of every row of a schedule block.
+def _interval_sum(model: BayesModel, block: ScheduleBlock, intercept: float) -> np.ndarray:
+    """``intercept`` plus (d_{i+1} - d_i) (1-p)^{s_i} for i = 0..K, every row.
 
-    h(1)/p times the intercept -(1-p) P[theta <= T] / p plus one term per
-    inter-delivery interval, (d_{i+1} - d_i) (1-p)^{s_i} for i = 0..K: a
-    sample taken at s_i still shows state 0 with probability (1-p)^{s_i}.
+    A sample taken at s_i still shows state 0 with probability (1-p)^{s_i}.
     The terms are added column by column, in index order, so every row sums
-    the same operands in the same order whatever the other rows hold; a
-    padding column adds an exact zero.
+    the same operands in the same order as a loop over its own updates,
+    whatever the other rows hold; a padding column adds an exact zero.
     """
-    p, t = model.p, block.horizon
+    t = block.horizon
     zeros = np.zeros((block.num_paths, 1), dtype=np.int64)
     s_cap = np.concatenate([zeros, block.samples], axis=1)
     d_cap = np.concatenate([zeros, block.deliveries, zeros + t], axis=1)
     terms = np.diff(d_cap, axis=1) * survival_table(model, t)[s_cap]
-    acc = np.full(block.num_paths, -(1.0 - p) * _change_by(p, t) / p)
+    acc = np.full(block.num_paths, intercept)
     for column in terms.T:
         acc += column
-    return model.h1 / p * acc
+    return acc
 
 
-def bayes_cumulative_gaoi(model: BayesModel, schedule: UpdateSchedule, t: int | None = None) -> float:
-    """Expected total staleness over [1, T] for a given schedule (bits):
-    ``cumulative_gaoi_block`` of one schedule."""
-    if t is None:
-        t = schedule.horizon
-    if t != schedule.horizon:
-        raise ValueError("horizon must match the schedule")
-    return float(cumulative_gaoi_block(model, ScheduleBlock.of(schedule))[0])
+def bayes_cumulative_gaoi(model: BayesModel, block: ScheduleBlock) -> np.ndarray:
+    """Expected total staleness over [1, T] of every row of a schedule block (bits).
+
+    h(1)/p times the intercept -(1-p) P[theta <= T] / p plus one term per
+    inter-delivery interval.
+    """
+    p, t = model.p, block.horizon
+    return model.h1 / p * _interval_sum(model, block, -(1.0 - p) * _change_by(p, t) / p)
 
 
-def bayes_expected_delay(model: BayesModel, schedule: UpdateSchedule, t: int | None = None) -> float:
-    """Expected detection delay of the change, restricted to [1, T].
+def bayes_expected_delay(model: BayesModel, block: ScheduleBlock) -> np.ndarray:
+    """Expected detection delay of the change for every row, restricted to [1, T].
 
     A change at theta <= T is detected at the first delivery sampled at or
     after theta, capped at the horizon; changes after T contribute nothing.
     """
-    if t is None:
-        t = schedule.horizon
-    if t != schedule.horizon:
-        raise ValueError("horizon must match the schedule")
-    p = model.p
-    s_cap = schedule.capped_samples()
-    d_cap = schedule.capped_deliveries()
-    acc = -t * (1.0 - p) ** t - _expected_theta_capped(p, t)
-    for i in range(len(s_cap) - 1):
-        acc += (d_cap[i + 1] - d_cap[i]) * (1.0 - p) ** s_cap[i]
-    return acc
+    p, t = model.p, block.horizon
+    return _interval_sum(model, block, -t * (1.0 - p) ** t - _expected_theta_capped(p, t))
 
 
 def bayes_constant_c(model: BayesModel, t: int) -> float:

@@ -232,7 +232,7 @@ def _run(config: EnsembleConfig, law: StationaryLaw | None) -> EnsembleStats:
         if law is None:
             # the path realization drives the delay only; staleness is an
             # expectation over paths, evaluated analytically per schedule
-            values["cum_gaoi"][part] = bayes_mod.cumulative_gaoi_block(model, schedules)
+            values["cum_gaoi"][part] = bayes_mod.bayes_cumulative_gaoi(model, schedules)
             for series in _bayes_gaoi_series(h, decay, ages):
                 gaoi_acc += series
         del ages

@@ -16,11 +16,13 @@ at most ``BLOCK_TRAJECTORIES`` final trajectories.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+
 import numpy as np
 
 from .bayes import BayesModel
 from .markov import JointModel, JointState, StationaryDistribution
-from .schedule import UpdateSchedule
+from .schedule import ScheduleBlock
 
 ENUMERATION_BUDGET = 10**7
 # Starts enumerated together are capped at this many final trajectories,
@@ -140,12 +142,18 @@ def exact_bayes_gaoi(model: BayesModel, a: int) -> float:
     return float(-(pos * np.log2(pos)).sum())
 
 
-def exact_bayes_delay(model: BayesModel, schedule: UpdateSchedule) -> float:
-    """Expected detection delay by enumerating every change time in [1, T]."""
-    p = model.p
-    t = schedule.horizon
-    total = 0.0
-    for theta in range(1, t + 1):
-        weight = p * (1.0 - p) ** (theta - 1)
-        total += weight * (schedule.delivery_for_change(theta) - theta)
-    return total
+def exact_bayes_delay(model: BayesModel, block: ScheduleBlock) -> np.ndarray:
+    """Expected detection delay of every row, by enumerating every change
+    time in [1, T] and finding its detection by bisection on the row."""
+    p, t = model.p, block.horizon
+    out = np.empty(block.num_paths)
+    for k in range(block.num_paths):
+        # the cap (T, T) after the row: a change after every sample waits to T
+        samples = [*block.samples[k].tolist(), t]
+        deliveries = [*block.deliveries[k].tolist(), t]
+        total = 0.0
+        for theta in range(1, t + 1):
+            weight = p * (1.0 - p) ** (theta - 1)
+            total += weight * (deliveries[bisect_left(samples, theta)] - theta)
+        out[k] = total
+    return out

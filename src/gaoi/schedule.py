@@ -7,24 +7,24 @@ s_{K+1} = d_{K+1} = T.  Stale updates (delivered after a fresher one) are
 filtered out; they do not affect the age at the destination or the detection
 of changes.
 
-Ensembles realise a policy for a whole block of paths at once:
-``generate_schedules`` returns a ``ScheduleBlock``, every path's kept updates
-as left-packed ``(paths, K)`` arrays, and ``aoi_block`` and
-``detection_block`` read ages and detection times off it for every row.
-Each path's random delays come from its own stream in one batched
-``integers`` call.  That is the same draws as one call per update: numpy's
-bounded integers take the same values batched as one at a time, and the
-policy stream feeds only delays, so drawing more than a path uses changes
-nothing.  A policy with no random delay (``PolicySpec.is_fixed``) draws
-nothing and yields one schedule for every stream.  ``generate_schedule``
-and ``aoi_series`` are the one-row case of the same code.  ``filter_stale``
-stays a loop: it takes pairs in any order, and on the short lists it is
-given a loop is about ten times faster than array code.
+Every schedule is a row of a ``ScheduleBlock``: left-packed ``(paths, K)``
+arrays, a single schedule being a one-row block.  ``generate_schedules``
+realises a policy for a whole block of paths at once, ``filter_stale`` turns
+raw pairs into a one-row block, and ``aoi_block`` and ``detection_block``
+read ages and detection times off every row.  Each path's random delays come
+from its own stream in one batched ``integers`` call.  That is the same
+draws as one call per update: numpy's bounded integers take the same values
+batched as one at a time, and the policy stream feeds only delays, so
+drawing more than a path uses changes nothing.  A policy with no random delay
+(``PolicySpec.is_fixed``) draws nothing and yields one schedule for every
+stream.  The array stale filter has a fixed cost per call, however few rows
+it is given: on 8 pairs about 47 us, where a Python loop takes about 2.4 us
+(2-core VM, numpy 2.4).  So schedules are filtered a block at a time, and
+``random_schedule`` draws all its rows before filtering them together.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -32,55 +32,13 @@ import numpy as np
 
 
 class ScheduleError(ValueError):
-    """Raised for schedules violating the monotonicity invariants."""
+    """Raised for an update sampled after its delivery."""
 
 
-@dataclass(frozen=True)
-class UpdateSchedule:
-    """Sampling/delivery times of delivered updates over ``[1, horizon]``.
-
-    Both sequences are strictly increasing, sampling times lie in
-    (0, horizon), deliveries in (0, horizon], and s_i <= d_i.
-    """
-
-    horizon: int
-    samples: tuple[int, ...]
-    deliveries: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.horizon < 0:
-            raise ScheduleError("horizon must be non-negative")
-        if len(self.samples) != len(self.deliveries):
-            raise ScheduleError("samples and deliveries must pair up")
-        prev_s, prev_d = 0, 0
-        for s, d in zip(self.samples, self.deliveries):
-            if s <= prev_s:
-                raise ScheduleError(f"sampling times not strictly increasing at s={s}")
-            if d <= prev_d:
-                raise ScheduleError(f"delivery times not strictly increasing at d={d}")
-            if s > d:
-                raise ScheduleError(f"update sampled at {s} delivered earlier at {d}")
-            if s >= self.horizon or d > self.horizon:
-                raise ScheduleError(f"update ({s},{d}) falls outside horizon {self.horizon}")
-            prev_s, prev_d = s, d
-
-    @property
-    def num_updates(self) -> int:
-        return len(self.samples)
-
-    def capped_samples(self) -> tuple[int, ...]:
-        """s_0..s_{K+1} including both end caps."""
-        return (0, *self.samples, self.horizon)
-
-    def capped_deliveries(self) -> tuple[int, ...]:
-        return (0, *self.deliveries, self.horizon)
-
-    def delivery_for_change(self, n: int) -> int:
-        """Earliest delivery of an update sampled at or after slot n (cap: horizon)."""
-        i = bisect_left(self.samples, n)
-        if i < len(self.samples):
-            return self.deliveries[i]
-        return self.horizon
+# A random_schedule row samples up to 2 * MEAN_UPDATES slots, each delivered
+# up to MAX_DELAY slots later.
+MEAN_UPDATES = 8
+MAX_DELAY = 20
 
 
 @dataclass(frozen=True)
@@ -158,16 +116,6 @@ class ScheduleBlock:
     deliveries: np.ndarray  # (paths, K) int64
     counts: np.ndarray  # (paths,)
 
-    @classmethod
-    def of(cls, schedule: UpdateSchedule) -> "ScheduleBlock":
-        """The one-row block holding ``schedule``."""
-        return cls(
-            horizon=schedule.horizon,
-            samples=np.array(schedule.samples, dtype=np.int64).reshape(1, -1),
-            deliveries=np.array(schedule.deliveries, dtype=np.int64).reshape(1, -1),
-            counts=np.array([schedule.num_updates]),
-        )
-
     @property
     def num_paths(self) -> int:
         return len(self.counts)
@@ -177,16 +125,10 @@ class ScheduleBlock:
         return ScheduleBlock(self.horizon, self.samples[rows], self.deliveries[rows],
                              self.counts[rows])
 
-    def schedule(self, k: int) -> UpdateSchedule:
-        """Row k as a validated ``UpdateSchedule``."""
-        c = int(self.counts[k])
-        return UpdateSchedule(horizon=self.horizon,
-                              samples=tuple(self.samples[k, :c].tolist()),
-                              deliveries=tuple(self.deliveries[k, :c].tolist()))
-
 
 def _keep_fresh(samples: np.ndarray, deliveries: np.ndarray, horizon: int) -> ScheduleBlock:
-    """Stale-filter rows of pairs whose sampling times strictly increase.
+    """Stale-filter rows of pairs whose sampling times in the horizon
+    strictly increase.
 
     Pair i is kept iff it lies in the horizon (0 < s_i < T, d_i <= T) and is
     delivered strictly before every later pair in the horizon: a later pair
@@ -212,30 +154,23 @@ def _keep_fresh(samples: np.ndarray, deliveries: np.ndarray, horizon: int) -> Sc
     return ScheduleBlock(horizon, packed[0], packed[1], counts)
 
 
-def filter_stale(raw: list[tuple[int, int]], horizon: int) -> UpdateSchedule:
-    """Drop updates that arrive staler than an already-delivered one.
+def filter_stale(raw: list[tuple[int, int]], horizon: int) -> ScheduleBlock:
+    """The one-row block of the pairs in ``raw`` (any order) that are not stale.
 
-    Pairs are ordered by delivery time; a pair is kept only if its sampling
-    time exceeds every previously kept sampling time.  Ties on delivery time
-    keep the freshest sample; ties on sampling time keep the earliest
-    delivery.  Pairs outside the horizon are dropped first.
+    A pair is kept iff it lies in the horizon and no other pair in it is
+    sampled no earlier and delivered no later.  Ties on delivery time keep
+    the freshest sample; ties on sampling time keep the earliest delivery.
     """
     for s, d in raw:
         if s > d:
             raise ScheduleError(f"pair ({s},{d}) samples after delivery")
+    # times outside the horizon need not fit in int64, so their pairs go first
     inside = [(s, d) for s, d in raw if 0 < s < horizon and d <= horizon]
-    inside.sort(key=lambda sd: (sd[1], -sd[0]))
-    kept: list[tuple[int, int]] = []
-    last_s = 0
-    for s, d in inside:
-        if s > last_s:
-            kept.append((s, d))
-            last_s = s
-    return UpdateSchedule(
-        horizon=horizon,
-        samples=tuple(s for s, _ in kept),
-        deliveries=tuple(d for _, d in kept),
-    )
+    s, d = np.array(inside, dtype=np.int64).reshape(-1, 2).T
+    order = np.lexsort((d, s))
+    s, d = s[order], d[order]
+    first = np.diff(s, prepend=0) > 0  # the earliest delivery of each sampling time
+    return _keep_fresh(s[None, first], d[None, first], horizon)
 
 
 def generate_schedules(policy: PolicySpec, horizon: int, streams: Iterable) -> ScheduleBlock:
@@ -251,7 +186,7 @@ def generate_schedules(policy: PolicySpec, horizon: int, streams: Iterable) -> S
     pushed at least one slot forward: s_{i+1} = s_i + max(D_i, 1).
     """
     if policy.kind == "explicit":
-        one = ScheduleBlock.of(filter_stale(list(policy.pairs), horizon))
+        one = filter_stale(list(policy.pairs), horizon)
         return one.take(np.zeros(len(list(streams)), dtype=np.intp))
     # A delay past the horizon delivers past it, and under greedy also ends
     # the sampling, so delays are capped at T + 1 and the sums stay small.
@@ -268,22 +203,25 @@ def generate_schedules(policy: PolicySpec, horizon: int, streams: Iterable) -> S
     return _keep_fresh(samples, samples + delays, horizon)
 
 
-def generate_schedule(policy: PolicySpec, horizon: int, rng: np.random.Generator) -> UpdateSchedule:
-    """Realize a policy over ``[1, horizon]``: ``generate_schedules`` on one stream."""
-    return generate_schedules(policy, horizon, [rng]).schedule(0)
+def random_schedule(horizon: int, rng: np.random.Generator, count: int) -> ScheduleBlock:
+    """``count`` arbitrary valid schedules for identity checks, one row each:
+    random samples with random delays, stale-filtered together.
 
-
-def random_schedule(horizon: int, rng: np.random.Generator,
-                    mean_updates: float = 8.0, max_delay: int = 20) -> UpdateSchedule:
-    """Arbitrary valid schedule for identity checks: random samples with
-    random delays, stale-filtered."""
-    if horizon < 2:
-        return UpdateSchedule(horizon=horizon, samples=(), deliveries=())
-    k = int(rng.integers(0, max(1, int(mean_updates * 2)) + 1))
-    # sorted distinct draws, as np.unique gives, without importing numpy.ma
-    samples = sorted(set(rng.integers(1, horizon, size=k).tolist()))
-    pairs = [(s, s + int(rng.integers(0, max_delay + 1))) for s in samples]
-    return filter_stale(pairs, horizon)
+    Each row draws its number of samples, the samples, then one delay per
+    distinct sample in one call, as one schedule drawn alone would.  A
+    horizon under 2 has no slot to sample and draws nothing.
+    """
+    width = 2 * MEAN_UPDATES
+    samples = np.full((count, width), horizon, dtype=np.int64)
+    delays = np.zeros((count, width), dtype=np.int64)
+    if horizon >= 2:
+        for row in range(count):
+            k = int(rng.integers(0, width + 1))
+            # sorted distinct draws, as np.unique gives, without importing numpy.ma
+            times = sorted(set(rng.integers(1, horizon, size=k).tolist()))
+            samples[row, :len(times)] = times
+            delays[row, :len(times)] = rng.integers(0, MAX_DELAY + 1, size=len(times))
+    return _keep_fresh(samples, samples + delays, horizon)
 
 
 def aoi_block(block: ScheduleBlock) -> np.ndarray:
@@ -297,12 +235,6 @@ def aoi_block(block: ScheduleBlock) -> np.ndarray:
     held = np.zeros((block.num_paths, t + 1), dtype=np.int64)
     np.put_along_axis(held, block.deliveries, block.samples, axis=1)  # padding lands in column T
     return np.arange(t) - np.maximum.accumulate(held[:, :t], axis=1)
-
-
-def aoi_series(schedule: UpdateSchedule) -> np.ndarray:
-    """Per-slot ages a_n = n - s_j for n in [d_j, d_{j+1}), n = 0..horizon-1
-    (``aoi_block`` of one schedule)."""
-    return aoi_block(ScheduleBlock.of(schedule))[0]
 
 
 def detection_block(block: ScheduleBlock) -> np.ndarray:

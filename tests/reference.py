@@ -1,15 +1,19 @@
 """Independent references that the package code is checked against.
 
 The schedule, staleness and ensemble loops are written one update and one
-path at a time, in the plainest form: ``generate_schedules``,
-``cumulative_gaoi_block`` and ``run_ensemble`` must agree with them bit for
-bit.  Both schedule loops share ``filter_stale``, which is itself a loop.
-The per-path ensemble draws from a fresh ``derive_stream`` generator per
-path, where ``run_ensemble`` resets one shared generator per salt; it rolls
-each stationary path alone (a one-path ``sample_block``) and finds each
-change's detection by bisection (``delivery_for_change``), not by
-``detection_block``.  ``reference_random_schedule`` is ``random_schedule``
-with its sampling times taken by ``np.unique``.
+path at a time, in the plainest form: ``filter_stale``,
+``generate_schedules``, ``random_schedule``, ``bayes_cumulative_gaoi``,
+``bayes_expected_delay``, ``delay_double_sum`` and ``run_ensemble`` must
+agree with them bit for bit.
+A schedule here is the list of its kept ``(s, d)`` pairs, and
+``reference_filter_stale`` is the stale filter as a loop over pairs ordered
+by delivery, which every schedule loop shares.  The per-path ensemble draws
+from a fresh ``derive_stream`` generator per path, where ``run_ensemble``
+resets one shared generator per salt; it rolls each stationary path alone
+(a one-path ``sample_block``) and finds each change's detection by
+bisection (``reference_detection``), not by ``detection_block``.
+``reference_random_schedule`` is one row of ``random_schedule``, with its
+sampling times taken by ``np.unique`` and one delay draw per update.
 
 ``joint_step`` is the per-slot sampler of the joint chain, one state at a
 time, that ``sample_block``'s law is tested against, and
@@ -18,6 +22,8 @@ statuses share one dwell law, against which ``entropy_rate`` is tested.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_left
 
 import numpy as np
 
@@ -43,7 +49,15 @@ from gaoi.markov import (
     discrete_entropy,
     prob_change,
 )
-from gaoi.schedule import DelayLaw, PolicySpec, UpdateSchedule, aoi_series, filter_stale
+from gaoi.schedule import (
+    MAX_DELAY,
+    MEAN_UPDATES,
+    DelayLaw,
+    PolicySpec,
+    ScheduleBlock,
+    ScheduleError,
+    aoi_block,
+)
 
 
 def joint_step(model: JointModel, u: JointState, rng: np.random.Generator) -> JointState:
@@ -80,11 +94,63 @@ def _draw(law: DelayLaw, rng: np.random.Generator) -> int:
     return int(rng.integers(law.lo, law.hi + 1))
 
 
+def reference_filter_stale(raw: list[tuple[int, int]], horizon: int) -> list[tuple[int, int]]:
+    """The pairs of ``raw`` that are not stale, one pair at a time.
+
+    Pairs in the horizon are ordered by delivery time; a pair is kept only
+    if its sampling time exceeds every previously kept sampling time.  Ties
+    on delivery time keep the freshest sample; ties on sampling time keep
+    the earliest delivery.
+    """
+    for s, d in raw:
+        if s > d:
+            raise ScheduleError(f"pair ({s},{d}) samples after delivery")
+    inside = [(s, d) for s, d in raw if 0 < s < horizon and d <= horizon]
+    inside.sort(key=lambda sd: (sd[1], -sd[0]))
+    kept: list[tuple[int, int]] = []
+    last_s = 0
+    for s, d in inside:
+        if s > last_s:
+            kept.append((s, d))
+            last_s = s
+    return kept
+
+
+def rows(block: ScheduleBlock) -> list[list[tuple[int, int]]]:
+    """Every row's kept ``(s, d)`` pairs, padding dropped."""
+    return [list(zip(block.samples[k, :c].tolist(), block.deliveries[k, :c].tolist()))
+            for k, c in enumerate(block.counts.tolist())]
+
+
+def one_row(pairs: list[tuple[int, int]], horizon: int) -> ScheduleBlock:
+    """The one-row block holding already kept ``pairs``."""
+    samples, deliveries = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    return ScheduleBlock(horizon, samples[None], deliveries[None], np.array([len(pairs)]))
+
+
+def reference_detection(pairs: list[tuple[int, int]], horizon: int, n: int) -> int:
+    """Delivery of the first kept sample taken at or after slot n (cap: horizon)."""
+    i = bisect_left([s for s, _ in pairs], n)
+    return pairs[i][1] if i < len(pairs) else horizon
+
+
+def reference_delay_double_sum(pairs: list[tuple[int, int]], horizon: int) -> int:
+    """sum_i sum_{j=s_i+1}^{s_{i+1}} (d_{i+1} - j), slot by slot, with the
+    caps s_0 = d_0 = 0 and s_{K+1} = d_{K+1} = T."""
+    s_cap = [0, *(s for s, _ in pairs), horizon]
+    d_cap = [0, *(d for _, d in pairs), horizon]
+    total = 0
+    for i in range(len(s_cap) - 1):
+        for j in range(s_cap[i] + 1, s_cap[i + 1] + 1):
+            total += d_cap[i + 1] - j
+    return total
+
+
 def reference_generate_schedule(policy: PolicySpec, horizon: int,
-                                rng: np.random.Generator) -> UpdateSchedule:
+                                rng: np.random.Generator) -> list[tuple[int, int]]:
     """Realize a policy one update at a time, one delay draw per update."""
     if policy.kind == "explicit":
-        return filter_stale(list(policy.pairs), horizon)
+        return reference_filter_stale(list(policy.pairs), horizon)
     pairs: list[tuple[int, int]] = []
     if policy.kind == "periodic":
         s = policy.period
@@ -97,37 +163,50 @@ def reference_generate_schedule(policy: PolicySpec, horizon: int,
             d = s + _draw(policy.delay, rng)
             pairs.append((s, d))
             s = max(d, s + 1)
-    return filter_stale(pairs, horizon)
+    return reference_filter_stale(pairs, horizon)
 
 
-def reference_random_schedule(horizon: int, rng: np.random.Generator,
-                              mean_updates: float = 8.0, max_delay: int = 20) -> UpdateSchedule:
+def reference_random_schedule(horizon: int, rng: np.random.Generator) -> list[tuple[int, int]]:
     """Random samples (sorted and distinct by ``np.unique``) with random
-    delays, stale-filtered."""
+    delays, one draw per update, stale-filtered."""
     if horizon < 2:
-        return UpdateSchedule(horizon=horizon, samples=(), deliveries=())
-    k = int(rng.integers(0, max(1, int(mean_updates * 2)) + 1))
+        return []
+    k = int(rng.integers(0, 2 * MEAN_UPDATES + 1))
     samples = np.unique(rng.integers(1, horizon, size=k))
-    pairs = [(int(s), int(s + rng.integers(0, max_delay + 1))) for s in samples]
-    return filter_stale(pairs, horizon)
+    pairs = [(int(s), int(s + rng.integers(0, MAX_DELAY + 1))) for s in samples]
+    return reference_filter_stale(pairs, horizon)
 
 
-def reference_cumulative_gaoi(model: bayes.BayesModel, schedule: UpdateSchedule) -> float:
+def _interval_loop(model: bayes.BayesModel, pairs: list[tuple[int, int]], horizon: int,
+                   acc: float) -> float:
+    """``acc`` plus (d_{i+1} - d_i) (1-p)^{s_i}, one inter-delivery interval
+    at a time, i = 0..K."""
+    s_cap = [0, *(s for s, _ in pairs)]
+    d_cap = [0, *(d for _, d in pairs), horizon]
+    for i in range(len(s_cap)):
+        acc += (d_cap[i + 1] - d_cap[i]) * (1.0 - model.p) ** s_cap[i]
+    return acc
+
+
+def reference_cumulative_gaoi(model: bayes.BayesModel, pairs: list[tuple[int, int]],
+                              horizon: int) -> float:
     """Expected total staleness, one inter-delivery interval at a time."""
-    p, t = model.p, schedule.horizon
-    s_cap = schedule.capped_samples()
-    d_cap = schedule.capped_deliveries()
-    acc = -(1.0 - p) * bayes._change_by(p, t) / p
-    for i in range(len(s_cap) - 1):
-        acc += (d_cap[i + 1] - d_cap[i]) * (1.0 - p) ** s_cap[i]
-    return model.h1 / p * acc
+    p, t = model.p, horizon
+    return model.h1 / p * _interval_loop(model, pairs, t, -(1.0 - p) * bayes._change_by(p, t) / p)
+
+
+def reference_expected_delay(model: bayes.BayesModel, pairs: list[tuple[int, int]],
+                             horizon: int) -> float:
+    """Expected detection delay, one inter-delivery interval at a time."""
+    p, t = model.p, horizon
+    return _interval_loop(model, pairs, t, -t * (1.0 - p) ** t - bayes._expected_theta_capped(p, t))
 
 
 def reference_ensemble(config: EnsembleConfig) -> EnsembleStats:
     """``run_ensemble`` one path at a time: each path's schedule from its own
     policy stream, its change slots from a one-path ``sample_block``
     (stationary) or its geometric change time (Bayesian), each change's delay
-    from ``delivery_for_change``, and every series added in path order."""
+    from ``reference_detection``, and every series added in path order."""
     model, horizon, seed = config.model, config.horizon, config.base_seed
     bayesian = isinstance(model, bayes.BayesModel)
     law = None if bayesian else StationaryLaw.of(model)
@@ -141,22 +220,23 @@ def reference_ensemble(config: EnsembleConfig) -> EnsembleStats:
     for k in range(config.num_paths):
         schedule = reference_generate_schedule(config.policy, horizon,
                                                derive_stream(seed, k, POLICY_SALT))
-        ages = aoi_series(schedule)
+        ages = aoi_block(one_row(schedule, horizon))[0]
         aoi_acc += ages
         values["cum_aoi"][k] = ages.sum()
         if bayesian:
             theta = int(derive_stream(seed, k, PATH_SALT).geometric(model.p))
             changed = theta <= horizon
-            values["cum_delay"][k] = schedule.delivery_for_change(theta) - theta if changed else 0
+            values["cum_delay"][k] = (reference_detection(schedule, horizon, theta) - theta
+                                      if changed else 0)
             values["num_changes"][k] = int(changed)
-            values["cum_gaoi"][k] = reference_cumulative_gaoi(model, schedule)
+            values["cum_gaoi"][k] = reference_cumulative_gaoi(model, schedule, horizon)
             delta = np.arange(horizon) - ages
             gaoi_acc += h[ages + 1] * decay[delta]
         else:
             x0, t0 = law.dist.sample(derive_stream(seed, k, INIT_SALT).random((1, 2)))
             uniforms = derive_stream(seed, k, PATH_SALT).random((horizon, 2))[:, :, None]
             slots = np.flatnonzero(sample_block(model, x0, t0, uniforms)[:, 0]) + 1
-            values["cum_delay"][k] = sum(schedule.delivery_for_change(n) - n
+            values["cum_delay"][k] = sum(reference_detection(schedule, horizon, n) - n
                                          for n in slots.tolist())
             values["num_changes"][k] = len(slots)
             values["cum_gaoi"][k] = law.rate * values["cum_aoi"][k]

@@ -7,16 +7,18 @@ from hypothesis import strategies as st
 
 from gaoi import (
     BayesModel,
-    UpdateSchedule,
     bayes_constant_c,
     bayes_cumulative_gaoi,
     bayes_expected_delay,
     bayes_gaoi,
+    filter_stale,
     h_closed,
     random_schedule,
 )
 from gaoi.bayes import _expected_theta_capped
 from gaoi.oracle import exact_bayes_delay, exact_bayes_gaoi
+
+from reference import rows
 
 
 class TestHClosed:
@@ -82,51 +84,46 @@ class TestCumulativeGaoi:
     def test_no_deliveries_small_horizon(self):
         # direct sum: ages 1 and 2 from the time-0 cap
         model = BayesModel(0.5)
-        sched = UpdateSchedule(horizon=2, samples=(), deliveries=())
+        sched = filter_stale([], horizon=2)
         direct = bayes_gaoi(model, 1, 0) + bayes_gaoi(model, 2, 0)
-        assert bayes_cumulative_gaoi(model, sched) == pytest.approx(direct, abs=1e-12)
+        assert bayes_cumulative_gaoi(model, sched)[0] == pytest.approx(direct, abs=1e-12)
         assert direct == pytest.approx(2.5, abs=1e-12)
 
     def test_empty_horizon(self):
-        sched = UpdateSchedule(horizon=0, samples=(), deliveries=())
-        assert bayes_cumulative_gaoi(BayesModel(0.3), sched) == pytest.approx(0.0, abs=1e-12)
+        sched = filter_stale([], horizon=0)
+        assert bayes_cumulative_gaoi(BayesModel(0.3), sched)[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_per_slot_summation(self, rng):
         # oracle: sum bayes_gaoi(n - delta(n)) weighted by P[pre-change at delta(n)]
         # slot n belongs to (d_i, d_{i+1}]: a delivery informs the monitor
         # from the following slot onward in this accounting
         model = BayesModel(0.04)
-        for _ in range(20):
-            sched = random_schedule(100, rng)
-            d_cap = sched.capped_deliveries()
-            s_cap = sched.capped_samples()
+        block = random_schedule(100, rng, 20)
+        staleness = bayes_cumulative_gaoi(model, block)
+        for k, pairs in enumerate(rows(block)):
             total = 0.0
             for n in range(1, 101):
-                j = max(i for i in range(sched.num_updates + 1) if d_cap[i] < n)
-                delta = s_cap[j]
+                delta = max(s for s, d in [(0, 0), *pairs] if d < n)
                 total += bayes_gaoi(model, n - delta, 0) * (1 - model.p) ** delta
-            assert bayes_cumulative_gaoi(model, sched) == pytest.approx(total, abs=1e-9)
+            assert staleness[k] == pytest.approx(total, abs=1e-9)
 
 
 class TestExpectedDelay:
     def test_two_slot_no_deliveries(self):
-        sched = UpdateSchedule(horizon=2, samples=(), deliveries=())
-        assert bayes_expected_delay(BayesModel(0.5), sched) == pytest.approx(0.5, abs=1e-12)
+        sched = filter_stale([], horizon=2)
+        assert bayes_expected_delay(BayesModel(0.5), sched)[0] == pytest.approx(0.5, abs=1e-12)
 
     def test_sample_every_slot_instant_delivery(self):
         t = 30
-        sched = UpdateSchedule(
-            horizon=t, samples=tuple(range(1, t)), deliveries=tuple(range(1, t))
-        )
-        assert bayes_expected_delay(BayesModel(0.3), sched) == pytest.approx(0.0, abs=1e-12)
+        sched = filter_stale([(s, s) for s in range(1, t)], horizon=t)
+        assert bayes_expected_delay(BayesModel(0.3), sched)[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_enumeration(self, rng):
         model = BayesModel(0.04)
-        for _ in range(50):
-            sched = random_schedule(100, rng)
-            assert bayes_expected_delay(model, sched) == pytest.approx(
-                exact_bayes_delay(model, sched), abs=1e-12
-            )
+        block = random_schedule(100, rng, 50)
+        assert bayes_expected_delay(model, block) == pytest.approx(
+            exact_bayes_delay(model, block), abs=1e-12
+        )
 
     @pytest.mark.parametrize("p", [0.04, 0.2, 0.5, 0.95])
     @pytest.mark.parametrize("t", [0, 1, 2, 7, 100, 1000])
@@ -152,19 +149,18 @@ class TestAffineLaw:
         model = BayesModel(0.04)
         c100 = bayes_constant_c(model, 100)
         scale = model.h1 / model.p
-        for _ in range(100):
-            sched = random_schedule(100, rng)
-            residual = bayes_cumulative_gaoi(model, sched) - scale * bayes_expected_delay(model, sched)
-            assert residual == pytest.approx(c100, abs=1e-9)
+        block = random_schedule(100, rng, 100)
+        residual = bayes_cumulative_gaoi(model, block) - scale * bayes_expected_delay(model, block)
+        assert residual == pytest.approx(np.full(100, c100), abs=1e-9)
 
     @given(st.floats(0.02, 0.98), st.integers(0, 60), st.data())
     @settings(max_examples=150, deadline=None)
     def test_affine_identity_property(self, p, horizon, data):
         model = BayesModel(p)
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-        sched = random_schedule(horizon, rng)
+        sched = random_schedule(horizon, rng, 1)
         lhs = bayes_cumulative_gaoi(model, sched) - model.h1 / p * bayes_expected_delay(model, sched)
-        assert lhs == pytest.approx(bayes_constant_c(model, horizon), abs=1e-9)
+        assert lhs[0] == pytest.approx(bayes_constant_c(model, horizon), abs=1e-9)
 
     @given(st.floats(0.02, 0.98), st.integers(0, 5000))
     @settings(max_examples=200)

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 import yaml
 
-from gaoi import cli, ensemble
+from gaoi import cli, ensemble, metrics
 from gaoi.cli import (EXIT_CONFIG, EXIT_IO, EXIT_MODEL, EXIT_OK, EXIT_VERIFY_FAILED,
                       SUMMARY_COLUMNS, main)
 
@@ -264,6 +264,18 @@ class TestVerify:
         data["run"] = {"horizon": 200, "num_paths": 50, "base_seed": 2}
         assert main(["verify", "thm1", "--config", write_config(tmp_path, data)]) == EXIT_OK
         assert "n/a (zero entropy rate)" in capsys.readouterr().out
+
+    def test_thm1_analytic_check_runs_the_ensemble_detection(self, monkeypatch, capsys):
+        # the analytic identities read detection times from the same
+        # detection_block as the ensemble, so a late detection must fail them
+        def late(block, detect=metrics.detection_block):
+            return detect(block) + 1
+
+        monkeypatch.setattr(metrics, "detection_block", late)
+        monkeypatch.setattr(ensemble, "detection_block", late)
+        code = main(["verify", "thm1", "--preset", "fig5", "--paths", "20"])
+        assert "FAIL: integer schedule identity violated" in capsys.readouterr().out
+        assert code == EXIT_VERIFY_FAILED
 
     def test_thm2_passes(self, tmp_path):
         data = dict(BAYES_CONFIG)

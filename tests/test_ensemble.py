@@ -9,7 +9,6 @@ from gaoi import (
     DwellKernel,
     EnsembleConfig,
     PolicySpec,
-    aoi_series,
     bayes_constant_c,
     bayes_cumulative_gaoi,
     derive_stream,
@@ -20,10 +19,11 @@ from gaoi import (
 )
 from gaoi import bayes, ensemble, markov
 from gaoi.ensemble import INIT_SALT, PATH_SALT, POLICY_SALT, sample_block
+from gaoi.schedule import aoi_block
 from gaoi.markov import JointState, stationary_distribution
 
 from conftest import make_cycle, make_two_state_swap
-from reference import joint_step, reference_ensemble
+from reference import joint_step, reference_ensemble, rows
 
 
 PERIODIC_50 = PolicySpec(kind="periodic", period=50, delay=DelayLaw.deterministic(0))
@@ -202,13 +202,13 @@ class TestRunEnsemble:
         # swapping the base seed's path salt must not move the schedules:
         # schedules derive only from the policy stream
         from gaoi.ensemble import POLICY_SALT
-        from gaoi.schedule import generate_schedule
+        from gaoi.schedule import generate_schedules
 
         seed = 31
         for k in range(5):
-            sched = generate_schedule(GREEDY_2080, 300, derive_stream(seed, k, POLICY_SALT))
-            again = generate_schedule(GREEDY_2080, 300, derive_stream(seed, k, POLICY_SALT))
-            assert sched == again
+            sched = generate_schedules(GREEDY_2080, 300, [derive_stream(seed, k, POLICY_SALT)])
+            again = generate_schedules(GREEDY_2080, 300, [derive_stream(seed, k, POLICY_SALT)])
+            assert rows(sched) == rows(again)
 
     def test_proportionality_relation_small_ensemble(self):
         config = EnsembleConfig(
@@ -308,14 +308,14 @@ class TestBayesBranch:
         horizon = 100
         h = h_closed(model, np.arange(horizon + 1))
         decay = bayes.survival_table(model, horizon)
-        for _ in range(30):
-            sched = random_schedule(horizon, rng)
-            ages = aoi_series(sched)
+        block = random_schedule(horizon, rng, 30)
+        cumulative = bayes_cumulative_gaoi(model, block)
+        for ages, total in zip(aoi_block(block), cumulative):
             series = ensemble._bayes_gaoi_series(h, decay, ages)
             reference = [h_closed(model, int(a) + 1) * (1.0 - p) ** (n - int(a))
                          for n, a in enumerate(ages)]
             assert np.array_equal(series, reference)
-            assert abs(series.sum() - bayes_cumulative_gaoi(model, sched)) <= 1e-9
+            assert abs(series.sum() - total) <= 1e-9
 
     @pytest.mark.parametrize("policy", [PERIODIC_50, GREEDY_2080])
     def test_mean_series_sums_to_mean_cumulative(self, policy):

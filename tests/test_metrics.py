@@ -4,9 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gaoi import (
-    ScheduleBlock,
-    UpdateSchedule,
-    aoi_series,
     closed_form_aoi,
     cumulative_aoi,
     delay_double_sum,
@@ -14,7 +11,9 @@ from gaoi import (
     random_schedule,
     verify_proportionality,
 )
-from gaoi.schedule import detection_block
+from gaoi.schedule import aoi_block, detection_block
+
+from reference import reference_delay_double_sum, rows
 
 H_06 = 0.9709505944546686
 
@@ -35,40 +34,45 @@ def schedules(draw, max_horizon=200):
 
 def detection_delays(sched, change_slots):
     """(change slot, delay) for each change, read off ``detection_block``."""
-    detect = detection_block(ScheduleBlock.of(sched))[0]
+    detect = detection_block(sched)[0]
     return [(n, int(detect[n]) - n) for n in sorted(change_slots)]
 
 
 class TestCumulativeAoi:
     def test_single_update(self):
-        sched = UpdateSchedule(horizon=10, samples=(3,), deliveries=(5,))
-        assert cumulative_aoi(sched) == 30
-        assert closed_form_aoi(sched) == 30
+        sched = filter_stale([(3, 5)], horizon=10)
+        assert cumulative_aoi(sched).tolist() == [30]
+        assert closed_form_aoi(sched).tolist() == [30]
 
     def test_no_updates_triangular(self):
         for t in (1, 2, 10, 57):
-            sched = UpdateSchedule(horizon=t, samples=(), deliveries=())
-            assert cumulative_aoi(sched) == t * (t - 1) // 2
+            sched = filter_stale([], horizon=t)
+            assert cumulative_aoi(sched).tolist() == [t * (t - 1) // 2]
 
     def test_instant_periodic(self):
         n, periods = 5, 4
         t = n * periods
-        sched = UpdateSchedule(
-            horizon=t,
-            samples=tuple(range(n, t, n)),
-            deliveries=tuple(range(n, t, n)),
-        )
-        assert cumulative_aoi(sched) == periods * n * (n - 1) // 2
+        sched = filter_stale([(s, s) for s in range(n, t, n)], horizon=t)
+        assert cumulative_aoi(sched).tolist() == [periods * n * (n - 1) // 2]
 
     @given(schedules())
     @settings(max_examples=300, deadline=None)
     def test_closed_form_matches_summation_exactly(self, sched):
-        assert cumulative_aoi(sched) == closed_form_aoi(sched)
+        assert cumulative_aoi(sched).tolist() == closed_form_aoi(sched).tolist()
 
     @given(schedules())
     @settings(max_examples=300, deadline=None)
     def test_double_sum_matches_closed_form_exactly(self, sched):
-        assert delay_double_sum(sched) == closed_form_aoi(sched)
+        closed = closed_form_aoi(sched).tolist()
+        assert delay_double_sum(sched).tolist() == closed
+        assert [reference_delay_double_sum(rows(sched)[0], sched.horizon)] == closed
+
+    def test_rows_are_independent(self, rng):
+        # a block's rows give what each row gives alone, padding included
+        block = random_schedule(150, rng, 40)
+        for f in (cumulative_aoi, closed_form_aoi, delay_double_sum):
+            alone = [f(filter_stale(pairs, 150))[0] for pairs in rows(block)]
+            assert f(block).tolist() == alone
 
     @given(schedules(), st.integers(1, 199), st.integers(0, 40))
     @settings(max_examples=200, deadline=None)
@@ -76,31 +80,30 @@ class TestCumulativeAoi:
         if s >= sched.horizon:
             s = sched.horizon - 1
         d = min(s + delay, sched.horizon)
-        pairs = list(zip(sched.samples, sched.deliveries)) + [(s, d)]
-        extended = filter_stale(pairs, sched.horizon)
-        assert cumulative_aoi(extended) <= cumulative_aoi(sched)
+        extended = filter_stale(rows(sched)[0] + [(s, d)], sched.horizon)
+        assert cumulative_aoi(extended)[0] <= cumulative_aoi(sched)[0]
 
     def test_wide_integers_large_horizon(self):
         t = 10**6
-        sched = UpdateSchedule(horizon=t, samples=(), deliveries=())
-        assert closed_form_aoi(sched) == t * (t - 1) // 2
+        sched = filter_stale([], horizon=t)
+        assert closed_form_aoi(sched).tolist() == [t * (t - 1) // 2]
 
 
 class TestDetectionDelays:
     def test_change_after_last_sample_capped(self):
-        sched = UpdateSchedule(horizon=10, samples=(3,), deliveries=(5,))
+        sched = filter_stale([(3, 5)], horizon=10)
         assert detection_delays(sched, {4}) == [(4, 6)]
 
     def test_change_before_sample(self):
-        sched = UpdateSchedule(horizon=10, samples=(3,), deliveries=(5,))
+        sched = filter_stale([(3, 5)], horizon=10)
         assert detection_delays(sched, {2}) == [(2, 3)]
 
     def test_change_at_sampling_slot_instant_delivery(self):
-        sched = UpdateSchedule(horizon=10, samples=(3,), deliveries=(3,))
+        sched = filter_stale([(3, 3)], horizon=10)
         assert detection_delays(sched, {3}) == [(3, 0)]
 
     def test_multiple_changes_detected_at_same_delivery(self):
-        sched = UpdateSchedule(horizon=20, samples=(10,), deliveries=(12,))
+        sched = filter_stale([(10, 12)], horizon=20)
         assert detection_delays(sched, {2, 5, 7}) == [(2, 10), (5, 7), (7, 5)]
 
 
@@ -109,8 +112,8 @@ class TestExpectedDelayStationary:
     detection delay is p times the closed-form cumulative AoI."""
 
     def test_p_one_equals_double_sum(self):
-        sched = UpdateSchedule(horizon=10, samples=(3,), deliveries=(5,))
-        assert 1.0 * closed_form_aoi(sched) == delay_double_sum(sched) == 30
+        sched = filter_stale([(3, 5)], horizon=10)
+        assert 1.0 * closed_form_aoi(sched)[0] == delay_double_sum(sched)[0] == 30
 
     @given(schedules(), st.floats(0.0, 1.0))
     @settings(max_examples=100, deadline=None)
@@ -118,26 +121,26 @@ class TestExpectedDelayStationary:
         # p times the delay of a change in every slot, as the ensemble reads it
         every_slot = detection_delays(sched, range(1, sched.horizon + 1))
         assert p * sum(d for _, d in every_slot) == pytest.approx(
-            p * closed_form_aoi(sched), rel=1e-12
+            p * closed_form_aoi(sched)[0], rel=1e-12
         )
 
 
 class TestGaoiStationary:
     def test_zero_rate_all_zero(self, rng):
-        sched = random_schedule(50, rng)
-        assert not (aoi_series(sched) * 0.0).any()
+        sched = random_schedule(50, rng, 1)
+        assert not (aoi_block(sched) * 0.0).any()
 
     def test_cumulative_scaling(self):
-        sched = UpdateSchedule(horizon=10, samples=(3,), deliveries=(5,))
-        assert H_06 * cumulative_aoi(sched) == pytest.approx(30 * H_06, abs=1e-9)
-        assert (aoi_series(sched) * H_06).sum() == pytest.approx(30 * H_06, abs=1e-9)
+        sched = filter_stale([(3, 5)], horizon=10)
+        assert H_06 * cumulative_aoi(sched)[0] == pytest.approx(30 * H_06, abs=1e-9)
+        assert (aoi_block(sched) * H_06).sum() == pytest.approx(30 * H_06, abs=1e-9)
 
 
 class TestVerifyProportionality:
     def test_analytic_mode_exact(self, rng):
         p, rate = 0.6, H_06
-        for _ in range(50):
-            aoi = float(closed_form_aoi(random_schedule(150, rng)))
+        for aoi in closed_form_aoi(random_schedule(150, rng, 50)).tolist():
+            aoi = float(aoi)
             report = verify_proportionality(rate * aoi, aoi, p * aoi, rate, p)
             assert report.rel_gap_delay < 1e-12
             assert report.rel_gap_gaoi < 1e-12

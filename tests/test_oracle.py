@@ -6,10 +6,10 @@ from gaoi import (
     ChangeKernel,
     DwellKernel,
     JointState,
-    UpdateSchedule,
     bayes_expected_delay,
     discrete_entropy,
     entropy_rate,
+    filter_stale,
     h_closed,
     random_schedule,
     stationary_distribution,
@@ -289,20 +289,17 @@ class TestExactBayes:
         )
 
     def test_delay_two_term_enumeration(self):
-        sched = UpdateSchedule(horizon=2, samples=(), deliveries=())
-        assert exact_bayes_delay(BayesModel(0.5), sched) == pytest.approx(0.5, abs=1e-12)
+        sched = filter_stale([], horizon=2)
+        assert exact_bayes_delay(BayesModel(0.5), sched)[0] == pytest.approx(0.5, abs=1e-12)
 
     def test_delay_every_slot_instant(self):
         t = 20
-        sched = UpdateSchedule(
-            horizon=t, samples=tuple(range(1, t)), deliveries=tuple(range(1, t))
-        )
-        assert exact_bayes_delay(BayesModel(0.3), sched) == pytest.approx(0.0, abs=1e-12)
+        sched = filter_stale([(s, s) for s in range(1, t)], horizon=t)
+        assert exact_bayes_delay(BayesModel(0.3), sched)[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_delay_matches_closed_form(self, rng):
         model = BayesModel(0.04)
-        for _ in range(25):
-            sched = random_schedule(100, rng)
-            assert exact_bayes_delay(model, sched) == pytest.approx(
-                bayes_expected_delay(model, sched), abs=1e-12
-            )
+        block = random_schedule(100, rng, 25)
+        assert exact_bayes_delay(model, block) == pytest.approx(
+            bayes_expected_delay(model, block), abs=1e-12
+        )
