@@ -11,7 +11,6 @@ from .bayes import (
 from .ensemble import (
     EnsembleConfig,
     EnsembleStats,
-    StationaryLaw,
     derive_stream,
     run_ensemble,
 )
@@ -24,6 +23,7 @@ from .markov import (
     JointState,
     ModelError,
     StationaryDistribution,
+    StationaryLaw,
     discrete_entropy,
     entropy_rate,
     prob_change,

@@ -24,8 +24,8 @@ import numpy as np
 
 from .bayes import BayesModel, bayes_constant_c, bayes_cumulative_gaoi, bayes_expected_delay
 from .config import ConfigError, RunConfig, load_config, preset_config
-from .ensemble import EnsembleConfig, EnsembleStats, StationaryLaw, derive_stream, run_ensemble
-from .markov import ModelError, entropy_rate, prob_change, stationary_distribution
+from .ensemble import EnsembleConfig, EnsembleStats, derive_stream, run_ensemble
+from .markov import ModelError
 from .metrics import closed_form_aoi, cumulative_aoi, delay_double_sum, verify_proportionality
 from .schedule import DelayLaw, PolicySpec, generate_schedules, random_schedule
 
@@ -135,14 +135,12 @@ def cmd_entropy_rate(args) -> int:
     cfg = _load(args)
     if cfg.is_bayesian:
         raise ConfigError("entropy-rate needs a stationary model")
-    dist = stationary_distribution(cfg.model)
-    rate = entropy_rate(cfg.model, dist)
-    p = prob_change(dist)
-    print(f"entropy_rate_bits_per_slot: {rate.bits!r}")
-    print(f"p_change: {p!r}")
+    law = cfg.model.law
+    print(f"entropy_rate_bits_per_slot: {law.rate!r}")
+    print(f"p_change: {law.p_change!r}")
     row = {c: "" for c in SUMMARY_COLUMNS}
-    row.update(policy="", num_paths=0, horizon=cfg.horizon, p_change=p,
-               entropy_rate=rate.bits)
+    row.update(policy="", num_paths=0, horizon=cfg.horizon, p_change=law.p_change,
+               entropy_rate=law.rate)
     print(",".join(SUMMARY_COLUMNS))
     print(",".join(_fmt(row[c]) for c in SUMMARY_COLUMNS))
     return EXIT_OK
@@ -162,13 +160,11 @@ def cmd_simulate(args) -> int:
     except OSError as exc:
         print(f"error: cannot write to {out}: {exc}", file=sys.stderr)
         return EXIT_IO
-    law = None if cfg.is_bayesian else StationaryLaw.of(cfg.model)
     summary_rows = []
     for i, policy in enumerate(cfg.policies):
         stats = run_ensemble(
             EnsembleConfig(model=cfg.model, policy=policy, horizon=cfg.horizon,
                            num_paths=cfg.num_paths, base_seed=cfg.base_seed),
-            law=law,
         )
         summary_rows.append(_summary_row(cfg, policy, stats))
         series = _series_rows(stats)
@@ -183,8 +179,7 @@ def cmd_simulate(args) -> int:
 
 
 def _verify_thm1(cfg: RunConfig) -> int:
-    law = StationaryLaw.of(cfg.model)
-    rate, p = law.rate, law.p_change
+    rate, p = cfg.model.law.rate, cfg.model.law.p_change
     # analytic check: the three scaled quantities coincide on arbitrary schedules
     rng = derive_stream(cfg.base_seed, 0, 99)
     worst = 0.0
@@ -208,7 +203,6 @@ def _verify_thm1(cfg: RunConfig) -> int:
         stats = run_ensemble(
             EnsembleConfig(model=cfg.model, policy=policy, horizon=cfg.horizon,
                            num_paths=cfg.num_paths, base_seed=cfg.base_seed),
-            law=law,
         )
         report = verify_proportionality(
             stats.mean["cum_gaoi"], stats.mean["cum_aoi"], stats.mean["cum_delay"],

@@ -17,8 +17,10 @@ source models.  The models differ only in their change slots, a
 
 * A stationary path is rolled forward by one sampler, ``sample_block``, in
   lockstep with its block (one Python iteration per slot), from a start drawn
-  from the exact stationary law.  Path k draws only from its own streams, so
-  its realization does not depend on the block size or on the other paths in
+  from the exact stationary law.  The hazards and the law are the model's
+  own (``JointModel.hazard``, ``JointModel.law``), computed once per model,
+  not once per ensemble.  Path k draws only from its own streams, so its
+  realization does not depend on the block size or on the other paths in
   its block.  Its staleness is the entropy rate times its age.
 * A Bayesian path has one change, at a geometric time.  Its staleness is in
   closed form per schedule: the series is two look-ups in tables of h(x) and
@@ -39,13 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bayes as bayes_mod
-from .markov import (
-    JointModel,
-    StationaryDistribution,
-    entropy_rate,
-    prob_change,
-    stationary_distribution,
-)
+from .markov import JointModel
 from .schedule import PolicySpec, aoi_block, detection_block, generate_schedules
 
 PATH_SALT = 0
@@ -71,21 +67,6 @@ class EnsembleConfig:
             raise ValueError("horizon must be >= 1")
         if self.num_paths < 1:
             raise ValueError("need at least one path")
-
-
-@dataclass(frozen=True)
-class StationaryLaw:
-    """A stationary model's law, entropy rate (bits/slot) and per-slot change
-    probability: computed once, shared by every ensemble over the model."""
-
-    dist: StationaryDistribution
-    rate: float
-    p_change: float
-
-    @classmethod
-    def of(cls, model: JointModel) -> "StationaryLaw":
-        dist = stationary_distribution(model)
-        return cls(dist=dist, rate=entropy_rate(model, dist).bits, p_change=prob_change(dist))
 
 
 @dataclass(frozen=True)
@@ -160,8 +141,7 @@ def sample_block(model: JointModel, x0, t0, uniforms: np.ndarray,
     jump target.  Returns the (slots, paths) boolean mask of change slots
     (T_n = 0) and, if ``states`` is given, fills ``states[n, k]`` with X_{n+1}.
     """
-    m = model.dwell.prefix_len
-    hazard = np.column_stack([model.dwell.prefix, model.dwell.tail])  # q = hazard[x, min(t, m)]
+    m, hazard = model.dwell.prefix_len, model.hazard  # q = hazard[x, min(t, m)]
     cdf = np.cumsum(model.change.rows, axis=1)
     # Dividing by the row total ends every CDF at exactly 1.0, above any
     # uniform, so a zero-probability entry keeps zero width even at the top of
@@ -199,8 +179,15 @@ def _schedule_source(config: EnsembleConfig):
     return lambda block: generate_schedules(policy, horizon, (streams.at(k) for k in block))
 
 
-def _run(config: EnsembleConfig, law: StationaryLaw | None) -> EnsembleStats:
+def run_ensemble(config: EnsembleConfig) -> EnsembleStats:
+    """Simulate ``num_paths`` independent (path, schedule) pairs and aggregate.
+
+    A stationary model's law is the model's own (``JointModel.law``, computed
+    once per model).  Every path runs in the calling thread, and the output
+    depends only on the config.
+    """
     model, horizon = config.model, config.horizon
+    law = None if isinstance(model, bayes_mod.BayesModel) else model.law
     schedules_of = _schedule_source(config)
     paths = StreamFamily(config.base_seed, PATH_SALT)
     inits = StreamFamily(config.base_seed, INIT_SALT)
@@ -273,15 +260,3 @@ def _aggregate(config: EnsembleConfig, values: dict[str, np.ndarray], aoi_acc: n
         rate=rate,
         p_change=p_change,
     )
-
-
-def run_ensemble(config: EnsembleConfig, law: StationaryLaw | None = None) -> EnsembleStats:
-    """Simulate ``num_paths`` independent (path, schedule) pairs and aggregate.
-
-    ``law`` is the stationary model's law when the caller already holds it
-    (computed here otherwise; unused for a Bayesian model).  Every path runs
-    in the calling thread, and the output depends only on the config.
-    """
-    if isinstance(config.model, bayes_mod.BayesModel):
-        return _run(config, None)
-    return _run(config, law or StationaryLaw.of(config.model))

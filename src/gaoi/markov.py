@@ -12,11 +12,17 @@ a change eventually happens and the joint chain is recurrent; with that
 representation the stationary law is geometric past the prefix, and all the
 infinite series below (normalization, entropy rate) have closed-form tails,
 so the law and the entropy rate are exact.
+
+A ``JointModel`` owns the tables that depend on it alone (hazards, survival
+products, the one-step transition table and the stationary law), each built
+on first use and kept read-only: the kernels' arrays are read-only, so a
+model never changes and its tables never go stale.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -58,8 +64,8 @@ class DwellKernel:
     """Per-state change probabilities: prefix q_0..q_{m-1} plus constant tail.
 
     ``prefix[x]`` may be ragged across states; internally rows are padded to a
-    common length with the state's tail value, so ``q(x, i)`` is well defined
-    for any i >= 0.
+    common length with the state's tail value, so q_i(x) is well defined for
+    any i >= 0 (``JointModel.hazard[x, min(i, m)]``).
     """
 
     prefix: np.ndarray  # shape (n_states, m)
@@ -93,12 +99,6 @@ class DwellKernel:
     def prefix_len(self) -> int:
         return self.prefix.shape[1]
 
-    def q(self, x: int, i: int) -> float:
-        """Change probability after i dwell slots in status x."""
-        if i < self.prefix_len:
-            return float(self.prefix[x, i])
-        return float(self.tail[x])
-
 
 @dataclass(frozen=True)
 class JointState:
@@ -112,6 +112,11 @@ class JointState:
             raise ValueError("dwell counter must be non-negative")
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
 @dataclass(frozen=True)
 class JointModel:
     """Validated pair of change and dwell kernels over a common alphabet."""
@@ -123,13 +128,53 @@ class JointModel:
     def alphabet_size(self) -> int:
         return self.change.n_states
 
-    def survival(self, x: int, i: int) -> float:
-        """P[dwell in status x reaches at least i slots] = prod_{j<i}(1-q_j(x))."""
-        m = self.dwell.prefix_len
-        head = float(np.prod(1.0 - self.dwell.prefix[x, : min(i, m)]))
-        if i > m:
-            head *= (1.0 - float(self.dwell.tail[x])) ** (i - m)
-        return head
+    @cached_property
+    def hazard(self) -> np.ndarray:
+        """Change probability q_i(x) at ``[x, min(i, m)]``: the dwell prefix,
+        then the tail; shape (n, m + 1)."""
+        return _read_only(np.column_stack([self.dwell.prefix, self.dwell.tail]))
+
+    @cached_property
+    def survival(self) -> np.ndarray:
+        """S_x(i) = P[dwell in status x reaches at least i slots]
+        = prod_{j<i}(1 - q_j(x)) at ``[x, i]`` for i = 0..m; shape (n, m + 1).
+        Past the prefix S_x(i) = S_x(m) (1 - tail[x])^(i-m)."""
+        ones = np.ones(self.alphabet_size)
+        return _read_only(np.cumprod(np.column_stack([ones, 1.0 - self.dwell.prefix]), axis=1))
+
+    @cached_property
+    def transitions(self) -> tuple[np.ndarray, np.ndarray]:
+        """One-step successors of every group g = x (m+1) + min(t, m).
+
+        Returns ``(child, prob)``, each of shape (n (m+1), b), b the most live
+        (positive-probability) moves out of any group.  A row lists its
+        group's live moves in order: "stay" first (child at dwell
+        min(i+1, m), probability 1 - q), then "change to y" for y ascending
+        (child at dwell 0, probability q P[x, y]).  Shorter rows end in pad
+        moves of probability exactly 0.0 to a valid group, so a trajectory
+        through one has probability 0.
+        """
+        n, m = self.alphabet_size, self.dwell.prefix_len
+        q = self.hazard.ravel()
+        x = np.repeat(np.arange(n), m + 1)
+        i = np.tile(np.arange(m + 1), n)
+        rows = self.change.rows[x]
+        stay = x * (m + 1) + np.minimum(i + 1, m)
+        jump = np.broadcast_to(np.arange(n) * (m + 1), rows.shape)
+        child = np.column_stack([stay, jump])
+        prob = np.column_stack([1.0 - q, q[:, None] * rows])
+        live = prob > 0.0
+        # each row's live moves first, in column order; its dead moves become the pads
+        order = np.argsort(~live, axis=1, kind="stable")[:, :live.sum(axis=1).max()]
+        return (_read_only(np.take_along_axis(child, order, axis=1)),
+                _read_only(np.take_along_axis(prob, order, axis=1)))
+
+    @cached_property
+    def law(self) -> "StationaryLaw":
+        """The stationary law with its entropy rate and change probability."""
+        dist = stationary_distribution(self)
+        return StationaryLaw(dist=dist, rate=entropy_rate(self, dist).bits,
+                             p_change=prob_change(dist))
 
 
 @dataclass(frozen=True)
@@ -175,6 +220,16 @@ class StationaryDistribution:
             extra = np.floor(np.log1p(-u[:, 1]) / np.log1p(-self.tail[x]))
         # a tiny hazard can give a dwell past int64; any t >= m acts the same
         return x, np.where(t == m, m + np.minimum(extra, 2**62).astype(np.int64), t)
+
+
+@dataclass(frozen=True)
+class StationaryLaw:
+    """A stationary model's law, entropy rate (bits/slot) and per-slot change
+    probability; ``JointModel.law`` computes it once per model."""
+
+    dist: StationaryDistribution
+    rate: float
+    p_change: float
 
 
 def validate_model(change: ChangeKernel, dwell: DwellKernel) -> JointModel:
@@ -254,9 +309,7 @@ def stationary_distribution(model: JointModel) -> StationaryDistribution:
     which is geometric past the prefix.  Costs O(n m), whatever the hazards.
     """
     pi = embedded_stationary(model)
-    n = model.alphabet_size
-    tail = model.dwell.tail
-    survival = np.cumprod(np.column_stack([np.ones(n), 1.0 - model.dwell.prefix]), axis=1)
+    survival, tail = model.survival, model.dwell.tail
     mean_dwell = survival[:, :-1].sum(axis=1) + survival[:, -1] / tail
     mu = pi[:, None] / float(pi @ mean_dwell) * survival
     mu.setflags(write=False)
@@ -279,11 +332,14 @@ def discrete_entropy(pi: np.ndarray) -> float:
     return float(-(pos * np.log2(pos)).sum())
 
 
-def binary_entropy(q: float) -> float:
-    if q <= 0.0 or q >= 1.0:
-        return 0.0
+def binary_entropy(q):
+    """H(q, 1-q) in bits, elementwise (a float for a scalar); 0 if q <= 0 or q >= 1."""
+    q = np.asarray(q, dtype=float)
+    outside = (q <= 0.0) | (q >= 1.0)
+    q = np.where(outside, 0.5, q)
     # log1p keeps the digits of ln(1 - q) that 1 - q rounds away at small q
-    return -q * np.log2(q) - (1.0 - q) * np.log1p(-q) / np.log(2.0)
+    h = -q * np.log2(q) - (1.0 - q) * np.log1p(-q) / np.log(2.0)
+    return np.where(outside, 0.0, h)[()]
 
 
 @dataclass(frozen=True)
@@ -293,32 +349,18 @@ class EntropyRate:
     bits: float
 
 
-def _dwell_entropy_series(model: JointModel, x: int, h_change: float) -> float:
-    """sum_i prod_{j<i}(1-q_j(x)) [H(q_i(x)) + q_i(x) * h_change], exactly.
-
-    The constant dwell tail turns the series remainder into a geometric sum.
-    """
-    m = model.dwell.prefix_len
-    total = 0.0
-    surv = 1.0
-    for i in range(m):
-        q = model.dwell.q(x, i)
-        total += surv * (binary_entropy(q) + q * h_change)
-        surv *= 1.0 - q
-    qt = float(model.dwell.tail[x])
-    total += surv / qt * (binary_entropy(qt) + qt * h_change)
-    return total
-
-
 def entropy_rate(model: JointModel, dist: StationaryDistribution) -> EntropyRate:
     """Entropy rate of the joint chain in bits/slot, exactly.
 
-    Evaluates the change-weighted dwell series per status; the series tail is
-    summed in closed form.
+    Sums mu_{x,0} sum_i S_x(i) [H(q_i(x)) + q_i(x) H(P_x)] over the statuses.
+    Past the prefix every term is the tail's term times a geometric factor,
+    so the series remainder is column m's term over the tail hazard.  Each
+    series is added in dwell order (``cumsum``), then the statuses in turn.
     """
-    mu0 = dist.mu0
-    rate = 0.0
-    for x in range(model.alphabet_size):
-        h_px = discrete_entropy(model.change.rows[x])
-        rate += mu0[x] * _dwell_entropy_series(model, x, h_px)
-    return EntropyRate(bits=float(rate))
+    hazard = model.hazard
+    weights = model.survival.copy()
+    weights[:, -1] /= model.dwell.tail
+    h_change = np.array([discrete_entropy(row) for row in model.change.rows])
+    terms = weights * (binary_entropy(hazard) + hazard * h_change[:, None])
+    series = np.cumsum(terms, axis=1)[:, -1]
+    return EntropyRate(bits=float(np.cumsum(dist.mu0 * series)[-1]))

@@ -5,9 +5,10 @@ enumeration at small scale.  They are deliberately naive; every trajectory is
 walked with its probability and the entropy of the resulting distribution is
 evaluated directly.
 
-The trajectory oracle steps from a one-step table over the groups (status,
-dwell index capped at the prefix length) with a fixed fan-out: every group
-lists its live moves, padded with zero-probability moves to the widest row.
+The trajectory oracle steps from the model's one-step table over the groups
+(status, dwell index capped at the prefix length), ``JointModel.transitions``,
+built once per model, with a fixed fan-out: every group lists its live moves,
+padded with zero-probability moves to the widest row.
 Each start owns one row of ``b**a`` trajectory probabilities, each step one
 gather and one product over the block, and every trajectory's probability is
 carried individually to the end.  Starts are enumerated together in blocks of
@@ -32,31 +33,6 @@ BLOCK_TRAJECTORIES = 4096
 
 class EnumerationBudgetError(RuntimeError):
     """Enumeration would exceed the configured trajectory budget."""
-
-
-def _transition_table(model: JointModel) -> tuple[np.ndarray, np.ndarray]:
-    """One-step successors of every group g = x (m+1) + min(t, m).
-
-    Returns ``(child, prob)``, each of shape (n (m+1), b), b the most live
-    (positive-probability) moves out of any group.  A row lists its group's
-    live moves in order: "stay" first (child at dwell min(i+1, m), probability
-    1 - q), then "change to y" for y ascending (child at dwell 0, probability
-    q P[x, y]).  Shorter rows end in pad moves of probability exactly 0.0 to a
-    valid group, so a trajectory through one has probability 0.
-    """
-    n, m = model.alphabet_size, model.dwell.prefix_len
-    q = np.column_stack([model.dwell.prefix, model.dwell.tail]).ravel()
-    x = np.repeat(np.arange(n), m + 1)
-    i = np.tile(np.arange(m + 1), n)
-    rows = model.change.rows[x]
-    stay = x * (m + 1) + np.minimum(i + 1, m)
-    jump = np.broadcast_to(np.arange(n) * (m + 1), rows.shape)
-    child = np.column_stack([stay, jump])
-    prob = np.column_stack([1.0 - q, q[:, None] * rows])
-    live = prob > 0.0
-    # each row's live moves first, in column order; its dead moves become the pads
-    order = np.argsort(~live, axis=1, kind="stable")[:, :live.sum(axis=1).max()]
-    return np.take_along_axis(child, order, axis=1), np.take_along_axis(prob, order, axis=1)
 
 
 def _enumerate(table: tuple[np.ndarray, np.ndarray], starts: np.ndarray, a: int) -> np.ndarray:
@@ -85,7 +61,7 @@ def _entropies(model: JointModel, starts: np.ndarray, a: int, budget: int) -> np
         raise EnumerationBudgetError(
             f"~{fan}^{a} trajectories exceed the budget of {budget}"
         )
-    table = _transition_table(model)
+    table = model.transitions
     # a start has b^a trajectories, b the table's width
     per_block = max(1, BLOCK_TRAJECTORIES // table[0].shape[1]**a)
     out = np.empty(len(starts))

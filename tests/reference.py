@@ -19,6 +19,10 @@ sampling times taken by ``np.unique`` and one delay draw per update.
 time, that ``sample_block``'s law is tested against, and
 ``entropy_rate_homogeneous`` is an entropy-rate formula for models whose
 statuses share one dwell law, against which ``entropy_rate`` is tested.
+``reference_entropy_rate`` is the entropy rate as a loop over the dwell
+prefix, one status at a time, with the scalar ``reference_binary_entropy``:
+``entropy_rate`` must agree with it bit for bit.  ``reference_survival`` is
+one survival product S_x(i), taken for any i >= 0.
 """
 
 from __future__ import annotations
@@ -34,7 +38,6 @@ from gaoi.ensemble import (
     POLICY_SALT,
     EnsembleConfig,
     EnsembleStats,
-    StationaryLaw,
     _aggregate,
     derive_stream,
     sample_block,
@@ -45,7 +48,6 @@ from gaoi.markov import (
     JointState,
     ModelError,
     StationaryDistribution,
-    _dwell_entropy_series,
     discrete_entropy,
     prob_change,
 )
@@ -62,11 +64,54 @@ from gaoi.schedule import (
 
 def joint_step(model: JointModel, u: JointState, rng: np.random.Generator) -> JointState:
     """Advance the joint chain one slot using draws from ``rng``."""
-    q = model.dwell.q(u.x, u.t)
+    q = model.hazard[u.x, min(u.t, model.dwell.prefix_len)]
     if rng.random() < q:
         x_new = int(rng.choice(model.alphabet_size, p=model.change.rows[u.x]))
         return JointState(x=x_new, t=0)
     return JointState(x=u.x, t=u.t + 1)
+
+
+def reference_survival(model: JointModel, x: int, i: int) -> float:
+    """P[dwell in status x reaches at least i slots] = prod_{j<i}(1-q_j(x))."""
+    m = model.dwell.prefix_len
+    head = float(np.prod(1.0 - model.dwell.prefix[x, : min(i, m)]))
+    if i > m:
+        head *= (1.0 - float(model.dwell.tail[x])) ** (i - m)
+    return head
+
+
+def reference_binary_entropy(q: float) -> float:
+    """H(q, 1-q) in bits for one q; 0 where q <= 0 or q >= 1."""
+    if q <= 0.0 or q >= 1.0:
+        return 0.0
+    return -q * np.log2(q) - (1.0 - q) * np.log1p(-q) / np.log(2.0)
+
+
+def _dwell_entropy_series(model: JointModel, x: int, h_change: float) -> float:
+    """sum_i prod_{j<i}(1-q_j(x)) [H(q_i(x)) + q_i(x) * h_change], exactly.
+
+    The constant dwell tail turns the series remainder into a geometric sum.
+    """
+    m = model.dwell.prefix_len
+    total = 0.0
+    surv = 1.0
+    for i in range(m):
+        q = float(model.dwell.prefix[x, i])
+        total += surv * (reference_binary_entropy(q) + q * h_change)
+        surv *= 1.0 - q
+    qt = float(model.dwell.tail[x])
+    total += surv / qt * (reference_binary_entropy(qt) + qt * h_change)
+    return total
+
+
+def reference_entropy_rate(model: JointModel, dist: StationaryDistribution) -> EntropyRate:
+    """Entropy rate as the change-weighted dwell series, one status at a time."""
+    mu0 = dist.mu0
+    rate = 0.0
+    for x in range(model.alphabet_size):
+        h_px = discrete_entropy(model.change.rows[x])
+        rate += mu0[x] * _dwell_entropy_series(model, x, h_px)
+    return EntropyRate(bits=float(rate))
 
 
 def entropy_rate_homogeneous(model: JointModel, dist: StationaryDistribution) -> EntropyRate:
@@ -209,7 +254,7 @@ def reference_ensemble(config: EnsembleConfig) -> EnsembleStats:
     from ``reference_detection``, and every series added in path order."""
     model, horizon, seed = config.model, config.horizon, config.base_seed
     bayesian = isinstance(model, bayes.BayesModel)
-    law = None if bayesian else StationaryLaw.of(model)
+    law = None if bayesian else model.law
     if bayesian:
         h = bayes.h_closed(model, np.arange(horizon + 1))
         decay = bayes.survival_table(model, horizon)

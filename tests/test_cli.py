@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 import yaml
 
-from gaoi import cli, ensemble, metrics
+from gaoi import cli, ensemble, markov, metrics
 from gaoi.cli import (EXIT_CONFIG, EXIT_IO, EXIT_MODEL, EXIT_OK, EXIT_VERIFY_FAILED,
                       SUMMARY_COLUMNS, main)
 
@@ -215,15 +215,15 @@ class TestSimulate:
                      "--out", str(tmp_path / "out")]) == EXIT_CONFIG
 
     def test_stationary_law_computed_once(self, tmp_path, monkeypatch):
+        # JointModel.law looks the law up in markov, once per model
         calls = []
-        real = ensemble.stationary_distribution
+        real = markov.stationary_distribution
 
         def counted(model):
             calls.append(model)
             return real(model)
 
-        for module in (ensemble, cli):
-            monkeypatch.setattr(module, "stationary_distribution", counted)
+        monkeypatch.setattr(markov, "stationary_distribution", counted)
         data = {**SWAP_CONFIG, "policies": [SWAP_CONFIG["policy"],
                                             {"kind": "greedy", "delay": {"uniform": [1, 9]}}]}
         del data["policy"]

@@ -23,7 +23,7 @@ from gaoi.schedule import aoi_block
 from gaoi.markov import JointState, stationary_distribution
 
 from conftest import make_cycle, make_two_state_swap
-from reference import joint_step, reference_ensemble, rows
+from reference import joint_step, reference_ensemble, reference_survival, rows
 
 
 PERIODIC_50 = PolicySpec(kind="periodic", period=50, delay=DelayLaw.deterministic(0))
@@ -154,8 +154,10 @@ class TestStationarySample:
         expected = np.empty((3, width))
         for s in range(3):
             # independent of the stored levels: mu_{s,0} times the survival product
-            expected[s, :-1] = [dist.mu0[s] * model.survival(s, i) for i in range(m + extra)]
-            expected[s, -1] = dist.mu0[s] * model.survival(s, m + extra) / model.dwell.tail[s]
+            expected[s, :-1] = [dist.mu0[s] * reference_survival(model, s, i)
+                                for i in range(m + extra)]
+            expected[s, -1] = (dist.mu0[s] * reference_survival(model, s, m + extra)
+                               / model.dwell.tail[s])
         assert expected.sum() == pytest.approx(1.0, abs=1e-12)
         keep = expected.ravel() > 0.0
         assert observed[~keep].sum() == 0

@@ -15,10 +15,17 @@ from gaoi import (
     stationary_distribution,
     validate_model,
 )
+from gaoi.config import preset_config
 from gaoi.markov import IrreducibilityError, binary_entropy, embedded_stationary
 
 from conftest import make_cycle, make_two_state_swap, make_uniform_three, random_model
-from reference import entropy_rate_homogeneous, joint_step
+from reference import (
+    entropy_rate_homogeneous,
+    joint_step,
+    reference_binary_entropy,
+    reference_entropy_rate,
+    reference_survival,
+)
 
 H_06 = 0.9709505944546686  # binary entropy of 0.6 in bits
 
@@ -39,7 +46,7 @@ class TestValidateModel:
             ChangeKernel(np.array([[1.0, 0.0], [0.5, 0.5]])),
             DwellKernel.homogeneous(2, [], 0.5),
         )
-        assert model.dwell.q(0, 3) == 0.5
+        assert model.hazard[0, min(3, model.dwell.prefix_len)] == 0.5
 
     def test_bad_row_sum_rejected(self):
         with pytest.raises(ModelError, match="sum to 1"):
@@ -127,7 +134,7 @@ class TestStationaryDistribution:
                 mu0 = dist.mu[x][0]
                 for i in range(model.dwell.prefix_len + 400):
                     assert exact_level(dist, x, i) == pytest.approx(
-                        mu0 * model.survival(x, i), rel=1e-12, abs=1e-300
+                        mu0 * reference_survival(model, x, i), rel=1e-12, abs=1e-300
                     )
 
     def test_matches_power_iteration_on_truncated_joint_chain(self, rng):
@@ -141,7 +148,7 @@ class TestStationaryDistribution:
             P = np.zeros((dim, dim))
             for x in range(n):
                 for t in range(cap):
-                    q = model.dwell.q(x, t)
+                    q = model.hazard[x, min(t, model.dwell.prefix_len)]
                     if t + 1 < cap:
                         P[x * cap + t, x * cap + t + 1] = 1.0 - q
                     else:
@@ -182,7 +189,7 @@ class TestStationaryDistribution:
         assert dist.group_weights.sum() == pytest.approx(1.0, abs=1e-12)
         mean_dwell = np.empty(3)
         for x in range(3):
-            surv = np.array([model.survival(x, i) for i in range(m + 1)])
+            surv = np.array([reference_survival(model, x, i) for i in range(m + 1)])
             np.testing.assert_allclose(dist.mu[x], dist.mu[x, 0] * surv, rtol=1e-12, atol=0)
             mean_dwell[x] = surv[:-1].sum() + surv[-1] / model.dwell.tail[x]
         # mu_{x,0}: the change chain's mass over the mean dwell
@@ -251,6 +258,21 @@ class TestBinaryEntropy:
             exact = -(d * d.ln() + (1 - d) * (1 - d).ln()) / Decimal(2).ln()
         assert abs(Decimal(float(binary_entropy(q))) - exact) <= Decimal(1e-15) * exact
 
+    def test_scalar_returns_float(self):
+        for q in (0.0, 1e-300, 0.3, 1.0):
+            assert isinstance(binary_entropy(q), float)
+
+    def test_array_equals_scalar_calls(self):
+        # the edges of the zero rule, tiny hazards where log1p matters, and a
+        # sweep of (0, 1), in a 2-d array
+        rng = np.random.default_rng(5)
+        q = np.concatenate([[0.0, 1.0, -0.5, 1.5, 1e-300, 1e-12, 1e-8, 1.0 - 1e-16],
+                            rng.random(992), 10.0 ** rng.uniform(-300, 0, 1000)]).reshape(40, 50)
+        h = binary_entropy(q)
+        assert h.shape == q.shape
+        assert h.tolist() == [[binary_entropy(v) for v in row] for row in q.tolist()]
+        assert h.tolist() == [[reference_binary_entropy(v) for v in row] for row in q.tolist()]
+
 
 class TestEntropyRate:
     def test_swap_rate_is_binary_entropy(self):
@@ -307,3 +329,71 @@ class TestEntropyRate:
             model = make_cycle(n)
             dist = stationary_distribution(model)
             assert entropy_rate(model, dist).bits == 0.0
+
+    @pytest.mark.parametrize("q", [1e-12, 1e-8, 1e-6])
+    def test_tiny_hazard_swap_keeps_log1p_digits(self, q):
+        # the swap chain's rate is H(q, 1-q); a form that takes
+        # (1 - q) log2(1 - q) literally is off by about 2.6e-10 at q = 1e-8
+        model = make_two_state_swap(q)
+        with localcontext() as ctx:
+            ctx.prec = 60
+            d = Decimal(q)
+            exact = -(d * d.ln() + (1 - d) * (1 - d).ln()) / Decimal(2).ln()
+        bits = entropy_rate(model, stationary_distribution(model)).bits
+        assert abs(Decimal(bits) - exact) <= Decimal(1e-15) * exact
+
+    def test_bit_identical_to_reference_loop(self, rng):
+        # the vectorised rate adds every dwell series in dwell order and the
+        # statuses in turn, as the loop does, so not one bit moves
+        sticky = np.random.default_rng(170)
+        rows = np.zeros((3, 3))
+        for x in range(3):
+            rows[x, [y for y in range(3) if y != x]] = sticky.dirichlet(np.ones(2))
+        zero_diagonal = np.array([[0.0, 0.3, 0.7], [0.5, 0.0, 0.5], [1.0, 0.0, 0.0]])
+        models = [
+            preset_config("fig5").model,
+            # 3 statuses, a 170-slot prefix of log-uniform hazards, a 0.01 tail
+            validate_model(ChangeKernel(rows), DwellKernel(
+                np.exp(sticky.uniform(np.log(0.002), np.log(0.1), (3, 170))),
+                np.full(3, 0.01))),
+            make_cycle(3),
+            # a certain change inside the prefix, and impossible ones
+            validate_model(ChangeKernel(zero_diagonal), DwellKernel.from_lists(
+                [[0.2, 1.0, 0.4], [0.0, 1.0], [0.5]], [0.3, 0.6, 0.9])),
+            *(random_model(rng) for _ in range(200)),
+        ]
+        for model in models:
+            dist = stationary_distribution(model)
+            assert entropy_rate(model, dist).bits == reference_entropy_rate(model, dist).bits
+
+
+class TestModelTables:
+    def test_tables_are_read_only(self, rng):
+        model = random_model(rng)
+        for table in (model.hazard, model.survival, *model.transitions):
+            with pytest.raises(ValueError):
+                table[0, 0] = 0.5
+
+    def test_tables_are_built_once(self, rng):
+        model = random_model(rng)
+        for name in ("hazard", "survival", "transitions", "law"):
+            assert getattr(model, name) is getattr(model, name)
+
+    def test_hazard_and_survival_tables(self, rng):
+        for _ in range(10):
+            model = random_model(rng)
+            m = model.dwell.prefix_len
+            assert model.hazard.shape == model.survival.shape == (model.alphabet_size, m + 1)
+            for x in range(model.alphabet_size):
+                assert model.hazard[x, -1] == model.dwell.tail[x]
+                assert np.array_equal(model.hazard[x, :-1], model.dwell.prefix[x])
+                for i in range(m + 1):
+                    assert model.survival[x, i] == pytest.approx(
+                        reference_survival(model, x, i), rel=1e-14)
+
+    def test_law_matches_its_parts(self, rng):
+        model = random_model(rng)
+        dist = stationary_distribution(model)
+        assert np.array_equal(model.law.dist.mu, dist.mu)
+        assert model.law.rate == entropy_rate(model, dist).bits
+        assert model.law.p_change == prob_change(dist)

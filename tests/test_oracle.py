@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from gaoi import (
     BayesModel,
     ChangeKernel,
     DwellKernel,
+    JointModel,
     JointState,
     bayes_expected_delay,
     discrete_entropy,
@@ -40,7 +43,7 @@ def reference_probs(model, u0, a):
     for _ in range(a):
         nxt = {}
         for (x, t), probs in frontier.items():
-            q = model.dwell.q(x, t)
+            q = model.hazard[x, min(t, model.dwell.prefix_len)]
             if q < 1.0:
                 nxt.setdefault((x, t + 1), []).append(probs * (1.0 - q))
             if q > 0.0:
@@ -91,7 +94,7 @@ class TestExactConditionalEntropy:
             model = random_model(rng, max_prefix=3)
             x = int(rng.integers(model.alphabet_size))
             t = int(rng.integers(0, 5))
-            q = model.dwell.q(x, t)
+            q = model.hazard[x, min(t, model.dwell.prefix_len)]
             probs = np.concatenate([[1.0 - q], q * model.change.rows[x]])
             expected = discrete_entropy(probs[probs > 0] / probs.sum())
             got = exact_conditional_entropy(model, JointState(x, t), 1)
@@ -134,7 +137,7 @@ class TestExactConditionalEntropy:
         # each row is checked beside the others.
         for model in edge_models(rng):
             m = model.dwell.prefix_len
-            table = oracle._transition_table(model)
+            table = model.transitions
             starts = [JointState(x, t) for x in range(model.alphabet_size)
                       for t in [*range(m + 1), m + 5]]
             groups = np.array([u.x * (m + 1) + min(u.t, m) for u in starts])
@@ -151,13 +154,13 @@ class TestExactConditionalEntropy:
     def test_padded_table_rows(self, rng):
         # live moves first, stay then changes by target, pads of probability 0
         for model in edge_models(rng):
-            child, prob = oracle._transition_table(model)
+            child, prob = model.transitions
             n, m = model.alphabet_size, model.dwell.prefix_len
             assert child.shape == prob.shape == (n * (m + 1), (prob > 0.0).sum(axis=1).max())
             assert np.all((child >= 0) & (child < n * (m + 1)))
             for g in range(n * (m + 1)):
                 x, i = divmod(g, m + 1)
-                q = model.dwell.q(x, i)
+                q = model.hazard[x, i]
                 moves = ([(x * (m + 1) + min(i + 1, m), 1.0 - q)] if q < 1.0 else []) + [
                     (y * (m + 1), q * p) for y, p in enumerate(model.change.rows[x])
                     if q * p > 0.0]
@@ -169,7 +172,7 @@ class TestExactConditionalEntropy:
         # q = 1 everywhere: one live move per group, a certain trajectory
         model = make_cycle(3)
         dist = stationary_distribution(model)
-        assert oracle._transition_table(model)[0].shape[1] == 1
+        assert model.transitions[0].shape[1] == 1
         for a in range(1, 9):
             assert exact_conditional_entropy(model, JointState(1, 0), a) == 0.0
             assert exact_ensemble_gaoi(model, dist, a) == 0.0
@@ -184,7 +187,7 @@ class TestExactConditionalEntropy:
         model = validate_model(ChangeKernel(rows),
                                DwellKernel(rng.uniform(0.05, 0.95, (3, 2)),
                                            rng.uniform(0.05, 0.95, 3)))
-        assert oracle._transition_table(model)[0].shape[1] == 3
+        assert model.transitions[0].shape[1] == 3
         assert 3**8 > oracle.BLOCK_TRAJECTORIES
         dist = stationary_distribution(model)
         rate = entropy_rate(model, dist)
@@ -192,6 +195,23 @@ class TestExactConditionalEntropy:
 
 
 class TestExactEnsembleGaoi:
+    def test_table_built_once_per_model(self, rng, monkeypatch):
+        builds = []
+        build = JointModel.transitions.func
+
+        def counted(model):
+            builds.append(model)
+            return build(model)
+
+        table = functools.cached_property(counted)
+        table.__set_name__(JointModel, "transitions")
+        monkeypatch.setattr(JointModel, "transitions", table)
+        model = random_model(rng, max_prefix=3)
+        dist = stationary_distribution(model)
+        for a in range(1, 9):
+            exact_ensemble_gaoi(model, dist, a)
+        assert builds == [model]
+
     def test_zero_age(self, rng):
         model = random_model(rng)
         dist = stationary_distribution(model)
