@@ -9,14 +9,7 @@ import argparse
 
 import numpy as np
 
-from gaoi import (
-    ChangeKernel,
-    DwellKernel,
-    JointModel,
-    entropy_rate,
-    prob_change,
-    stationary_distribution,
-)
+from gaoi import ChangeKernel, DwellKernel, validate_model
 
 
 def main() -> None:
@@ -27,10 +20,8 @@ def main() -> None:
     swap = ChangeKernel(np.array([[0.0, 1.0], [1.0, 0.0]]))
     print("q,p_change,entropy_rate_bits")
     for q in np.linspace(0.05, 0.95, args.steps):
-        model = JointModel(change=swap, dwell=DwellKernel.homogeneous(2, [], float(q)))
-        dist = stationary_distribution(model)
-        rate = entropy_rate(model, dist).bits
-        print(f"{q:.2f},{prob_change(dist)!r},{rate!r}")
+        model = validate_model(swap, DwellKernel.homogeneous(2, [], float(q)))
+        print(f"{q:.2f},{model.law.p_change!r},{model.law.rate!r}")
 
 
 if __name__ == "__main__":

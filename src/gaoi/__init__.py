@@ -34,7 +34,6 @@ from .metrics import (
     closed_form_aoi,
     cumulative_aoi,
     delay_double_sum,
-    verify_proportionality,
 )
 from .oracle import (
     exact_bayes_delay,

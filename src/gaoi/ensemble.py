@@ -73,18 +73,18 @@ class EnsembleConfig:
 class EnsembleStats:
     """Ensemble means with standard errors, plus per-slot average series.
 
-    ``rate`` and ``p_change`` are the stationary model's entropy rate and
-    per-slot change probability (None for a Bayesian model).
+    ``values[name]`` holds one value per path, in path order, for each name
+    in ``METRICS``: the means and standard errors are taken from them, and
+    paired statistics (such as ``verify thm1``'s) can be built from them.
     """
 
     num_paths: int
     horizon: int
     mean: dict[str, float]
     se: dict[str, float]
+    values: dict[str, np.ndarray]
     mean_aoi_series: np.ndarray
     mean_gaoi_series: np.ndarray
-    rate: float | None = None
-    p_change: float | None = None
 
 
 def _philox_key(base_seed: int, salt: int) -> np.ndarray:
@@ -225,10 +225,10 @@ def run_ensemble(config: EnsembleConfig) -> EnsembleStats:
         del ages
         delays = detection_block(schedules)[:, 1:] - slots
         values["cum_delay"][part] = delays.sum(axis=1, where=changed)
-    if law is None:
-        return _aggregate(config, values, aoi_acc, gaoi_acc)
-    values["cum_gaoi"] = law.rate * values["cum_aoi"]
-    return _aggregate(config, values, aoi_acc, law.rate * aoi_acc, law.rate, law.p_change)
+    if law is not None:
+        values["cum_gaoi"] = law.rate * values["cum_aoi"]
+        gaoi_acc = law.rate * aoi_acc
+    return _aggregate(config, values, aoi_acc, gaoi_acc)
 
 
 def _bayes_gaoi_series(h: np.ndarray, decay: np.ndarray, ages: np.ndarray) -> np.ndarray:
@@ -246,8 +246,7 @@ def _bayes_gaoi_series(h: np.ndarray, decay: np.ndarray, ages: np.ndarray) -> np
 
 
 def _aggregate(config: EnsembleConfig, values: dict[str, np.ndarray], aoi_acc: np.ndarray,
-               gaoi_acc: np.ndarray, rate: float | None = None,
-               p_change: float | None = None) -> EnsembleStats:
+               gaoi_acc: np.ndarray) -> EnsembleStats:
     n = config.num_paths
     return EnsembleStats(
         num_paths=n,
@@ -255,8 +254,7 @@ def _aggregate(config: EnsembleConfig, values: dict[str, np.ndarray], aoi_acc: n
         mean={name: float(v.mean()) for name, v in values.items()},
         se={name: float(v.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
             for name, v in values.items()},
+        values=values,
         mean_aoi_series=aoi_acc / n,
         mean_gaoi_series=gaoi_acc / n,
-        rate=rate,
-        p_change=p_change,
     )

@@ -1,5 +1,5 @@
-"""Schedule-level identities for cumulative age and detection delay, and
-the proportionality report of ``verify thm1``.
+"""Schedule-level identities for cumulative age and detection delay, which
+``verify thm1`` checks on random schedules.
 
 Each identity takes a ``ScheduleBlock`` and returns one integer per row, from
 the same ``aoi_block`` and ``detection_block`` arrays the ensembles read.
@@ -11,8 +11,6 @@ delivered sample contributes T - n.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,61 +39,3 @@ def delay_double_sum(block: ScheduleBlock) -> np.ndarray:
     """
     slots = np.arange(1, block.horizon + 1)
     return (detection_block(block)[:, 1:] - slots).sum(axis=1)
-
-
-@dataclass(frozen=True)
-class ProportionalityReport:
-    """Three views of the same quantity: GAoI/rate, AoI, delay/p_change.
-
-    ``gaoi_scaled`` is None when the entropy rate is zero (the GAoI ratio is
-    undefined; a periodic system carries no uncertainty).
-    """
-
-    gaoi_scaled: float | None
-    aoi: float
-    delay_scaled: float
-    aoi_se: float
-    delay_scaled_se: float
-    inconsistent: bool
-
-    @property
-    def rel_gap_delay(self) -> float:
-        """Relative gap between the AoI and delay-based quantities."""
-        if self.aoi == 0.0:
-            return 0.0 if self.delay_scaled == 0.0 else float("inf")
-        return abs(self.delay_scaled - self.aoi) / abs(self.aoi)
-
-    @property
-    def rel_gap_gaoi(self) -> float | None:
-        if self.gaoi_scaled is None:
-            return None
-        if self.aoi == 0.0:
-            return 0.0 if self.gaoi_scaled == 0.0 else float("inf")
-        return abs(self.gaoi_scaled - self.aoi) / abs(self.aoi)
-
-
-def verify_proportionality(
-    mean_cum_gaoi: float,
-    mean_cum_aoi: float,
-    mean_cum_delay: float,
-    rate: float,
-    p_change: float,
-    se_cum_aoi: float = 0.0,
-    se_cum_delay: float = 0.0,
-) -> ProportionalityReport:
-    """Scale ensemble means into the three comparable quantities.
-
-    GAoI is divided by the entropy rate and delay by the per-slot change
-    probability; all three agree for stationary models under state-independent
-    policies.  A zero rate with nonzero GAoI is flagged as inconsistent.
-    """
-    inconsistent = rate == 0.0 and mean_cum_gaoi != 0.0
-    gaoi_scaled = None if rate == 0.0 else mean_cum_gaoi / rate
-    return ProportionalityReport(
-        gaoi_scaled=gaoi_scaled,
-        aoi=mean_cum_aoi,
-        delay_scaled=mean_cum_delay / p_change,
-        aoi_se=se_cum_aoi,
-        delay_scaled_se=se_cum_delay / p_change,
-        inconsistent=inconsistent,
-    )

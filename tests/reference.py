@@ -4,7 +4,7 @@ The schedule, staleness and ensemble loops are written one update and one
 path at a time, in the plainest form: ``filter_stale``,
 ``generate_schedules``, ``random_schedule``, ``bayes_cumulative_gaoi``,
 ``bayes_expected_delay``, ``delay_double_sum`` and ``run_ensemble`` must
-agree with them bit for bit.
+agree with them bit for bit (``run_ensemble`` in its per-path values too).
 A schedule here is the list of its kept ``(s, d)`` pairs, and
 ``reference_filter_stale`` is the stale filter as a loop over pairs ordered
 by delivery, which every schedule loop shares.  The per-path ensemble draws
@@ -287,4 +287,4 @@ def reference_ensemble(config: EnsembleConfig) -> EnsembleStats:
             values["cum_gaoi"][k] = law.rate * values["cum_aoi"][k]
     if bayesian:
         return _aggregate(config, values, aoi_acc, gaoi_acc)
-    return _aggregate(config, values, aoi_acc, law.rate * aoi_acc, law.rate, law.p_change)
+    return _aggregate(config, values, aoi_acc, law.rate * aoi_acc)

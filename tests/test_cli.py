@@ -1,5 +1,7 @@
 import csv
+import math
 import os
+import random
 import stat
 import subprocess
 import sys
@@ -28,6 +30,21 @@ BAYES_CONFIG = {
     "policy": {"kind": "greedy", "delay": {"uniform": [2, 8]}},
     "run": {"horizon": 100, "num_paths": 200, "base_seed": 7},
 }
+
+
+def sticky_model(seed: int, prefix: int) -> dict:
+    """A slow-changing 3-status source: change rows and log-uniform dwell
+    hazards on [0.002, 0.1] drawn as perfbench/run.py's ``sticky_config``
+    draws them, each status's 170-slot prefix cut to its first ``prefix``."""
+    rng = random.Random(seed)
+    rows = []
+    for x in range(3):
+        w = [rng.expovariate(1.0) if y != x else 0.0 for y in range(3)]
+        rows.append([v / sum(w) for v in w])
+    lo, hi = math.log(0.002), math.log(0.1)
+    dwell = [{"prefix": [math.exp(rng.uniform(lo, hi)) for _ in range(170)][:prefix],
+              "tail": 0.01} for _ in range(3)]
+    return {"kind": "stationary", "alphabet_size": 3, "px_rows": rows, "dwell": dwell}
 
 
 def write_config(tmp_path, data, name="config.yaml"):
@@ -264,6 +281,43 @@ class TestVerify:
         data["run"] = {"horizon": 200, "num_paths": 50, "base_seed": 2}
         assert main(["verify", "thm1", "--config", write_config(tmp_path, data)]) == EXIT_OK
         assert "n/a (zero entropy rate)" in capsys.readouterr().out
+
+    def test_thm1_sticky_no_false_fail(self, tmp_path, capsys):
+        # both delays sit 3-4 % above their AoI, yet within 1.4 standard
+        # errors: a relative-gap gate would fail them, the SE test must not
+        data = {
+            "model": sticky_model(7, 150),
+            "policies": [
+                {"kind": "periodic", "period": 5, "delay": {"deterministic": 2}},
+                {"kind": "greedy", "delay": {"uniform": [1, 6]}},
+            ],
+            "run": {"horizon": 200, "num_paths": 300, "base_seed": 7},
+        }
+        code = main(["verify", "thm1", "--config", write_config(tmp_path, data), "--seed", "9"])
+        out = capsys.readouterr().out
+        assert code == EXIT_OK
+        assert " z=+1.03 (ok)" in out and " z=+1.39 (ok)" in out
+
+    def test_thm1_detects_late_detection(self, monkeypatch, capsys):
+        # one slot of extra delay per change, in the ensemble only: the
+        # schedule identities still hold, the paired Monte Carlo test fails
+        def late(block, detect=ensemble.detection_block):
+            return detect(block) + 1
+
+        monkeypatch.setattr(ensemble, "detection_block", late)
+        code = main(["verify", "thm1", "--preset", "fig5", "--paths", "200"])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == EXIT_VERIFY_FAILED
+        assert lines[0].startswith("analytic: ") and lines[0].endswith(" (ok)")
+        assert [line.split(":")[0] for line in lines[1:]] == ["periodic50", "greedy"]
+        assert all(line.endswith(" (FAIL)") for line in lines[1:])
+
+    @pytest.mark.parametrize("gap, se, verdict", [
+        (0.0, 0.0, "ok"), (1.0, 0.0, "inconclusive: se=0"), (3.0, 1.0, "ok"),
+        (3.01, 1.0, "FAIL"), (-3.01, 1.0, "FAIL"),
+    ])
+    def test_verdict(self, gap, se, verdict):
+        assert cli._verdict(gap, se) == verdict
 
     def test_thm1_analytic_check_runs_the_ensemble_detection(self, monkeypatch, capsys):
         # the analytic identities read detection times from the same

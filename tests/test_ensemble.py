@@ -18,7 +18,7 @@ from gaoi import (
     validate_model,
 )
 from gaoi import bayes, ensemble, markov
-from gaoi.ensemble import INIT_SALT, PATH_SALT, POLICY_SALT, sample_block
+from gaoi.ensemble import INIT_SALT, METRICS, PATH_SALT, POLICY_SALT, sample_block
 from gaoi.schedule import aoi_block
 from gaoi.markov import JointState, stationary_distribution
 
@@ -395,6 +395,8 @@ class TestSamplerEquivalence:
         monkeypatch.setattr(ensemble, "BLOCK_PATHS", block_paths)
         other = run_ensemble(config)
         assert default.mean == other.mean and default.se == other.se
+        for name in METRICS:
+            assert np.array_equal(default.values[name], other.values[name])
         assert np.array_equal(default.mean_aoi_series, other.mean_aoi_series)
         assert np.array_equal(default.mean_gaoi_series, other.mean_gaoi_series)
 
@@ -515,6 +517,8 @@ class TestEnsembleMatchesReference:
         stats = run_ensemble(_reference_config(model_name, policy_name))
         ref = reference_stats(model_name, policy_name)
         assert stats.mean == ref.mean and stats.se == ref.se
+        for name in METRICS:
+            assert np.array_equal(stats.values[name], ref.values[name])
         assert np.array_equal(stats.mean_aoi_series, ref.mean_aoi_series)
         assert np.array_equal(stats.mean_gaoi_series, ref.mean_gaoi_series)
 

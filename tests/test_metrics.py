@@ -9,7 +9,6 @@ from gaoi import (
     delay_double_sum,
     filter_stale,
     random_schedule,
-    verify_proportionality,
 )
 from gaoi.schedule import aoi_block, detection_block
 
@@ -135,23 +134,3 @@ class TestGaoiStationary:
         assert H_06 * cumulative_aoi(sched)[0] == pytest.approx(30 * H_06, abs=1e-9)
         assert (aoi_block(sched) * H_06).sum() == pytest.approx(30 * H_06, abs=1e-9)
 
-
-class TestVerifyProportionality:
-    def test_analytic_mode_exact(self, rng):
-        p, rate = 0.6, H_06
-        for aoi in closed_form_aoi(random_schedule(150, rng, 50)).tolist():
-            aoi = float(aoi)
-            report = verify_proportionality(rate * aoi, aoi, p * aoi, rate, p)
-            assert report.rel_gap_delay < 1e-12
-            assert report.rel_gap_gaoi < 1e-12
-            assert not report.inconsistent
-
-    def test_zero_rate_marks_gaoi_not_applicable(self):
-        report = verify_proportionality(0.0, 100.0, 60.0, 0.0, 0.6)
-        assert report.gaoi_scaled is None
-        assert report.rel_gap_gaoi is None
-        assert not report.inconsistent
-
-    def test_zero_rate_nonzero_gaoi_flagged(self):
-        report = verify_proportionality(5.0, 100.0, 60.0, 0.0, 0.6)
-        assert report.inconsistent
