@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import sys
 from pathlib import Path
 
@@ -122,21 +123,20 @@ def _write_csv(path: Path, columns: list[str], rows: list[dict]) -> None:
             writer.writerow([_fmt(row.get(c, "")) for c in columns])
 
 
-def _series_rows(stats: EnsembleStats) -> list[dict]:
-    rows = []
-    cum_aoi = 0.0
-    cum_gaoi = 0.0
-    for n in range(stats.horizon):
-        cum_aoi += float(stats.mean_aoi_series[n])
-        cum_gaoi += float(stats.mean_gaoi_series[n])
-        rows.append({
-            "n": n,
-            "mean_aoi": float(stats.mean_aoi_series[n]),
-            "mean_gaoi": float(stats.mean_gaoi_series[n]),
-            "mean_cum_aoi": cum_aoi,
-            "mean_cum_gaoi": cum_gaoi,
-        })
-    return rows
+def _series_csv(stats: EnsembleStats) -> str:
+    """The text of ``series.csv``, built from whole columns.
+
+    ``np.cumsum`` adds in slot order, as a running float sum does, and the
+    csv writer formats a float by ``repr``, so every cell reads as ``_fmt``
+    would write it.
+    """
+    aoi, gaoi = stats.mean_aoi_series, stats.mean_gaoi_series
+    columns = [aoi, gaoi, np.cumsum(aoi), np.cumsum(gaoi)]
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(SERIES_COLUMNS)
+    writer.writerows(zip(range(stats.horizon), *(c.tolist() for c in columns)))
+    return text.getvalue()
 
 
 def cmd_entropy_rate(args) -> int:
@@ -172,11 +172,11 @@ def cmd_simulate(args) -> int:
     for i, policy in enumerate(cfg.policies):
         stats = _ensemble(cfg, policy)
         summary_rows.append(_summary_row(cfg, policy, stats))
-        series = _series_rows(stats)
+        series = _series_csv(stats)
         if i == 0:
-            _write_csv(out / "series.csv", SERIES_COLUMNS, series)
+            (out / "series.csv").write_text(series, newline="")
         if len(cfg.policies) > 1:
-            _write_csv(out / f"series_{_policy_label(policy)}.csv", SERIES_COLUMNS, series)
+            (out / f"series_{_policy_label(policy)}.csv").write_text(series, newline="")
     _write_csv(out / "summary.csv", SUMMARY_COLUMNS, summary_rows)
     for row in summary_rows:
         print(",".join(f"{c}={_fmt(row[c])}" for c in SUMMARY_COLUMNS if row[c] != ""))
