@@ -15,13 +15,18 @@ Paths run in blocks of ``BLOCK_PATHS`` through one block loop for both
 source models.  The models differ only in their change slots, a
 ``(paths, horizon)`` mask per block, and in their staleness:
 
-* A stationary path is rolled forward by one sampler, ``sample_block``, in
-  lockstep with its block (one Python iteration per slot), from a start drawn
-  from the exact stationary law.  The hazards and the law are the model's
-  own (``JointModel.hazard``, ``JointModel.law``), computed once per model,
+* A stationary path is a semi-Markov chain, so it is sampled as its change
+  slots by one renewal sampler, ``sample_block``, from a start drawn from
+  the exact stationary law.  Each dwell is one inverse-CDF draw on the
+  survival table (geometric past the dwell prefix) and each jump one
+  look-up; the block's statuses advance one change per Python iteration,
+  ``CHUNK_CHANGES`` changes at a time, and each chunk's dwells are drawn at
+  once; the block's change mask is filled in chunk by chunk.  The survival table and the law are the model's own
+  (``JointModel.survival``, ``JointModel.law``), computed once per model,
   not once per ensemble.  Path k draws only from its own streams, so its
-  realization does not depend on the block size or on the other paths in
-  its block.  Its staleness is the entropy rate times its age.
+  realization depends neither on the block size, nor on the chunk size,
+  nor on the other paths in its block.  Its staleness is the entropy rate
+  times its age.
 * A Bayesian path has one change, at a geometric time.  Its staleness is in
   closed form per schedule: the series is two look-ups in tables of h(x) and
   (1-p)^k built once per ensemble, and the total is summed term by term.
@@ -41,15 +46,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bayes as bayes_mod
-from .markov import JointModel
+from .markov import JointModel, geometric_tail
 from .schedule import PolicySpec, aoi_block, detection_block, generate_schedules
 
 PATH_SALT = 0
 POLICY_SALT = 1
 INIT_SALT = 2
 
-# Paths sampled in lockstep; memory per block is O(BLOCK_PATHS x horizon).
+# Paths sampled together; memory per block is O(BLOCK_PATHS x horizon).
 BLOCK_PATHS = 256
+# Changes per pass of the sampler's status loop; no result depends on it.
+CHUNK_CHANGES = 32
 
 METRICS = ("cum_aoi", "cum_gaoi", "cum_delay", "num_changes")
 
@@ -132,33 +139,114 @@ class StreamFamily:
         return self._rng
 
 
-def sample_block(model: JointModel, x0, t0, uniforms: np.ndarray,
-                 states: np.ndarray | None = None) -> np.ndarray:
-    """Roll a block of paths of the joint chain forward in lockstep.
+def _count_table(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """Counting each sorted row's entries <= v as one rank and one look-up.
 
-    Path k starts at (x0[k], t0[k]).  ``uniforms[n, :, k]`` holds its two
-    draws for slot n+1: the change test ``u1 < q_t(x)`` and the inverse-CDF
-    jump target.  Returns the (slots, paths) boolean mask of change slots
-    (T_n = 0) and, if ``states`` is given, fills ``states[n, k]`` with X_{n+1}.
+    Returns ``(levels, table, shift)``: the distinct entries of ``rows``,
+    ascending, and a flat table such that #{j : rows[x, j] <= v} =
+    table[(x << shift) + r] with r = #{levels <= v}, so 2**shift > the
+    number of levels.  Only comparisons are made, so the count is exact.
     """
-    m, hazard = model.dwell.prefix_len, model.hazard  # q = hazard[x, min(t, m)]
+    levels = np.unique(rows)
+    shift = len(levels).bit_length()
+    table = np.zeros((len(rows), 1 << shift), dtype=np.intp)
+    for x, row in enumerate(rows):
+        table[x, 1:len(levels) + 1] = np.searchsorted(row, levels, side="right")
+    return levels, table.ravel(), shift
+
+
+def _dwell_ends(model: JointModel, ends, x, target) -> np.ndarray:
+    """The first dwell level j >= 1 with S_x(j) < target, one per status x.
+
+    A dwell from level s ends at the first j with S_x(j) < (1-u) S_x(s), u
+    uniform: P[it passes level s + k] = S_x(s + k) / S_x(s), an inverse-CDF
+    draw, and every j <= s fails the test.  Past the prefix S is geometric,
+    S_x(m + i) = S_x(m) (1 - tail[x])^i, so where target <= S_x(m), j is
+    m + 1 plus one ``geometric_tail`` draw on the survival left at m,
+    target / S_x(m).  Elsewhere j <= m is 1 plus the number of levels
+    1..m with S_x(j) >= target, read off ``ends``, the ``_count_table`` of
+    -S_x(1..m).
+    """
+    m = model.dwell.prefix_len
+    at_m = model.survival[:, m].take(x)
+    # a prefix hazard of 1 leaves S_x(m) = 0, and a start the chain cannot
+    # reach leaves target = 0; then the tail draw is not used, or draws 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        left = target / at_m
+    j = geometric_tail(np.fmax(1.0 - left, 0.0), model.dwell.tail, x)
+    j += m + 1
+    inside = target > at_m
+    levels, table, shift = ends
+    rank = np.searchsorted(levels, -target[inside], side="right")
+    j[inside] = 1 + table.take((x[inside] << shift) + rank)
+    return j
+
+
+def sample_block(model: JointModel, x0, t0, uniforms: np.ndarray) -> np.ndarray:
+    """The (paths, horizon) mask of change slots (T_n = 0) of a block of
+    paths of the joint chain, sampled as a renewal process.
+
+    Path k starts at (x0[k], t0[k]) and reads only ``uniforms[k]``, shape
+    (horizon, 2): its c-th dwell (the slots up to its c-th change; the first
+    continues the start's dwell, from level s = min(t0, m)) from
+    ``uniforms[k, c, 0]``, and the status its c-th change jumps to from
+    ``uniforms[k, c, 1]``.  Every dwell is at least one slot, so that is
+    enough for every change in [1, horizon].  From a start the chain cannot
+    reach (S_x(s) = 0), the first change comes at dwell level m + 1.
+    """
+    paths, horizon = uniforms.shape[:2]
+    # column T collects every change past the horizon
+    changed = np.zeros((paths, horizon + 1), dtype=bool)
+    flat, rows = changed.ravel(), np.arange(paths) * (horizon + 1) - 1
+    for slots, _ in _change_chunks(model, x0, t0, uniforms):
+        flat[np.minimum(slots, horizon + 1) + rows] = True
+    return changed[:, :horizon]
+
+
+def _change_chunks(model: JointModel, x0, t0, uniforms: np.ndarray):
+    """``sample_block``'s changes, ``CHUNK_CHANGES`` at a time.
+
+    Yields ``(slots, statuses)`` shaped (changes, paths): each path's change
+    slots, increasing, and its status after each.  A chunk's statuses come
+    from a loop of one look-up per change for the whole block, its dwells
+    from one draw at once.  It stops once every path has passed the
+    horizon; a slot past the horizon stands for no change up to it.
+    """
+    paths, horizon = uniforms.shape[:2]
+    m = model.dwell.prefix_len
+    ends = _count_table(-model.survival[:, 1:])
     cdf = np.cumsum(model.change.rows, axis=1)
     # Dividing by the row total ends every CDF at exactly 1.0, above any
     # uniform, so a zero-probability entry keeps zero width even at the top of
     # its row.  Counting only the first n-1 bounds clamps targets to n-1.
-    bounds = (cdf / cdf[:, -1:])[:, :-1]
+    levels, jumps, shift = _count_table((cdf / cdf[:, -1:])[:, :-1])
+    # the walk holds status x as x << shift, so a jump is one add and one
+    # look-up, and a shift gives the status back
+    jumps <<= shift
     x = np.array(x0, dtype=np.intp)
-    t = np.array(t0, dtype=np.int64)
-    changed = np.empty(uniforms.shape[::2], dtype=bool)
-    for n, (u_change, u_jump) in enumerate(uniforms):
-        change = u_change < hazard[x, np.minimum(t, m)]
-        target = (bounds[x] <= u_jump[:, None]).sum(axis=1)
-        x = np.where(change, target, x)
-        t = np.where(change, 0, t + 1)
-        changed[n] = change
-        if states is not None:
-            states[n] = x
-    return changed
+    start = np.minimum(t0, m)
+    first = _dwell_ends(model, ends, x, (1.0 - uniforms[:, 0, 0]) * model.survival[x, start]) - start
+    at = x << shift
+    last = np.zeros(paths, dtype=np.int64)
+    for lo in range(0, horizon, CHUNK_CHANGES):
+        u = uniforms[:, lo:lo + CHUNK_CHANGES].T  # (2, changes, paths), a view
+        walk = np.empty((u.shape[1] + 1, paths), dtype=np.intp)
+        walk[0] = at
+        for c, rank in enumerate(np.searchsorted(levels, u[1], side="right")):
+            walk[c + 1] = jumps.take(walk[c] + rank)
+        at = walk[-1]
+        statuses = walk >> shift  # the status before each change, then the last's
+        dwells = _dwell_ends(model, ends, statuses[:-1], np.subtract(1.0, u[0], order="C"))
+        if lo == 0:
+            dwells[0] = first
+        # capped at T + 1, a dwell still passes the horizon, and sums stay small
+        np.minimum(dwells, horizon + 1, out=dwells)
+        dwells[0] += last
+        slots = np.cumsum(dwells, axis=0)
+        last = slots[-1]
+        yield slots, statuses[1:]
+        if (last >= horizon).all():
+            return
 
 
 def _blocks(num_paths: int):
@@ -205,11 +293,11 @@ def run_ensemble(config: EnsembleConfig) -> EnsembleStats:
             theta = np.array([paths.at(k).geometric(model.p) for k in block])
             changed = theta[:, None] == slots
         else:
-            uniforms = np.empty((horizon, 2, len(block)))
+            uniforms = np.empty((len(block), horizon, 2))
             for i, k in enumerate(block):
-                uniforms[:, :, i] = paths.at(k).random((horizon, 2))
+                paths.at(k).random(out=uniforms[i])
             x0, t0 = law.dist.sample(np.array([inits.at(k).random(2) for k in block]))
-            changed = sample_block(model, x0, t0, uniforms).T
+            changed = sample_block(model, x0, t0, uniforms)
             del uniforms  # block-sized arrays are freed as soon as they are used
         values["num_changes"][part] = changed.sum(axis=1)
         schedules = schedules_of(block)

@@ -216,10 +216,22 @@ class StationaryDistribution:
         x, t = np.divmod(np.searchsorted(cdf / cdf[-1], u[:, 0], side="right"),
                          self.mu.shape[1])
         m = self.mu.shape[1] - 1
-        with np.errstate(divide="ignore"):  # a tail hazard of 1 gives t = m
-            extra = np.floor(np.log1p(-u[:, 1]) / np.log1p(-self.tail[x]))
-        # a tiny hazard can give a dwell past int64; any t >= m acts the same
-        return x, np.where(t == m, m + np.minimum(extra, 2**62).astype(np.int64), t)
+        return x, np.where(t == m, m + geometric_tail(u[:, 1], self.tail, x), t)
+
+
+def geometric_tail(u: np.ndarray, q: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Inverse-CDF draw of the slots a dwell stays on in a constant-hazard
+    tail: the number of failures before the first success at per-slot
+    probability ``q[x]``, so P[result >= k] = (1 - q[x])^k, one per uniform
+    ``u`` and status ``x``.
+
+    ``log1p`` keeps the digits that 1 - u and 1 - q round away at small u
+    and q.  A tail hazard of 1 gives 0; a tiny hazard can give a count past
+    int64, so counts are capped at 2**62, far past any horizon.
+    """
+    with np.errstate(divide="ignore"):
+        extra = np.floor(np.log1p(-u) / np.log1p(-q).take(x))
+    return np.minimum(extra, 2**62).astype(np.int64)
 
 
 @dataclass(frozen=True)

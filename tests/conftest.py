@@ -1,3 +1,6 @@
+import math
+import random
+
 import numpy as np
 import pytest
 
@@ -39,6 +42,21 @@ def random_model(rng: np.random.Generator, max_alphabet: int = 4,
             rng.uniform(0.05, 0.95, size=(n, m)), rng.uniform(0.1, 0.9, size=n)
         )
     return validate_model(ChangeKernel(rows), dwell)
+
+
+def sticky_model(seed: int, prefix: int) -> dict:
+    """A slow-changing 3-status source: change rows and log-uniform dwell
+    hazards on [0.002, 0.1] drawn as perfbench/run.py's ``sticky_config``
+    draws them, each status's 170-slot prefix cut to its first ``prefix``."""
+    rng = random.Random(seed)
+    rows = []
+    for x in range(3):
+        w = [rng.expovariate(1.0) if y != x else 0.0 for y in range(3)]
+        rows.append([v / sum(w) for v in w])
+    lo, hi = math.log(0.002), math.log(0.1)
+    dwell = [{"prefix": [math.exp(rng.uniform(lo, hi)) for _ in range(170)][:prefix],
+              "tail": 0.01} for _ in range(3)]
+    return {"kind": "stationary", "alphabet_size": 3, "px_rows": rows, "dwell": dwell}
 
 
 @pytest.fixture

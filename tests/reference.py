@@ -9,14 +9,14 @@ A schedule here is the list of its kept ``(s, d)`` pairs, and
 ``reference_filter_stale`` is the stale filter as a loop over pairs ordered
 by delivery, which every schedule loop shares.  The per-path ensemble draws
 from a fresh ``derive_stream`` generator per path, where ``run_ensemble``
-resets one shared generator per salt; it rolls each stationary path alone
+resets one shared generator per salt; it samples each stationary path alone
 (a one-path ``sample_block``) and finds each change's detection by
 bisection (``reference_detection``), not by ``detection_block``.
 ``reference_random_schedule`` is one row of ``random_schedule``, with its
 sampling times taken by ``np.unique`` and one delay draw per update.
 
 ``joint_step`` is the per-slot sampler of the joint chain, one state at a
-time, that ``sample_block``'s law is tested against, and
+time, that the renewal sampler ``sample_block``'s law is tested against, and
 ``entropy_rate_homogeneous`` is an entropy-rate formula for models whose
 statuses share one dwell law, against which ``entropy_rate`` is tested.
 ``reference_entropy_rate`` is the entropy rate as a loop over the dwell
@@ -279,8 +279,8 @@ def reference_ensemble(config: EnsembleConfig) -> EnsembleStats:
             gaoi_acc += h[ages + 1] * decay[delta]
         else:
             x0, t0 = law.dist.sample(derive_stream(seed, k, INIT_SALT).random((1, 2)))
-            uniforms = derive_stream(seed, k, PATH_SALT).random((horizon, 2))[:, :, None]
-            slots = np.flatnonzero(sample_block(model, x0, t0, uniforms)[:, 0]) + 1
+            uniforms = derive_stream(seed, k, PATH_SALT).random((1, horizon, 2))
+            slots = np.flatnonzero(sample_block(model, x0, t0, uniforms)[0]) + 1
             values["cum_delay"][k] = sum(reference_detection(schedule, horizon, n) - n
                                          for n in slots.tolist())
             values["num_changes"][k] = len(slots)

@@ -22,7 +22,7 @@ from gaoi.ensemble import INIT_SALT, METRICS, PATH_SALT, POLICY_SALT, sample_blo
 from gaoi.schedule import aoi_block
 from gaoi.markov import JointState, stationary_distribution
 
-from conftest import make_cycle, make_two_state_swap
+from conftest import make_cycle, make_two_state_swap, sticky_model
 from reference import joint_step, reference_ensemble, reference_survival, rows
 
 
@@ -45,6 +45,14 @@ def make_split_hazards():
                           DwellKernel(np.empty((3, 0)), np.array([0.05, 0.5, 0.95])))
 
 
+def make_sticky(prefix: int = 150):
+    """The slow-changing 3-status source ``sticky_model(7, prefix)``."""
+    data = sticky_model(7, prefix)
+    dwell = DwellKernel.from_lists([d["prefix"] for d in data["dwell"]],
+                                   [d["tail"] for d in data["dwell"]])
+    return validate_model(ChangeKernel(np.array(data["px_rows"])), dwell)
+
+
 def _draws(rng: np.random.Generator) -> list:
     """Draws through every path the ensemble uses: 32-bit integers (odd and
     even counts), 64-bit integers, doubles and a geometric."""
@@ -57,12 +65,27 @@ def _same_draws(a: list, b: list) -> bool:
     return all(np.array_equal(x, y) for x, y in zip(a, b, strict=True))
 
 
+def _per_slot(model, x0, t0, uniforms):
+    """The sampler's paths slot by slot, built one path at a time from its
+    chunks of changes: the (paths, horizon) mask of change slots, which
+    ``sample_block`` must return, and the status after each slot."""
+    horizon = uniforms.shape[1]
+    slots, statuses = map(np.vstack, zip(*ensemble._change_chunks(model, x0, t0, uniforms)))
+    changed = np.zeros((len(x0), horizon), dtype=bool)
+    states = np.empty((len(x0), horizon), dtype=np.int64)
+    for k in range(len(x0)):
+        inside = slots[:, k] <= horizon
+        changed[k, slots[inside, k] - 1] = True
+        states[k] = np.concatenate([[x0[k]], statuses[inside, k]])[changed[k].cumsum()]
+    assert np.array_equal(sample_block(model, x0, t0, uniforms), changed)
+    return changed, states
+
+
 def _one_path(model, x0: int, t0: int, horizon: int, rng: np.random.Generator):
-    """One path rolled alone, a one-column ``sample_block`` from (x0, t0):
+    """One path sampled alone, a one-path ``sample_block`` from (x0, t0):
     its change mask and its statuses over slots 1..horizon."""
-    states = np.empty((horizon, 1), dtype=np.int64)
-    changed = sample_block(model, [x0], [t0], rng.random((horizon, 2))[:, :, None], states)
-    return changed[:, 0], states[:, 0]
+    changed, states = _per_slot(model, [x0], [t0], rng.random((1, horizon, 2)))
+    return changed[0], states[0]
 
 
 class TestDeriveStream:
@@ -260,10 +283,9 @@ def _both_samplers(model, paths: int = 400, horizon: int = 100):
         for n in range(horizon):
             u = joint_step(model, u, rng)
             ref_states[k, n], ref_dwells[k, n] = u.x, u.t
-    states = np.empty((horizon, paths), dtype=np.int64)
-    changed = sample_block(model, x0, np.zeros(paths, dtype=int),
-                           np.random.default_rng(2025).random((horizon, 2, paths)), states)
-    return (x0, ref_dwells == 0, ref_states), (x0, changed.T, states.T)
+    changed, states = _per_slot(model, x0, np.zeros(paths, dtype=int),
+                                np.random.default_rng(2025).random((paths, horizon, 2)))
+    return (x0, ref_dwells == 0, ref_states), (x0, changed, states)
 
 
 @pytest.fixture(scope="module")
@@ -358,8 +380,8 @@ class TestSamplerEquivalence:
         # change with probability 0.6 from any start
         model = make_two_state_swap(0.6)
         paths, horizon = 1000, 1000
-        uniforms = np.random.default_rng(7).random((horizon, 2, paths))
-        changed = sample_block(model, np.zeros(paths, dtype=int), np.zeros(paths, dtype=int),
+        uniforms = np.random.default_rng(7).random((paths, horizon, 2))
+        changed, _ = _per_slot(model, np.zeros(paths, dtype=int), np.zeros(paths, dtype=int),
                                uniforms)
         assert changed.mean() == pytest.approx(0.6, abs=2e-3)
 
@@ -377,15 +399,14 @@ class TestSamplerEquivalence:
         model, horizon, seed = make_ragged_three(), 200, 5
         x0, t0 = np.arange(12) % 3, np.arange(12)
         uniforms = np.stack(
-            [derive_stream(seed, k, PATH_SALT).random((horizon, 2)) for k in range(12)], axis=2
+            [derive_stream(seed, k, PATH_SALT).random((horizon, 2)) for k in range(12)]
         )
-        states = np.empty((horizon, 12), dtype=np.int64)
-        changed = sample_block(model, x0, t0, uniforms, states)
+        changed, states = _per_slot(model, x0, t0, uniforms)
         for k in range(12):
             alone = _one_path(model, int(x0[k]), int(t0[k]), horizon,
                               derive_stream(seed, k, PATH_SALT))
-            assert np.array_equal(alone[0], changed[:, k])
-            assert np.array_equal(alone[1], states[:, k])
+            assert np.array_equal(alone[0], changed[k])
+            assert np.array_equal(alone[1], states[k])
 
     @pytest.mark.parametrize("block_paths", [1, 3, 64])
     def test_ensemble_independent_of_block_size(self, monkeypatch, block_paths):
@@ -399,6 +420,89 @@ class TestSamplerEquivalence:
             assert np.array_equal(default.values[name], other.values[name])
         assert np.array_equal(default.mean_aoi_series, other.mean_aoi_series)
         assert np.array_equal(default.mean_gaoi_series, other.mean_gaoi_series)
+
+
+def _first_change_by_joint_step(model, x0: int, t0: int, draws: int, horizon: int):
+    """The first change slot (capped at horizon + 1) of ``draws`` paths of
+    repeated ``joint_step`` from (x0, t0)."""
+    rng = np.random.default_rng(2026)
+    first = np.empty(draws, dtype=np.int64)
+    for k in range(draws):
+        u, n = JointState(x0, t0), 0
+        while n < horizon:
+            u, n = joint_step(model, u, rng), n + 1
+            if u.t == 0:
+                break
+        else:
+            n = horizon + 1
+        first[k] = n
+    return first
+
+
+class TestRenewalLaw:
+    """The renewal sampler's draws against exact expectations and laws."""
+
+    @pytest.mark.parametrize("name", ["swap", "ragged", "split", "sticky"])
+    def test_mean_changes_equal_stationary_rate(self, name):
+        # from a stationary start, E[changes in [1, T]] = T P[T_n = 0] exactly
+        model = {"swap": make_two_state_swap(0.6), "ragged": make_ragged_three(),
+                 "split": make_split_hazards(), "sticky": make_sticky(150)}[name]
+        paths, horizon = 2000, 200
+        x0, t0 = model.law.dist.sample(np.random.default_rng(31).random((paths, 2)))
+        uniforms = np.random.default_rng(32).random((paths, horizon, 2))
+        changes = sample_block(model, x0, t0, uniforms).sum(axis=1)
+        se = changes.std(ddof=1) / np.sqrt(paths)
+        assert abs(changes.mean() - horizon * model.law.p_change) <= 4 * se
+
+    @pytest.mark.parametrize("model_name, t0", [
+        ("ragged", 0), ("ragged", 2), ("ragged", 3), ("ragged", 10),
+        ("sticky", 0), ("sticky", 40), ("sticky", 60), ("sticky", 200),
+    ])
+    def test_first_change_matches_joint_step(self, model_name, t0):
+        # status 0 from dwell 0, inside the prefix, at m and past m; the
+        # ragged status 0 has hazard 0 at dwell 0, the sticky one is cut to
+        # a 60-slot prefix
+        model = {"ragged": make_ragged_three(), "sticky": make_sticky(60)}[model_name]
+        draws, horizon = 2000, 400
+        reference = _first_change_by_joint_step(model, 0, t0, draws, horizon)
+        uniforms = np.random.default_rng(2027).random((draws, horizon, 2))
+        changed = sample_block(model, np.zeros(draws, dtype=int), np.full(draws, t0), uniforms)
+        first = np.where(changed.any(axis=1), changed.argmax(axis=1) + 1, horizon + 1)
+        assert (first >= 1).all()
+        assert _homogeneity_pvalue(reference, first) > 1e-3
+
+    def test_tiny_tail_hazard_dwells_exact_geometric(self):
+        # dwells of the swap chain at q = 1e-6: P[D > k] = (1 - q)^k, binned
+        # at the law's exact deciles (D is about 1e6 on average, so the
+        # dwells are drawn directly, past any horizon)
+        q, draws = 1e-6, 20000
+        model = make_two_state_swap(q)
+        u = np.random.default_rng(22).random(draws)
+        x = np.arange(draws) % 2
+        ends = ensemble._count_table(-model.survival[:, 1:])
+        dwells = ensemble._dwell_ends(model, ends, x, 1.0 - u)
+        edges = np.ceil(np.log1p(-np.arange(1, 10) / 10) / np.log1p(-q)).astype(np.int64)
+        tail = (1.0 - q) ** np.concatenate([[0], edges]).astype(float)
+        probs = tail - np.append(tail[1:], 0.0)
+        observed = np.bincount(np.searchsorted(edges, dwells, side="left"), minlength=10)
+        assert (dwells >= 1).all()
+        assert sps.chisquare(observed, draws * probs).pvalue > 1e-3
+
+    @pytest.mark.parametrize("chunk", [1, 7])
+    def test_independent_of_chunk_size(self, monkeypatch, chunk):
+        model, paths, horizon = make_ragged_three(), 40, 150
+        x0, t0 = np.arange(paths) % 3, np.arange(paths) % 5
+        uniforms = np.random.default_rng(12).random((paths, horizon, 2))
+        config = EnsembleConfig(model=model, policy=GREEDY_2080, horizon=horizon,
+                                num_paths=70, base_seed=8)
+        default = _per_slot(model, x0, t0, uniforms), run_ensemble(config)
+        monkeypatch.setattr(ensemble, "CHUNK_CHANGES", chunk)
+        other = _per_slot(model, x0, t0, uniforms), run_ensemble(config)
+        for a, b in zip(default[0], other[0]):
+            assert np.array_equal(a, b)
+        assert default[1].mean == other[1].mean and default[1].se == other[1].se
+        for name in METRICS:
+            assert np.array_equal(default[1].values[name], other[1].values[name])
 
 
 class TestSamplerEdgeCases:
@@ -425,11 +529,10 @@ class TestSamplerEdgeCases:
     def test_q_one_cycle(self):
         model, horizon = make_cycle(3), 60
         x0 = np.arange(9) % 3
-        states = np.empty((horizon, 9), dtype=np.int64)
-        changed = sample_block(model, x0, np.arange(9),
-                               np.random.default_rng(4).random((horizon, 2, 9)), states)
+        changed, states = _per_slot(model, x0, np.arange(9),
+                                    np.random.default_rng(4).random((9, horizon, 2)))
         assert changed.all()
-        assert np.array_equal(states, (x0 + np.arange(1, horizon + 1)[:, None]) % 3)
+        assert np.array_equal(states, (x0[:, None] + np.arange(1, horizon + 1)) % 3)
         stats = run_ensemble(EnsembleConfig(model=model, policy=GREEDY_2080, horizon=horizon,
                                             num_paths=20, base_seed=4))
         assert stats.mean["num_changes"] == horizon and stats.se["num_changes"] == 0.0
@@ -448,16 +551,28 @@ class TestSamplerEdgeCases:
         ])
         model = validate_model(ChangeKernel(rows), DwellKernel.homogeneous(5, [], 1.0))
         paths, horizon = 50, 400
-        uniforms = np.random.default_rng(6).random((horizon, 2, paths))
+        uniforms = np.random.default_rng(6).random((paths, horizon, 2))
         # the first paths always jump from the bottom or the top of the CDF
-        uniforms[:, 1, :10] = 0.0
-        uniforms[:, 1, 10:20] = np.nextafter(1.0, 0.0)
+        uniforms[:10, :, 1] = 0.0
+        uniforms[10:20, :, 1] = np.nextafter(1.0, 0.0)
         x0 = np.arange(paths) % 5
-        states = np.empty((horizon, paths), dtype=np.int64)
-        assert sample_block(model, x0, np.zeros(paths, dtype=int), uniforms, states).all()
-        before = np.vstack([x0, states[:-1]])
+        changed, states = _per_slot(model, x0, np.zeros(paths, dtype=int), uniforms)
+        assert changed.all()
+        before = np.column_stack([x0, states[:, :-1]])
         drawn = set(zip(before.ravel().tolist(), states.ravel().tolist()))
         assert drawn == set(zip(*np.argwhere(rows).T.tolist()))
+
+    def test_dwells_past_int64_never_change(self):
+        # at hazard 1e-300 a dwell is far past int64 (capped at 2**62): the
+        # sampler must keep every such path unchanged, with no overflow
+        model = make_two_state_swap(1e-300)
+        changed, states = _per_slot(model, np.arange(40) % 2, np.zeros(40, dtype=int),
+                                    np.random.default_rng(3).random((40, 50, 2)))
+        assert not changed.any()
+        assert np.array_equal(states[:, -1], np.arange(40) % 2)
+        stats = run_ensemble(EnsembleConfig(model=model, policy=GREEDY_2080, horizon=50,
+                                            num_paths=40, base_seed=3))
+        assert stats.mean["num_changes"] == 0.0 and stats.mean["cum_delay"] == 0.0
 
     def test_initial_dwell_past_prefix(self):
         # no change possible in the first 3 dwell slots, certain change after
@@ -465,9 +580,9 @@ class TestSamplerEdgeCases:
                                DwellKernel.homogeneous(2, [0.0, 0.0, 0.0], 1.0))
         horizon = 12
         t0 = np.array([0, 2, 3, 5, 40])
-        changed = sample_block(model, np.zeros(5, dtype=int), t0,
-                               np.random.default_rng(9).random((horizon, 2, 5)))
-        first = changed.argmax(axis=0) + 1
+        changed, _ = _per_slot(model, np.zeros(5, dtype=int), t0,
+                               np.random.default_rng(9).random((5, horizon, 2)))
+        first = changed.argmax(axis=1) + 1
         assert np.array_equal(first, [4, 2, 1, 1, 1])
         for k in range(5):
             alone, _ = _one_path(model, 0, int(t0[k]), horizon, np.random.default_rng(k))
