@@ -20,13 +20,13 @@ source models.  The models differ only in their change slots, a
   the exact stationary law.  Each dwell is one inverse-CDF draw on the
   survival table (geometric past the dwell prefix) and each jump one
   look-up; the block's statuses advance one change per Python iteration,
-  ``CHUNK_CHANGES`` changes at a time, and each chunk's dwells are drawn at
-  once; the block's change mask is filled in chunk by chunk.  The survival table and the law are the model's own
-  (``JointModel.survival``, ``JointModel.law``), computed once per model,
-  not once per ensemble.  Path k draws only from its own streams, so its
-  realization depends neither on the block size, nor on the chunk size,
-  nor on the other paths in its block.  Its staleness is the entropy rate
-  times its age.
+  ``CHUNK_CHANGES`` changes at a time, each chunk's dwells are drawn at
+  once, and the block's change mask is filled in chunk by chunk.  The
+  survival table and the law are the model's own (``JointModel.survival``,
+  ``JointModel.law``), computed once per model, not once per ensemble.
+  Path k draws only from its own streams, so its realization depends
+  neither on the block size, nor on the chunk size, nor on the other paths
+  in its block.  Its staleness is the entropy rate times its age.
 * A Bayesian path has one change, at a geometric time.  Its staleness is in
   closed form per schedule: the series is two look-ups in tables of h(x) and
   (1-p)^k built once per ensemble, and the total is summed term by term.
@@ -142,12 +142,14 @@ class StreamFamily:
 def _count_table(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     """Counting each sorted row's entries <= v as one rank and one look-up.
 
-    Returns ``(levels, table, shift)``: the distinct entries of ``rows``,
-    ascending, and a flat table such that #{j : rows[x, j] <= v} =
-    table[(x << shift) + r] with r = #{levels <= v}, so 2**shift > the
-    number of levels.  Only comparisons are made, so the count is exact.
+    Returns ``(levels, table, shift)``: every entry of ``rows``, sorted,
+    and a flat table such that #{j : rows[x, j] <= v} = table[(x << shift)
+    + r] with r = #{levels <= v}, so 2**shift > the number of levels.  Only
+    comparisons are made, so the count is exact.
     """
-    levels = np.unique(rows)
+    # np.sort, not np.unique: a repeated level changes no count, and
+    # np.unique imports numpy.ma (10 ms and 1.5 MB per process)
+    levels = np.sort(rows, axis=None)
     shift = len(levels).bit_length()
     table = np.zeros((len(rows), 1 << shift), dtype=np.intp)
     for x, row in enumerate(rows):
@@ -225,7 +227,8 @@ def _change_chunks(model: JointModel, x0, t0, uniforms: np.ndarray):
     jumps <<= shift
     x = np.array(x0, dtype=np.intp)
     start = np.minimum(t0, m)
-    first = _dwell_ends(model, ends, x, (1.0 - uniforms[:, 0, 0]) * model.survival[x, start]) - start
+    target = (1.0 - uniforms[:, 0, 0]) * model.survival[x, start]
+    first = _dwell_ends(model, ends, x, target) - start
     at = x << shift
     last = np.zeros(paths, dtype=np.int64)
     for lo in range(0, horizon, CHUNK_CHANGES):
