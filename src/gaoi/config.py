@@ -1,4 +1,14 @@
-"""Run configuration: YAML parsing (fail-closed) and the built-in presets."""
+"""Run configuration: YAML parsing (fail-closed) and the built-in presets.
+
+``load_config`` hands the file's bytes to PyYAML, so YAML's own encoding
+detection applies (UTF-8, or UTF-16/32 with a BOM) and an undecodable byte is
+a parse error like any other. It parses with libyaml's C parser
+(``yaml.CSafeLoader``) when the installed PyYAML has it, else with the
+pure-Python ``yaml.SafeLoader``. Both pair their parser with ``safe_load``'s
+constructor and resolver, so every scalar resolves the same way (YAML 1.1:
+``1e-3``, with no dot, is a string, which the number fields accept); only the
+text of a syntax error differs.
+"""
 
 from __future__ import annotations
 
@@ -54,7 +64,8 @@ def _dwell_entry(entry, where: str) -> tuple[list[float], float]:
 
 
 def _parse_dwell(raw, n_states: int) -> DwellKernel:
-    if isinstance(raw, (int, float)) and not isinstance(raw, bool):
+    if isinstance(raw, (int, float, str)) and not isinstance(raw, bool):
+        # a string as tail takes one: YAML 1.1 reads 1e-3 (no dot) as '1e-3'
         return DwellKernel.homogeneous(n_states, [], float(raw))
     if isinstance(raw, dict):
         return DwellKernel.homogeneous(n_states, *_dwell_entry(raw, "model.dwell"))
@@ -192,8 +203,9 @@ def _parse_config(data: dict) -> RunConfig:
 def load_config(path: str | Path) -> RunConfig:
     import yaml  # here, not at module level: presets never pay for the import
 
+    loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)  # C parser where PyYAML has libyaml
     try:
-        data = yaml.safe_load(Path(path).read_text())
+        data = yaml.load(Path(path).read_bytes(), Loader=loader)
     except yaml.YAMLError as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
     return parse_config(data)
