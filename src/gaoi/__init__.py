@@ -9,7 +9,6 @@ from .bayes import (
     h_closed,
 )
 from .ensemble import (
-    EnsembleConfig,
     EnsembleStats,
     derive_stream,
     run_ensemble,

@@ -21,13 +21,14 @@ import argparse
 import csv
 import io
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from .bayes import BayesModel, bayes_constant_c, bayes_cumulative_gaoi, bayes_expected_delay
 from .config import ConfigError, RunConfig, load_config, preset_config
-from .ensemble import EnsembleConfig, EnsembleStats, derive_stream, run_ensemble
+from .ensemble import EnsembleStats, derive_stream, run_ensemble
 from .markov import ModelError
 from .metrics import closed_form_aoi, cumulative_aoi, delay_double_sum
 from .schedule import DelayLaw, PolicySpec, generate_schedules, random_schedule
@@ -61,22 +62,9 @@ def _load(args) -> RunConfig:
         cfg = load_config(args.config)
     else:
         raise ConfigError("either --config or --preset is required")
-    overrides = {}
-    if args.seed is not None:
-        if args.seed < 0:
-            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
-        overrides["base_seed"] = args.seed
-    if getattr(args, "paths", None) is not None:
-        overrides["num_paths"] = args.paths
-    if overrides:
-        from dataclasses import replace
-        cfg = replace(cfg, **overrides)
-    return cfg
-
-
-def _require_paths(cfg: RunConfig, least: int, why: str) -> None:
-    if cfg.num_paths < least:
-        raise ConfigError(f"--paths {cfg.num_paths} < {least}: {why}")
+    overrides = {"base_seed": args.seed, "num_paths": args.paths}
+    # a new RunConfig checks the run's ranges again, overrides included
+    return replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
 
 
 def _policy_label(policy: PolicySpec) -> str:
@@ -108,11 +96,6 @@ def _summary_row(cfg: RunConfig, policy: PolicySpec, stats: EnsembleStats) -> di
         row["entropy_rate"] = law.rate
         row["scaled_aoi"] = law.p_change * stats.mean["cum_aoi"]
     return row
-
-
-def _ensemble(cfg: RunConfig, policy: PolicySpec) -> EnsembleStats:
-    return run_ensemble(EnsembleConfig(model=cfg.model, policy=policy, horizon=cfg.horizon,
-                                       num_paths=cfg.num_paths, base_seed=cfg.base_seed))
 
 
 def _write_csv(path: Path, columns: list[str], rows: list[dict]) -> None:
@@ -158,7 +141,11 @@ def cmd_simulate(args) -> int:
     cfg = _load(args)
     if not cfg.policies:
         raise ConfigError("simulate needs a 'policy' or 'policies' section")
-    _require_paths(cfg, 1, "simulate needs at least one path")
+    labels = [_policy_label(policy) for policy in cfg.policies]
+    repeated = sorted({label for label in labels if labels.count(label) > 1})
+    if repeated:
+        raise ConfigError(f"repeated policy label {', '.join(repeated)}: each policy needs "
+                          "its own series file and summary row")
     out = Path(args.out or ".")
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -169,14 +156,13 @@ def cmd_simulate(args) -> int:
         print(f"error: cannot write to {out}: {exc}", file=sys.stderr)
         return EXIT_IO
     summary_rows = []
-    for i, policy in enumerate(cfg.policies):
-        stats = _ensemble(cfg, policy)
+    for i, (policy, stats) in enumerate(zip(cfg.policies, run_ensemble(cfg))):
         summary_rows.append(_summary_row(cfg, policy, stats))
         series = _series_csv(stats)
         if i == 0:
             (out / "series.csv").write_text(series, newline="")
         if len(cfg.policies) > 1:
-            (out / f"series_{_policy_label(policy)}.csv").write_text(series, newline="")
+            (out / f"series_{labels[i]}.csv").write_text(series, newline="")
     _write_csv(out / "summary.csv", SUMMARY_COLUMNS, summary_rows)
     for row in summary_rows:
         print(",".join(f"{c}={_fmt(row[c])}" for c in SUMMARY_COLUMNS if row[c] != ""))
@@ -215,8 +201,7 @@ def _verify_thm1(cfg: RunConfig) -> int:
     print("analytic: cumulative_aoi == closed_form_aoi == delay_double_sum "
           "on 100 schedules (ok)")
     verdicts = []
-    for policy in cfg.policies:
-        stats = _ensemble(cfg, policy)
+    for policy, stats in zip(cfg.policies, run_ensemble(cfg)):
         paired = stats.values["cum_delay"] / law.p_change - stats.values["cum_aoi"]
         gap = float(paired.mean())
         se = float(paired.std(ddof=1) / np.sqrt(stats.num_paths))
@@ -254,8 +239,7 @@ def _verify_thm2(cfg: RunConfig) -> int:
           f"({'ok' if analytic_ok else 'FAIL'})")
     residuals = []
     verdicts = []
-    for policy in cfg.policies:
-        stats = _ensemble(cfg, policy)
+    for policy, stats in zip(cfg.policies, run_ensemble(cfg)):
         res = float(stats.mean["cum_gaoi"] - scale * stats.mean["cum_delay"])
         se = float(scale * stats.se["cum_delay"])
         residuals.append((res, se))
@@ -275,7 +259,9 @@ def cmd_verify(args) -> int:
     cfg = _load(args)
     if not cfg.policies:
         raise ConfigError("verify needs a 'policy' or 'policies' section")
-    _require_paths(cfg, 2, "a standard error needs at least two paths")
+    if cfg.num_paths < 2:
+        raise ConfigError(
+            f"--paths {cfg.num_paths} < 2: a standard error needs at least two paths")
     if args.theorem == "thm1":
         if cfg.is_bayesian:
             raise ConfigError("thm1 needs a stationary model")

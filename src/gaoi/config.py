@@ -34,6 +34,13 @@ class RunConfig:
     num_paths: int
     base_seed: int
 
+    def __post_init__(self):
+        # every run is checked here: from a file, a preset or dataclasses.replace
+        for name, least in (("horizon", 1), ("num_paths", 1), ("base_seed", 0)):
+            value = getattr(self, name)
+            if value < least:
+                raise ConfigError(f"run.{name} must be >= {least}, got {value}")
+
     @property
     def is_bayesian(self) -> bool:
         return isinstance(self.model, BayesModel)
@@ -47,26 +54,35 @@ def _require_keys(section, allowed: set[str], where: str) -> None:
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
 
 
-def _int(value, where: str, least: int | None = None) -> int:
-    """A strict integer (a float or a bool is an error), at least ``least``."""
+def _int(value, where: str) -> int:
+    """A strict integer (a float or a bool is an error)."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{where} must be an integer, got {value!r}")
-    if least is not None and value < least:
-        raise ConfigError(f"{where} must be >= {least}, got {value}")
     return value
+
+
+def _float(value, where: str) -> float:
+    """A number: an int, a float or a numeric string (YAML 1.1 reads 1e-3,
+    with no dot, as the string '1e-3'); a bool is an error."""
+    if not isinstance(value, bool) and isinstance(value, (int, float, str)):
+        try:
+            return float(value)
+        except (ValueError, OverflowError):  # text, or an int past the float range
+            pass
+    raise ConfigError(f"{where} must be a number, got {value!r}")
 
 
 def _dwell_entry(entry, where: str) -> tuple[list[float], float]:
     _require_keys(entry, {"prefix", "tail"}, where)
     if "tail" not in entry:
         raise ConfigError(f"{where} needs tail")
-    return [float(v) for v in entry.get("prefix", [])], float(entry["tail"])
+    prefix = [_float(v, f"{where}.prefix[{i}]") for i, v in enumerate(entry.get("prefix", []))]
+    return prefix, _float(entry["tail"], f"{where}.tail")
 
 
 def _parse_dwell(raw, n_states: int) -> DwellKernel:
     if isinstance(raw, (int, float, str)) and not isinstance(raw, bool):
-        # a string as tail takes one: YAML 1.1 reads 1e-3 (no dot) as '1e-3'
-        return DwellKernel.homogeneous(n_states, [], float(raw))
+        return DwellKernel.homogeneous(n_states, [], _float(raw, "model.dwell"))
     if isinstance(raw, dict):
         return DwellKernel.homogeneous(n_states, *_dwell_entry(raw, "model.dwell"))
     if isinstance(raw, list):
@@ -86,7 +102,7 @@ def _parse_model(section: dict):
         for k in ("alphabet_size", "px_rows", "dwell"):
             if k in section:
                 raise ConfigError(f"model.{k} does not apply to a bayesian model")
-        return BayesModel(p=float(section["bayes_p"]))
+        return BayesModel(p=_float(section["bayes_p"], "model.bayes_p"))
     if kind != "stationary":
         raise ConfigError(f"model.kind must be 'stationary' or 'bayesian', got {kind!r}")
     if "bayes_p" in section:
@@ -94,12 +110,11 @@ def _parse_model(section: dict):
     if "px_rows" not in section:
         raise ConfigError("stationary model needs px_rows")
     raw = section["px_rows"]
-    try:
-        rows = np.array(raw, dtype=float)
-    except (TypeError, ValueError):
-        rows = None
-    if rows is None or rows.ndim != 2:
+    cells = np.array(raw, dtype=object)  # a ragged list stays 1-D
+    if cells.ndim != 2:
         raise ConfigError(f"model.px_rows must be an n x n list of numbers, got {raw!r}")
+    rows = np.array([[_float(v, f"model.px_rows[{i}][{j}]") for j, v in enumerate(row)]
+                     for i, row in enumerate(cells)]).reshape(cells.shape)
     n = _int(section.get("alphabet_size", len(rows)), "model.alphabet_size")
     if rows.shape != (n, n):
         raise ConfigError(f"px_rows has shape {rows.shape}, expected ({n}, {n})")
@@ -132,10 +147,11 @@ def read_explicit_pairs(path: str | Path) -> tuple[tuple[int, int], ...]:
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise ConfigError(f"{path}:{lineno}: expected 's d', got {line!r}")
-        pairs.append((int(parts[0]), int(parts[1])))
+        try:
+            s, d = map(int, line.split())  # a wrong count of fields raises too
+        except ValueError:
+            raise ConfigError(f"{path}:{lineno}: expected integers 's d', got {line!r}") from None
+        pairs.append((s, d))
     return tuple(pairs)
 
 
@@ -194,9 +210,9 @@ def _parse_config(data: dict) -> RunConfig:
     return RunConfig(
         model=model,
         policies=policies,
-        horizon=_int(run.get("horizon", 1), "run.horizon", least=1),
+        horizon=_int(run.get("horizon", 1), "run.horizon"),
         num_paths=_int(run.get("num_paths", 1), "run.num_paths"),
-        base_seed=_int(run.get("base_seed", 0), "run.base_seed", least=0),
+        base_seed=_int(run.get("base_seed", 0), "run.base_seed"),
     )
 
 

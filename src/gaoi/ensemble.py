@@ -31,12 +31,14 @@ source models.  The models differ only in their change slots, a
   closed form per schedule: the series is two look-ups in tables of h(x) and
   (1-p)^k built once per ensemble, and the total is summed term by term.
 
-Schedules come from ``generate_schedules`` as ``(paths, K)`` arrays, each
-path's delays from its own policy stream; ages and detection times are read
-off them for the whole block.  A fixed policy (no random delay) is realised
-once per ensemble and shared by every path.  Aggregation runs in path order
-(float series are added one path at a time, never by a pairwise sum), so
-results are bit-identical for any block size.
+The policies are state-independent, so every policy of a run sees the same
+source paths, each block's change mask sampled once.  Schedules come from
+``generate_schedules`` as ``(paths, K)`` arrays, each path's delays from its
+own policy stream; ages and detection times are read off them for the whole
+block.  A fixed policy (no random delay) is realised once per ensemble and
+shared by every path.  Aggregation runs per policy in path order (float
+series are added one path at a time, never by a pairwise sum), so results
+are bit-identical for any block size and any other policies in the run.
 """
 
 from __future__ import annotations
@@ -59,21 +61,6 @@ BLOCK_PATHS = 256
 CHUNK_CHANGES = 32
 
 METRICS = ("cum_aoi", "cum_gaoi", "cum_delay", "num_changes")
-
-
-@dataclass(frozen=True)
-class EnsembleConfig:
-    model: JointModel | bayes_mod.BayesModel
-    policy: PolicySpec
-    horizon: int
-    num_paths: int
-    base_seed: int
-
-    def __post_init__(self):
-        if self.horizon < 1:
-            raise ValueError("horizon must be >= 1")
-        if self.num_paths < 1:
-            raise ValueError("need at least one path")
 
 
 @dataclass(frozen=True)
@@ -257,37 +244,41 @@ def _blocks(num_paths: int):
         yield range(lo, min(lo + BLOCK_PATHS, num_paths))
 
 
-def _schedule_source(config: EnsembleConfig):
+def _schedule_source(policy: PolicySpec, horizon: int, streams: StreamFamily):
     """The function from a block of paths to its schedules: the fixed policy's
     one realisation on every row, built once per ensemble, or each path's own
     from its policy stream."""
-    policy, horizon = config.policy, config.horizon
     if policy.is_fixed:
         fixed = generate_schedules(policy, horizon, [None])
         return lambda block: fixed.take(np.zeros(len(block), dtype=np.intp))
-    streams = StreamFamily(config.base_seed, POLICY_SALT)
     # a generator expression: each path's stream is set up and drawn from in turn
     return lambda block: generate_schedules(policy, horizon, (streams.at(k) for k in block))
 
 
-def run_ensemble(config: EnsembleConfig) -> EnsembleStats:
-    """Simulate ``num_paths`` independent (path, schedule) pairs and aggregate.
+def run_ensemble(config) -> list[EnsembleStats]:
+    """Simulate the run ``config`` (a ``config.RunConfig``, not imported here:
+    ``import gaoi`` loads no config reader): ``num_paths`` independent source
+    paths under every policy, aggregated into one ``EnsembleStats`` per
+    policy, in ``config.policies`` order.
 
+    Every policy sees the same source paths, sampled once from streams no
+    policy reads, so a policy's result does not depend on the others run.
     A stationary model's law is the model's own (``JointModel.law``, computed
     once per model).  Every path runs in the calling thread, and the output
     depends only on the config.
     """
     model, horizon = config.model, config.horizon
     law = None if isinstance(model, bayes_mod.BayesModel) else model.law
-    schedules_of = _schedule_source(config)
+    policy_streams = StreamFamily(config.base_seed, POLICY_SALT)
+    sources = [_schedule_source(policy, horizon, policy_streams) for policy in config.policies]
     paths = StreamFamily(config.base_seed, PATH_SALT)
     inits = StreamFamily(config.base_seed, INIT_SALT)
     if law is None:
         h = bayes_mod.h_closed(model, np.arange(horizon + 1))
         decay = bayes_mod.survival_table(model, horizon)
-    values = {name: np.empty(config.num_paths) for name in METRICS}
-    aoi_acc = np.zeros(horizon)
-    gaoi_acc = np.zeros(horizon)
+    values = [{name: np.empty(config.num_paths) for name in METRICS} for _ in sources]
+    aoi_accs = [np.zeros(horizon) for _ in sources]
+    gaoi_accs = [np.zeros(horizon) for _ in sources]
     slots = np.arange(1, horizon + 1)
     for block in _blocks(config.num_paths):
         part = slice(block.start, block.stop)
@@ -302,24 +293,28 @@ def run_ensemble(config: EnsembleConfig) -> EnsembleStats:
             x0, t0 = law.dist.sample(np.array([inits.at(k).random(2) for k in block]))
             changed = sample_block(model, x0, t0, uniforms)
             del uniforms  # block-sized arrays are freed as soon as they are used
-        values["num_changes"][part] = changed.sum(axis=1)
-        schedules = schedules_of(block)
-        ages = aoi_block(schedules)
-        aoi_acc += ages.sum(axis=0)  # integers: exact in any order
-        values["cum_aoi"][part] = ages.sum(axis=1)
-        if law is None:
-            # the path realization drives the delay only; staleness is an
-            # expectation over paths, evaluated analytically per schedule
-            values["cum_gaoi"][part] = bayes_mod.bayes_cumulative_gaoi(model, schedules)
-            for series in _bayes_gaoi_series(h, decay, ages):
-                gaoi_acc += series
-        del ages
-        delays = detection_block(schedules)[:, 1:] - slots
-        values["cum_delay"][part] = delays.sum(axis=1, where=changed)
+        num_changes = changed.sum(axis=1)
+        for schedules_of, vals, aoi_acc, gaoi_acc in zip(sources, values, aoi_accs, gaoi_accs):
+            vals["num_changes"][part] = num_changes
+            schedules = schedules_of(block)
+            ages = aoi_block(schedules)
+            aoi_acc += ages.sum(axis=0)  # integers: exact in any order
+            vals["cum_aoi"][part] = ages.sum(axis=1)
+            if law is None:
+                # the path realization drives the delay only; staleness is an
+                # expectation over paths, evaluated analytically per schedule
+                vals["cum_gaoi"][part] = bayes_mod.bayes_cumulative_gaoi(model, schedules)
+                for series in _bayes_gaoi_series(h, decay, ages):
+                    gaoi_acc += series
+            del ages
+            delays = detection_block(schedules)[:, 1:] - slots
+            vals["cum_delay"][part] = delays.sum(axis=1, where=changed)
+            del schedules, delays  # before the next policy's are built
     if law is not None:
-        values["cum_gaoi"] = law.rate * values["cum_aoi"]
-        gaoi_acc = law.rate * aoi_acc
-    return _aggregate(config, values, aoi_acc, gaoi_acc)
+        for vals in values:
+            vals["cum_gaoi"] = law.rate * vals["cum_aoi"]
+        gaoi_accs = [law.rate * aoi_acc for aoi_acc in aoi_accs]
+    return [_aggregate(*run) for run in zip(values, aoi_accs, gaoi_accs)]
 
 
 def _bayes_gaoi_series(h: np.ndarray, decay: np.ndarray, ages: np.ndarray) -> np.ndarray:
@@ -336,12 +331,12 @@ def _bayes_gaoi_series(h: np.ndarray, decay: np.ndarray, ages: np.ndarray) -> np
     return h[ages + 1] * decay[delta]
 
 
-def _aggregate(config: EnsembleConfig, values: dict[str, np.ndarray], aoi_acc: np.ndarray,
+def _aggregate(values: dict[str, np.ndarray], aoi_acc: np.ndarray,
                gaoi_acc: np.ndarray) -> EnsembleStats:
-    n = config.num_paths
+    n = len(values["cum_aoi"])
     return EnsembleStats(
         num_paths=n,
-        horizon=config.horizon,
+        horizon=len(aoi_acc),
         mean={name: float(v.mean()) for name, v in values.items()},
         se={name: float(v.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
             for name, v in values.items()},

@@ -7,8 +7,9 @@ path at a time, in the plainest form: ``filter_stale``,
 agree with them bit for bit (``run_ensemble`` in its per-path values too).
 A schedule here is the list of its kept ``(s, d)`` pairs, and
 ``reference_filter_stale`` is the stale filter as a loop over pairs ordered
-by delivery, which every schedule loop shares.  The per-path ensemble draws
-from a fresh ``derive_stream`` generator per path, where ``run_ensemble``
+by delivery, which every schedule loop shares.  The per-path ensemble runs
+one policy and draws from a fresh ``derive_stream`` generator per path, where
+``run_ensemble`` samples each block of paths once for all its policies and
 resets one shared generator per salt; it samples each stationary path alone
 (a one-path ``sample_block``) and finds each change's detection by
 bisection (``reference_detection``), not by ``detection_block``.
@@ -32,11 +33,11 @@ from bisect import bisect_left
 import numpy as np
 
 from gaoi import bayes
+from gaoi.config import RunConfig
 from gaoi.ensemble import (
     INIT_SALT,
     PATH_SALT,
     POLICY_SALT,
-    EnsembleConfig,
     EnsembleStats,
     _aggregate,
     derive_stream,
@@ -247,11 +248,13 @@ def reference_expected_delay(model: bayes.BayesModel, pairs: list[tuple[int, int
     return _interval_loop(model, pairs, t, -t * (1.0 - p) ** t - bayes._expected_theta_capped(p, t))
 
 
-def reference_ensemble(config: EnsembleConfig) -> EnsembleStats:
-    """``run_ensemble`` one path at a time: each path's schedule from its own
-    policy stream, its change slots from a one-path ``sample_block``
-    (stationary) or its geometric change time (Bayesian), each change's delay
-    from ``reference_detection``, and every series added in path order."""
+def reference_ensemble(config: RunConfig, policy: PolicySpec) -> EnsembleStats:
+    """``run_ensemble``'s result for ``policy``, one path at a time: each
+    path's schedule from its own policy stream, its change slots from a
+    one-path ``sample_block`` (stationary) or its geometric change time
+    (Bayesian), sampled again for this policy alone, each change's delay from
+    ``reference_detection``, and every series added in path order.
+    ``config.policies`` is not read."""
     model, horizon, seed = config.model, config.horizon, config.base_seed
     bayesian = isinstance(model, bayes.BayesModel)
     law = None if bayesian else model.law
@@ -263,7 +266,7 @@ def reference_ensemble(config: EnsembleConfig) -> EnsembleStats:
     aoi_acc = np.zeros(horizon)
     gaoi_acc = np.zeros(horizon)
     for k in range(config.num_paths):
-        schedule = reference_generate_schedule(config.policy, horizon,
+        schedule = reference_generate_schedule(policy, horizon,
                                                derive_stream(seed, k, POLICY_SALT))
         ages = aoi_block(one_row(schedule, horizon))[0]
         aoi_acc += ages
@@ -286,5 +289,5 @@ def reference_ensemble(config: EnsembleConfig) -> EnsembleStats:
             values["num_changes"][k] = len(slots)
             values["cum_gaoi"][k] = law.rate * values["cum_aoi"][k]
     if bayesian:
-        return _aggregate(config, values, aoi_acc, gaoi_acc)
-    return _aggregate(config, values, aoi_acc, law.rate * aoi_acc)
+        return _aggregate(values, aoi_acc, gaoi_acc)
+    return _aggregate(values, aoi_acc, law.rate * aoi_acc)

@@ -12,7 +12,6 @@ import pytest
 from gaoi import (
     BayesModel,
     DelayLaw,
-    EnsembleConfig,
     PolicySpec,
     bayes_constant_c,
     bayes_cumulative_gaoi,
@@ -33,6 +32,7 @@ from gaoi import (
     stationary_distribution,
 )
 from gaoi.cli import main
+from gaoi.config import RunConfig
 from gaoi.schedule import aoi_block
 
 from conftest import make_cycle, make_two_state_swap, random_model
@@ -129,11 +129,10 @@ def test_criterion_6_fig5_replication():
         PolicySpec(kind="greedy", delay=DelayLaw.uniform(20, 80)),
     ]
     with _Budget(30.0):
-        for policy in policies:
-            stats = run_ensemble(EnsembleConfig(
-                model=model, policy=policy, horizon=1000,
-                num_paths=1000, base_seed=20240101,
-            ))
+        for stats in run_ensemble(RunConfig(
+            model=model, policies=tuple(policies), horizon=1000,
+            num_paths=1000, base_seed=20240101,
+        )):
             scaled = p * stats.mean["cum_aoi"]
             assert abs(stats.mean["cum_delay"] - scaled) / scaled <= 0.02
             assert stats.mean["cum_gaoi"] / rate == pytest.approx(
@@ -178,11 +177,10 @@ def test_criterion_8_fig6_replication():
                         - scale * bayes_expected_delay(model, block))
             assert (abs(residual - c_t) <= 1e-9).all()
         residuals = []
-        for policy in policies:
-            stats = run_ensemble(EnsembleConfig(
-                model=model, policy=policy, horizon=horizon,
-                num_paths=2000, base_seed=20240102,
-            ))
+        for stats in run_ensemble(RunConfig(
+            model=model, policies=tuple(policies), horizon=horizon,
+            num_paths=2000, base_seed=20240102,
+        )):
             res = stats.mean["cum_gaoi"] - scale * stats.mean["cum_delay"]
             se = scale * stats.se["cum_delay"]
             assert abs(res - c_t) <= 3.0 * se

@@ -38,6 +38,16 @@ def write_config(tmp_path, data, name="config.yaml"):
     return str(path)
 
 
+def run_python(code: str) -> str:
+    """The stdout of ``code`` in a fresh interpreter, after ``import sys``,
+    with this tree's gaoi on its path."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.run([sys.executable, "-c", "import sys\n" + code], capture_output=True,
+                          text=True, env=env, check=True).stdout
+
+
 class TestEntropyRate:
     def test_swap_model(self, tmp_path, capsys):
         cfg = write_config(tmp_path, SWAP_CONFIG)
@@ -89,6 +99,28 @@ class TestEntropyRate:
 
     def test_bayesian_model_rejected(self, tmp_path):
         assert main(["entropy-rate", "--config", write_config(tmp_path, BAYES_CONFIG)]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("command", [["entropy-rate"], ["verify", "thm1"]])
+    def test_zero_paths_in_config_exit_2(self, tmp_path, capsys, command):
+        # every command checks the run's ranges, even one that runs no paths
+        data = {**SWAP_CONFIG, "run": {**SWAP_CONFIG["run"], "num_paths": 0}}
+        assert main([*command, "--config", write_config(tmp_path, data)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == "config error: run.num_paths must be >= 1, got 0\n"
+
+
+# the field named by each bad-config case that names one
+BAD_CONFIG_MESSAGES = {
+    "horizon_0": "run.horizon must be >= 1, got 0",
+    "seed_negative": "run.base_seed must be >= 0, got -1",
+    "num_paths_0": "run.num_paths must be >= 1, got 0",
+    "tail_bool": "model.dwell.tail must be a number, got True",
+    "tail_text": "model.dwell.tail must be a number, got 'abc'",
+    "tail_past_float": "model.dwell.tail must be a number, got 1000",
+    "prefix_text": "model.dwell[1].prefix[1] must be a number, got 'x'",
+    "px_entry_bool": "model.px_rows[0][0] must be a number, got False",
+    "bayes_p_bool": "model.bayes_p must be a number, got True",
+    "explicit_bad_field": "bad_field.txt:2: expected integers 's d', got '5 x'",
+}
 
 
 class TestSimulate:
@@ -154,7 +186,21 @@ class TestSimulate:
         cfg = write_config(tmp_path, SWAP_CONFIG)
         assert main(["simulate", "--config", cfg, "--paths", "0",
                      "--out", str(tmp_path / "out")]) == EXIT_CONFIG
-        assert "--paths 0 < 1" in capsys.readouterr().err
+        assert "run.num_paths must be >= 1, got 0" in capsys.readouterr().err
+
+    def test_repeated_policy_label_exit_2(self, tmp_path, capsys):
+        # two greedy policies would write one series_greedy.csv and two
+        # indistinguishable summary rows
+        data = {**SWAP_CONFIG, "policies": [{"kind": "greedy", "delay": {"uniform": [1, 3]}},
+                                            SWAP_CONFIG["policy"],
+                                            {"kind": "greedy", "delay": {"uniform": [5, 9]}}]}
+        del data["policy"]
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", write_config(tmp_path, data),
+                     "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: repeated policy label greedy:")
+        assert err.count("\n") == 1 and not out.exists()
 
     @pytest.mark.parametrize("section, edit", [
         ("model", {"kind": "bayesian", "bayes_p": 1.5}),
@@ -176,12 +222,26 @@ class TestSimulate:
         ("model", {"kind": "stationary", "px_rows": [[0, 1], [1]], "dwell": 0.5}),
         ("policy", {"kind": "greedy", "delay": {"uniform": [2, 2**63]}}),
         ("policy", {"kind": "explicit", "schedule_path": "late_pair.txt"}),
+        ("run", {"num_paths": 0}),
+        ("model", {"kind": "stationary", "px_rows": [[0, 1], [1, 0]], "dwell": {"tail": True}}),
+        ("model", {"kind": "stationary", "px_rows": [[0, 1], [1, 0]], "dwell": {"tail": "abc"}}),
+        ("model", {"kind": "stationary", "px_rows": [[0, 1], [1, 0]],
+                   "dwell": {"tail": 10**400}}),
+        ("model", {"kind": "stationary", "px_rows": [[0, 1], [1, 0]],
+                   "dwell": [{"tail": 0.5}, {"prefix": [0.5, "x"], "tail": 0.5}]}),
+        ("model", {"kind": "stationary", "px_rows": [[False, True], [True, False]],
+                   "dwell": 0.5}),
+        ("model", {"kind": "bayesian", "bayes_p": True}),
+        ("policy", {"kind": "explicit", "schedule_path": "bad_field.txt"}),
     ], ids=["bayes_p", "period_0", "uniform_scalar", "model_null", "horizon_0",
             "horizon_negative", "horizon_float", "horizon_bool", "num_paths_float",
             "seed_negative", "period_float", "delay_float", "delay_bool", "dwell_no_tail",
-            "px_rows_scalar", "px_rows_ragged", "delay_past_int64", "explicit_late_pair"])
+            "px_rows_scalar", "px_rows_ragged", "delay_past_int64", "explicit_late_pair",
+            "num_paths_0", "tail_bool", "tail_text", "tail_past_float", "prefix_text",
+            "px_entry_bool", "bayes_p_bool", "explicit_bad_field"])
     def test_bad_config_exit_2(self, tmp_path, capsys, monkeypatch, request, section, edit):
         (tmp_path / "late_pair.txt").write_text("5 3\n")  # sampled after its delivery
+        (tmp_path / "bad_field.txt").write_text("3 5\n5 x\n")
         monkeypatch.chdir(tmp_path)
         data = {**SWAP_CONFIG, section: edit}
         if section == "run":
@@ -192,6 +252,7 @@ class TestSimulate:
         assert err.startswith("config error:") and err.count("\n") == 1
         if request.node.callspec.id.startswith("px_rows"):
             assert "model.px_rows must be an n x n list of numbers, got" in err
+        assert BAD_CONFIG_MESSAGES.get(request.node.callspec.id, "") in err
 
     @pytest.mark.parametrize("command", [["entropy-rate"], ["simulate", "--out", "out"]],
                              ids=["entropy_rate", "simulate"])
@@ -211,10 +272,11 @@ class TestSimulate:
         assert main(["simulate", "--config", write_config(tmp_path, data),
                      "--out", str(tmp_path / "out")]) == EXIT_OK
 
-    def test_negative_seed_override_exit_2(self, tmp_path):
+    def test_negative_seed_override_exit_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, SWAP_CONFIG)
         assert main(["simulate", "--config", cfg, "--seed", "-1",
                      "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert "run.base_seed must be >= 0, got -1" in capsys.readouterr().err
 
     def test_stationary_law_computed_once(self, tmp_path, monkeypatch):
         # JointModel.law looks the law up in markov, once per model
@@ -350,13 +412,17 @@ class TestVerify:
     def test_preset_verify_skips_yaml_and_numpy_ma(self):
         # a preset needs no YAML parser, and nothing on the verify path needs
         # numpy.ma: importing either costs 10-30 ms of every run's start-up
-        code = ("import sys\n"
-                "from gaoi import cli\n"
-                "code = cli.main(['verify', 'thm2', '--preset', 'fig6', '--paths', '20'])\n"
-                "print(code, sorted({'yaml', 'numpy.ma'} & set(sys.modules)))\n")
-        src = str(Path(cli.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        env = {**os.environ, "PYTHONPATH": path}
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                             env=env, check=True).stdout
+        out = run_python("from gaoi import cli\n"
+                         "argv = ['verify', 'thm2', '--preset', 'fig6', '--paths', '20']\n"
+                         "code = cli.main(argv)\n"
+                         "print(code, sorted({'yaml', 'numpy.ma'} & set(sys.modules)))\n")
         assert out.splitlines()[-1] in ("0 []", "1 []")
+
+
+def test_import_gaoi_skips_config_cli_and_yaml():
+    # the library (and the oracle workload, which imports it) needs neither
+    # the config reader nor the CLI: loading them costs start-up on every import
+    out = run_python("import gaoi\n"
+                     "print(sorted({'gaoi.config', 'gaoi.cli', 'yaml'} & set(sys.modules)))\n")
+    assert out.splitlines()[-1] == "[]"
+

@@ -152,3 +152,18 @@ def test_dwell_scalar_rejects_bool_and_text(tmp_path, capsys, dwell):
     assert main(["entropy-rate", "--config", str(path)]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("config error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("text, numbers", [
+    ("model:\n  kind: stationary\n  px_rows: [[0, 1e0], [1e0, 0]]\n"
+     "  dwell: {prefix: [1e-1], tail: 5e-1}\n",
+     "model:\n  kind: stationary\n  px_rows: [[0, 1.0], [1.0, 0]]\n"
+     "  dwell: {prefix: [0.1], tail: 0.5}\n"),
+    ("model: {kind: bayesian, bayes_p: 4e-2}\n", "model: {kind: bayesian, bayes_p: 0.04}\n"),
+], ids=["stationary", "bayesian"])
+def test_number_fields_take_exponent_strings(tmp_path, loader, text, numbers):
+    # YAML 1.1 reads 1e0 and 4e-2 (no dot) as strings; every number field takes them
+    strings, floats = tmp_path / "strings.yaml", tmp_path / "floats.yaml"
+    strings.write_text(text)
+    floats.write_text(numbers)
+    assert same(config.load_config(strings), config.load_config(floats))

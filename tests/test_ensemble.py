@@ -7,7 +7,6 @@ from gaoi import (
     ChangeKernel,
     DelayLaw,
     DwellKernel,
-    EnsembleConfig,
     PolicySpec,
     bayes_constant_c,
     bayes_cumulative_gaoi,
@@ -18,6 +17,7 @@ from gaoi import (
     validate_model,
 )
 from gaoi import bayes, ensemble, markov
+from gaoi.config import RunConfig
 from gaoi.ensemble import INIT_SALT, METRICS, PATH_SALT, POLICY_SALT, sample_block
 from gaoi.schedule import aoi_block
 from gaoi.markov import JointState, stationary_distribution
@@ -215,11 +215,11 @@ class TestStationarySample:
 
 class TestRunEnsemble:
     def test_deterministic_periodic_chain_zero_gaoi(self):
-        config = EnsembleConfig(
-            model=make_cycle(3), policy=PERIODIC_50, horizon=200, num_paths=1,
+        config = RunConfig(
+            model=make_cycle(3), policies=(PERIODIC_50,), horizon=200, num_paths=1,
             base_seed=1,
         )
-        stats = run_ensemble(config)
+        [stats] = run_ensemble(config)
         assert stats.mean["cum_gaoi"] == 0.0
         assert not stats.mean_gaoi_series.any()
 
@@ -236,32 +236,32 @@ class TestRunEnsemble:
             assert rows(sched) == rows(again)
 
     def test_proportionality_relation_small_ensemble(self):
-        config = EnsembleConfig(
-            model=make_two_state_swap(0.6), policy=PERIODIC_50, horizon=1000,
+        config = RunConfig(
+            model=make_two_state_swap(0.6), policies=(PERIODIC_50,), horizon=1000,
             num_paths=300, base_seed=12,
         )
-        stats = run_ensemble(config)
+        [stats] = run_ensemble(config)
         assert stats.mean["cum_delay"] == pytest.approx(
             0.6 * stats.mean["cum_aoi"], rel=0.05
         )
 
     def test_bayes_residual_near_constant(self):
         model = BayesModel(0.04)
-        config = EnsembleConfig(
-            model=model, policy=PolicySpec(kind="periodic", period=5,
-                                           delay=DelayLaw.deterministic(0)),
+        config = RunConfig(
+            model=model, policies=(PolicySpec(kind="periodic", period=5,
+                                              delay=DelayLaw.deterministic(0)),),
             horizon=100, num_paths=500, base_seed=3,
         )
-        stats = run_ensemble(config)
+        [stats] = run_ensemble(config)
         residual = stats.mean["cum_gaoi"] - model.h1 / model.p * stats.mean["cum_delay"]
         se = model.h1 / model.p * stats.se["cum_delay"]
         assert abs(residual - bayes_constant_c(model, 100)) <= 4 * se
 
     def test_standard_error_scales_with_paths(self):
-        base = dict(model=make_two_state_swap(0.6), policy=GREEDY_2080,
+        base = dict(model=make_two_state_swap(0.6), policies=(GREEDY_2080,),
                     horizon=1000, base_seed=5)
-        small = run_ensemble(EnsembleConfig(num_paths=250, **base))
-        large = run_ensemble(EnsembleConfig(num_paths=1000, **base))
+        [small] = run_ensemble(RunConfig(num_paths=250, **base))
+        [large] = run_ensemble(RunConfig(num_paths=1000, **base))
         ratio = large.se["cum_delay"] / small.se["cum_delay"]
         assert 0.4 <= ratio <= 0.6
 
@@ -343,8 +343,8 @@ class TestBayesBranch:
 
     @pytest.mark.parametrize("policy", [PERIODIC_50, GREEDY_2080])
     def test_mean_series_sums_to_mean_cumulative(self, policy):
-        stats = run_ensemble(EnsembleConfig(model=BayesModel(0.04), policy=policy,
-                                            horizon=300, num_paths=30, base_seed=8))
+        [stats] = run_ensemble(RunConfig(model=BayesModel(0.04), policies=(policy,),
+                                         horizon=300, num_paths=30, base_seed=8))
         cum = stats.mean["cum_gaoi"]
         assert abs(stats.mean_gaoi_series.sum() - cum) <= 1e-12 * cum
 
@@ -364,8 +364,8 @@ class TestBayesBranch:
         counts = []
         for horizon in (50, 400):
             calls.update(h_closed=0, binary_entropy=0)
-            run_ensemble(EnsembleConfig(model=BayesModel(0.04), policy=GREEDY_2080,
-                                        horizon=horizon, num_paths=20, base_seed=4))
+            run_ensemble(RunConfig(model=BayesModel(0.04), policies=(GREEDY_2080,),
+                                   horizon=horizon, num_paths=20, base_seed=4))
             counts.append(dict(calls))
         assert counts[0] == counts[1]
         assert counts[0]["h_closed"] > 0 and counts[0]["binary_entropy"] > 0
@@ -410,11 +410,11 @@ class TestSamplerEquivalence:
 
     @pytest.mark.parametrize("block_paths", [1, 3, 64])
     def test_ensemble_independent_of_block_size(self, monkeypatch, block_paths):
-        config = EnsembleConfig(model=make_ragged_three(), policy=GREEDY_2080, horizon=150,
-                                num_paths=70, base_seed=8)
-        default = run_ensemble(config)
+        config = RunConfig(model=make_ragged_three(), policies=(GREEDY_2080,), horizon=150,
+                           num_paths=70, base_seed=8)
+        [default] = run_ensemble(config)
         monkeypatch.setattr(ensemble, "BLOCK_PATHS", block_paths)
-        other = run_ensemble(config)
+        [other] = run_ensemble(config)
         assert default.mean == other.mean and default.se == other.se
         for name in METRICS:
             assert np.array_equal(default.values[name], other.values[name])
@@ -493,11 +493,11 @@ class TestRenewalLaw:
         model, paths, horizon = make_ragged_three(), 40, 150
         x0, t0 = np.arange(paths) % 3, np.arange(paths) % 5
         uniforms = np.random.default_rng(12).random((paths, horizon, 2))
-        config = EnsembleConfig(model=model, policy=GREEDY_2080, horizon=horizon,
-                                num_paths=70, base_seed=8)
-        default = _per_slot(model, x0, t0, uniforms), run_ensemble(config)
+        config = RunConfig(model=model, policies=(GREEDY_2080,), horizon=horizon,
+                           num_paths=70, base_seed=8)
+        default = _per_slot(model, x0, t0, uniforms), run_ensemble(config)[0]
         monkeypatch.setattr(ensemble, "CHUNK_CHANGES", chunk)
-        other = _per_slot(model, x0, t0, uniforms), run_ensemble(config)
+        other = _per_slot(model, x0, t0, uniforms), run_ensemble(config)[0]
         for a, b in zip(default[0], other[0]):
             assert np.array_equal(a, b)
         assert default[1].mean == other[1].mean and default[1].se == other[1].se
@@ -510,17 +510,19 @@ class TestSamplerEdgeCases:
         changed, states = _one_path(make_two_state_swap(0.6), 1, 4, 1, rng)
         assert changed.shape == states.shape == (1,)
         assert states[0] == (0 if changed[0] else 1)
-        stats = run_ensemble(EnsembleConfig(model=make_two_state_swap(0.6), policy=GREEDY_2080,
-                                            horizon=1, num_paths=5, base_seed=3))
+        [stats] = run_ensemble(RunConfig(model=make_two_state_swap(0.6),
+                                         policies=(GREEDY_2080,), horizon=1, num_paths=5,
+                                         base_seed=3))
         # age 0 at slot 0; a change at slot 1 = T is detected at T
         assert stats.mean["cum_aoi"] == 0.0 and stats.mean["cum_delay"] == 0.0
         assert 0.0 <= stats.mean["num_changes"] <= 1.0
         assert stats.mean_aoi_series.shape == (1,)
 
     def test_one_and_two_paths(self):
-        base = dict(model=make_ragged_three(), policy=GREEDY_2080, horizon=300, base_seed=17)
-        one = run_ensemble(EnsembleConfig(num_paths=1, **base))
-        two = run_ensemble(EnsembleConfig(num_paths=2, **base))
+        base = dict(model=make_ragged_three(), policies=(GREEDY_2080,), horizon=300,
+                    base_seed=17)
+        [one] = run_ensemble(RunConfig(num_paths=1, **base))
+        [two] = run_ensemble(RunConfig(num_paths=2, **base))
         assert all(v == 0.0 for v in one.se.values())
         for name in ("cum_aoi", "cum_delay", "num_changes"):
             # path 0 is shared, so the two-path SE is |v0 - v1| / 2 = |mean1 - mean2|
@@ -533,8 +535,8 @@ class TestSamplerEdgeCases:
                                     np.random.default_rng(4).random((9, horizon, 2)))
         assert changed.all()
         assert np.array_equal(states, (x0[:, None] + np.arange(1, horizon + 1)) % 3)
-        stats = run_ensemble(EnsembleConfig(model=model, policy=GREEDY_2080, horizon=horizon,
-                                            num_paths=20, base_seed=4))
+        [stats] = run_ensemble(RunConfig(model=model, policies=(GREEDY_2080,),
+                                         horizon=horizon, num_paths=20, base_seed=4))
         assert stats.mean["num_changes"] == horizon and stats.se["num_changes"] == 0.0
         # a change in every slot: total delay is the delay double sum, which equals the
         # cumulative AoI of each schedule exactly
@@ -570,8 +572,8 @@ class TestSamplerEdgeCases:
                                     np.random.default_rng(3).random((40, 50, 2)))
         assert not changed.any()
         assert np.array_equal(states[:, -1], np.arange(40) % 2)
-        stats = run_ensemble(EnsembleConfig(model=model, policy=GREEDY_2080, horizon=50,
-                                            num_paths=40, base_seed=3))
+        [stats] = run_ensemble(RunConfig(model=model, policies=(GREEDY_2080,), horizon=50,
+                                         num_paths=40, base_seed=3))
         assert stats.mean["num_changes"] == 0.0 and stats.mean["cum_delay"] == 0.0
 
     def test_initial_dwell_past_prefix(self):
@@ -611,15 +613,25 @@ def reference_stats():
     def get(model_name, policy_name):
         key = model_name, policy_name
         if key not in cache:
-            cache[key] = reference_ensemble(_reference_config(model_name, policy_name))
+            cache[key] = reference_ensemble(_reference_config(model_name),
+                                            ENSEMBLE_POLICIES[policy_name])
         return cache[key]
     return get
 
 
-def _reference_config(model_name, policy_name):
-    return EnsembleConfig(model=ENSEMBLE_MODELS[model_name],
-                          policy=ENSEMBLE_POLICIES[policy_name],
-                          horizon=120, num_paths=10, base_seed=11)
+def _reference_config(model_name, *policy_names):
+    return RunConfig(model=ENSEMBLE_MODELS[model_name],
+                     policies=tuple(ENSEMBLE_POLICIES[name] for name in policy_names),
+                     horizon=120, num_paths=10, base_seed=11)
+
+
+def _assert_identical(stats, other):
+    """Two ensembles' results equal bit for bit."""
+    assert stats.mean == other.mean and stats.se == other.se
+    for name in METRICS:
+        assert np.array_equal(stats.values[name], other.values[name])
+    assert np.array_equal(stats.mean_aoi_series, other.mean_aoi_series)
+    assert np.array_equal(stats.mean_gaoi_series, other.mean_gaoi_series)
 
 
 class TestEnsembleMatchesReference:
@@ -629,25 +641,20 @@ class TestEnsembleMatchesReference:
     def test_bit_identical_to_per_path_loop(self, monkeypatch, reference_stats, model_name,
                                             policy_name, block_paths):
         monkeypatch.setattr(ensemble, "BLOCK_PATHS", block_paths)
-        stats = run_ensemble(_reference_config(model_name, policy_name))
-        ref = reference_stats(model_name, policy_name)
-        assert stats.mean == ref.mean and stats.se == ref.se
-        for name in METRICS:
-            assert np.array_equal(stats.values[name], ref.values[name])
-        assert np.array_equal(stats.mean_aoi_series, ref.mean_aoi_series)
-        assert np.array_equal(stats.mean_gaoi_series, ref.mean_gaoi_series)
+        [stats] = run_ensemble(_reference_config(model_name, policy_name))
+        _assert_identical(stats, reference_stats(model_name, policy_name))
 
     @pytest.mark.parametrize("block_paths", [7, 256])
     def test_start_status_reaches_the_sampler(self, monkeypatch, block_paths):
         # about 13 % of the stationary law sits outside status 0, so some of
         # 200 paths start in a status whose hazard differs from status 0's by
         # 10 to 19 times: any start status but the drawn one moves their changes
-        config = EnsembleConfig(model=make_split_hazards(),
-                                policy=ENSEMBLE_POLICIES["greedy_random"],
-                                horizon=40, num_paths=200, base_seed=23)
-        ref = reference_ensemble(config)
+        policy = ENSEMBLE_POLICIES["greedy_random"]
+        config = RunConfig(model=make_split_hazards(), policies=(policy,), horizon=40,
+                           num_paths=200, base_seed=23)
+        ref = reference_ensemble(config, policy)
         monkeypatch.setattr(ensemble, "BLOCK_PATHS", block_paths)
-        stats = run_ensemble(config)
+        [stats] = run_ensemble(config)
         assert stats.mean == ref.mean and stats.se == ref.se
         assert np.array_equal(stats.mean_aoi_series, ref.mean_aoi_series)
 
@@ -668,3 +675,44 @@ class TestEnsembleMatchesReference:
         run_ensemble(_reference_config("bayes", policy_name))
         assert salts.count(POLICY_SALT) == policy_streams
         assert salts.count(PATH_SALT) == 10
+
+
+class TestPoliciesShareSourcePaths:
+    """Every policy of a run sees the same source paths, sampled once."""
+
+    POLICIES = ("periodic_fixed", "greedy_random", "explicit")
+
+    @pytest.mark.parametrize("block_paths", [1, 256])
+    @pytest.mark.parametrize("model_name", sorted(ENSEMBLE_MODELS))
+    def test_k_policies_equal_k_one_policy_runs(self, monkeypatch, model_name, block_paths):
+        monkeypatch.setattr(ensemble, "BLOCK_PATHS", block_paths)
+        together = run_ensemble(_reference_config(model_name, *self.POLICIES))
+        assert len(together) == len(self.POLICIES)
+        for policy_name, stats in zip(self.POLICIES, together):
+            [alone] = run_ensemble(_reference_config(model_name, policy_name))
+            _assert_identical(stats, alone)
+
+    @pytest.mark.parametrize("model_name, blocks, starts", [
+        ("ragged", [4, 4, 2], 10), ("bayes", [], 0),
+    ])
+    def test_source_sampled_once_per_block(self, monkeypatch, model_name, blocks, starts):
+        # one sample_block per block of 4 paths, and one reset of the path
+        # (and start) stream per path, however many policies read them
+        monkeypatch.setattr(ensemble, "BLOCK_PATHS", 4)
+        sampled, salts = [], []
+        sample, at = ensemble.sample_block, ensemble.StreamFamily.at
+
+        def counted_sample(model, x0, t0, uniforms):
+            sampled.append(len(x0))
+            return sample(model, x0, t0, uniforms)
+
+        def counted_at(family, k):
+            salts.append(family.salt)
+            return at(family, k)
+
+        monkeypatch.setattr(ensemble, "sample_block", counted_sample)
+        monkeypatch.setattr(ensemble.StreamFamily, "at", counted_at)
+        run_ensemble(_reference_config(model_name, *self.POLICIES))
+        assert sampled == blocks
+        assert salts.count(PATH_SALT) == 10 and salts.count(INIT_SALT) == starts
+        assert salts.count(POLICY_SALT) == 10  # greedy_random alone draws delays
