@@ -21,7 +21,7 @@ def main() -> None:
     print("q,p_change,entropy_rate_bits")
     for q in np.linspace(0.05, 0.95, args.steps):
         model = validate_model(swap, DwellKernel.homogeneous(2, [], float(q)))
-        print(f"{q:.2f},{model.law.p_change!r},{model.law.rate!r}")
+        print(f"{q:.2f},{model.p_change!r},{model.rate!r}")
 
 
 if __name__ == "__main__":

@@ -19,13 +19,10 @@ from .markov import (
     EntropyRate,
     IrreducibilityError,
     JointModel,
-    JointState,
     ModelError,
     StationaryDistribution,
-    StationaryLaw,
     discrete_entropy,
     entropy_rate,
-    prob_change,
     stationary_distribution,
     validate_model,
 )

@@ -67,16 +67,24 @@ def _load(args) -> RunConfig:
     return replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
 
 
-def _policy_label(policy: PolicySpec) -> str:
-    if policy.kind == "periodic":
-        return f"periodic{policy.period}"
-    return policy.kind
+def _policy_labels(cfg: RunConfig, command: str) -> list[str]:
+    """Each policy's label (``periodic<N>``, ``greedy``, ``explicit``), which
+    names its series file, summary row and ``verify`` line; a run with no
+    policy, or with a label twice, is a config error."""
+    if not cfg.policies:
+        raise ConfigError(f"{command} needs a 'policy' or 'policies' section")
+    labels = [f"periodic{p.period}" if p.kind == "periodic" else p.kind for p in cfg.policies]
+    repeated = sorted({label for label in labels if labels.count(label) > 1})
+    if repeated:
+        raise ConfigError(f"repeated policy label {', '.join(repeated)}: each policy needs "
+                          "its own series file, summary row and verify line")
+    return labels
 
 
-def _summary_row(cfg: RunConfig, policy: PolicySpec, stats: EnsembleStats) -> dict:
+def _summary_row(cfg: RunConfig, label: str, stats: EnsembleStats) -> dict:
     row = {c: "" for c in SUMMARY_COLUMNS}
     row.update(
-        policy=_policy_label(policy),
+        policy=label,
         num_paths=stats.num_paths,
         horizon=stats.horizon,
         mean_cum_aoi=stats.mean["cum_aoi"],
@@ -85,16 +93,15 @@ def _summary_row(cfg: RunConfig, policy: PolicySpec, stats: EnsembleStats) -> di
         se_cum_delay=stats.se["cum_delay"],
         mean_cum_gaoi=stats.mean["cum_gaoi"],
     )
+    model = cfg.model
     if cfg.is_bayesian:
-        model: BayesModel = cfg.model
         row["residual"] = float(
             stats.mean["cum_gaoi"] - model.h1 / model.p * stats.mean["cum_delay"]
         )
     else:
-        law = cfg.model.law
-        row["p_change"] = law.p_change
-        row["entropy_rate"] = law.rate
-        row["scaled_aoi"] = law.p_change * stats.mean["cum_aoi"]
+        row["p_change"] = model.p_change
+        row["entropy_rate"] = model.rate
+        row["scaled_aoi"] = model.p_change * stats.mean["cum_aoi"]
     return row
 
 
@@ -126,12 +133,12 @@ def cmd_entropy_rate(args) -> int:
     cfg = _load(args)
     if cfg.is_bayesian:
         raise ConfigError("entropy-rate needs a stationary model")
-    law = cfg.model.law
-    print(f"entropy_rate_bits_per_slot: {law.rate!r}")
-    print(f"p_change: {law.p_change!r}")
+    model = cfg.model
+    print(f"entropy_rate_bits_per_slot: {model.rate!r}")
+    print(f"p_change: {model.p_change!r}")
     row = {c: "" for c in SUMMARY_COLUMNS}
-    row.update(policy="", num_paths=0, horizon=cfg.horizon, p_change=law.p_change,
-               entropy_rate=law.rate)
+    row.update(policy="", num_paths=0, horizon=cfg.horizon, p_change=model.p_change,
+               entropy_rate=model.rate)
     print(",".join(SUMMARY_COLUMNS))
     print(",".join(_fmt(row[c]) for c in SUMMARY_COLUMNS))
     return EXIT_OK
@@ -139,13 +146,7 @@ def cmd_entropy_rate(args) -> int:
 
 def cmd_simulate(args) -> int:
     cfg = _load(args)
-    if not cfg.policies:
-        raise ConfigError("simulate needs a 'policy' or 'policies' section")
-    labels = [_policy_label(policy) for policy in cfg.policies]
-    repeated = sorted({label for label in labels if labels.count(label) > 1})
-    if repeated:
-        raise ConfigError(f"repeated policy label {', '.join(repeated)}: each policy needs "
-                          "its own series file and summary row")
+    labels = _policy_labels(cfg, "simulate")
     out = Path(args.out or ".")
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -156,13 +157,13 @@ def cmd_simulate(args) -> int:
         print(f"error: cannot write to {out}: {exc}", file=sys.stderr)
         return EXIT_IO
     summary_rows = []
-    for i, (policy, stats) in enumerate(zip(cfg.policies, run_ensemble(cfg))):
-        summary_rows.append(_summary_row(cfg, policy, stats))
+    for i, (label, stats) in enumerate(zip(labels, run_ensemble(cfg))):
+        summary_rows.append(_summary_row(cfg, label, stats))
         series = _series_csv(stats)
         if i == 0:
             (out / "series.csv").write_text(series, newline="")
         if len(cfg.policies) > 1:
-            (out / f"series_{labels[i]}.csv").write_text(series, newline="")
+            (out / f"series_{label}.csv").write_text(series, newline="")
     _write_csv(out / "summary.csv", SUMMARY_COLUMNS, summary_rows)
     for row in summary_rows:
         print(",".join(f"{c}={_fmt(row[c])}" for c in SUMMARY_COLUMNS if row[c] != ""))
@@ -180,7 +181,7 @@ def _verdict(gap: float, se: float) -> str:
     return "inconclusive: se=0" if se == 0.0 else "FAIL"
 
 
-def _verify_thm1(cfg: RunConfig) -> int:
+def _verify_thm1(cfg: RunConfig, labels: list[str]) -> int:
     """Theorem 1: E[cum_delay] = p_change * E[cum_aoi] under any
     state-independent policy, and GAoI is the entropy rate times AoI.
 
@@ -190,7 +191,7 @@ def _verify_thm1(cfg: RunConfig) -> int:
     mean(D) is judged against its own standard error.  GAoI/rate is printed
     but not judged: the ensemble sets each path's GAoI to rate * AoI.
     """
-    law = cfg.model.law
+    model = cfg.model
     rng = derive_stream(cfg.base_seed, 0, 99)
     for _ in range(100):
         sched = random_schedule(int(rng.integers(2, 201)), rng, 1)
@@ -201,21 +202,21 @@ def _verify_thm1(cfg: RunConfig) -> int:
     print("analytic: cumulative_aoi == closed_form_aoi == delay_double_sum "
           "on 100 schedules (ok)")
     verdicts = []
-    for policy, stats in zip(cfg.policies, run_ensemble(cfg)):
-        paired = stats.values["cum_delay"] / law.p_change - stats.values["cum_aoi"]
+    for label, stats in zip(labels, run_ensemble(cfg)):
+        paired = stats.values["cum_delay"] / model.p_change - stats.values["cum_aoi"]
         gap = float(paired.mean())
         se = float(paired.std(ddof=1) / np.sqrt(stats.num_paths))
         verdicts.append(_verdict(gap, se))
-        gaoi = ("n/a (zero entropy rate)" if law.rate == 0.0
-                else repr(stats.mean["cum_gaoi"] / law.rate))
+        gaoi = ("n/a (zero entropy rate)" if model.rate == 0.0
+                else repr(stats.mean["cum_gaoi"] / model.rate))
         z = f"{gap / se:+.2f}" if se > 0.0 else "n/a"
-        print(f"{_policy_label(policy)}: gaoi/rate={gaoi} aoi={stats.mean['cum_aoi']!r} "
-              f"delay/p={stats.mean['cum_delay'] / law.p_change!r} gap={gap!r} se={se!r} "
+        print(f"{label}: gaoi/rate={gaoi} aoi={stats.mean['cum_aoi']!r} "
+              f"delay/p={stats.mean['cum_delay'] / model.p_change!r} gap={gap!r} se={se!r} "
               f"z={z} ({verdicts[-1]})")
     return EXIT_OK if all(v == "ok" for v in verdicts) else EXIT_VERIFY_FAILED
 
 
-def _verify_thm2(cfg: RunConfig) -> int:
+def _verify_thm2(cfg: RunConfig, labels: list[str]) -> int:
     model: BayesModel = cfg.model
     t = cfg.horizon
     c_t = float(bayes_constant_c(model, t))
@@ -239,12 +240,12 @@ def _verify_thm2(cfg: RunConfig) -> int:
           f"({'ok' if analytic_ok else 'FAIL'})")
     residuals = []
     verdicts = []
-    for policy, stats in zip(cfg.policies, run_ensemble(cfg)):
+    for label, stats in zip(labels, run_ensemble(cfg)):
         res = float(stats.mean["cum_gaoi"] - scale * stats.mean["cum_delay"])
         se = float(scale * stats.se["cum_delay"])
         residuals.append((res, se))
         verdicts.append(_verdict(res - c_t, se))
-        print(f"{_policy_label(policy)}: residual={res!r} se={se!r} ({verdicts[-1]})")
+        print(f"{label}: residual={res!r} se={se!r} ({verdicts[-1]})")
     if len(residuals) >= 2:
         (r1, e1), (r2, e2) = residuals[:2]
         combined = (e1**2 + e2**2) ** 0.5
@@ -257,18 +258,17 @@ def _verify_thm2(cfg: RunConfig) -> int:
 
 def cmd_verify(args) -> int:
     cfg = _load(args)
-    if not cfg.policies:
-        raise ConfigError("verify needs a 'policy' or 'policies' section")
+    labels = _policy_labels(cfg, "verify")
     if cfg.num_paths < 2:
         raise ConfigError(
             f"--paths {cfg.num_paths} < 2: a standard error needs at least two paths")
     if args.theorem == "thm1":
         if cfg.is_bayesian:
             raise ConfigError("thm1 needs a stationary model")
-        return _verify_thm1(cfg)
+        return _verify_thm1(cfg, labels)
     if not cfg.is_bayesian:
         raise ConfigError("thm2 needs a bayesian model")
-    return _verify_thm2(cfg)
+    return _verify_thm2(cfg, labels)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -72,11 +72,18 @@ def _float(value, where: str) -> float:
     raise ConfigError(f"{where} must be a number, got {value!r}")
 
 
+def _list(value, where: str) -> list:
+    if not isinstance(value, list):
+        raise ConfigError(f"{where} must be a list, got {value!r}")
+    return value
+
+
 def _dwell_entry(entry, where: str) -> tuple[list[float], float]:
     _require_keys(entry, {"prefix", "tail"}, where)
     if "tail" not in entry:
         raise ConfigError(f"{where} needs tail")
-    prefix = [_float(v, f"{where}.prefix[{i}]") for i, v in enumerate(entry.get("prefix", []))]
+    raw = _list(entry.get("prefix", []), f"{where}.prefix")
+    prefix = [_float(v, f"{where}.prefix[{i}]") for i, v in enumerate(raw)]
     return prefix, _float(entry["tail"], f"{where}.tail")
 
 
@@ -202,7 +209,8 @@ def _parse_config(data: dict) -> RunConfig:
     if "policy" in data:
         policies = (_parse_policy(data["policy"]),)
     elif "policies" in data:
-        policies = tuple(_parse_policy(p, i) for i, p in enumerate(data["policies"]))
+        policies = tuple(_parse_policy(p, i)
+                         for i, p in enumerate(_list(data["policies"], "policies")))
     else:
         policies = ()  # enough for entropy-rate; simulate/verify demand one
     run = data.get("run", {})

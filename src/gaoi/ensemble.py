@@ -263,17 +263,17 @@ def run_ensemble(config) -> list[EnsembleStats]:
 
     Every policy sees the same source paths, sampled once from streams no
     policy reads, so a policy's result does not depend on the others run.
-    A stationary model's law is the model's own (``JointModel.law``, computed
-    once per model).  Every path runs in the calling thread, and the output
-    depends only on the config.
+    A stationary model's law and entropy rate are the model's own
+    (``JointModel.law`` and ``.rate``, computed once per model).  Every path
+    runs in the calling thread, and the output depends only on the config.
     """
     model, horizon = config.model, config.horizon
-    law = None if isinstance(model, bayes_mod.BayesModel) else model.law
+    bayesian = isinstance(model, bayes_mod.BayesModel)
     policy_streams = StreamFamily(config.base_seed, POLICY_SALT)
     sources = [_schedule_source(policy, horizon, policy_streams) for policy in config.policies]
     paths = StreamFamily(config.base_seed, PATH_SALT)
     inits = StreamFamily(config.base_seed, INIT_SALT)
-    if law is None:
+    if bayesian:
         h = bayes_mod.h_closed(model, np.arange(horizon + 1))
         decay = bayes_mod.survival_table(model, horizon)
     values = [{name: np.empty(config.num_paths) for name in METRICS} for _ in sources]
@@ -283,14 +283,14 @@ def run_ensemble(config) -> list[EnsembleStats]:
     for block in _blocks(config.num_paths):
         part = slice(block.start, block.stop)
         # the (paths, horizon) mask of change slots, from each path's own streams
-        if law is None:
+        if bayesian:
             theta = np.array([paths.at(k).geometric(model.p) for k in block])
             changed = theta[:, None] == slots
         else:
             uniforms = np.empty((len(block), horizon, 2))
             for i, k in enumerate(block):
                 paths.at(k).random(out=uniforms[i])
-            x0, t0 = law.dist.sample(np.array([inits.at(k).random(2) for k in block]))
+            x0, t0 = model.law.sample(np.array([inits.at(k).random(2) for k in block]))
             changed = sample_block(model, x0, t0, uniforms)
             del uniforms  # block-sized arrays are freed as soon as they are used
         num_changes = changed.sum(axis=1)
@@ -300,7 +300,7 @@ def run_ensemble(config) -> list[EnsembleStats]:
             ages = aoi_block(schedules)
             aoi_acc += ages.sum(axis=0)  # integers: exact in any order
             vals["cum_aoi"][part] = ages.sum(axis=1)
-            if law is None:
+            if bayesian:
                 # the path realization drives the delay only; staleness is an
                 # expectation over paths, evaluated analytically per schedule
                 vals["cum_gaoi"][part] = bayes_mod.bayes_cumulative_gaoi(model, schedules)
@@ -310,10 +310,10 @@ def run_ensemble(config) -> list[EnsembleStats]:
             delays = detection_block(schedules)[:, 1:] - slots
             vals["cum_delay"][part] = delays.sum(axis=1, where=changed)
             del schedules, delays  # before the next policy's are built
-    if law is not None:
+    if not bayesian:
         for vals in values:
-            vals["cum_gaoi"] = law.rate * vals["cum_aoi"]
-        gaoi_accs = [law.rate * aoi_acc for aoi_acc in aoi_accs]
+            vals["cum_gaoi"] = model.rate * vals["cum_aoi"]
+        gaoi_accs = [model.rate * aoi_acc for aoi_acc in aoi_accs]
     return [_aggregate(*run) for run in zip(values, aoi_accs, gaoi_accs)]
 
 

@@ -14,9 +14,10 @@ infinite series below (normalization, entropy rate) have closed-form tails,
 so the law and the entropy rate are exact.
 
 A ``JointModel`` owns the tables that depend on it alone (hazards, survival
-products, the one-step transition table and the stationary law), each built
-on first use and kept read-only: the kernels' arrays are read-only, so a
-model never changes and its tables never go stale.
+products, the one-step transition table, the stationary law, and the law's
+entropy rate and change probability), each built on first use and kept
+read-only: the kernels' arrays are read-only, so a model never changes and
+its tables never go stale.
 """
 
 from __future__ import annotations
@@ -100,18 +101,6 @@ class DwellKernel:
         return self.prefix.shape[1]
 
 
-@dataclass(frozen=True)
-class JointState:
-    """Status index plus slots already spent in that status."""
-
-    x: int
-    t: int
-
-    def __post_init__(self):
-        if self.t < 0:
-            raise ValueError("dwell counter must be non-negative")
-
-
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
@@ -170,11 +159,19 @@ class JointModel:
                 _read_only(np.take_along_axis(prob, order, axis=1)))
 
     @cached_property
-    def law(self) -> "StationaryLaw":
-        """The stationary law with its entropy rate and change probability."""
-        dist = stationary_distribution(self)
-        return StationaryLaw(dist=dist, rate=entropy_rate(self, dist).bits,
-                             p_change=prob_change(dist))
+    def law(self) -> StationaryDistribution:
+        """The exact stationary law of the joint chain."""
+        return stationary_distribution(self)
+
+    @cached_property
+    def rate(self) -> float:
+        """The entropy rate in bits/slot: GAoI per slot of AoI (Theorem 1)."""
+        return entropy_rate(self, self.law).bits
+
+    @cached_property
+    def p_change(self) -> float:
+        """Per-slot probability that the status just changed, P[T_n = 0]."""
+        return float(self.law.mu0.sum())
 
 
 @dataclass(frozen=True)
@@ -232,16 +229,6 @@ def geometric_tail(u: np.ndarray, q: np.ndarray, x: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore"):
         extra = np.floor(np.log1p(-u) / np.log1p(-q).take(x))
     return np.minimum(extra, 2**62).astype(np.int64)
-
-
-@dataclass(frozen=True)
-class StationaryLaw:
-    """A stationary model's law, entropy rate (bits/slot) and per-slot change
-    probability; ``JointModel.law`` computes it once per model."""
-
-    dist: StationaryDistribution
-    rate: float
-    p_change: float
 
 
 def validate_model(change: ChangeKernel, dwell: DwellKernel) -> JointModel:
@@ -326,11 +313,6 @@ def stationary_distribution(model: JointModel) -> StationaryDistribution:
     mu = pi[:, None] / float(pi @ mean_dwell) * survival
     mu.setflags(write=False)
     return StationaryDistribution(mu=mu, tail=tail, embedded=pi)
-
-
-def prob_change(dist: StationaryDistribution) -> float:
-    """Per-slot probability that the status just changed, P[T_n = 0]."""
-    return float(dist.mu0.sum())
 
 
 def discrete_entropy(pi: np.ndarray) -> float:

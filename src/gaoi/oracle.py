@@ -22,7 +22,7 @@ from bisect import bisect_left
 import numpy as np
 
 from .bayes import BayesModel
-from .markov import JointModel, JointState, StationaryDistribution
+from .markov import JointModel, StationaryDistribution
 from .schedule import ScheduleBlock
 
 ENUMERATION_BUDGET = 10**7
@@ -76,11 +76,14 @@ def _entropies(model: JointModel, starts: np.ndarray, a: int, budget: int) -> np
     return out
 
 
-def exact_conditional_entropy(model: JointModel, u0: JointState, a: int,
+def exact_conditional_entropy(model: JointModel, x: int, t: int, a: int,
                               budget: int = ENUMERATION_BUDGET) -> float:
-    """Entropy (bits) of the next ``a`` joint states given the current one."""
+    """Entropy (bits) of the next ``a`` joint states given the current one,
+    status ``x`` after ``t`` slots in it."""
+    if t < 0:
+        raise ValueError("dwell counter must be non-negative")
     m = model.dwell.prefix_len
-    start = np.array([u0.x * (m + 1) + min(u0.t, m)])
+    start = np.array([x * (m + 1) + min(t, m)])
     return float(_entropies(model, start, a, budget)[0])
 
 

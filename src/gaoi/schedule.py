@@ -43,25 +43,23 @@ MAX_DELAY = 20
 
 @dataclass(frozen=True)
 class DelayLaw:
-    """Delivery-delay distribution: deterministic c, or uniform integers on [lo, hi]."""
+    """Delivery delays uniform on the integers [lo, hi]; deterministic when
+    ``lo == hi``."""
 
-    kind: str  # "deterministic" | "uniform"
     lo: int
     hi: int
 
     def __post_init__(self):
-        if self.kind not in ("deterministic", "uniform"):
-            raise ValueError(f"unknown delay kind {self.kind!r}")
         if self.lo < 0 or self.hi < self.lo:
             raise ValueError("delay bounds must satisfy 0 <= lo <= hi")
 
     @classmethod
     def deterministic(cls, c: int) -> "DelayLaw":
-        return cls("deterministic", int(c), int(c))
+        return cls(int(c), int(c))
 
     @classmethod
     def uniform(cls, lo: int, hi: int) -> "DelayLaw":
-        return cls("uniform", int(lo), int(hi))
+        return cls(int(lo), int(hi))
 
     def draw_rows(self, streams: Iterable, size: int, cap: int) -> np.ndarray:
         """One row of ``size`` delays per stream, each row in one call, with

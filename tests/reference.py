@@ -46,11 +46,9 @@ from gaoi.ensemble import (
 from gaoi.markov import (
     EntropyRate,
     JointModel,
-    JointState,
     ModelError,
     StationaryDistribution,
     discrete_entropy,
-    prob_change,
 )
 from gaoi.schedule import (
     MAX_DELAY,
@@ -63,13 +61,13 @@ from gaoi.schedule import (
 )
 
 
-def joint_step(model: JointModel, u: JointState, rng: np.random.Generator) -> JointState:
-    """Advance the joint chain one slot using draws from ``rng``."""
-    q = model.hazard[u.x, min(u.t, model.dwell.prefix_len)]
+def joint_step(model: JointModel, x: int, t: int, rng: np.random.Generator) -> tuple[int, int]:
+    """Advance the joint chain one slot from status ``x`` at dwell ``t``
+    using draws from ``rng``; returns the new ``(x, t)``."""
+    q = model.hazard[x, min(t, model.dwell.prefix_len)]
     if rng.random() < q:
-        x_new = int(rng.choice(model.alphabet_size, p=model.change.rows[u.x]))
-        return JointState(x=x_new, t=0)
-    return JointState(x=u.x, t=u.t + 1)
+        return int(rng.choice(model.alphabet_size, p=model.change.rows[x])), 0
+    return x, t + 1
 
 
 def reference_survival(model: JointModel, x: int, i: int) -> float:
@@ -123,7 +121,7 @@ def entropy_rate_homogeneous(model: JointModel, dist: StationaryDistribution) ->
     dwell = model.dwell
     if not (np.all(dwell.prefix == dwell.prefix[0:1, :]) and np.all(dwell.tail == dwell.tail[0])):
         raise ModelError("dwell kernel differs across states; split formula does not apply")
-    p_change = prob_change(dist)  # one change per mean dwell
+    p_change = float(dist.mu0.sum())  # one change per mean dwell
     # entropy rate of the dwell counter chain alone
     h_dwell = _dwell_entropy_series(model, 0, 0.0) * p_change
     h_change = float(
@@ -135,7 +133,7 @@ def entropy_rate_homogeneous(model: JointModel, dist: StationaryDistribution) ->
 
 
 def _draw(law: DelayLaw, rng: np.random.Generator) -> int:
-    if law.kind == "deterministic":
+    if law.lo == law.hi:
         return law.lo
     return int(rng.integers(law.lo, law.hi + 1))
 
@@ -257,7 +255,6 @@ def reference_ensemble(config: RunConfig, policy: PolicySpec) -> EnsembleStats:
     ``config.policies`` is not read."""
     model, horizon, seed = config.model, config.horizon, config.base_seed
     bayesian = isinstance(model, bayes.BayesModel)
-    law = None if bayesian else model.law
     if bayesian:
         h = bayes.h_closed(model, np.arange(horizon + 1))
         decay = bayes.survival_table(model, horizon)
@@ -281,13 +278,13 @@ def reference_ensemble(config: RunConfig, policy: PolicySpec) -> EnsembleStats:
             delta = np.arange(horizon) - ages
             gaoi_acc += h[ages + 1] * decay[delta]
         else:
-            x0, t0 = law.dist.sample(derive_stream(seed, k, INIT_SALT).random((1, 2)))
+            x0, t0 = model.law.sample(derive_stream(seed, k, INIT_SALT).random((1, 2)))
             uniforms = derive_stream(seed, k, PATH_SALT).random((1, horizon, 2))
             slots = np.flatnonzero(sample_block(model, x0, t0, uniforms)[0]) + 1
             values["cum_delay"][k] = sum(reference_detection(schedule, horizon, n) - n
                                          for n in slots.tolist())
             values["num_changes"][k] = len(slots)
-            values["cum_gaoi"][k] = law.rate * values["cum_aoi"][k]
+            values["cum_gaoi"][k] = model.rate * values["cum_aoi"][k]
     if bayesian:
         return _aggregate(values, aoi_acc, gaoi_acc)
-    return _aggregate(values, aoi_acc, law.rate * aoi_acc)
+    return _aggregate(values, aoi_acc, model.rate * aoi_acc)

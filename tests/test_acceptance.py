@@ -26,7 +26,6 @@ from gaoi import (
     exact_bayes_gaoi,
     exact_ensemble_gaoi,
     generate_schedules,
-    prob_change,
     random_schedule,
     run_ensemble,
     stationary_distribution,
@@ -122,7 +121,7 @@ def test_criterion_6_fig5_replication():
     model = make_two_state_swap(0.6)
     dist = stationary_distribution(model)
     rate = entropy_rate(model, dist).bits
-    p = prob_change(dist)
+    p = model.p_change
     assert p == pytest.approx(0.6, abs=1e-12)
     policies = [
         PolicySpec(kind="periodic", period=50, delay=DelayLaw.deterministic(0)),

@@ -1,4 +1,5 @@
 import csv
+import json
 import os
 import stat
 import subprocess
@@ -120,6 +121,8 @@ BAD_CONFIG_MESSAGES = {
     "px_entry_bool": "model.px_rows[0][0] must be a number, got False",
     "bayes_p_bool": "model.bayes_p must be a number, got True",
     "explicit_bad_field": "bad_field.txt:2: expected integers 's d', got '5 x'",
+    "prefix_scalar": "model.dwell.prefix must be a list, got 0.5",
+    "policies_scalar": "policies must be a list, got 5",
 }
 
 
@@ -182,6 +185,15 @@ class TestSimulate:
         blocked.chmod(stat.S_IRUSR | stat.S_IXUSR)
         assert main(["simulate", "--config", cfg, "--out", str(blocked / "x")]) == EXIT_IO
 
+    def test_out_dir_under_regular_file_exit_4(self, tmp_path, capsys):
+        # fails for any user, root included
+        cfg = write_config(tmp_path, SWAP_CONFIG)
+        (tmp_path / "a_regular_file").write_text("")
+        out = tmp_path / "a_regular_file" / "x"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write to {out}:") and "Not a directory" in err
+
     def test_zero_paths_exit_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, SWAP_CONFIG)
         assert main(["simulate", "--config", cfg, "--paths", "0",
@@ -195,12 +207,16 @@ class TestSimulate:
                                             SWAP_CONFIG["policy"],
                                             {"kind": "greedy", "delay": {"uniform": [5, 9]}}]}
         del data["policy"]
+        cfg = write_config(tmp_path, data)
         out = tmp_path / "out"
-        assert main(["simulate", "--config", write_config(tmp_path, data),
-                     "--out", str(out)]) == EXIT_CONFIG
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("config error: repeated policy label greedy:")
         assert err.count("\n") == 1 and not out.exists()
+        # verify would print two indistinguishable "greedy:" lines
+        assert main(["verify", "thm1", "--config", cfg]) == EXIT_CONFIG
+        out_err = capsys.readouterr()
+        assert out_err.err == err and out_err.out == ""
 
     @pytest.mark.parametrize("section, edit", [
         ("model", {"kind": "bayesian", "bayes_p": 1.5}),
@@ -233,12 +249,16 @@ class TestSimulate:
                    "dwell": 0.5}),
         ("model", {"kind": "bayesian", "bayes_p": True}),
         ("policy", {"kind": "explicit", "schedule_path": "bad_field.txt"}),
+        ("model", {"kind": "stationary", "px_rows": [[0, 1], [1, 0]],
+                   "dwell": {"prefix": 0.5, "tail": 0.5}}),
+        ("policies", 5),
     ], ids=["bayes_p", "period_0", "uniform_scalar", "model_null", "horizon_0",
             "horizon_negative", "horizon_float", "horizon_bool", "num_paths_float",
             "seed_negative", "period_float", "delay_float", "delay_bool", "dwell_no_tail",
             "px_rows_scalar", "px_rows_ragged", "delay_past_int64", "explicit_late_pair",
             "num_paths_0", "tail_bool", "tail_text", "tail_past_float", "prefix_text",
-            "px_entry_bool", "bayes_p_bool", "explicit_bad_field"])
+            "px_entry_bool", "bayes_p_bool", "explicit_bad_field", "prefix_scalar",
+            "policies_scalar"])
     def test_bad_config_exit_2(self, tmp_path, capsys, monkeypatch, request, section, edit):
         (tmp_path / "late_pair.txt").write_text("5 3\n")  # sampled after its delivery
         (tmp_path / "bad_field.txt").write_text("3 5\n5 x\n")
@@ -246,6 +266,8 @@ class TestSimulate:
         data = {**SWAP_CONFIG, section: edit}
         if section == "run":
             data["run"] = {**SWAP_CONFIG["run"], **edit}
+        if section == "policies":
+            del data["policy"]
         assert main(["simulate", "--config", write_config(tmp_path, data),
                      "--out", str(tmp_path / "out")]) == EXIT_CONFIG
         err = capsys.readouterr().err
@@ -426,3 +448,21 @@ def test_import_gaoi_skips_config_cli_and_yaml():
                      "print(sorted({'gaoi.config', 'gaoi.cli', 'yaml'} & set(sys.modules)))\n")
     assert out.splitlines()[-1] == "[]"
 
+
+
+@pytest.mark.parametrize("argv", [["oracle", "--seed", "3"], ["setup", "--preset", "fig5"],
+                                  ["setup", "--library"]],
+                         ids=["oracle", "setup_preset", "setup_library"])
+def test_benchmark_operations_run(argv):
+    # perfbench/op.py calls the library itself: stationary_distribution,
+    # entropy_rate(...).bits, exact_ensemble_gaoi, validate_model, the
+    # kernels, preset_config and load_config
+    repo = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(repo / "src")}
+    proc = subprocess.run([sys.executable, str(repo / "perfbench" / "op.py"), *argv],
+                          capture_output=True, text=True, env=env, cwd=repo)
+    assert proc.returncode == 0, proc.stderr
+    if argv[0] == "oracle":
+        pairs = json.loads(proc.stdout)["pairs"]
+        assert pairs and all(exact == pytest.approx(scaled, rel=1e-12, abs=1e-12)
+                             for exact, scaled in pairs)

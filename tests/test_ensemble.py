@@ -20,7 +20,7 @@ from gaoi import bayes, ensemble, markov
 from gaoi.config import RunConfig
 from gaoi.ensemble import INIT_SALT, METRICS, PATH_SALT, POLICY_SALT, sample_block
 from gaoi.schedule import aoi_block
-from gaoi.markov import JointState, stationary_distribution
+from gaoi.markov import stationary_distribution
 
 from conftest import make_cycle, make_two_state_swap, sticky_model
 from reference import joint_step, reference_ensemble, reference_survival, rows
@@ -279,10 +279,10 @@ def _both_samplers(model, paths: int = 400, horizon: int = 100):
     ref_states = np.empty((paths, horizon), dtype=np.int64)
     ref_dwells = np.empty((paths, horizon), dtype=np.int64)
     for k in range(paths):
-        u = JointState(int(x0[k]), 0)
+        x, t = int(x0[k]), 0
         for n in range(horizon):
-            u = joint_step(model, u, rng)
-            ref_states[k, n], ref_dwells[k, n] = u.x, u.t
+            x, t = joint_step(model, x, t, rng)
+            ref_states[k, n], ref_dwells[k, n] = x, t
     changed, states = _per_slot(model, x0, np.zeros(paths, dtype=int),
                                 np.random.default_rng(2025).random((paths, horizon, 2)))
     return (x0, ref_dwells == 0, ref_states), (x0, changed, states)
@@ -428,10 +428,10 @@ def _first_change_by_joint_step(model, x0: int, t0: int, draws: int, horizon: in
     rng = np.random.default_rng(2026)
     first = np.empty(draws, dtype=np.int64)
     for k in range(draws):
-        u, n = JointState(x0, t0), 0
+        x, t, n = x0, t0, 0
         while n < horizon:
-            u, n = joint_step(model, u, rng), n + 1
-            if u.t == 0:
+            (x, t), n = joint_step(model, x, t, rng), n + 1
+            if t == 0:
                 break
         else:
             n = horizon + 1
@@ -448,11 +448,11 @@ class TestRenewalLaw:
         model = {"swap": make_two_state_swap(0.6), "ragged": make_ragged_three(),
                  "split": make_split_hazards(), "sticky": make_sticky(150)}[name]
         paths, horizon = 2000, 200
-        x0, t0 = model.law.dist.sample(np.random.default_rng(31).random((paths, 2)))
+        x0, t0 = model.law.sample(np.random.default_rng(31).random((paths, 2)))
         uniforms = np.random.default_rng(32).random((paths, horizon, 2))
         changes = sample_block(model, x0, t0, uniforms).sum(axis=1)
         se = changes.std(ddof=1) / np.sqrt(paths)
-        assert abs(changes.mean() - horizon * model.law.p_change) <= 4 * se
+        assert abs(changes.mean() - horizon * model.p_change) <= 4 * se
 
     @pytest.mark.parametrize("model_name, t0", [
         ("ragged", 0), ("ragged", 2), ("ragged", 3), ("ragged", 10),

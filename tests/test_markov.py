@@ -7,11 +7,9 @@ import pytest
 from gaoi import (
     ChangeKernel,
     DwellKernel,
-    JointState,
     ModelError,
     discrete_entropy,
     entropy_rate,
-    prob_change,
     stationary_distribution,
     validate_model,
 )
@@ -92,7 +90,7 @@ class TestJointStep:
             DwellKernel.homogeneous(2, [0.5, 0.5, 0.5, 0.0], 0.5),
         )
         for _ in range(50):
-            assert joint_step(model, JointState(0, 3), rng) == JointState(0, 4)
+            assert joint_step(model, 0, 3, rng) == (0, 4)
 
     def test_forced_change_deterministic_target(self, rng):
         model = validate_model(
@@ -100,7 +98,7 @@ class TestJointStep:
             DwellKernel.homogeneous(2, [1.0], 0.5),
         )
         for _ in range(50):
-            assert joint_step(model, JointState(0, 0), rng) == JointState(1, 0)
+            assert joint_step(model, 0, 0, rng) == (1, 0)
 
 
 class TestStationaryDistribution:
@@ -171,7 +169,7 @@ class TestStationaryDistribution:
         dist = stationary_distribution(make_two_state_swap(q))
         assert time.perf_counter() - start < 0.5
         assert dist.mu.shape == (2, 1)
-        assert prob_change(dist) == pytest.approx(q, rel=1e-12)
+        assert dist.mu0.sum() == pytest.approx(q, rel=1e-12)
         assert dist.group_weights == pytest.approx(np.full((2, 1), 0.5), rel=1e-12)
         assert exact_level(dist, 0, 10**6) == pytest.approx(
             q / 2 * (1 - q) ** 10**6, rel=1e-9
@@ -203,7 +201,7 @@ class TestStationaryDistribution:
         weights = dist.group_weights
         assert np.array_equal(weights[:, 2:], np.zeros((2, 2)))
         assert weights[:, :2] == pytest.approx(np.array([[1.0, 0.7]] * 2) / 3.4, rel=1e-12)
-        assert prob_change(dist) == pytest.approx(1 / 1.7, rel=1e-12)
+        assert model.p_change == pytest.approx(1 / 1.7, rel=1e-12)
 
     def test_unreachable_states_reported(self):
         rows = np.array([[1.0, 0.0], [0.5, 0.5]])
@@ -215,17 +213,17 @@ class TestStationaryDistribution:
 
 class TestProbChange:
     def test_swap(self):
-        assert prob_change(stationary_distribution(make_two_state_swap(0.6))) == pytest.approx(0.6, abs=1e-12)
+        assert make_two_state_swap(0.6).p_change == pytest.approx(0.6, abs=1e-12)
 
     def test_cycle_every_slot(self):
-        assert prob_change(stationary_distribution(make_cycle(3))) == pytest.approx(1.0, abs=1e-12)
+        assert make_cycle(3).p_change == pytest.approx(1.0, abs=1e-12)
 
     def test_homogeneous_geometric_any_change_matrix(self, rng):
         # renewal argument: homogeneous per-slot hazard q gives P[T=0] = q
         for _ in range(5):
             model = random_model(rng, homogeneous=True, max_prefix=0)
             q = float(model.dwell.tail[0])
-            assert prob_change(stationary_distribution(model)) == pytest.approx(q, abs=1e-12)
+            assert model.p_change == pytest.approx(q, abs=1e-12)
 
 
 class TestDiscreteEntropy:
@@ -394,6 +392,6 @@ class TestModelTables:
     def test_law_matches_its_parts(self, rng):
         model = random_model(rng)
         dist = stationary_distribution(model)
-        assert np.array_equal(model.law.dist.mu, dist.mu)
-        assert model.law.rate == entropy_rate(model, dist).bits
-        assert model.law.p_change == prob_change(dist)
+        assert np.array_equal(model.law.mu, dist.mu)
+        assert model.rate == entropy_rate(model, dist).bits
+        assert model.p_change == float(dist.mu0.sum())

@@ -8,7 +8,6 @@ from gaoi import (
     ChangeKernel,
     DwellKernel,
     JointModel,
-    JointState,
     bayes_expected_delay,
     discrete_entropy,
     entropy_rate,
@@ -32,14 +31,14 @@ from conftest import make_cycle, make_two_state_swap, random_model
 H_06 = 0.9709505944546686
 
 
-def reference_probs(model, u0, a):
-    """Probabilities of all length-``a`` trajectories from ``u0``, by dict frontier.
+def reference_probs(model, x0, t0, a):
+    """Probabilities of all length-``a`` trajectories from ``(x0, t0)``, by dict frontier.
 
     The oracle's original enumerator, kept as the reference for its
     table-driven replacement: trajectories ending in the same (x, t) share
     their next-step law, so the frontier groups path probabilities by endpoint.
     """
-    frontier = {(u0.x, u0.t): np.ones(1)}
+    frontier = {(x0, t0): np.ones(1)}
     for _ in range(a):
         nxt = {}
         for (x, t), probs in frontier.items():
@@ -55,8 +54,8 @@ def reference_probs(model, u0, a):
     return np.concatenate(list(frontier.values()))
 
 
-def reference_entropy(model, u0, a):
-    probs = reference_probs(model, u0, a)
+def reference_entropy(model, x0, t0, a):
+    probs = reference_probs(model, x0, t0, a)
     pos = probs[probs > 0.0]
     return float(-(pos * np.log2(pos)).sum())
 
@@ -86,7 +85,7 @@ def edge_models(rng):
 class TestExactConditionalEntropy:
     def test_empty_trajectory(self, rng):
         model = random_model(rng)
-        assert exact_conditional_entropy(model, JointState(0, 0), 0) == 0.0
+        assert exact_conditional_entropy(model, 0, 0, 0) == 0.0
 
     def test_one_step_distribution(self, rng):
         # H of (1 - q_t(x); {q_t(x) p_xy}) evaluated directly
@@ -97,26 +96,31 @@ class TestExactConditionalEntropy:
             q = model.hazard[x, min(t, model.dwell.prefix_len)]
             probs = np.concatenate([[1.0 - q], q * model.change.rows[x]])
             expected = discrete_entropy(probs[probs > 0] / probs.sum())
-            got = exact_conditional_entropy(model, JointState(x, t), 1)
+            got = exact_conditional_entropy(model, x, t, 1)
             assert got == pytest.approx(expected, abs=1e-12)
 
     def test_swap_linear_in_depth(self):
         model = make_two_state_swap(0.6)
         # per-step entropy is state-independent for the symmetric swap chain
-        for u0 in (JointState(0, 0), JointState(1, 4)):
-            assert exact_conditional_entropy(model, u0, 3) == pytest.approx(
+        for x, t in ((0, 0), (1, 4)):
+            assert exact_conditional_entropy(model, x, t, 3) == pytest.approx(
                 3 * H_06, abs=1e-12
             )
 
     def test_budget_exceeded(self, rng):
         model = random_model(rng)
         with pytest.raises(EnumerationBudgetError):
-            exact_conditional_entropy(model, JointState(0, 0), 6, budget=10)
+            exact_conditional_entropy(model, 0, 0, 6, budget=10)
 
     def test_negative_window_rejected(self, rng):
         model = random_model(rng)
         with pytest.raises(ValueError, match="window length must be non-negative"):
-            exact_conditional_entropy(model, JointState(0, 0), -1)
+            exact_conditional_entropy(model, 0, 0, -1)
+
+    def test_negative_dwell_rejected(self, rng):
+        model = random_model(rng)
+        with pytest.raises(ValueError, match="dwell counter must be non-negative"):
+            exact_conditional_entropy(model, 0, -1, 1)
 
     def test_matches_reference_enumerator(self, rng):
         # every start (x, t), the prefix plus starts past it, a = 1..5
@@ -124,10 +128,9 @@ class TestExactConditionalEntropy:
             m = model.dwell.prefix_len
             for x in range(model.alphabet_size):
                 for t in [*range(m + 1), m + 5]:
-                    u0 = JointState(x, t)
                     for a in range(1, 6):
-                        assert exact_conditional_entropy(model, u0, a) == pytest.approx(
-                            reference_entropy(model, u0, a), rel=1e-12, abs=1e-12
+                        assert exact_conditional_entropy(model, x, t, a) == pytest.approx(
+                            reference_entropy(model, x, t, a), rel=1e-12, abs=1e-12
                         )
 
     def test_same_trajectory_probabilities_as_reference(self, rng):
@@ -138,13 +141,13 @@ class TestExactConditionalEntropy:
         for model in edge_models(rng):
             m = model.dwell.prefix_len
             table = model.transitions
-            starts = [JointState(x, t) for x in range(model.alphabet_size)
+            starts = [(x, t) for x in range(model.alphabet_size)
                       for t in [*range(m + 1), m + 5]]
-            groups = np.array([u.x * (m + 1) + min(u.t, m) for u in starts])
+            groups = np.array([x * (m + 1) + min(t, m) for x, t in starts])
             for a in range(1, 6):
                 rows = oracle._enumerate(table, groups, a)
-                for u0, probs in zip(starts, rows, strict=True):
-                    ref = reference_probs(model, u0, a)
+                for (x, t), probs in zip(starts, rows, strict=True):
+                    ref = reference_probs(model, x, t, a)
                     assert np.all(ref > 0.0)
                     pos = probs > 0.0
                     assert pos.sum() == len(ref)
@@ -174,7 +177,7 @@ class TestExactConditionalEntropy:
         dist = stationary_distribution(model)
         assert model.transitions[0].shape[1] == 1
         for a in range(1, 9):
-            assert exact_conditional_entropy(model, JointState(1, 0), a) == 0.0
+            assert exact_conditional_entropy(model, 1, 0, a) == 0.0
             assert exact_ensemble_gaoi(model, dist, a) == 0.0
 
     def test_one_start_over_block_cap(self):
@@ -275,7 +278,7 @@ class TestBlockIndependence:
                 total = 0.0
                 for (x, t), weight in np.ndenumerate(dist.group_weights):
                     if weight > 0.0:
-                        total += weight * exact_conditional_entropy(model, JointState(x, t), a)
+                        total += weight * exact_conditional_entropy(model, x, t, a)
                 assert exact_ensemble_gaoi(model, dist, a) == total
 
     def test_block_size_does_not_change_entropies(self, rng, monkeypatch):

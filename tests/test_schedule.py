@@ -145,6 +145,15 @@ class TestGenerateSchedule:
         assert draws.shape == (1, 500) and draws.dtype == np.int64
         assert draws.min() == 20 and draws.max() == 80
 
+    def test_delay_law_is_its_bounds(self):
+        # a law is its bounds alone: lo == hi is the deterministic law
+        assert DelayLaw(3, 3) == DelayLaw.deterministic(3)
+        assert DelayLaw(2, 5) == DelayLaw.uniform(2, 5)
+        assert np.all(DelayLaw(3, 3).draw_rows([None], 4, cap=100) == 3)
+        for lo, hi in ((-1, 2), (5, 2)):
+            with pytest.raises(ValueError, match="0 <= lo <= hi"):
+                DelayLaw(lo, hi)
+
 
 class TestAoiBlock:
     def test_single_update(self):
