@@ -10,7 +10,8 @@ the files were made with.  ``test_golden.py`` runs the same cases and
 compares them with the files.  The outputs are fixed-seed floats written
 with ``repr``, so any change in a float operation shows; another numpy or
 Python may round differently, so a version mismatch fails on its own,
-naming both versions.
+naming both versions.  A change that moves an output on purpose reruns this
+script and says which bytes moved and why.
 """
 
 from __future__ import annotations
@@ -96,11 +97,10 @@ def run_case(name: str, workdir: Path) -> dict:
     """Run case ``name`` in ``workdir`` and return what its golden file holds."""
     pairs = workdir / "pairs.txt"
     pairs.write_text(PAIRS)
-    paths = {}
     for config, data in configs(pairs).items():
-        paths[f"{{{config}}}"] = workdir / f"{config}.yaml"
-        paths[f"{{{config}}}"].write_text(yaml.safe_dump(data))
-    argv = [str(paths.get(arg, arg)) for arg in CASES[name]]
+        (workdir / f"{config}.yaml").write_text(yaml.safe_dump(data))
+    argv = [str(workdir / f"{arg[1:-1]}.yaml") if arg.startswith("{") else arg
+            for arg in CASES[name]]
     out = workdir / "out"
     if argv[0] == "simulate":
         argv += ["--out", str(out)]
