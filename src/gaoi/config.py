@@ -1,19 +1,33 @@
-"""Run configuration: YAML parsing (fail-closed) and the built-in presets.
+"""Run configuration: config-file reading (fail-closed) and the built-in presets.
 
-``load_config`` hands the file's bytes to PyYAML, so YAML's own encoding
-detection applies (UTF-8, or UTF-16/32 with a BOM) and an undecodable byte is
-a parse error like any other. It parses with libyaml's C parser
-(``yaml.CSafeLoader``) when the installed PyYAML has it, else with the
+``load_config`` reads the file's bytes once. Text that decodes as strict UTF-8
+and is a JSON document is read with the standard library's ``json``; PyYAML is
+imported only for any other text, so a JSON config (the shape a generated
+config takes) never pays for the import. JSON is a subset of YAML as configs
+are read here: every JSON number goes through the same ``float()``/``int()``
+that YAML's resolver and ``_float`` apply, so a JSON file gives the same
+``RunConfig`` bit for bit either way. The choice is made from the content
+alone, with no flag or file-extension rule.
+
+Other text, and bytes that are not strict UTF-8 (a BOM, UTF-16 or UTF-32, or an
+undecodable byte), go to PyYAML, so YAML's own encoding detection applies and an
+undecodable byte is a parse error like any other. It parses with libyaml's C
+parser (``yaml.CSafeLoader``) when the installed PyYAML has it, else with the
 pure-Python ``yaml.SafeLoader``. Both pair their parser with ``safe_load``'s
 constructor and resolver, so every scalar resolves the same way (YAML 1.1:
 ``1e-3``, with no dot, is a string, which the number fields accept); only the
 text of a syntax error differs.
+
+Error messages show values through ``reprlib.repr``, so a deeply nested or huge
+value gives a one-line message, never a traceback.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from pathlib import Path
+from reprlib import repr as _show
 
 import numpy as np
 
@@ -48,16 +62,16 @@ class RunConfig:
 
 def _require_keys(section, allowed: set[str], where: str) -> None:
     if not isinstance(section, dict):
-        raise ConfigError(f"{where} must be a mapping, got {section!r}")
+        raise ConfigError(f"{where} must be a mapping, got {_show(section)}")
     unknown = set(section) - allowed
     if unknown:
-        raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
+        raise ConfigError(f"unknown keys in {where}: {_show(sorted(unknown, key=str))}")
 
 
 def _int(value, where: str) -> int:
     """A strict integer (a float or a bool is an error)."""
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{where} must be an integer, got {value!r}")
+        raise ConfigError(f"{where} must be an integer, got {_show(value)}")
     return value
 
 
@@ -69,12 +83,21 @@ def _float(value, where: str) -> float:
             return float(value)
         except (ValueError, OverflowError):  # text, or an int past the float range
             pass
-    raise ConfigError(f"{where} must be a number, got {value!r}")
+    raise ConfigError(f"{where} must be a number, got {_show(value)}")
+
+
+def _make(where: str, build, *args, **kwargs):
+    """``build(*args, **kwargs)``, with a domain check's ValueError (a hazard,
+    a period or delay bounds out of range) naming the field."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def _list(value, where: str) -> list:
     if not isinstance(value, list):
-        raise ConfigError(f"{where} must be a list, got {value!r}")
+        raise ConfigError(f"{where} must be a list, got {_show(value)}")
     return value
 
 
@@ -94,7 +117,8 @@ def _parse_dwell(raw, n_states: int) -> DwellKernel:
         return DwellKernel.homogeneous(n_states, *_dwell_entry(raw, "model.dwell"))
     if isinstance(raw, list):
         if len(raw) != n_states:
-            raise ConfigError(f"need one dwell entry per state ({n_states}), got {len(raw)}")
+            raise ConfigError(f"model.dwell needs one entry per state ({n_states}), "
+                              f"got {len(raw)}")
         prefixes, tails = zip(*(_dwell_entry(e, f"model.dwell[{i}]") for i, e in enumerate(raw)))
         return DwellKernel.from_lists(list(prefixes), list(tails))
     raise ConfigError("model.dwell must be a probability, a {prefix, tail} map, or a per-state list")
@@ -109,9 +133,9 @@ def _parse_model(section: dict):
         for k in ("alphabet_size", "px_rows", "dwell"):
             if k in section:
                 raise ConfigError(f"model.{k} does not apply to a bayesian model")
-        return BayesModel(p=_float(section["bayes_p"], "model.bayes_p"))
+        return _make("model.bayes_p", BayesModel, p=_float(section["bayes_p"], "model.bayes_p"))
     if kind != "stationary":
-        raise ConfigError(f"model.kind must be 'stationary' or 'bayesian', got {kind!r}")
+        raise ConfigError(f"model.kind must be 'stationary' or 'bayesian', got {_show(kind)}")
     if "bayes_p" in section:
         raise ConfigError("model.bayes_p does not apply to a stationary model")
     if "px_rows" not in section:
@@ -119,32 +143,34 @@ def _parse_model(section: dict):
     raw = section["px_rows"]
     cells = np.array(raw, dtype=object)  # a ragged list stays 1-D
     if cells.ndim != 2:
-        raise ConfigError(f"model.px_rows must be an n x n list of numbers, got {raw!r}")
+        raise ConfigError(f"model.px_rows must be an n x n list of numbers, got {_show(raw)}")
     rows = np.array([[_float(v, f"model.px_rows[{i}][{j}]") for j, v in enumerate(row)]
                      for i, row in enumerate(cells)]).reshape(cells.shape)
     n = _int(section.get("alphabet_size", len(rows)), "model.alphabet_size")
     if rows.shape != (n, n):
-        raise ConfigError(f"px_rows has shape {rows.shape}, expected ({n}, {n})")
+        raise ConfigError(f"model.px_rows has shape {rows.shape}, expected ({n}, {n}) "
+                          f"from model.alphabet_size")
     if "dwell" not in section:
         raise ConfigError("stationary model needs dwell")
     return validate_model(ChangeKernel(rows), _parse_dwell(section["dwell"], n))
 
 
-def _parse_delay(raw) -> DelayLaw:
+def _parse_delay(raw, where: str) -> DelayLaw:
     if raw is None:
         return DelayLaw.deterministic(0)
-    _require_keys(raw, {"deterministic", "uniform"}, "policy.delay")
+    _require_keys(raw, {"deterministic", "uniform"}, where)
     if len(raw) != 1:
-        raise ConfigError("policy.delay takes exactly one of 'deterministic' or 'uniform'")
+        raise ConfigError(f"{where} takes exactly one of 'deterministic' or 'uniform'")
     if "deterministic" in raw:
-        return DelayLaw.deterministic(_int(raw["deterministic"], "policy.delay.deterministic"))
-    bounds = raw["uniform"]
+        where = f"{where}.deterministic"
+        return _make(where, DelayLaw.deterministic, _int(raw["deterministic"], where))
+    where, bounds = f"{where}.uniform", raw["uniform"]
     if not isinstance(bounds, list) or len(bounds) != 2:
-        raise ConfigError(f"policy.delay.uniform must be a [lo, hi] pair, got {bounds!r}")
-    lo, hi = (_int(b, "policy.delay.uniform") for b in bounds)
+        raise ConfigError(f"{where} must be a [lo, hi] pair, got {_show(bounds)}")
+    lo, hi = (_int(b, f"{where}[{i}]") for i, b in enumerate(bounds))
     if hi >= 2**63:  # delays are drawn as int64
-        raise ConfigError(f"policy.delay.uniform bound must be < 2**63, got {hi}")
-    return DelayLaw.uniform(lo, hi)
+        raise ConfigError(f"{where}[1] must be < 2**63, got {hi}")
+    return _make(where, DelayLaw.uniform, lo, hi)
 
 
 def read_explicit_pairs(path: str | Path) -> tuple[tuple[int, int], ...]:
@@ -157,7 +183,8 @@ def read_explicit_pairs(path: str | Path) -> tuple[tuple[int, int], ...]:
         try:
             s, d = map(int, line.split())  # a wrong count of fields raises too
         except ValueError:
-            raise ConfigError(f"{path}:{lineno}: expected integers 's d', got {line!r}") from None
+            raise ConfigError(
+                f"{path}:{lineno}: expected integers 's d', got {_show(line)}") from None
         pairs.append((s, d))
     return tuple(pairs)
 
@@ -177,11 +204,13 @@ def _parse_policy(section: dict, idx: int | None = None) -> PolicySpec:
     if kind == "periodic":
         if "period" not in section:
             raise ConfigError(f"{where}: periodic policy needs period")
-        return PolicySpec(kind="periodic", period=_int(section["period"], f"{where}.period"),
-                          delay=_parse_delay(section.get("delay")))
+        period = _int(section["period"], f"{where}.period")
+        return _make(f"{where}.period", PolicySpec, kind="periodic", period=period,
+                     delay=_parse_delay(section.get("delay"), f"{where}.delay"))
     if kind == "greedy":
-        return PolicySpec(kind="greedy", delay=_parse_delay(section.get("delay")))
-    raise ConfigError(f"{where}: unknown policy kind {kind!r}")
+        delay = _parse_delay(section.get("delay"), f"{where}.delay")
+        return PolicySpec(kind="greedy", delay=delay)
+    raise ConfigError(f"{where}: unknown policy kind {_show(kind)}")
 
 
 def parse_config(data: dict) -> RunConfig:
@@ -225,14 +254,32 @@ def _parse_config(data: dict) -> RunConfig:
 
 
 def load_config(path: str | Path) -> RunConfig:
-    import yaml  # here, not at module level: presets never pay for the import
+    """Read a config file: JSON text with ``json``, anything else with PyYAML.
+
+    A JSON document nested too deeply for ``json`` (about 1,000 levels) is a
+    ConfigError; it is not handed to libyaml, whose parser overflows the C
+    stack at about 50,000 levels and kills the process.
+    """
+    raw = Path(path).read_bytes()
+    try:
+        data = json.loads(raw.decode("utf-8"))  # strict: a BOM or UTF-16 text is not JSON here
+    except RecursionError:
+        raise ConfigError(f"cannot parse {path}: nested too deeply") from None
+    except ValueError:  # not UTF-8, or not JSON
+        data = _load_yaml(raw, path)
+    return parse_config(data)
+
+
+def _load_yaml(raw: bytes, path: str | Path):
+    import yaml  # here, not at module level: presets and JSON configs never pay for the import
 
     loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)  # C parser where PyYAML has libyaml
     try:
-        data = yaml.load(Path(path).read_bytes(), Loader=loader)
-    except yaml.YAMLError as exc:
+        return yaml.load(raw, Loader=loader)
+    except RecursionError:  # the pure-Python composer recurses once per level
+        raise ConfigError(f"cannot parse {path}: nested too deeply") from None
+    except (yaml.YAMLError, ValueError) as exc:  # ValueError: an int past 4300 digits, a bad date
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
-    return parse_config(data)
 
 
 # Simulation presets for the two reference experiments: a symmetric two-state

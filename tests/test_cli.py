@@ -440,6 +440,18 @@ class TestVerify:
                          "print(code, sorted({'yaml', 'numpy.ma'} & set(sys.modules)))\n")
         assert out.splitlines()[-1] in ("0 []", "1 []")
 
+    def test_json_config_skips_yaml(self, tmp_path):
+        # JSON text is read with the standard library; only YAML text imports yaml
+        as_yaml = Path(cli.__file__).resolve().parents[2] / "configs" / "geometric_change.yaml"
+        as_json = tmp_path / "geometric_change.json"
+        as_json.write_text(json.dumps(yaml.safe_load(as_yaml.read_text())))
+        out = run_python("from gaoi import config\n"
+                         f"config.load_config({str(as_json)!r})\n"
+                         "print('yaml' in sys.modules)\n"
+                         f"config.load_config({str(as_yaml)!r})\n"
+                         "print('yaml' in sys.modules)\n")
+        assert out.split() == ["False", "True"]
+
 
 def test_import_gaoi_skips_config_cli_and_yaml():
     # the library (and the oracle workload, which imports it) needs neither
@@ -451,14 +463,17 @@ def test_import_gaoi_skips_config_cli_and_yaml():
 
 
 @pytest.mark.parametrize("argv", [["oracle", "--seed", "3"], ["setup", "--preset", "fig5"],
-                                  ["setup", "--library"]],
-                         ids=["oracle", "setup_preset", "setup_library"])
-def test_benchmark_operations_run(argv):
+                                  ["setup", "--library"], ["setup", "--config", "{sticky_json}"]],
+                         ids=["oracle", "setup_preset", "setup_library", "setup_json_config"])
+def test_benchmark_operations_run(tmp_path, argv):
     # perfbench/op.py calls the library itself: stationary_distribution,
     # entropy_rate(...).bits, exact_ensemble_gaoi, validate_model, the
-    # kernels, preset_config and load_config
+    # kernels, preset_config and load_config (on a JSON file, as sticky-sim writes it)
     repo = Path(__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(repo / "src")}
+    sticky_json = tmp_path / "sticky.yaml"
+    sticky_json.write_text(json.dumps({"model": sticky_model(7, 170)}))
+    argv = [a.format(sticky_json=sticky_json) for a in argv]
     proc = subprocess.run([sys.executable, str(repo / "perfbench" / "op.py"), *argv],
                           capture_output=True, text=True, env=env, cwd=repo)
     assert proc.returncode == 0, proc.stderr
