@@ -256,9 +256,10 @@ def _parse_config(data: dict) -> RunConfig:
 def load_config(path: str | Path) -> RunConfig:
     """Read a config file: JSON text with ``json``, anything else with PyYAML.
 
-    A JSON document nested too deeply for ``json`` (about 1,000 levels) is a
-    ConfigError; it is not handed to libyaml, whose parser overflows the C
-    stack at about 50,000 levels and kills the process.
+    A document nested more than about 1,000 levels deep is a ConfigError,
+    JSON or YAML: libyaml's composer overflows the C stack at about 50,000
+    levels and kills the process, so YAML text is parsed once for its depth
+    before it is composed.
     """
     raw = Path(path).read_bytes()
     try:
@@ -275,11 +276,23 @@ def _load_yaml(raw: bytes, path: str | Path):
 
     loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)  # C parser where PyYAML has libyaml
     try:
-        return yaml.load(raw, Loader=loader)
+        # libyaml's composer recurses once per level and overflows the C stack
+        # at about 50,000; its parser does not, so the events are walked first
+        depth = 0
+        for event in yaml.parse(raw, Loader=loader):
+            if isinstance(event, yaml.CollectionStartEvent):
+                depth += 1
+                if depth > 1_000:  # json's own limit
+                    break
+            elif isinstance(event, yaml.CollectionEndEvent):
+                depth -= 1
+        else:
+            return yaml.load(raw, Loader=loader)
     except RecursionError:  # the pure-Python composer recurses once per level
-        raise ConfigError(f"cannot parse {path}: nested too deeply") from None
+        pass
     except (yaml.YAMLError, ValueError) as exc:  # ValueError: an int past 4300 digits, a bad date
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
+    raise ConfigError(f"cannot parse {path}: nested too deeply")
 
 
 # Simulation presets for the two reference experiments: a symmetric two-state

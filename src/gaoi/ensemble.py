@@ -18,12 +18,15 @@ source models.  The models differ only in their change slots, a
 * A stationary path is a semi-Markov chain, so it is sampled as its change
   slots by one renewal sampler, ``sample_block``, from a start drawn from
   the exact stationary law.  Each dwell is one inverse-CDF draw on the
-  survival table (geometric past the dwell prefix) and each jump one
-  look-up; the block's statuses advance one change per Python iteration,
-  ``CHUNK_CHANGES`` changes at a time, each chunk's dwells are drawn at
-  once, and the block's change mask is filled in chunk by chunk.  The
-  survival table and the law are the model's own (``JointModel.survival``,
-  ``JointModel.law``), computed once per model, not once per ensemble.
+  survival table (geometric past the dwell prefix) and each jump one count
+  of the change CDF's bounds at or below a uniform.  Both compare directly
+  against the model's own rows, so the sampler adds O(n (n + m)) memory for
+  n statuses and an m-slot prefix.  The block's statuses advance one change
+  per Python iteration, ``CHUNK_CHANGES`` changes at a time, each chunk's
+  dwells are drawn at once, and the block's change mask is filled in chunk
+  by chunk.  The survival table and the law are the model's own
+  (``JointModel.survival``, ``JointModel.law``), computed once per model,
+  not once per ensemble.
   Path k draws only from its own streams, so its realization depends
   neither on the block size, nor on the chunk size, nor on the other paths
   in its block.  Its staleness is the entropy rate times its age.
@@ -126,25 +129,7 @@ class StreamFamily:
         return self._rng
 
 
-def _count_table(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-    """Counting each sorted row's entries <= v as one rank and one look-up.
-
-    Returns ``(levels, table, shift)``: every entry of ``rows``, sorted,
-    and a flat table such that #{j : rows[x, j] <= v} = table[(x << shift)
-    + r] with r = #{levels <= v}, so 2**shift > the number of levels.  Only
-    comparisons are made, so the count is exact.
-    """
-    # np.sort, not np.unique: a repeated level changes no count, and
-    # np.unique imports numpy.ma (10 ms and 1.5 MB per process)
-    levels = np.sort(rows, axis=None)
-    shift = len(levels).bit_length()
-    table = np.zeros((len(rows), 1 << shift), dtype=np.intp)
-    for x, row in enumerate(rows):
-        table[x, 1:len(levels) + 1] = np.searchsorted(row, levels, side="right")
-    return levels, table.ravel(), shift
-
-
-def _dwell_ends(model: JointModel, ends, x, target) -> np.ndarray:
+def _dwell_ends(model: JointModel, x, target) -> np.ndarray:
     """The first dwell level j >= 1 with S_x(j) < target, one per status x.
 
     A dwell from level s ends at the first j with S_x(j) < (1-u) S_x(s), u
@@ -153,8 +138,8 @@ def _dwell_ends(model: JointModel, ends, x, target) -> np.ndarray:
     S_x(m + i) = S_x(m) (1 - tail[x])^i, so where target <= S_x(m), j is
     m + 1 plus one ``geometric_tail`` draw on the survival left at m,
     target / S_x(m).  Elsewhere j <= m is 1 plus the number of levels
-    1..m with S_x(j) >= target, read off ``ends``, the ``_count_table`` of
-    -S_x(1..m).
+    1..m with S_x(j) >= target: one ``searchsorted`` on -S_x(1..m) per
+    status present, exact because it only compares.
     """
     m = model.dwell.prefix_len
     at_m = model.survival[:, m].take(x)
@@ -165,9 +150,12 @@ def _dwell_ends(model: JointModel, ends, x, target) -> np.ndarray:
     j = geometric_tail(np.fmax(1.0 - left, 0.0), model.dwell.tail, x)
     j += m + 1
     inside = target > at_m
-    levels, table, shift = ends
-    rank = np.searchsorted(levels, -target[inside], side="right")
-    j[inside] = 1 + table.take((x[inside] << shift) + rank)
+    xs, targets = x[inside], target[inside]
+    ends = np.empty(len(xs), dtype=j.dtype)
+    for s in np.flatnonzero(np.bincount(xs)):
+        here = xs == s
+        ends[here] = np.searchsorted(-model.survival[s, 1:], -targets[here], side="right")
+    j[inside] = 1 + ends
     return j
 
 
@@ -197,36 +185,33 @@ def _change_chunks(model: JointModel, x0, t0, uniforms: np.ndarray):
 
     Yields ``(slots, statuses)`` shaped (changes, paths): each path's change
     slots, increasing, and its status after each.  A chunk's statuses come
-    from a loop of one look-up per change for the whole block, its dwells
+    from a loop of one count per change for the whole block, its dwells
     from one draw at once.  It stops once every path has passed the
     horizon; a slot past the horizon stands for no change up to it.
     """
     paths, horizon = uniforms.shape[:2]
     m = model.dwell.prefix_len
-    ends = _count_table(-model.survival[:, 1:])
     cdf = np.cumsum(model.change.rows, axis=1)
     # Dividing by the row total ends every CDF at exactly 1.0, above any
     # uniform, so a zero-probability entry keeps zero width even at the top of
     # its row.  Counting only the first n-1 bounds clamps targets to n-1.
-    levels, jumps, shift = _count_table((cdf / cdf[:, -1:])[:, :-1])
-    # the walk holds status x as x << shift, so a jump is one add and one
-    # look-up, and a shift gives the status back
-    jumps <<= shift
+    bounds = (cdf / cdf[:, -1:])[:, :-1]
     x = np.array(x0, dtype=np.intp)
     start = np.minimum(t0, m)
     target = (1.0 - uniforms[:, 0, 0]) * model.survival[x, start]
-    first = _dwell_ends(model, ends, x, target) - start
-    at = x << shift
+    first = _dwell_ends(model, x, target) - start
     last = np.zeros(paths, dtype=np.int64)
     for lo in range(0, horizon, CHUNK_CHANGES):
         u = uniforms[:, lo:lo + CHUNK_CHANGES].T  # (2, changes, paths), a view
-        walk = np.empty((u.shape[1] + 1, paths), dtype=np.intp)
-        walk[0] = at
-        for c, rank in enumerate(np.searchsorted(levels, u[1], side="right")):
-            walk[c + 1] = jumps.take(walk[c] + rank)
-        at = walk[-1]
-        statuses = walk >> shift  # the status before each change, then the last's
-        dwells = _dwell_ends(model, ends, statuses[:-1], np.subtract(1.0, u[0], order="C"))
+        # the status before each change, then the last's
+        statuses = np.empty((u.shape[1] + 1, paths), dtype=np.intp)
+        statuses[0] = x
+        # a jump from x on uniform v goes to #{j : bounds[x, j] <= v}; the
+        # uniforms are copied to a contiguous column, which compares faster
+        for c, v in enumerate(np.ascontiguousarray(u[1])[:, :, None]):
+            np.add.reduce(bounds.take(statuses[c], axis=0) <= v, axis=1, out=statuses[c + 1])
+        x = statuses[-1]
+        dwells = _dwell_ends(model, statuses[:-1], np.subtract(1.0, u[0], order="C"))
         if lo == 0:
             dwells[0] = first
         # capped at T + 1, a dwell still passes the horizon, and sums stay small

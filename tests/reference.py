@@ -24,11 +24,15 @@ statuses share one dwell law, against which ``entropy_rate`` is tested.
 prefix, one status at a time, with the scalar ``reference_binary_entropy``:
 ``entropy_rate`` must agree with it bit for bit.  ``reference_survival`` is
 one survival product S_x(i), taken for any i >= 0.
+``reference_change_slots`` is one path of the renewal sampler, one change at
+a time, each dwell end and each jump found by a linear scan:
+``sample_block`` must agree with it bit for bit.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from itertools import accumulate
 
 import numpy as np
 
@@ -49,6 +53,7 @@ from gaoi.markov import (
     ModelError,
     StationaryDistribution,
     discrete_entropy,
+    geometric_tail,
 )
 from gaoi.schedule import (
     MAX_DELAY,
@@ -77,6 +82,42 @@ def reference_survival(model: JointModel, x: int, i: int) -> float:
     if i > m:
         head *= (1.0 - float(model.dwell.tail[x])) ** (i - m)
     return head
+
+
+def reference_change_slots(model: JointModel, x0: int, t0: int,
+                           uniforms_row: np.ndarray) -> list[int]:
+    """The change slots in [1, horizon] of one path from (x0, t0), drawn one
+    change at a time from ``uniforms_row`` (shape (horizon, 2)) as
+    ``sample_block`` draws them: the c-th dwell from ``uniforms_row[c, 0]``,
+    the status the c-th change jumps to from ``uniforms_row[c, 1]``.
+
+    A dwell from level s ends at the first j >= 1 with S_x(j) < (1-u) S_x(s),
+    scanned up to m; past m it ends at m + 1 plus a ``geometric_tail`` draw
+    on the survival left at m.  A jump from x on uniform v goes to the first
+    y whose bound (the CDF of row x, summed in order and divided by its
+    total) exceeds v, the last status if none of the first n-1 does.
+    """
+    survival, tail = model.survival, model.dwell.tail
+    m, n, horizon = model.dwell.prefix_len, model.alphabet_size, len(uniforms_row)
+    x, level, slot, slots = int(x0), min(int(t0), m), 0, []
+    for u, v in uniforms_row.tolist():
+        target = (1.0 - u) * float(survival[x, level])
+        j = 1
+        while j <= m and not float(survival[x, j]) < target:
+            j += 1
+        if j > m and survival[x, m] > 0.0:
+            left = max(1.0 - target / float(survival[x, m]), 0.0)
+            j += int(geometric_tail(np.array([left]), tail, np.array([x]))[0])
+        slot += j - level
+        if slot > horizon:
+            break
+        slots.append(slot)
+        cdf = list(accumulate(model.change.rows[x].tolist()))
+        y = 0
+        while y < n - 1 and cdf[y] / cdf[-1] <= v:
+            y += 1
+        x, level = y, 0
+    return slots
 
 
 def reference_binary_entropy(q: float) -> float:

@@ -1,5 +1,8 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -289,6 +292,28 @@ def test_flow_yaml_that_is_not_json_goes_to_yaml(tmp_path, capsys, monkeypatch, 
 
 # deep or huge values: exit 2 with one line, never a traceback or a crash
 
+# nested 50,000 deep, these crashed libyaml's composer (SIGSEGV), so they run
+# in a fresh interpreter, where a crash fails the test and spares pytest
+DEEP_YAML = {
+    "flow_yaml_50000_deep": "model: " + "[" * 50_000 + "a" + "]" * 50_000 + "\n",
+    "block_yaml_50000_deep": "model:\n  " + "- " * 50_000 + "a\n",
+}
+
+
+def entropy_rate_apart(path: Path, loader) -> tuple[int, str]:
+    """``gaoi entropy-rate --config path`` in a fresh interpreter that reads
+    YAML with ``loader``, with this tree's gaoi on its path: (exit status, stderr)."""
+    code = ("import sys, yaml\n"
+            f"if {loader is yaml.SafeLoader}:\n    yaml.__dict__.pop('CSafeLoader', None)\n"
+            "from gaoi.cli import main\n"
+            f"sys.exit(main(['entropy-rate', '--config', {str(path)!r}]))\n")
+    src = str(Path(config.__file__).resolve().parents[1])
+    path_var = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path_var})
+    return done.returncode, done.stderr
+
+
 @pytest.mark.parametrize("text", [
     '{"model": ' + "[" * 5_000 + "1" + "]" * 5_000 + "}",
     '{"model": ' + "[" * 50_000 + "1" + "]" * 50_000 + "}",
@@ -297,13 +322,18 @@ def test_flow_yaml_that_is_not_json_goes_to_yaml(tmp_path, capsys, monkeypatch, 
     "model: {kind: bayesian, bayes_p: 0.5}\nrun: {horizon: " + "1" * 5_000 + "}\n",
     json.dumps({"model": {"kind": "stationary", "px_rows": [[0.5] * 300] * 300 + [[1.0]],
                           "dwell": 0.5}}),
+    *DEEP_YAML.values(),
 ], ids=["json_5000_deep", "json_50000_deep", "block_yaml_5000_deep", "json_5000_digits",
-        "yaml_5000_digits", "ragged_301_rows"])
+        "yaml_5000_digits", "ragged_301_rows", *DEEP_YAML])
 def test_deep_or_huge_value_exit_2(tmp_path, capsys, loader, text):
     path = tmp_path / "f.yaml"
     path.write_text(text)
-    assert main(["entropy-rate", "--config", str(path)]) == EXIT_CONFIG
-    err = capsys.readouterr().err
+    if text in DEEP_YAML.values():
+        status, err = entropy_rate_apart(path, loader)
+        assert "nested too deeply" in err, (status, err[-300:])
+    else:
+        status, err = main(["entropy-rate", "--config", str(path)]), capsys.readouterr().err
+    assert status == EXIT_CONFIG, err[-300:]
     assert err.startswith("config error: ") and err.count("\n") == 1 and len(err) < 300, err
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import stats as sps
@@ -23,7 +25,13 @@ from gaoi.schedule import aoi_block
 from gaoi.markov import stationary_distribution
 
 from conftest import make_cycle, make_two_state_swap, sticky_model
-from reference import joint_step, reference_ensemble, reference_survival, rows
+from reference import (
+    joint_step,
+    reference_change_slots,
+    reference_ensemble,
+    reference_survival,
+    rows,
+)
 
 
 PERIODIC_50 = PolicySpec(kind="periodic", period=50, delay=DelayLaw.deterministic(0))
@@ -479,8 +487,7 @@ class TestRenewalLaw:
         model = make_two_state_swap(q)
         u = np.random.default_rng(22).random(draws)
         x = np.arange(draws) % 2
-        ends = ensemble._count_table(-model.survival[:, 1:])
-        dwells = ensemble._dwell_ends(model, ends, x, 1.0 - u)
+        dwells = ensemble._dwell_ends(model, x, 1.0 - u)
         edges = np.ceil(np.log1p(-np.arange(1, 10) / 10) / np.log1p(-q)).astype(np.int64)
         tail = (1.0 - q) ** np.concatenate([[0], edges]).astype(float)
         probs = tail - np.append(tail[1:], 0.0)
@@ -592,6 +599,58 @@ class TestSamplerEdgeCases:
             assert slots[0] == first[k]
             assert np.array_equal(np.diff(slots), np.full(len(slots) - 1, 4))
 
+
+def make_edge_three():
+    """Status 0 has a hazard-1 prefix entry, so S_0(2) = 0 and a start at
+    (0, t >= 2) cannot be reached; rows 0 and 2 end in a zero-probability entry."""
+    rows = np.array([[0.5, 0.5, 0.0], [0.3, 0.0, 0.7], [0.2, 0.8, 0.0]])
+    return validate_model(ChangeKernel(rows),
+                          DwellKernel.from_lists([[0.2, 1.0], [0.5], []], [0.3, 0.6, 0.4]))
+
+
+class TestSamplerMatchesReference:
+    @pytest.mark.parametrize("name", ["ragged", "split", "sticky", "edge"])
+    def test_bit_for_bit(self, name):
+        model = {"ragged": make_ragged_three, "split": make_split_hazards,
+                 "sticky": lambda: make_sticky(60), "edge": make_edge_three}[name]()
+        n, m = model.alphabet_size, model.dwell.prefix_len
+        paths, horizon = 90, 200
+        rng = np.random.default_rng(41)
+        uniforms = rng.random((paths, horizon, 2))
+        # jumps on uniforms equal to a CDF bound, as sample_block computes the bounds
+        cdf = np.cumsum(model.change.rows, axis=1)
+        bounds = (cdf / cdf[:, -1:])[:, :-1].ravel()
+        uniforms[0::3, :, 1] = rng.choice(bounds, size=(30, horizon))
+        # dwells from level 0 to a target 1 - u equal to a survival level
+        levels = model.survival[:, 1:].ravel()
+        exact = levels[(levels > 0.0) & (1.0 - (1.0 - levels) == levels)]
+        if len(exact):
+            uniforms[1::3, :, 0] = 1.0 - rng.choice(exact, size=(30, horizon))
+        x0 = (np.arange(paths) // 3) % n
+        t0 = rng.integers(0, m + 3, size=paths)  # inside, at and past the prefix
+        changed = sample_block(model, x0, t0, uniforms)
+        for k in range(paths):
+            want = reference_change_slots(model, x0[k], t0[k], uniforms[k])
+            assert (np.flatnonzero(changed[k]) + 1).tolist() == want, k
+
+
+class TestSamplerMemory:
+    @pytest.mark.parametrize("n, m", [(300, 0), (60, 2000)])
+    def test_traced_peak_below_16_mib(self, n, m):
+        # the sampler's own memory is O(n (n + m)): no table over every
+        # status's levels for every status
+        rng = np.random.default_rng(n)
+        dwell = DwellKernel(rng.uniform(0.002, 0.1, size=(n, m)), rng.uniform(0.1, 0.9, size=n))
+        model = validate_model(ChangeKernel(rng.dirichlet(np.ones(n), size=n)), dwell)
+        model.survival  # the model's own table, built once per model
+        uniforms = rng.random((64, 200, 2))
+        tracemalloc.start()
+        try:
+            sample_block(model, np.arange(64) % n, np.zeros(64, dtype=int), uniforms)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20, f"{peak / 2**20:.1f} MiB"
 
 ENSEMBLE_MODELS = {"swap": make_two_state_swap(0.6), "ragged": make_ragged_three(),
                    "bayes": BayesModel(0.04)}
