@@ -53,6 +53,7 @@ from gaoi.markov import (
     ModelError,
     StationaryDistribution,
     discrete_entropy,
+    embedded_stationary,
     geometric_tail,
 )
 from gaoi.schedule import (
@@ -165,8 +166,9 @@ def entropy_rate_homogeneous(model: JointModel, dist: StationaryDistribution) ->
     p_change = float(dist.mu0.sum())  # one change per mean dwell
     # entropy rate of the dwell counter chain alone
     h_dwell = _dwell_entropy_series(model, 0, 0.0) * p_change
+    embedded = embedded_stationary(model)  # the status seen at change slots
     h_change = float(
-        sum(dist.embedded[x] * discrete_entropy(model.change.rows[x])
+        sum(embedded[x] * discrete_entropy(model.change.rows[x])
             for x in range(model.alphabet_size))
     )
     rate = h_dwell + h_change * p_change
@@ -263,28 +265,32 @@ def reference_random_schedule(horizon: int, rng: np.random.Generator) -> list[tu
 
 
 def _interval_loop(model: bayes.BayesModel, pairs: list[tuple[int, int]], horizon: int,
-                   acc: float) -> float:
-    """``acc`` plus (d_{i+1} - d_i) (1-p)^{s_i}, one inter-delivery interval
-    at a time, i = 0..K."""
+                   shift: int) -> float:
+    """sum_{n<T} (1-p)^{held(n)} G(a_n + shift), one inter-delivery interval
+    at a time: interval i adds (1-p)^{s_i} (R[d_{i+1} - s_i + shift] -
+    R[d_i - s_i + shift]), i = 0..K, with R[k] = G(0) + ... + G(k-1) summed
+    in order."""
+    r = [0.0]
+    for k in range(horizon + 1):
+        r.append(r[-1] + float(-np.expm1(k * np.log1p(-model.p))))
     s_cap = [0, *(s for s, _ in pairs)]
     d_cap = [0, *(d for _, d in pairs), horizon]
-    for i in range(len(s_cap)):
-        acc += (d_cap[i + 1] - d_cap[i]) * (1.0 - model.p) ** s_cap[i]
+    acc = 0.0
+    for i, s in enumerate(s_cap):
+        acc += (1.0 - model.p) ** s * (r[d_cap[i + 1] - s + shift] - r[d_cap[i] - s + shift])
     return acc
 
 
 def reference_cumulative_gaoi(model: bayes.BayesModel, pairs: list[tuple[int, int]],
                               horizon: int) -> float:
     """Expected total staleness, one inter-delivery interval at a time."""
-    p, t = model.p, horizon
-    return model.h1 / p * _interval_loop(model, pairs, t, -(1.0 - p) * bayes._change_by(p, t) / p)
+    return model.h1 / model.p * _interval_loop(model, pairs, horizon, 1)
 
 
 def reference_expected_delay(model: bayes.BayesModel, pairs: list[tuple[int, int]],
                              horizon: int) -> float:
     """Expected detection delay, one inter-delivery interval at a time."""
-    p, t = model.p, horizon
-    return _interval_loop(model, pairs, t, -t * (1.0 - p) ** t - bayes._expected_theta_capped(p, t))
+    return _interval_loop(model, pairs, horizon, 0)
 
 
 def reference_ensemble(config: RunConfig, policy: PolicySpec) -> EnsembleStats:

@@ -1,3 +1,4 @@
+from bisect import bisect_left
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -15,7 +16,6 @@ from gaoi import (
     h_closed,
     random_schedule,
 )
-from gaoi.bayes import _expected_theta_capped
 from gaoi.oracle import exact_bayes_delay, exact_bayes_gaoi
 
 from reference import rows
@@ -127,16 +127,37 @@ class TestExpectedDelay:
 
     @pytest.mark.parametrize("p", [0.04, 0.2, 0.5, 0.95])
     @pytest.mark.parametrize("t", [0, 1, 2, 7, 100, 1000])
-    def test_capped_mean_change_time_closed_form(self, p, t):
-        direct = sum(k * (1.0 - p) ** (k - 1) * p for k in range(1, t + 1))
-        assert abs(_expected_theta_capped(p, t) - direct) <= 1e-12 * abs(direct)
+    def test_no_delivery_delay_closed_form(self, p, t):
+        # with no delivery every change waits to T: E[(T - theta); theta <= T]
+        direct = sum((t - k) * (1.0 - p) ** (k - 1) * p for k in range(1, t + 1))
+        delay = bayes_expected_delay(BayesModel(p), filter_stale([], horizon=t))[0]
+        assert abs(delay - direct) <= 1e-12 * abs(direct)
 
     @pytest.mark.parametrize("p", [1e-4, 1e-6])
     @pytest.mark.parametrize("t", [2, 100, 1000])
-    def test_capped_mean_change_time_small_hazard(self, p, t):
-        # (1 - (1-p)^T (1 + T p)) / p evaluated literally is off by 9e-5 here
-        direct = sum(k * (1.0 - p) ** (k - 1) * p for k in range(1, t + 1))
-        assert abs(_expected_theta_capped(p, t) - direct) <= 1e-9 * direct
+    def test_no_delivery_delay_small_hazard(self, p, t):
+        # T G(T) - E[theta; theta <= T] taken literally loses every digit here
+        direct = sum((t - k) * (1.0 - p) ** (k - 1) * p for k in range(1, t + 1))
+        delay = bayes_expected_delay(BayesModel(p), filter_stale([], horizon=t))[0]
+        assert abs(delay - direct) <= 1e-12 * direct
+
+
+def _decimal_gaoi_and_delay(model: BayesModel, pairs: list, t: int) -> tuple[Decimal, Decimal]:
+    """Cumulative staleness over [1, T] slot by slot, and the expected delay
+    by enumerating every change time, in the current decimal context."""
+    p = Decimal(model.p)
+    q = 1 - p
+    h1 = Decimal(float(model.h1))
+    capped = [(0, 0), *pairs]
+    gaoi = Decimal(0)
+    for n in range(1, t + 1):
+        held = max(s for s, d in capped if d < n)
+        gaoi += h1 * (1 - q ** (n - held)) / p * q**held
+    samples = [s for s, _ in pairs] + [t]
+    deliveries = [d for _, d in pairs] + [t]
+    delay = sum((p * q ** (theta - 1) * (deliveries[bisect_left(samples, theta)] - theta)
+                 for theta in range(1, t + 1)), Decimal(0))
+    return gaoi, delay
 
 
 class TestAffineLaw:
@@ -168,14 +189,31 @@ class TestAffineLaw:
         model = BayesModel(p)
         assert abs(bayes_constant_c(model, t) - h_closed(model, t)) <= 1e-12
 
-    @pytest.mark.parametrize("p", [1e-4, 1e-6, 1e-8])
-    @pytest.mark.parametrize("t", [1, 2, 100, 1000])
+    @pytest.mark.parametrize("p", [1e-8, 1e-6, 1e-4, 1e-3, 0.04, 0.5, 0.95])
+    @pytest.mark.parametrize("t", [1, 2, 50, 100, 400, 1000])
     def test_constant_small_hazard_against_decimal(self, p, t):
         # h1 is taken from the model: this checks the window factor
-        # (1 - (1-p)^T) / p, which cancels at small p T when taken literally
+        # (1 - (1-p)^x) / p, which cancels at small p x when taken literally,
+        # and the closed forms that sum it over a schedule
         model = BayesModel(p)
+        rng = np.random.default_rng(t)
+        blocks = [random_schedule(t, rng, 5), filter_stale([], horizon=t),
+                  filter_stale([(s, s + 2) for s in range(5, t, 5)], horizon=t)]
+        pairs = [row for block in blocks for row in rows(block)]
+        got = [(gaoi, delay) for block in blocks for gaoi, delay in
+               zip(bayes_cumulative_gaoi(model, block), bayes_expected_delay(model, block))]
         with localcontext() as ctx:
-            ctx.prec = 80
+            ctx.prec = 60
             dp = Decimal(p)
-            exact = Decimal(float(model.h1)) * (1 - (1 - dp) ** t) / dp
-        assert abs(Decimal(float(bayes_constant_c(model, t))) - exact) <= Decimal(1e-12) * exact
+            h = [Decimal(float(model.h1)) * (1 - (1 - dp) ** x) / dp for x in range(t + 1)]
+            exact = [_decimal_gaoi_and_delay(model, row, t) for row in pairs]
+
+            def close(value, want):
+                return abs(Decimal(float(value)) - want) <= Decimal(1e-13) * want
+
+            assert close(bayes_constant_c(model, t), h[t])
+            assert close(h_closed(model, t), h[t])
+            assert all(map(close, h_closed(model, np.arange(t + 1)), h))
+            for (gaoi, delay), (gaoi_exact, delay_exact) in zip(got, exact):
+                assert close(gaoi, gaoi_exact)
+                assert close(delay, delay_exact)
