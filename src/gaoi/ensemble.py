@@ -143,19 +143,20 @@ def _dwell_ends(model: JointModel, x, target) -> np.ndarray:
     """
     m = model.dwell.prefix_len
     at_m = model.survival[:, m].take(x)
-    # a prefix hazard of 1 leaves S_x(m) = 0, and a start the chain cannot
-    # reach leaves target = 0; then the tail draw is not used, or draws 0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        left = target / at_m
-    j = geometric_tail(np.fmax(1.0 - left, 0.0), model.dwell.tail, x)
-    j += m + 1
     inside = target > at_m
+    j = np.empty(x.shape, dtype=np.int64)
     xs, targets = x[inside], target[inside]
-    ends = np.empty(len(xs), dtype=j.dtype)
+    ends = np.empty(len(xs), dtype=np.int64)
     for s in np.flatnonzero(np.bincount(xs)):
         here = xs == s
         ends[here] = np.searchsorted(-model.survival[s, 1:], -targets[here], side="right")
     j[inside] = 1 + ends
+    # the tail is drawn only for the dwells that pass the prefix; a start the
+    # chain cannot reach leaves target = 0 = S_x(m), and the draw gives 0
+    outside = ~inside
+    with np.errstate(invalid="ignore"):
+        left = target[outside] / at_m[outside]
+    j[outside] = m + 1 + geometric_tail(np.fmax(1.0 - left, 0.0), model.dwell.tail, x[outside])
     return j
 
 

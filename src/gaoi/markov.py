@@ -22,7 +22,7 @@ its tables never go stale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -185,7 +185,6 @@ class StationaryDistribution:
 
     mu: np.ndarray  # shape (n_states, m + 1)
     tail: np.ndarray  # tail change probability per state
-    embedded: np.ndarray = field(repr=False)  # stationary vector of the change chain
 
     @property
     def mu0(self) -> np.ndarray:
@@ -312,7 +311,7 @@ def stationary_distribution(model: JointModel) -> StationaryDistribution:
     mean_dwell = survival[:, :-1].sum(axis=1) + survival[:, -1] / tail
     mu = pi[:, None] / float(pi @ mean_dwell) * survival
     mu.setflags(write=False)
-    return StationaryDistribution(mu=mu, tail=tail, embedded=pi)
+    return StationaryDistribution(mu=mu, tail=tail)
 
 
 def discrete_entropy(pi: np.ndarray) -> float:

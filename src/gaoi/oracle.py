@@ -52,14 +52,14 @@ def _enumerate(table: tuple[np.ndarray, np.ndarray], starts: np.ndarray, a: int)
     return probs.reshape(len(starts), -1)
 
 
-def _entropies(model: JointModel, starts: np.ndarray, a: int, budget: int) -> np.ndarray:
+def _entropies(model: JointModel, starts: np.ndarray, a: int) -> np.ndarray:
     """Entropy (bits) of the next ``a`` joint states from each start group."""
     if a < 0:
         raise ValueError("window length must be non-negative")
     fan = 1 + model.alphabet_size
-    if fan**a > budget:
+    if fan**a > ENUMERATION_BUDGET:
         raise EnumerationBudgetError(
-            f"~{fan}^{a} trajectories exceed the budget of {budget}"
+            f"~{fan}^{a} trajectories exceed the budget of {ENUMERATION_BUDGET}"
         )
     table = model.transitions
     # a start has b^a trajectories, b the table's width
@@ -76,19 +76,17 @@ def _entropies(model: JointModel, starts: np.ndarray, a: int, budget: int) -> np
     return out
 
 
-def exact_conditional_entropy(model: JointModel, x: int, t: int, a: int,
-                              budget: int = ENUMERATION_BUDGET) -> float:
+def exact_conditional_entropy(model: JointModel, x: int, t: int, a: int) -> float:
     """Entropy (bits) of the next ``a`` joint states given the current one,
     status ``x`` after ``t`` slots in it."""
     if t < 0:
         raise ValueError("dwell counter must be non-negative")
     m = model.dwell.prefix_len
     start = np.array([x * (m + 1) + min(t, m)])
-    return float(_entropies(model, start, a, budget)[0])
+    return float(_entropies(model, start, a)[0])
 
 
-def exact_ensemble_gaoi(model: JointModel, dist: StationaryDistribution, a: int,
-                        budget: int = ENUMERATION_BUDGET) -> float:
+def exact_ensemble_gaoi(model: JointModel, dist: StationaryDistribution, a: int) -> float:
     """Stationary average of the a-slot conditional entropy (bits).
 
     Trajectory laws from (x, t) coincide for every t past the dwell prefix,
@@ -100,7 +98,7 @@ def exact_ensemble_gaoi(model: JointModel, dist: StationaryDistribution, a: int,
     weights = dist.group_weights.ravel()
     starts = np.flatnonzero(weights > 0.0)
     # a sequential sum, in the order of a loop over the starts
-    return float(sum(weights[starts] * _entropies(model, starts, a, budget)))
+    return float(sum(weights[starts] * _entropies(model, starts, a)))
 
 
 def exact_bayes_gaoi(model: BayesModel, a: int) -> float:

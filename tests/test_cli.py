@@ -57,6 +57,18 @@ class TestEntropyRate:
         assert "0.9709505944546686" in out
         assert "p_change: 0.6" in out
 
+    def test_sweep_script_row_is_fig5(self, capsys):
+        # the sweep's q = 0.60 source is the fig5 preset's
+        script = Path(cli.__file__).resolve().parents[2] / "scripts" / "entropy_rate_sweep.py"
+        lines = run_python(f"import runpy\nrunpy.run_path({str(script)!r}, run_name='__main__')"
+                           ).splitlines()
+        assert lines[0] == "q,p_change,entropy_rate_bits"
+        assert len(lines) == 1 + 19
+        assert "0.60,0.6,0.9709505944546686" in lines
+        assert main(["entropy-rate", "--preset", "fig5"]) == EXIT_OK
+        rate, p_change = (line.split(": ")[1] for line in capsys.readouterr().out.splitlines()[:2])
+        assert f"0.60,{p_change},{rate}" in lines
+
     def test_cycle_rate_zero(self, tmp_path, capsys):
         data = dict(SWAP_CONFIG)
         data["model"] = {

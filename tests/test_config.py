@@ -85,6 +85,14 @@ def test_load_config_picks_libyaml_when_present(monkeypatch, loader):
     assert seen == [loader]
 
 
+@pytest.mark.parametrize("name, preset", [("two_state_swap.yaml", "fig5"),
+                                          ("geometric_change.yaml", "fig6")])
+def test_shipped_config_is_its_preset(name, preset):
+    # each shipped file is a preset written out: model, policies and run
+    path = CONFIGS[0].parent / name
+    assert same(config.load_config(path), config.preset_config(preset))
+
+
 @needs_libyaml
 class TestLoadersAgree:
     @pytest.mark.parametrize("path", CONFIGS, ids=[p.name for p in CONFIGS])

@@ -652,6 +652,30 @@ class TestSamplerMemory:
             tracemalloc.stop()
         assert peak < 16 * 2**20, f"{peak / 2**20:.1f} MiB"
 
+
+def test_tail_drawn_only_past_prefix(monkeypatch):
+    # on the sticky model nearly every dwell ends inside its 170-slot
+    # prefix; those must not draw a geometric tail
+    model = make_sticky(170)
+    seen = {"dwells": 0, "tails": 0}
+    dwell_ends, geometric_tail = ensemble._dwell_ends, ensemble.geometric_tail
+
+    def counted_dwells(model, x, target):
+        seen["dwells"] += x.size
+        return dwell_ends(model, x, target)
+
+    def counted_tails(u, q, x):
+        seen["tails"] += u.size
+        return geometric_tail(u, q, x)
+    monkeypatch.setattr(ensemble, "_dwell_ends", counted_dwells)
+    monkeypatch.setattr(ensemble, "geometric_tail", counted_tails)
+    rng = np.random.default_rng(170)
+    x0, t0 = model.law.sample(rng.random((256, 2)))
+    sample_block(model, x0, t0, rng.random((256, 1000, 2)))
+    assert seen["dwells"] > 10_000
+    assert seen["tails"] <= 0.02 * seen["dwells"], seen
+
+
 ENSEMBLE_MODELS = {"swap": make_two_state_swap(0.6), "ragged": make_ragged_three(),
                    "bayes": BayesModel(0.04)}
 ENSEMBLE_POLICIES = {

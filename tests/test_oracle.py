@@ -107,10 +107,11 @@ class TestExactConditionalEntropy:
                 3 * H_06, abs=1e-12
             )
 
-    def test_budget_exceeded(self, rng):
+    def test_budget_exceeded(self, rng, monkeypatch):
         model = random_model(rng)
+        monkeypatch.setattr(oracle, "ENUMERATION_BUDGET", 10)
         with pytest.raises(EnumerationBudgetError):
-            exact_conditional_entropy(model, 0, 0, 6, budget=10)
+            exact_conditional_entropy(model, 0, 0, 6)
 
     def test_negative_window_rejected(self, rng):
         model = random_model(rng)
@@ -261,11 +262,12 @@ class TestExactEnsembleGaoi:
         for a in (0, 1, 3):
             assert type(exact_ensemble_gaoi(model, dist, a)) is float
 
-    def test_budget_exceeded(self, rng):
+    def test_budget_exceeded(self, rng, monkeypatch):
         model = random_model(rng)
         dist = stationary_distribution(model)
+        monkeypatch.setattr(oracle, "ENUMERATION_BUDGET", 10)
         with pytest.raises(EnumerationBudgetError):
-            exact_ensemble_gaoi(model, dist, 6, budget=10)
+            exact_ensemble_gaoi(model, dist, 6)
 
 
 class TestBlockIndependence:
@@ -289,7 +291,7 @@ class TestBlockIndependence:
             out = []
             for model in models:
                 groups = np.arange(model.alphabet_size * (model.dwell.prefix_len + 1))
-                out += [oracle._entropies(model, groups, a, oracle.ENUMERATION_BUDGET)
+                out += [oracle._entropies(model, groups, a)
                         for a in range(1, 6)]
             return out
 
