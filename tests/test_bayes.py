@@ -125,22 +125,6 @@ class TestExpectedDelay:
             exact_bayes_delay(model, block), abs=1e-12
         )
 
-    @pytest.mark.parametrize("p", [0.04, 0.2, 0.5, 0.95])
-    @pytest.mark.parametrize("t", [0, 1, 2, 7, 100, 1000])
-    def test_no_delivery_delay_closed_form(self, p, t):
-        # with no delivery every change waits to T: E[(T - theta); theta <= T]
-        direct = sum((t - k) * (1.0 - p) ** (k - 1) * p for k in range(1, t + 1))
-        delay = bayes_expected_delay(BayesModel(p), filter_stale([], horizon=t))[0]
-        assert abs(delay - direct) <= 1e-12 * abs(direct)
-
-    @pytest.mark.parametrize("p", [1e-4, 1e-6])
-    @pytest.mark.parametrize("t", [2, 100, 1000])
-    def test_no_delivery_delay_small_hazard(self, p, t):
-        # T G(T) - E[theta; theta <= T] taken literally loses every digit here
-        direct = sum((t - k) * (1.0 - p) ** (k - 1) * p for k in range(1, t + 1))
-        delay = bayes_expected_delay(BayesModel(p), filter_stale([], horizon=t))[0]
-        assert abs(delay - direct) <= 1e-12 * direct
-
 
 def _decimal_gaoi_and_delay(model: BayesModel, pairs: list, t: int) -> tuple[Decimal, Decimal]:
     """Cumulative staleness over [1, T] slot by slot, and the expected delay
@@ -190,7 +174,7 @@ class TestAffineLaw:
         assert abs(bayes_constant_c(model, t) - h_closed(model, t)) <= 1e-12
 
     @pytest.mark.parametrize("p", [1e-8, 1e-6, 1e-4, 1e-3, 0.04, 0.5, 0.95])
-    @pytest.mark.parametrize("t", [1, 2, 50, 100, 400, 1000])
+    @pytest.mark.parametrize("t", [0, 1, 2, 50, 100, 400, 1000])
     def test_constant_small_hazard_against_decimal(self, p, t):
         # h1 is taken from the model: this checks the window factor
         # (1 - (1-p)^x) / p, which cancels at small p x when taken literally,
