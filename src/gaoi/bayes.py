@@ -89,10 +89,10 @@ def _pending(model: BayesModel, block: ScheduleBlock, shift: int) -> np.ndarray:
     """sum_{n<T} (1-p)^{held(n)} G(a_n + shift) for every row.
 
     Interval i adds (1-p)^{s_i} (R[d_{i+1} - s_i + shift] - R[d_i - s_i + shift]),
-    with R[k] = G(0) + ... + G(k-1).  The terms are added column by column,
-    in index order, so every row sums the same operands in the same order as
-    a loop over its own updates, whatever the other rows hold; a padding
-    column (s = d = T) adds an exact zero.
+    with R[k] = G(0) + ... + G(k-1).  The terms are added by a cumulative sum
+    along each row, in index order, so every row sums the same operands in the
+    same order as a loop over its own updates, whatever the other rows hold;
+    a padding column (s = d = T) adds an exact zero.
     """
     t = block.horizon
     zeros = np.zeros((block.num_paths, 1), dtype=np.int64)
@@ -102,10 +102,7 @@ def _pending(model: BayesModel, block: ScheduleBlock, shift: int) -> np.ndarray:
     r = np.concatenate([[0.0], np.cumsum(change_by)])
     span = r[d_cap[:, 1:] - s_cap + shift] - r[d_cap[:, :-1] - s_cap + shift]
     terms = survival_table(model, t)[s_cap] * span
-    acc = np.zeros(block.num_paths)
-    for column in terms.T:
-        acc += column
-    return acc
+    return np.cumsum(terms, axis=1)[:, -1]
 
 
 def bayes_cumulative_gaoi(model: BayesModel, block: ScheduleBlock) -> np.ndarray:

@@ -31,7 +31,7 @@ from .config import ConfigError, RunConfig, load_config, preset_config
 from .ensemble import EnsembleStats, derive_stream, run_ensemble
 from .markov import ModelError
 from .metrics import closed_form_aoi, cumulative_aoi, delay_double_sum
-from .schedule import DelayLaw, PolicySpec, generate_schedules, random_schedule
+from .schedule import DelayLaw, generate_schedules, random_schedule
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -226,8 +226,7 @@ def _verify_thm2(cfg: RunConfig, labels: list[str]) -> int:
     for policy in cfg.policies:
         # deterministic-delay variant of each configured policy (midpoint delay)
         mid = (policy.delay.lo + policy.delay.hi) // 2
-        det = PolicySpec(kind=policy.kind, period=policy.period,
-                         delay=DelayLaw.deterministic(mid), pairs=policy.pairs)
+        det = replace(policy, delay=DelayLaw.deterministic(mid))
         blocks.append(generate_schedules(det, t, [rng]))
     worst = max(
         float(np.abs(bayes_cumulative_gaoi(model, b) - scale * bayes_expected_delay(model, b)

@@ -176,7 +176,7 @@ def _parse_delay(raw, where: str) -> DelayLaw:
 def read_explicit_pairs(path: str | Path) -> tuple[tuple[int, int], ...]:
     """Parse a two-column 's d' text file into (sample, delivery) pairs."""
     pairs = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -196,7 +196,11 @@ def _parse_policy(section: dict, idx: int | None = None) -> PolicySpec:
     if kind == "explicit":
         if "schedule_path" not in section:
             raise ConfigError(f"{where}: explicit policy needs schedule_path")
-        pairs = read_explicit_pairs(section["schedule_path"])
+        path = section["schedule_path"]
+        try:
+            pairs = read_explicit_pairs(path)
+        except (TypeError, UnicodeDecodeError) as exc:  # not a file name, or not UTF-8 text
+            raise ConfigError(f"{where}.schedule_path {_show(path)}: {exc}") from None
         for s, d in pairs:
             if s > d:
                 raise ConfigError(f"{where}: pair ({s}, {d}) is sampled after its delivery")

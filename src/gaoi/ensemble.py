@@ -12,8 +12,8 @@ family and moves it from path to path by setting its whole state
 generator, the per-path reference the shared one is checked against.
 
 Paths run in blocks of ``BLOCK_PATHS`` through one block loop for both
-source models.  The models differ only in their change slots, a
-``(paths, horizon)`` mask per block, and in their staleness:
+source models.  The models differ only in their staleness and in their
+change slots, a ``(paths, changes)`` array per block, each row increasing:
 
 * A stationary path is a semi-Markov chain, so it is sampled as its change
   slots by one renewal sampler, ``sample_block``, from a start drawn from
@@ -23,8 +23,8 @@ source models.  The models differ only in their change slots, a
   against the model's own rows, so the sampler adds O(n (n + m)) memory for
   n statuses and an m-slot prefix.  The block's statuses advance one change
   per Python iteration, ``CHUNK_CHANGES`` changes at a time, each chunk's
-  dwells are drawn at once, and the block's change mask is filled in chunk
-  by chunk.  The survival table and the law are the model's own
+  dwells are drawn at once, and the chunks' slots are stacked into the
+  block's.  The survival table and the law are the model's own
   (``JointModel.survival``, ``JointModel.law``), computed once per model,
   not once per ensemble.
   Path k draws only from its own streams, so its realization depends
@@ -35,11 +35,12 @@ source models.  The models differ only in their change slots, a
   (1-p)^k built once per ensemble, and the total is summed term by term.
 
 The policies are state-independent, so every policy of a run sees the same
-source paths, each block's change mask sampled once.  Schedules come from
+source paths, each block's change slots sampled once.  Schedules come from
 ``generate_schedules`` as ``(paths, K)`` arrays, each path's delays from its
 own policy stream; ages and detection times are read off them for the whole
-block.  A fixed policy (no random delay) is realised once per ensemble and
-shared by every path.  Aggregation runs per policy in path order (float
+block: a change's delay is the detection time gathered at its slot, minus
+the slot.  A fixed policy (no random delay) is realised once per ensemble
+and shared by every path.  Aggregation runs per policy in path order (float
 series are added one path at a time, never by a pairwise sum), so results
 are bit-identical for any block size and any other policies in the run.
 """
@@ -161,8 +162,9 @@ def _dwell_ends(model: JointModel, x, target) -> np.ndarray:
 
 
 def sample_block(model: JointModel, x0, t0, uniforms: np.ndarray) -> np.ndarray:
-    """The (paths, horizon) mask of change slots (T_n = 0) of a block of
-    paths of the joint chain, sampled as a renewal process.
+    """The (paths, changes) int64 change slots (T_n = 0) of a block of paths
+    of the joint chain, sampled as a renewal process: ``_change_chunks``'s
+    slots, one row per path, increasing; a slot past the horizon is no change.
 
     Path k starts at (x0[k], t0[k]) and reads only ``uniforms[k]``, shape
     (horizon, 2): its c-th dwell (the slots up to its c-th change; the first
@@ -172,13 +174,8 @@ def sample_block(model: JointModel, x0, t0, uniforms: np.ndarray) -> np.ndarray:
     enough for every change in [1, horizon].  From a start the chain cannot
     reach (S_x(s) = 0), the first change comes at dwell level m + 1.
     """
-    paths, horizon = uniforms.shape[:2]
-    # column T collects every change past the horizon
-    changed = np.zeros((paths, horizon + 1), dtype=bool)
-    flat, rows = changed.ravel(), np.arange(paths) * (horizon + 1) - 1
-    for slots, _ in _change_chunks(model, x0, t0, uniforms):
-        flat[np.minimum(slots, horizon + 1) + rows] = True
-    return changed[:, :horizon]
+    slots = np.concatenate([chunk for chunk, _ in _change_chunks(model, x0, t0, uniforms)])
+    return np.ascontiguousarray(slots.T)  # a row per path, which gathers faster
 
 
 def _change_chunks(model: JointModel, x0, t0, uniforms: np.ndarray):
@@ -265,21 +262,21 @@ def run_ensemble(config) -> list[EnsembleStats]:
     values = [{name: np.empty(config.num_paths) for name in METRICS} for _ in sources]
     aoi_accs = [np.zeros(horizon) for _ in sources]
     gaoi_accs = [np.zeros(horizon) for _ in sources]
-    slots = np.arange(1, horizon + 1)
     for block in _blocks(config.num_paths):
         part = slice(block.start, block.stop)
-        # the (paths, horizon) mask of change slots, from each path's own streams
+        # each path's change slots from its own streams (a Bayesian path's one: theta)
         if bayesian:
-            theta = np.array([paths.at(k).geometric(model.p) for k in block])
-            changed = theta[:, None] == slots
+            slots = np.array([[paths.at(k).geometric(model.p)] for k in block])
         else:
             uniforms = np.empty((len(block), horizon, 2))
             for i, k in enumerate(block):
                 paths.at(k).random(out=uniforms[i])
             x0, t0 = model.law.sample(np.array([inits.at(k).random(2) for k in block]))
-            changed = sample_block(model, x0, t0, uniforms)
+            slots = sample_block(model, x0, t0, uniforms)
             del uniforms  # block-sized arrays are freed as soon as they are used
+        changed = slots <= horizon
         num_changes = changed.sum(axis=1)
+        np.minimum(slots, horizon, out=slots)  # past T: read at column T, never summed
         for schedules_of, vals, aoi_acc, gaoi_acc in zip(sources, values, aoi_accs, gaoi_accs):
             vals["num_changes"][part] = num_changes
             schedules = schedules_of(block)
@@ -293,9 +290,10 @@ def run_ensemble(config) -> list[EnsembleStats]:
                 for series in _bayes_gaoi_series(h, decay, ages):
                     gaoi_acc += series
             del ages
-            delays = detection_block(schedules)[:, 1:] - slots
+            delays = np.take_along_axis(detection_block(schedules), slots, axis=1) - slots
             vals["cum_delay"][part] = delays.sum(axis=1, where=changed)
             del schedules, delays  # before the next policy's are built
+        del slots, changed  # before the next block's uniforms are drawn
     if not bayesian:
         for vals in values:
             vals["cum_gaoi"] = model.rate * vals["cum_aoi"]

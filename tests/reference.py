@@ -327,7 +327,8 @@ def reference_ensemble(config: RunConfig, policy: PolicySpec) -> EnsembleStats:
         else:
             x0, t0 = model.law.sample(derive_stream(seed, k, INIT_SALT).random((1, 2)))
             uniforms = derive_stream(seed, k, PATH_SALT).random((1, horizon, 2))
-            slots = np.flatnonzero(sample_block(model, x0, t0, uniforms)[0]) + 1
+            slots = sample_block(model, x0, t0, uniforms)[0]
+            slots = slots[slots <= horizon]
             values["cum_delay"][k] = sum(reference_detection(schedule, horizon, n) - n
                                          for n in slots.tolist())
             values["num_changes"][k] = len(slots)

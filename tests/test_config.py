@@ -345,6 +345,28 @@ def test_deep_or_huge_value_exit_2(tmp_path, capsys, loader, text):
     assert err.startswith("config error: ") and err.count("\n") == 1 and len(err) < 300, err
 
 
+@pytest.mark.parametrize("where", ["policy", "policies[1]"])
+@pytest.mark.parametrize("schedule_path", [5, True, None, [1], {}, "latin1.txt"],
+                         ids=["int", "bool", "null", "list", "map", "not_utf8"])
+def test_bad_schedule_path_exit_2_names_field(tmp_path, capsys, monkeypatch, where,
+                                              schedule_path):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "latin1.txt").write_bytes(b"1 2\n\xff 3\n")
+    explicit = {"kind": "explicit", "schedule_path": schedule_path}
+    doc = {"model": {"kind": "bayesian", "bayes_p": 0.04}}
+    if where == "policy":
+        doc["policy"] = explicit
+    else:
+        doc["policies"] = [{"kind": "greedy", "delay": {"uniform": [2, 8]}}, explicit]
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(doc))
+    assert main(["entropy-rate", "--config", str(path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {where}.schedule_path") and err.count("\n") == 1, err
+    if isinstance(schedule_path, str):
+        assert "latin1.txt" in err, err
+
+
 # mutation fuzz: every key, and the first three items of every list, of three
 # configs set to odd values, one at a time (ROADMAP item 7)
 

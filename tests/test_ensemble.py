@@ -75,17 +75,20 @@ def _same_draws(a: list, b: list) -> bool:
 
 def _per_slot(model, x0, t0, uniforms):
     """The sampler's paths slot by slot, built one path at a time from its
-    chunks of changes: the (paths, horizon) mask of change slots, which
-    ``sample_block`` must return, and the status after each slot."""
+    chunks of changes: the (paths, horizon) mask of change slots and the
+    status after each slot.  ``sample_block`` must return the chunks' slots,
+    one row per path."""
     horizon = uniforms.shape[1]
     slots, statuses = map(np.vstack, zip(*ensemble._change_chunks(model, x0, t0, uniforms)))
+    sampled = sample_block(model, x0, t0, uniforms)
+    assert sampled.dtype == np.int64 and np.array_equal(sampled, slots.T)
+    assert (np.diff(sampled, axis=1) > 0).all()
     changed = np.zeros((len(x0), horizon), dtype=bool)
     states = np.empty((len(x0), horizon), dtype=np.int64)
     for k in range(len(x0)):
         inside = slots[:, k] <= horizon
         changed[k, slots[inside, k] - 1] = True
         states[k] = np.concatenate([[x0[k]], statuses[inside, k]])[changed[k].cumsum()]
-    assert np.array_equal(sample_block(model, x0, t0, uniforms), changed)
     return changed, states
 
 
@@ -458,7 +461,7 @@ class TestRenewalLaw:
         paths, horizon = 2000, 200
         x0, t0 = model.law.sample(np.random.default_rng(31).random((paths, 2)))
         uniforms = np.random.default_rng(32).random((paths, horizon, 2))
-        changes = sample_block(model, x0, t0, uniforms).sum(axis=1)
+        changes = (sample_block(model, x0, t0, uniforms) <= horizon).sum(axis=1)
         se = changes.std(ddof=1) / np.sqrt(paths)
         assert abs(changes.mean() - horizon * model.p_change) <= 4 * se
 
@@ -474,8 +477,8 @@ class TestRenewalLaw:
         draws, horizon = 2000, 400
         reference = _first_change_by_joint_step(model, 0, t0, draws, horizon)
         uniforms = np.random.default_rng(2027).random((draws, horizon, 2))
-        changed = sample_block(model, np.zeros(draws, dtype=int), np.full(draws, t0), uniforms)
-        first = np.where(changed.any(axis=1), changed.argmax(axis=1) + 1, horizon + 1)
+        slots = sample_block(model, np.zeros(draws, dtype=int), np.full(draws, t0), uniforms)
+        first = np.minimum(slots[:, 0], horizon + 1)
         assert (first >= 1).all()
         assert _homogeneity_pvalue(reference, first) > 1e-3
 
@@ -628,10 +631,10 @@ class TestSamplerMatchesReference:
             uniforms[1::3, :, 0] = 1.0 - rng.choice(exact, size=(30, horizon))
         x0 = (np.arange(paths) // 3) % n
         t0 = rng.integers(0, m + 3, size=paths)  # inside, at and past the prefix
-        changed = sample_block(model, x0, t0, uniforms)
+        slots = sample_block(model, x0, t0, uniforms)
         for k in range(paths):
             want = reference_change_slots(model, x0[k], t0[k], uniforms[k])
-            assert (np.flatnonzero(changed[k]) + 1).tolist() == want, k
+            assert slots[k, slots[k] <= horizon].tolist() == want, k
 
 
 class TestSamplerMemory:
@@ -677,9 +680,11 @@ def test_tail_drawn_only_past_prefix(monkeypatch):
 
 
 ENSEMBLE_MODELS = {"swap": make_two_state_swap(0.6), "ragged": make_ragged_three(),
-                   "bayes": BayesModel(0.04)}
+                   "bayes": BayesModel(0.04), "bayes_even": BayesModel(0.5)}
 ENSEMBLE_POLICIES = {
     "periodic_fixed": PolicySpec(kind="periodic", period=7, delay=DelayLaw.deterministic(3)),
+    # a sample in every slot, delivered at once: every slot before T detects itself
+    "periodic_instant": PolicySpec(kind="periodic", period=1, delay=DelayLaw.deterministic(0)),
     "periodic_random": PolicySpec(kind="periodic", period=5, delay=DelayLaw.uniform(0, 12)),
     "greedy_fixed": PolicySpec(kind="greedy", delay=DelayLaw.uniform(4, 4)),
     "greedy_random": PolicySpec(kind="greedy", delay=DelayLaw.uniform(2, 8)),
@@ -690,22 +695,22 @@ ENSEMBLE_POLICIES = {
 
 @pytest.fixture(scope="module")
 def reference_stats():
-    """The per-path reference loop, once per (model, policy)."""
+    """The per-path reference loop, once per (model, policy, horizon)."""
     cache = {}
 
-    def get(model_name, policy_name):
-        key = model_name, policy_name
+    def get(model_name, policy_name, horizon=120):
+        key = model_name, policy_name, horizon
         if key not in cache:
-            cache[key] = reference_ensemble(_reference_config(model_name),
+            cache[key] = reference_ensemble(_reference_config(model_name, horizon=horizon),
                                             ENSEMBLE_POLICIES[policy_name])
         return cache[key]
     return get
 
 
-def _reference_config(model_name, *policy_names):
+def _reference_config(model_name, *policy_names, horizon=120):
     return RunConfig(model=ENSEMBLE_MODELS[model_name],
                      policies=tuple(ENSEMBLE_POLICIES[name] for name in policy_names),
-                     horizon=120, num_paths=10, base_seed=11)
+                     horizon=horizon, num_paths=10, base_seed=11)
 
 
 def _assert_identical(stats, other):
@@ -718,14 +723,19 @@ def _assert_identical(stats, other):
 
 
 class TestEnsembleMatchesReference:
+    @pytest.mark.parametrize("horizon", [1, 2, 120])
     @pytest.mark.parametrize("block_paths", [1, 3, 256])
     @pytest.mark.parametrize("policy_name", sorted(ENSEMBLE_POLICIES))
     @pytest.mark.parametrize("model_name", sorted(ENSEMBLE_MODELS))
     def test_bit_identical_to_per_path_loop(self, monkeypatch, reference_stats, model_name,
-                                            policy_name, block_paths):
+                                            policy_name, block_paths, horizon):
         monkeypatch.setattr(ensemble, "BLOCK_PATHS", block_paths)
-        [stats] = run_ensemble(_reference_config(model_name, policy_name))
-        _assert_identical(stats, reference_stats(model_name, policy_name))
+        [stats] = run_ensemble(_reference_config(model_name, policy_name, horizon=horizon))
+        _assert_identical(stats, reference_stats(model_name, policy_name, horizon))
+        if horizon == 1 and model_name != "bayes":
+            # the edges of the delay gather occur: some path changes at slot
+            # T (delay 0), and some (a Bayesian theta > T) does not change
+            assert set(stats.values["num_changes"].tolist()) == {0.0, 1.0}
 
     @pytest.mark.parametrize("block_paths", [7, 256])
     def test_start_status_reaches_the_sampler(self, monkeypatch, block_paths):
