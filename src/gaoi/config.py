@@ -3,11 +3,14 @@
 ``load_config`` reads the file's bytes once. Text that decodes as strict UTF-8
 and is a JSON document is read with the standard library's ``json``; PyYAML is
 imported only for any other text, so a JSON config (the shape a generated
-config takes) never pays for the import. JSON is a subset of YAML as configs
-are read here: every JSON number goes through the same ``float()``/``int()``
-that YAML's resolver and ``_float`` apply, so a JSON file gives the same
-``RunConfig`` bit for bit either way. The choice is made from the content
-alone, with no flag or file-extension rule.
+config takes) never pays for the import. JSON that PyYAML can read is a subset
+of YAML as configs are read here: every JSON number goes through the same
+``float()``/``int()`` that YAML's resolver and ``_float`` apply, so a JSON file
+gives the same ``RunConfig`` bit for bit either way. JSON text that PyYAML
+refuses (a character outside YAML's printable set, such as a raw U+007F, or a
+``\\uD800``-``\\uDFFF`` escape, which libyaml refuses) goes to PyYAML and fails
+as its YAML reading does. The choice is made from the content alone, with no
+flag or file-extension rule.
 
 Other text, and bytes that are not strict UTF-8 (a BOM, UTF-16 or UTF-32, or an
 undecodable byte), go to PyYAML, so YAML's own encoding detection applies and an
@@ -25,6 +28,7 @@ value gives a one-line message, never a traceback.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from reprlib import repr as _show
@@ -257,8 +261,18 @@ def _parse_config(data: dict) -> RunConfig:
     )
 
 
+# What PyYAML refuses in any text: a character outside YAML 1.1's printable
+# set (both its readers), such as the lone surrogate that "surrogateescape"
+# makes of an undecodable byte, or a JSON escape of a UTF-16 surrogate
+# (libyaml).  The escape pattern may over-match, which only sends more JSON text
+# to YAML.  ``re`` compiles it on first use, so a preset never pays for that.
+_YAML_REFUSES = (r"[\x00-\x08\x0b\x0c\x0e-\x1f\x7f-\x84\x86-\x9f\ud800-\udfff\ufffe\uffff]"
+                 r"|\\u[dD][89a-fA-F]")
+
+
 def load_config(path: str | Path) -> RunConfig:
-    """Read a config file: JSON text with ``json``, anything else with PyYAML.
+    """Read a config file: JSON text that PyYAML can read with ``json``,
+    anything else with PyYAML, so that text PyYAML refuses fails as YAML.
 
     A document nested more than about 1,000 levels deep is a ConfigError,
     JSON or YAML: libyaml's composer overflows the C stack at about 50,000
@@ -266,11 +280,14 @@ def load_config(path: str | Path) -> RunConfig:
     before it is composed.
     """
     raw = Path(path).read_bytes()
+    text = raw.decode("utf-8", "surrogateescape")  # an undecodable byte: a lone surrogate
+    if re.search(_YAML_REFUSES, text):
+        return parse_config(_load_yaml(raw, path))
     try:
-        data = json.loads(raw.decode("utf-8"))  # strict: a BOM or UTF-16 text is not JSON here
+        data = json.loads(text)
     except RecursionError:
         raise ConfigError(f"cannot parse {path}: nested too deeply") from None
-    except ValueError:  # not UTF-8, or not JSON
+    except ValueError:  # not JSON: a BOM or UTF-16 text is not JSON here
         data = _load_yaml(raw, path)
     return parse_config(data)
 

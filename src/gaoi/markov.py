@@ -11,7 +11,8 @@ constant tail used for every dwell index >= m.  The tail must be positive so
 a change eventually happens and the joint chain is recurrent; with that
 representation the stationary law is geometric past the prefix, and all the
 infinite series below (normalization, entropy rate) have closed-form tails,
-so the law and the entropy rate are exact.
+so the law and the entropy rate are exact (GTH elimination gives the change
+matrix's stationary vector with every entry's relative accuracy).
 
 A ``JointModel`` owns the tables that depend on it alone (hazards, survival
 products, the one-step transition table, the stationary law, and the law's
@@ -258,43 +259,41 @@ def validate_model(change: ChangeKernel, dwell: DwellKernel) -> JointModel:
         raise ModelError(
             f"dwell tail must be positive (states {zero} would never change again)"
         )
+    unreachable = _unreachable(rows)
+    if unreachable:
+        raise IrreducibilityError(unreachable)
     return JointModel(change=change, dwell=dwell)
 
 
-def _strongly_connected(rows: np.ndarray) -> list[int]:
-    """Return states not in the strongly connected component of state 0."""
-    n = rows.shape[0]
+def _unreachable(rows: np.ndarray) -> list[int]:
+    """States outside state 0's strongly connected component, found by a
+    boolean frontier grown one step at a time, forward then backward."""
     adj = rows > 0.0
-
-    def reach(adj_mat):
-        seen = {0}
-        stack = [0]
-        while stack:
-            v = stack.pop()
-            for w in np.flatnonzero(adj_mat[v]):
-                if w not in seen:
-                    seen.add(int(w))
-                    stack.append(int(w))
-        return seen
-
-    fwd = reach(adj)
-    bwd = reach(adj.T)
-    return sorted(set(range(n)) - (fwd & bwd))
+    inside = np.ones(len(rows), dtype=bool)
+    for edges in (adj, adj.T):
+        seen = frontier = np.arange(len(rows)) == 0
+        while frontier.any():
+            frontier = edges[frontier].any(axis=0) & ~seen
+            seen = seen | frontier
+        inside &= seen
+    return np.flatnonzero(~inside).tolist()
 
 
 def embedded_stationary(model: JointModel) -> np.ndarray:
-    """Stationary vector of the change matrix (status seen at change slots)."""
-    rows = model.change.rows
-    missing = _strongly_connected(rows)
-    if missing:
-        raise IrreducibilityError(missing)
-    n = rows.shape[0]
-    # solve pi (P - I) = 0 with sum(pi) = 1 as an overdetermined system
-    a = np.vstack([rows.T - np.eye(n), np.ones(n)])
-    b = np.zeros(n + 1)
-    b[-1] = 1.0
-    pi, *_ = np.linalg.lstsq(a, b, rcond=None)
-    pi = np.clip(pi, 0.0, None)
+    """Stationary vector of the change matrix (status seen at change slots),
+    by GTH elimination (Grassmann, Taksar and Heyman, Operations Research
+    33(5), 1985): the states, last first, are censored out by rank-1 updates
+    over their off-diagonal row sums (irreducibility keeps these positive),
+    then the vector is built back up from state 0.  Nothing is subtracted, so
+    every entry keeps its relative accuracy."""
+    a = model.change.rows.copy()
+    n = len(a)
+    for k in range(n - 1, 0, -1):
+        a[:k, k] /= a[k, :k].sum()
+        a[:k, :k] += np.outer(a[:k, k], a[k, :k])
+    pi = np.ones(n)
+    for k in range(1, n):
+        pi[k] = pi[:k] @ a[:k, k]
     return pi / pi.sum()
 
 

@@ -27,11 +27,16 @@ one survival product S_x(i), taken for any i >= 0.
 ``reference_change_slots`` is one path of the renewal sampler, one change at
 a time, each dwell end and each jump found by a linear scan:
 ``sample_block`` must agree with it bit for bit.
+``reference_unreachable`` is the irreducibility check as a depth-first walk
+over sets, and ``exact_embedded_stationary`` solves the change chain's
+generator form in ``Fraction`` arithmetic, the exact answer that
+``embedded_stationary`` is held to in relative terms.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from fractions import Fraction
 from itertools import accumulate
 
 import numpy as np
@@ -119,6 +124,48 @@ def reference_change_slots(model: JointModel, x0: int, t0: int,
             y += 1
         x, level = y, 0
     return slots
+
+
+def reference_unreachable(rows: np.ndarray) -> list[int]:
+    """States not in the strongly connected component of state 0."""
+    adj = rows > 0.0
+
+    def reach(adj_mat):
+        seen = {0}
+        stack = [0]
+        while stack:
+            v = stack.pop()
+            for w in np.flatnonzero(adj_mat[v]):
+                if w not in seen:
+                    seen.add(int(w))
+                    stack.append(int(w))
+        return seen
+
+    return sorted(set(range(len(rows))) - (reach(adj) & reach(adj.T)))
+
+
+def exact_embedded_stationary(rows: np.ndarray) -> list[Fraction]:
+    """The stationary vector of the change chain, exactly: pi Q = 0 with
+    sum(pi) = 1, where Q holds the rows' off-diagonal entries as exact
+    fractions and each diagonal entry is minus its row's off-diagonal sum.
+    One equation of pi Q = 0 (the last) is replaced by the normalisation,
+    and the system is solved by Gauss-Jordan elimination."""
+    n = len(rows)
+    q = [[Fraction(float(v)) if i != j else Fraction(0) for j, v in enumerate(row)]
+         for i, row in enumerate(rows)]
+    for i in range(n):
+        q[i][i] = -sum(q[i])
+    # equation j: sum_i pi_i q[i][j] = 0, for j < n - 1; then sum_i pi_i = 1
+    a = [[q[i][j] for i in range(n)] + [Fraction(0)] for j in range(n - 1)]
+    a.append([Fraction(1)] * n + [Fraction(1)])
+    for c in range(n):
+        pivot = next(r for r in range(c, n) if a[r][c] != 0)
+        a[c], a[pivot] = a[pivot], a[c]
+        a[c] = [v / a[c][c] for v in a[c]]
+        for r in range(n):
+            if r != c and a[r][c] != 0:
+                a[r] = [v - a[r][c] * w for v, w in zip(a[r], a[c])]
+    return [a[i][n] for i in range(n)]
 
 
 def reference_binary_entropy(q: float) -> float:

@@ -301,6 +301,18 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err.startswith("model error:") and err.count("\n") == 1
 
+    def test_reducible_model_exit_3_before_any_output(self, tmp_path, capsys):
+        # state 2 is never entered: the model is refused as the config loads,
+        # before the output directory is made
+        model = {"kind": "stationary", "px_rows": [[0, 1, 0], [1, 0, 0], [0.5, 0.5, 0]],
+                 "dwell": 0.5}
+        cfg = write_config(tmp_path, {**SWAP_CONFIG, "model": model})
+        out = tmp_path / "new" / "x"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_MODEL
+        assert capsys.readouterr().err == (
+            "model error: change chain is not irreducible; unreachable states: [2]\n")
+        assert not out.parent.exists()
+
     def test_delay_bound_at_int64_max_runs(self, tmp_path):
         data = {**SWAP_CONFIG, "policy": {"kind": "greedy", "delay": {"uniform": [2, 2**63 - 1]}}}
         assert main(["simulate", "--config", write_config(tmp_path, data),

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gaoi import config
@@ -254,9 +255,26 @@ CONFIG_DOCS = st.builds(
     st.text(max_size=4), ODD, st.integers(0, 3))
 
 
+def refused_by_yaml(kind: str) -> dict:
+    """An invalid model (dwell 0) with a policy kind that json reads but
+    PyYAML refuses, as ``json.dumps`` writes it: U+10000 as a surrogate-pair
+    escape (``ensure_ascii=True``), or a raw U+007F (``ensure_ascii=False``).
+    Read by json, such a config fails the model check (a ModelError), where
+    libyaml stops at the parse (a ConfigError)."""
+    return {"model": {"kind": "stationary", "px_rows": [[0.0, 1.0], [1.0, 0.0]], "dwell": 0},
+            "policies": [{"kind": kind, "delay": None}]}
+
+
+# a JSON escape of a UTF-16 surrogate: SafeLoader reads a pair of them as two
+# lone surrogates, where libyaml refuses it, so no one reading fits both loaders
+SURROGATE_ESCAPE = re.compile(rb"\\u[dD][89a-fA-F]")
+
+
 @needs_libyaml
 @settings(max_examples=200, deadline=None)
 @given(doc=CONFIG_DOCS, ensure_ascii=st.booleans())
+@example(doc=refused_by_yaml("\U00010000"), ensure_ascii=True)
+@example(doc=refused_by_yaml("\x7f"), ensure_ascii=False)
 def test_json_reads_as_yaml_reads_it(tmp_path_factory, doc, ensure_ascii):
     # exponent floats with no dot, -0.0, NaN/Infinity, big ints and unicode text:
     # the same RunConfig, or the same exception class, under either YAML loader
@@ -265,6 +283,8 @@ def test_json_reads_as_yaml_reads_it(tmp_path_factory, doc, ensure_ascii):
     path.write_bytes(text)
     got = outcome(config.load_config, path)
     for loader in (yaml.CSafeLoader, yaml.SafeLoader):
+        if loader is yaml.SafeLoader and SURROGATE_ESCAPE.search(text):
+            continue  # load_config follows libyaml's reading
         want = outcome(read_as_yaml, text, loader)
         if isinstance(want, config.RunConfig):
             assert same(got, want)

@@ -1,5 +1,6 @@
 import time
 from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,15 +15,17 @@ from gaoi import (
     validate_model,
 )
 from gaoi.config import preset_config
-from gaoi.markov import IrreducibilityError, binary_entropy, embedded_stationary
+from gaoi.markov import IrreducibilityError, _unreachable, binary_entropy, embedded_stationary
 
 from conftest import make_cycle, make_two_state_swap, make_uniform_three, random_model
 from reference import (
     entropy_rate_homogeneous,
+    exact_embedded_stationary,
     joint_step,
     reference_binary_entropy,
     reference_entropy_rate,
     reference_survival,
+    reference_unreachable,
 )
 
 H_06 = 0.9709505944546686  # binary entropy of 0.6 in bits
@@ -41,10 +44,22 @@ class TestValidateModel:
 
     def test_self_transition_row_allowed(self):
         model = validate_model(
-            ChangeKernel(np.array([[1.0, 0.0], [0.5, 0.5]])),
+            ChangeKernel(np.array([[0.5, 0.5], [1.0, 0.0]])),
             DwellKernel.homogeneous(2, [], 0.5),
         )
         assert model.hazard[0, min(3, model.dwell.prefix_len)] == 0.5
+
+    @pytest.mark.parametrize("rows, unreachable", [
+        ([[1.0, 0.0], [0.5, 0.5]], [1]),
+        ([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.5, 0.5, 0.0]], [2]),
+        ([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 1.0]], [1, 2]),
+    ], ids=["absorbing_0", "transient_2", "one_way"])
+    def test_unreachable_states_reported(self, rows, unreachable):
+        # a reducible change matrix is refused where the model is built
+        with pytest.raises(IrreducibilityError) as exc:
+            validate_model(ChangeKernel(np.array(rows)),
+                           DwellKernel.homogeneous(len(rows), [], 0.5))
+        assert exc.value.unreachable == unreachable
 
     def test_bad_row_sum_rejected(self):
         with pytest.raises(ModelError, match="sum to 1"):
@@ -203,12 +218,75 @@ class TestStationaryDistribution:
         assert weights[:, :2] == pytest.approx(np.array([[1.0, 0.7]] * 2) / 3.4, rel=1e-12)
         assert model.p_change == pytest.approx(1 / 1.7, rel=1e-12)
 
-    def test_unreachable_states_reported(self):
-        rows = np.array([[1.0, 0.0], [0.5, 0.5]])
-        model = validate_model(ChangeKernel(rows), DwellKernel.homogeneous(2, [], 0.5))
-        with pytest.raises(IrreducibilityError) as exc:
-            stationary_distribution(model)
-        assert exc.value.unreachable == [1]
+
+def birth_death(n: int, step: float) -> np.ndarray:
+    """A change chain on 0..n-1 that steps up with probability ``step`` and
+    down otherwise, reflected at both ends: state k >= 1 has mass about
+    step**(k - 1) / 2."""
+    rows = np.zeros((n, n))
+    rows[0, 1] = rows[-1, -2] = 1.0
+    for k in range(1, n - 1):
+        rows[k, k - 1], rows[k, k + 1] = 1.0 - step, step
+    return rows
+
+
+# change chains with rare states, each valid for validate_model; the smallest
+# exact masses are 5.0e-14, 1.0e-17, 5.0e-13 and 5.0e-28
+RARE_CHAINS = {
+    "one_entry_1e-13": np.array([[0.0, 1.0 - 1e-13, 1e-13], [1.0, 0.0, 0.0], [0.5, 0.5, 0.0]]),
+    "entries_1e-17": np.array([[0.0, 1.0, 1e-17], [1.0, 0.0, 1e-17], [0.5, 0.5, 0.0]]),
+    "birth_death_4_1e-6": birth_death(4, 1e-6),
+    "birth_death_5_1e-9": birth_death(5, 1e-9),
+}
+
+
+def assert_relatively_exact(rows: np.ndarray) -> None:
+    """Every entry of the change chain's stationary vector within 1e-14 of
+    the exact one, relative to that entry."""
+    model = validate_model(ChangeKernel(rows), DwellKernel.homogeneous(len(rows), [], 0.5))
+    pi = embedded_stationary(model)
+    assert pi.dtype == np.float64
+    for got, want in zip(pi.tolist(), exact_embedded_stationary(rows), strict=True):
+        assert abs(Fraction(got) - want) <= Fraction(1e-14) * want
+
+
+class TestEmbeddedStationary:
+    @pytest.mark.parametrize("rows", RARE_CHAINS.values(), ids=RARE_CHAINS.keys())
+    def test_every_entry_relatively_exact(self, rows):
+        # a solve of pi (P - I) = 0 is accurate only in absolute terms, so a
+        # rare state's mass can be off by orders of magnitude, or 0 once clipped
+        assert_relatively_exact(rows)
+
+    def test_one_state(self):
+        model = validate_model(ChangeKernel(np.array([[1.0]])), DwellKernel.homogeneous(1, [], 0.3))
+        assert embedded_stationary(model).tolist() == [1.0]
+        assert model.p_change == pytest.approx(0.3, rel=1e-15)
+
+    def test_matches_exact_on_random_chains(self, rng):
+        for n in (2, 3, 5, 8):
+            rows = rng.dirichlet(np.ones(n), size=n) * (rng.random((n, n)) < 0.6)
+            rows[np.arange(n), (np.arange(n) + 1) % n] += 0.05  # a ring keeps it irreducible
+            rows /= rows.sum(axis=1, keepdims=True)
+            assert_relatively_exact(rows)
+
+
+def sparse_graphs(rng):
+    """Change matrices as graphs: one state, a one-way chain, a ring, each
+    reversed, and random sparse ones from empty to dense."""
+    yield np.ones((1, 1))
+    for n in (2, 5, 9):
+        one_way = np.eye(n, k=1)
+        ring = np.roll(np.eye(n), 1, axis=1)
+        yield from (one_way, one_way.T, ring, ring.T)
+    for n in (2, 3, 6, 12, 40):
+        for density in (0.0, 0.05, 0.15, 0.3, 0.7):
+            for _ in range(6):
+                yield rng.random((n, n)) * (rng.random((n, n)) < density)
+
+
+def test_unreachable_matches_graph_walk(rng):
+    for rows in sparse_graphs(rng):
+        assert _unreachable(rows) == reference_unreachable(rows)
 
 
 class TestProbChange:
