@@ -156,7 +156,10 @@ def _parse_model(section: dict):
                           f"from model.alphabet_size")
     if "dwell" not in section:
         raise ConfigError("stationary model needs dwell")
-    return validate_model(ChangeKernel(rows), _parse_dwell(section["dwell"], n))
+    # the dwell first, so that its config errors (exit 2) come before the model
+    # errors (exit 3) that ChangeKernel raises as it is built
+    dwell = _parse_dwell(section["dwell"], n)
+    return validate_model(ChangeKernel(rows), dwell)
 
 
 def _parse_delay(raw, where: str) -> DelayLaw:
@@ -312,7 +315,8 @@ def _load_yaml(raw: bytes, path: str | Path):
     except RecursionError:  # the pure-Python composer recurses once per level
         pass
     except (yaml.YAMLError, ValueError) as exc:  # ValueError: an int past 4300 digits, a bad date
-        raise ConfigError(f"cannot parse {path}: {exc}") from exc
+        # PyYAML's text spans lines ("while parsing ...", then "  in ..."): join them
+        raise ConfigError(f"cannot parse {path}: {' '.join(str(exc).split())}") from exc
     raise ConfigError(f"cannot parse {path}: nested too deeply")
 
 

@@ -1,5 +1,5 @@
-"""Joint (status, dwell) Markov chain: model validation, stationary
-distribution, and entropy rate.
+"""Joint (status, dwell) Markov chain: the model, its stationary distribution,
+and its entropy rate.
 
 The monitored system holds a status ``x`` from a finite alphabet and a dwell
 counter ``t`` counting slots spent in that status.  Each slot the status
@@ -7,18 +7,16 @@ changes with probability ``q_t(x)``; on a change the next status is drawn
 from row ``x`` of the change matrix, and the counter resets to 0.
 
 Dwell laws are stored as an explicit prefix ``q_0(x)..q_{m-1}(x)`` plus a
-constant tail used for every dwell index >= m.  The tail must be positive so
-a change eventually happens and the joint chain is recurrent; with that
-representation the stationary law is geometric past the prefix, and all the
-infinite series below (normalization, entropy rate) have closed-form tails,
-so the law and the entropy rate are exact (GTH elimination gives the change
-matrix's stationary vector with every entry's relative accuracy).
+constant tail used for every dwell index >= m, so the stationary law is
+geometric past the prefix and the infinite series below (normalization,
+entropy rate) have closed-form tails: the law and the entropy rate are exact.
 
-A ``JointModel`` owns the tables that depend on it alone (hazards, survival
-products, the one-step transition table, the stationary law, and the law's
-entropy rate and change probability), each built on first use and kept
-read-only: the kernels' arrays are read-only, so a model never changes and
-its tables never go stale.
+A model is valid by construction: each type refuses, with a ``ModelError``,
+what it cannot hold (``ChangeKernel`` a matrix that is not square, stochastic
+and irreducible, ``DwellKernel`` a probability outside [0, 1] or a tail that
+is not positive, ``JointModel`` two alphabets or a law past float64's range).
+A model owns its tables (hazards, survival products, one-step transitions, the
+law, its entropy rate and change probability), each built once, read-only.
 """
 
 from __future__ import annotations
@@ -32,7 +30,8 @@ ATOL_STOCHASTIC = 1e-12
 
 
 class ModelError(ValueError):
-    """Raised for malformed kernels or non-irreducible change structure."""
+    """Raised for malformed kernels, a reducible change matrix, or a law that
+    float64 cannot hold."""
 
 
 class IrreducibilityError(ModelError):
@@ -40,14 +39,13 @@ class IrreducibilityError(ModelError):
 
     def __init__(self, unreachable: list[int]):
         self.unreachable = unreachable
-        super().__init__(
-            f"change chain is not irreducible; unreachable states: {unreachable}"
-        )
+        super().__init__(f"change chain is not irreducible; unreachable states: {unreachable}")
 
 
 @dataclass(frozen=True)
 class ChangeKernel:
-    """Row-stochastic matrix of next-status distributions given a change."""
+    """Row-stochastic, irreducible matrix of next-status distributions given a
+    change; any other matrix is refused."""
 
     rows: np.ndarray
 
@@ -55,6 +53,17 @@ class ChangeKernel:
         rows = np.asarray(self.rows, dtype=float)
         rows.setflags(write=False)
         object.__setattr__(self, "rows", rows)
+        if rows.ndim != 2 or rows.shape[0] != rows.shape[1]:
+            raise ModelError(f"change matrix must be square, got shape {rows.shape}")
+        # every range test is written so that NaN fails it
+        if np.any(~((rows >= 0.0) & (rows <= 1.0))):
+            raise ModelError("change matrix entries must lie in [0, 1]")
+        bad = np.abs(rows.sum(axis=1) - 1.0) > ATOL_STOCHASTIC
+        if np.any(bad):
+            raise ModelError(f"change matrix rows {np.flatnonzero(bad).tolist()} do not sum to 1")
+        unreachable = _unreachable(rows)
+        if unreachable:
+            raise IrreducibilityError(unreachable)
 
     @property
     def n_states(self) -> int:
@@ -80,6 +89,15 @@ class DwellKernel:
         tail.setflags(write=False)
         object.__setattr__(self, "prefix", prefix)
         object.__setattr__(self, "tail", tail)
+        if prefix.ndim != 2 or len(prefix) != len(tail):
+            raise ModelError(f"dwell prefix must have one row per state ({len(tail)}), "
+                             f"got shape {prefix.shape}")
+        q_all = np.concatenate([prefix.ravel(), tail])
+        if np.any(~((q_all >= 0.0) & (q_all <= 1.0))):
+            raise ModelError("dwell probabilities must lie in [0, 1]")
+        zero = np.flatnonzero(~(tail > 0.0)).tolist()
+        if zero:
+            raise ModelError(f"dwell tail must be positive (states {zero} would never change again)")
 
     @classmethod
     def from_lists(cls, prefixes: list[list[float]], tails: list[float]) -> "DwellKernel":
@@ -109,10 +127,20 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class JointModel:
-    """Validated pair of change and dwell kernels over a common alphabet."""
+    """Change and dwell kernels over a common alphabet, with a stationary law
+    that float64 holds; any other pair is refused."""
 
     change: ChangeKernel
     dwell: DwellKernel
+
+    def __post_init__(self):
+        if self.dwell.n_states != self.change.n_states:
+            raise ModelError(f"dwell kernel covers {self.dwell.n_states} states, "
+                             f"change matrix {self.change.n_states}")
+        with np.errstate(all="ignore"):  # tiny probabilities overflow GTH's ratios or a mean dwell
+            if not self.p_change > 0.0:
+                raise ModelError(f"stationary law does not fit in float64 (p_change "
+                                 f"{self.p_change!r}): a probability is too small")
 
     @property
     def alphabet_size(self) -> int:
@@ -232,37 +260,8 @@ def geometric_tail(u: np.ndarray, q: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def validate_model(change: ChangeKernel, dwell: DwellKernel) -> JointModel:
-    """Check stochasticity and recurrence; return a usable model."""
-    rows = change.rows
-    if rows.ndim != 2 or rows.shape[0] != rows.shape[1]:
-        raise ModelError(f"change matrix must be square, got shape {rows.shape}")
-    if dwell.n_states != rows.shape[0]:
-        raise ModelError(
-            f"dwell kernel covers {dwell.n_states} states, change matrix {rows.shape[0]}"
-        )
-    if dwell.prefix.ndim != 2 or dwell.prefix.shape[0] != rows.shape[0]:
-        raise ModelError(
-            f"dwell prefix must have one row per state ({rows.shape[0]}), "
-            f"got shape {dwell.prefix.shape}"
-        )
-    # every range test is written so that NaN fails it
-    if np.any(~((rows >= 0.0) & (rows <= 1.0))):
-        raise ModelError("change matrix entries must lie in [0, 1]")
-    bad = np.abs(rows.sum(axis=1) - 1.0) > ATOL_STOCHASTIC
-    if np.any(bad):
-        raise ModelError(f"change matrix rows {np.flatnonzero(bad).tolist()} do not sum to 1")
-    q_all = np.concatenate([dwell.prefix.ravel(), dwell.tail])
-    if np.any(~((q_all >= 0.0) & (q_all <= 1.0))):
-        raise ModelError("dwell probabilities must lie in [0, 1]")
-    if np.any(~(dwell.tail > 0.0)):
-        zero = np.flatnonzero(~(dwell.tail > 0.0)).tolist()
-        raise ModelError(
-            f"dwell tail must be positive (states {zero} would never change again)"
-        )
-    unreachable = _unreachable(rows)
-    if unreachable:
-        raise IrreducibilityError(unreachable)
-    return JointModel(change=change, dwell=dwell)
+    """The model of two kernels; each type refuses what it cannot hold."""
+    return JointModel(change, dwell)
 
 
 def _unreachable(rows: np.ndarray) -> list[int]:
@@ -283,9 +282,10 @@ def embedded_stationary(model: JointModel) -> np.ndarray:
     """Stationary vector of the change matrix (status seen at change slots),
     by GTH elimination (Grassmann, Taksar and Heyman, Operations Research
     33(5), 1985): the states, last first, are censored out by rank-1 updates
-    over their off-diagonal row sums (irreducibility keeps these positive),
-    then the vector is built back up from state 0.  Nothing is subtracted, so
-    every entry keeps its relative accuracy."""
+    over their off-diagonal row sums (irreducibility keeps these positive; a
+    ``JointModel`` whose ratios overflow is refused), then the vector is built
+    back up from state 0.  Nothing is subtracted, so every entry keeps its
+    relative accuracy."""
     a = model.change.rows.copy()
     n = len(a)
     for k in range(n - 1, 0, -1):

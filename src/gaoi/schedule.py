@@ -104,24 +104,23 @@ class PolicySpec:
 class ScheduleBlock:
     """The schedules of a block of paths as left-packed ``(paths, K)`` arrays.
 
-    Row k holds path k's ``counts[k]`` delivered updates in order; the rest
-    of the row is padding, an update sampled and delivered at the horizon,
-    which no age, detection time or staleness term sees.
+    Row k holds path k's delivered updates in order; the rest of the row is
+    padding, an update sampled and delivered at the horizon, which no age,
+    detection time or staleness term sees.  A kept update is sampled before
+    the horizon, so row k holds ``(samples[k] < horizon).sum()`` of them.
     """
 
     horizon: int
     samples: np.ndarray  # (paths, K) int64
     deliveries: np.ndarray  # (paths, K) int64
-    counts: np.ndarray  # (paths,)
 
     @property
     def num_paths(self) -> int:
-        return len(self.counts)
+        return len(self.samples)
 
     def take(self, rows) -> "ScheduleBlock":
         """The block made of ``rows`` (an index array; repeats allowed)."""
-        return ScheduleBlock(self.horizon, self.samples[rows], self.deliveries[rows],
-                             self.counts[rows])
+        return ScheduleBlock(self.horizon, self.samples[rows], self.deliveries[rows])
 
 
 def _keep_fresh(samples: np.ndarray, deliveries: np.ndarray, horizon: int) -> ScheduleBlock:
@@ -140,16 +139,15 @@ def _keep_fresh(samples: np.ndarray, deliveries: np.ndarray, horizon: int) -> Sc
     from_here = np.minimum.accumulate(later[:, ::-1], axis=1)[:, ::-1]
     after = np.concatenate([from_here[:, 1:], np.full((paths, 1), horizon + 1)], axis=1)
     keep = inside & (deliveries < after)
-    counts = keep.sum(axis=1)
     rows, cols = np.nonzero(keep)
     slot = (np.cumsum(keep, axis=1) - 1)[rows, cols]
-    width = int(counts.max(initial=0))
+    width = int(keep.sum(axis=1).max(initial=0))
     packed = []
     for values in (samples, deliveries):
         out = np.full((paths, width), horizon, dtype=np.int64)
         out[rows, slot] = values[rows, cols]
         packed.append(out)
-    return ScheduleBlock(horizon, packed[0], packed[1], counts)
+    return ScheduleBlock(horizon, packed[0], packed[1])
 
 
 def filter_stale(raw: list[tuple[int, int]], horizon: int) -> ScheduleBlock:

@@ -252,14 +252,15 @@ def reference_filter_stale(raw: list[tuple[int, int]], horizon: int) -> list[tup
 
 def rows(block: ScheduleBlock) -> list[list[tuple[int, int]]]:
     """Every row's kept ``(s, d)`` pairs, padding dropped."""
+    counts = (block.samples < block.horizon).sum(axis=1)
     return [list(zip(block.samples[k, :c].tolist(), block.deliveries[k, :c].tolist()))
-            for k, c in enumerate(block.counts.tolist())]
+            for k, c in enumerate(counts.tolist())]
 
 
 def one_row(pairs: list[tuple[int, int]], horizon: int) -> ScheduleBlock:
     """The one-row block holding already kept ``pairs``."""
     samples, deliveries = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
-    return ScheduleBlock(horizon, samples[None], deliveries[None], np.array([len(pairs)]))
+    return ScheduleBlock(horizon, samples[None], deliveries[None])
 
 
 def reference_detection(pairs: list[tuple[int, int]], horizon: int, n: int) -> int:

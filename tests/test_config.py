@@ -146,13 +146,17 @@ def test_non_utf8_config_exit_2(tmp_path, capsys, loader):
     assert capsys.readouterr().err.startswith("config error: cannot parse")
 
 
-@pytest.mark.parametrize("text", ["model: [1, 2\n", "model:\n\tkind: stationary\n"],
-                         ids=["unclosed_flow_sequence", "tab_indented_mapping"])
+@pytest.mark.parametrize("text", [
+    "model: [1, 2\n", "model:\n\tkind: stationary\n",
+    '{"model": {"kind": "bayesian", "bayes_p": "\x7f"}}',
+], ids=["unclosed_flow_sequence", "tab_indented_mapping", "json_raw_u007f"])
 def test_yaml_syntax_error_exit_2(tmp_path, capsys, loader, text):
+    # PyYAML's error text spans lines; the config error is one line
     path = tmp_path / "f.yaml"
     path.write_text(text)
     assert main(["entropy-rate", "--config", str(path)]) == EXIT_CONFIG
-    assert capsys.readouterr().err.startswith("config error: cannot parse")
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot parse") and err.count("\n") == 1, err
 
 
 STATIONARY = "model:\n  kind: stationary\n  px_rows: [[0, 1], [1, 0]]\n  dwell: {}\n"
@@ -176,6 +180,16 @@ def test_dwell_scalar_rejects_bool_and_text(tmp_path, capsys, dwell):
     assert main(["entropy-rate", "--config", str(path)]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("config error:") and err.count("\n") == 1
+
+
+def test_config_error_comes_before_model_error(tmp_path, capsys):
+    # the change rows do not sum to 1 (a model error, exit 3) and the dwell
+    # is not a number (a config error, exit 2): the config error wins
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps({"model": {"kind": "stationary", "dwell": "abc",
+                                          "px_rows": [[0.4, 0.5], [1, 0]]}}))
+    assert main(["entropy-rate", "--config", str(path)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "config error: model.dwell must be a number, got 'abc'\n"
 
 
 @pytest.mark.parametrize("text, numbers", [

@@ -4,10 +4,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from gaoi import (
     ChangeKernel,
     DwellKernel,
+    JointModel,
     ModelError,
     discrete_entropy,
     entropy_rate,
@@ -96,6 +100,62 @@ class TestValidateModel:
                 ChangeKernel(np.array([[-0.1, 1.1], [1.0, 0.0]])),
                 DwellKernel.homogeneous(2, [], 0.5),
             )
+
+
+class TestModelChecksItself:
+    """``JointModel`` built directly, without ``validate_model``, refuses what
+    ``validate_model`` refuses, rather than giving NaN, 0 or numpy's errors."""
+
+    @pytest.mark.parametrize("rows, n, tail, match", [
+        (np.eye(2), 2, 0.5, "not irreducible"),
+        ([[0.0, 1.0], [1.0, 0.0]], 2, 0.0, "tail must be positive"),
+        ([[0.5, 0.7], [1.0, 0.0]], 2, 0.5, "do not sum to 1"),
+        ([[0.0, 1.0], [1.0, 0.0]], 3, 0.5, "covers 3 states"),
+    ], ids=["reducible", "zero_tail", "row_sum", "alphabets_differ"])
+    def test_bad_input_raises_model_error(self, rows, n, tail, match):
+        with pytest.raises(ModelError, match=match):
+            JointModel(ChangeKernel(rows), DwellKernel.homogeneous(n, [], tail))
+
+    @pytest.mark.parametrize("rows, tail", [
+        ([[0.0, 1.0], [5e-324, 1.0]], 0.5),
+        ([[0.0, 1.0, 0.0], [0.0, 1.0, 2.2e-308], [2.2e-308, 1.0, 0.0]], 0.5),
+        ([[0.0, 1.0], [1.0, 0.0]], 5e-324),
+    ], ids=["gth_ratio_overflows", "gth_pivot_underflows", "subnormal_tail"])
+    def test_law_past_float64_refused(self, rows, tail):
+        # valid in exact arithmetic, but GTH's ratios or the mean dwell
+        # overflow, which gave a NaN or 0 change probability
+        with pytest.raises(ModelError, match="does not fit in float64"):
+            JointModel(ChangeKernel(rows), DwellKernel.homogeneous(len(rows), [], tail))
+
+
+PROBABILITIES = st.floats(0.0, 1.0)
+
+
+@st.composite
+def kernel_arrays(draw):
+    """Change rows normalised from random weights (all-zero rows give NaN),
+    and dwell prefixes and tails, each probability anywhere in [0, 1]:
+    subnormals, 0 and 1 included."""
+    n, m = draw(st.integers(1, 4)), draw(st.integers(0, 3))
+    weights = draw(arrays(float, (n, n), elements=PROBABILITIES))
+    with np.errstate(all="ignore"):
+        rows = weights / weights.sum(axis=1, keepdims=True)
+    return (rows, draw(arrays(float, (n, m), elements=PROBABILITIES)),
+            draw(arrays(float, n, elements=PROBABILITIES)))
+
+
+@given(kernel_arrays())
+@settings(max_examples=500, deadline=None)
+def test_every_model_that_constructs_has_finite_constants(kernels):
+    rows, prefix, tail = kernels
+    try:
+        model = JointModel(ChangeKernel(rows), DwellKernel(prefix, tail))
+    except ModelError:
+        return
+    # p_change is a ratio of float sums: exactly 1 in exact arithmetic when
+    # every hazard is 1, it may round up by an ulp or two
+    assert 0.0 < model.p_change <= 1.0 + 4 * np.finfo(float).eps
+    assert np.isfinite(model.rate) and model.rate >= 0.0
 
 
 class TestJointStep:

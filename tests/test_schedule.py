@@ -90,7 +90,7 @@ class TestFilterStale:
         pairs, horizon = case
         sched = filter_stale(pairs, horizon)
         assert sched.num_paths == 1 and sched.samples.shape == sched.deliveries.shape
-        assert sched.samples.shape[1] == sched.counts[0]
+        assert sched.samples.shape[1] == (sched.samples < horizon).sum()
         assert rows(sched) == [reference_filter_stale(pairs, horizon)]
 
     @given(raw_pairs())
@@ -270,7 +270,7 @@ class TestGenerateSchedules:
         block = generate_schedules(
             policy, horizon, [np.random.default_rng([seed, k]) for k in range(paths)])
         assert block.num_paths == paths and block.samples.shape == block.deliveries.shape
-        assert block.samples.shape[1] == block.counts.max(initial=0)
+        assert block.samples.shape[1] == (block.samples < horizon).sum(axis=1).max(initial=0)
         ages, detect = aoi_block(block), detection_block(block)
         staleness = bayes_cumulative_gaoi(BayesModel(0.3), block)
         delay = bayes_expected_delay(BayesModel(0.3), block)
