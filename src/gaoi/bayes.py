@@ -21,8 +21,10 @@ a_n = n - held(n), and is still pre-change there with probability
 and the two differ by H(p, 1-p) / p * P[theta = n + 1] whatever the
 schedule.  Over a horizon T, cumulative uncertainty is therefore H(p, 1-p)/p
 times the expected detection delay plus C(T) = H(p, 1-p) G(T) / p = h(T).
-G is taken as -expm1(k log1p(-p)), which keeps its digits at small p k,
-where 1 - (1-p)^k cancels.
+Both tables come from one exponent, k log1p(-p): (1-p)^k = exp(k log1p(-p))
+and G(k) = -expm1(k log1p(-p)).  Each keeps its digits: G at small p k,
+where 1 - (1-p)^k cancels, and (1-p)^k at large k, where a product or a
+float power of the rounded 1-p would gather an error of order k ulps.
 """
 
 from __future__ import annotations
@@ -51,14 +53,9 @@ class BayesModel:
         return binary_entropy(self.p)
 
 
-def survival_table(model: BayesModel, n: int) -> np.ndarray:
-    """P[theta > k] = (1-p)^k for k = 0..n.
-
-    Each entry is Python's float power, the value ``(1-p)**k`` gives for an
-    int k; numpy's vectorised power can differ from it in the last bit.
-    """
-    q = 1.0 - model.p
-    return np.array([q**k for k in range(n + 1)])
+def _log_survival(model: BayesModel, n: int) -> np.ndarray:
+    """log P[theta > k] = k log1p(-p), k = 0..n: the exponent of every table."""
+    return np.arange(n + 1) * np.log1p(-model.p)
 
 
 def h_closed(model: BayesModel, x):
@@ -98,16 +95,26 @@ def _pending(model: BayesModel, block: ScheduleBlock, shift: int) -> np.ndarray:
     zeros = np.zeros((block.num_paths, 1), dtype=np.int64)
     s_cap = np.concatenate([zeros, block.samples], axis=1)
     d_cap = np.concatenate([zeros, block.deliveries, zeros + t], axis=1)
-    change_by = -np.expm1(np.arange(t + 1) * np.log1p(-model.p))  # G(0..T)
-    r = np.concatenate([[0.0], np.cumsum(change_by)])
+    exponent = _log_survival(model, t)
+    r = np.concatenate([[0.0], np.cumsum(-np.expm1(exponent))])  # R[k], from G(0..T)
     span = r[d_cap[:, 1:] - s_cap + shift] - r[d_cap[:, :-1] - s_cap + shift]
-    terms = survival_table(model, t)[s_cap] * span
+    terms = np.exp(exponent)[s_cap] * span
     return np.cumsum(terms, axis=1)[:, -1]
 
 
 def bayes_cumulative_gaoi(model: BayesModel, block: ScheduleBlock) -> np.ndarray:
     """Expected total staleness over [1, T] of every row of a schedule block (bits)."""
     return model.h1 / model.p * _pending(model, block, 1)
+
+
+def bayes_gaoi_series(model: BayesModel, ages: np.ndarray) -> np.ndarray:
+    """Expected staleness h(a_n + 1) (1-p)^{held(n)} slot by slot, for AoI
+    series ``ages`` (a row per path): column n is slot n + 1's (a delivery
+    informs the monitor from the next slot on), so a row sums to
+    ``bayes_cumulative_gaoi``'s total up to rounding."""
+    t = ages.shape[-1]
+    held = np.arange(t) - ages  # sampling time of the freshest delivery
+    return h_closed(model, np.arange(t + 1))[ages + 1] * np.exp(_log_survival(model, t))[held]
 
 
 def bayes_expected_delay(model: BayesModel, block: ScheduleBlock) -> np.ndarray:

@@ -317,6 +317,10 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except MemoryError as exc:
+        print(f"config error: the run does not fit in memory ({str(exc) or 'MemoryError'}); "
+              "lower run.horizon or run.num_paths", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

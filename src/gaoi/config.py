@@ -57,7 +57,10 @@ class RunConfig:
         for name, least in (("horizon", 1), ("num_paths", 1), ("base_seed", 0)):
             value = getattr(self, name)
             if value < least:
-                raise ConfigError(f"run.{name} must be >= {least}, got {value}")
+                raise ConfigError(f"run.{name} must be >= {least}, got {_show(value)}")
+            # a size indexes int64 arrays (and one below 2**63 may still not fit in memory)
+            if name != "base_seed" and value >= 2**63:
+                raise ConfigError(f"run.{name} must be < 2**63, got {_show(value)}")
 
     @property
     def is_bayesian(self) -> bool:

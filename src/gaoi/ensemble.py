@@ -31,8 +31,9 @@ change slots, a ``(paths, changes)`` array per block, each row increasing:
   neither on the block size, nor on the chunk size, nor on the other paths
   in its block.  Its staleness is the entropy rate times its age.
 * A Bayesian path has one change, at a geometric time.  Its staleness is in
-  closed form per schedule: the series is two look-ups in tables of h(x) and
-  (1-p)^k built once per ensemble, and the total is summed term by term.
+  closed form per schedule, read from ``gaoi.bayes``: the total from
+  ``bayes_cumulative_gaoi`` and the per-slot series from
+  ``bayes_gaoi_series``; the ensemble builds no table of its own.
 
 The policies are state-independent, so every policy of a run sees the same
 source paths, each block's change slots sampled once.  Schedules come from
@@ -53,7 +54,7 @@ import numpy as np
 
 from . import bayes as bayes_mod
 from .markov import JointModel, geometric_tail
-from .schedule import PolicySpec, aoi_block, detection_block, generate_schedules
+from .schedule import aoi_block, detection_block, generate_schedules
 
 PATH_SALT = 0
 POLICY_SALT = 1
@@ -222,22 +223,6 @@ def _change_chunks(model: JointModel, x0, t0, uniforms: np.ndarray):
             return
 
 
-def _blocks(num_paths: int):
-    for lo in range(0, num_paths, BLOCK_PATHS):
-        yield range(lo, min(lo + BLOCK_PATHS, num_paths))
-
-
-def _schedule_source(policy: PolicySpec, horizon: int, streams: StreamFamily):
-    """The function from a block of paths to its schedules: the fixed policy's
-    one realisation on every row, built once per ensemble, or each path's own
-    from its policy stream."""
-    if policy.is_fixed:
-        fixed = generate_schedules(policy, horizon, [None])
-        return lambda block: fixed.take(np.zeros(len(block), dtype=np.intp))
-    # a generator expression: each path's stream is set up and drawn from in turn
-    return lambda block: generate_schedules(policy, horizon, (streams.at(k) for k in block))
-
-
 def run_ensemble(config) -> list[EnsembleStats]:
     """Simulate the run ``config`` (a ``config.RunConfig``, not imported here:
     ``import gaoi`` loads no config reader): ``num_paths`` independent source
@@ -253,16 +238,16 @@ def run_ensemble(config) -> list[EnsembleStats]:
     model, horizon = config.model, config.horizon
     bayesian = isinstance(model, bayes_mod.BayesModel)
     policy_streams = StreamFamily(config.base_seed, POLICY_SALT)
-    sources = [_schedule_source(policy, horizon, policy_streams) for policy in config.policies]
     paths = StreamFamily(config.base_seed, PATH_SALT)
     inits = StreamFamily(config.base_seed, INIT_SALT)
-    if bayesian:
-        h = bayes_mod.h_closed(model, np.arange(horizon + 1))
-        decay = bayes_mod.survival_table(model, horizon)
-    values = [{name: np.empty(config.num_paths) for name in METRICS} for _ in sources]
-    aoi_accs = [np.zeros(horizon) for _ in sources]
-    gaoi_accs = [np.zeros(horizon) for _ in sources]
-    for block in _blocks(config.num_paths):
+    # a fixed policy (no random delay) is realised once, as a one-row block
+    fixed = [generate_schedules(policy, horizon, [None]) if policy.is_fixed else None
+             for policy in config.policies]
+    values = [{name: np.empty(config.num_paths) for name in METRICS} for _ in config.policies]
+    aoi_accs = [np.zeros(horizon) for _ in config.policies]
+    gaoi_accs = [np.zeros(horizon) for _ in config.policies]
+    for lo in range(0, config.num_paths, BLOCK_PATHS):
+        block = range(lo, min(lo + BLOCK_PATHS, config.num_paths))
         part = slice(block.start, block.stop)
         # each path's change slots from its own streams (a Bayesian path's one: theta)
         if bayesian:
@@ -277,9 +262,14 @@ def run_ensemble(config) -> list[EnsembleStats]:
         changed = slots <= horizon
         num_changes = changed.sum(axis=1)
         np.minimum(slots, horizon, out=slots)  # past T: read at column T, never summed
-        for schedules_of, vals, aoi_acc, gaoi_acc in zip(sources, values, aoi_accs, gaoi_accs):
+        for policy, one, vals, aoi_acc, gaoi_acc in zip(config.policies, fixed, values,
+                                                         aoi_accs, gaoi_accs):
             vals["num_changes"][part] = num_changes
-            schedules = schedules_of(block)
+            if policy.is_fixed:
+                schedules = one.take(np.zeros(len(block), dtype=np.intp))
+            else:  # each path's stream is set up and drawn from in turn
+                streams = (policy_streams.at(k) for k in block)
+                schedules = generate_schedules(policy, horizon, streams)
             ages = aoi_block(schedules)
             aoi_acc += ages.sum(axis=0)  # integers: exact in any order
             vals["cum_aoi"][part] = ages.sum(axis=1)
@@ -287,7 +277,7 @@ def run_ensemble(config) -> list[EnsembleStats]:
                 # the path realization drives the delay only; staleness is an
                 # expectation over paths, evaluated analytically per schedule
                 vals["cum_gaoi"][part] = bayes_mod.bayes_cumulative_gaoi(model, schedules)
-                for series in _bayes_gaoi_series(h, decay, ages):
+                for series in bayes_mod.bayes_gaoi_series(model, ages):
                     gaoi_acc += series
             del ages
             delays = np.take_along_axis(detection_block(schedules), slots, axis=1) - slots
@@ -299,20 +289,6 @@ def run_ensemble(config) -> list[EnsembleStats]:
             vals["cum_gaoi"] = model.rate * vals["cum_aoi"]
         gaoi_accs = [model.rate * aoi_acc for aoi_acc in aoi_accs]
     return [_aggregate(*run) for run in zip(values, aoi_accs, gaoi_accs)]
-
-
-def _bayes_gaoi_series(h: np.ndarray, decay: np.ndarray, ages: np.ndarray) -> np.ndarray:
-    """Expected staleness h(age + 1) * P[last sample pre-change], slot by slot.
-
-    ``h[x]`` is ``h_closed(model, x)`` and ``decay[k]`` is (1-p)^k, both over
-    0..T; ``ages`` holds AoI series, one row per path.  Column n holds the
-    value for slot n+1 under the (d_i, d_{i+1}] grouping (a delivery informs
-    the monitor from the next slot onward), so a row sums to the cumulative
-    closed form over [1, T], and each entry equals the scalar
-    ``h_closed(model, a_n + 1) * (1-p)**(n - a_n)`` bit for bit.
-    """
-    delta = np.arange(ages.shape[-1]) - ages  # sampling time of freshest delivery
-    return h[ages + 1] * decay[delta]
 
 
 def _aggregate(values: dict[str, np.ndarray], aoi_acc: np.ndarray,

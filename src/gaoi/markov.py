@@ -55,6 +55,8 @@ class ChangeKernel:
         object.__setattr__(self, "rows", rows)
         if rows.ndim != 2 or rows.shape[0] != rows.shape[1]:
             raise ModelError(f"change matrix must be square, got shape {rows.shape}")
+        if rows.shape[0] == 0:
+            raise ModelError("change matrix must have at least one state")
         # every range test is written so that NaN fails it
         if np.any(~((rows >= 0.0) & (rows <= 1.0))):
             raise ModelError("change matrix entries must lie in [0, 1]")

@@ -14,7 +14,9 @@ resets one shared generator per salt; it samples each stationary path alone
 (a one-path ``sample_block``) and finds each change's detection by
 bisection (``reference_detection``), not by ``detection_block``.
 ``reference_random_schedule`` is one row of ``random_schedule``, with its
-sampling times taken by ``np.unique`` and one delay draw per update.
+sampling times taken by ``np.unique`` and one delay draw per update.  The
+Bayesian references read P[theta > k] from ``survival_table``, one
+vectorised exp(k log1p(-p)) table.
 
 ``joint_step`` is the per-slot sampler of the joint chain, one state at a
 time, that the renewal sampler ``sample_block``'s law is tested against, and
@@ -312,6 +314,13 @@ def reference_random_schedule(horizon: int, rng: np.random.Generator) -> list[tu
     return reference_filter_stale(pairs, horizon)
 
 
+def survival_table(model: bayes.BayesModel, n: int) -> np.ndarray:
+    """P[theta > k] = (1-p)^k = exp(k log1p(-p)) for k = 0..n, one vectorised
+    table (numpy's vectorised exp can differ from its scalar one in the last
+    bit, so every reference reads this table, as ``gaoi.bayes`` reads its own)."""
+    return np.exp(np.arange(n + 1) * np.log1p(-model.p))
+
+
 def _interval_loop(model: bayes.BayesModel, pairs: list[tuple[int, int]], horizon: int,
                    shift: int) -> float:
     """sum_{n<T} (1-p)^{held(n)} G(a_n + shift), one inter-delivery interval
@@ -321,11 +330,12 @@ def _interval_loop(model: bayes.BayesModel, pairs: list[tuple[int, int]], horizo
     r = [0.0]
     for k in range(horizon + 1):
         r.append(r[-1] + float(-np.expm1(k * np.log1p(-model.p))))
+    survival = survival_table(model, horizon).tolist()
     s_cap = [0, *(s for s, _ in pairs)]
     d_cap = [0, *(d for _, d in pairs), horizon]
     acc = 0.0
     for i, s in enumerate(s_cap):
-        acc += (1.0 - model.p) ** s * (r[d_cap[i + 1] - s + shift] - r[d_cap[i] - s + shift])
+        acc += survival[s] * (r[d_cap[i + 1] - s + shift] - r[d_cap[i] - s + shift])
     return acc
 
 
@@ -352,7 +362,7 @@ def reference_ensemble(config: RunConfig, policy: PolicySpec) -> EnsembleStats:
     bayesian = isinstance(model, bayes.BayesModel)
     if bayesian:
         h = bayes.h_closed(model, np.arange(horizon + 1))
-        decay = bayes.survival_table(model, horizon)
+        decay = survival_table(model, horizon)
     values = {name: np.empty(config.num_paths)
               for name in ("cum_aoi", "cum_gaoi", "cum_delay", "num_changes")}
     aoi_acc = np.zeros(horizon)

@@ -193,7 +193,7 @@ class TestAffineLaw:
             exact = [_decimal_gaoi_and_delay(model, row, t) for row in pairs]
 
             def close(value, want):
-                return abs(Decimal(float(value)) - want) <= Decimal(1e-13) * want
+                return abs(Decimal(float(value)) - want) <= Decimal(1e-14) * want
 
             assert close(bayes_constant_c(model, t), h[t])
             assert close(h_closed(model, t), h[t])

@@ -318,6 +318,36 @@ class TestSimulate:
         assert main(["simulate", "--config", write_config(tmp_path, data),
                      "--out", str(tmp_path / "out")]) == EXIT_OK
 
+    def test_oversized_run_exit_2(self, tmp_path, capsys):
+        # refused as the config loads, before anything is allocated
+        out = tmp_path / "out"
+        assert main(["simulate", "--preset", "fig6", "--paths", "99999999999999999999",
+                     "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "config error: run.num_paths must be < 2**63, got 99999999999999999999\n")
+        assert not out.exists()
+        cfg = write_config(tmp_path, {**BAYES_CONFIG, "run": {"horizon": 10**23}})
+        assert main(["verify", "thm2", "--config", cfg]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "config error: run.horizon must be < 2**63, got 100000000000000000000000\n")
+
+    @pytest.mark.parametrize("message", [
+        "Unable to allocate 745. GiB for an array with shape (100000000000,) and data type "
+        "float64", ""])
+    @pytest.mark.parametrize("argv", [["verify", "thm1", "--preset", "fig5"],
+                                      ["simulate", "--preset", "fig6", "--out", "out"]])
+    def test_out_of_memory_exit_2(self, tmp_path, capsys, monkeypatch, argv, message):
+        # a run too large for memory is the config's fault: one line, exit 2
+        def too_big(cfg):
+            raise MemoryError(message)
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, "run_ensemble", too_big)
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: the run does not fit in memory (")
+        assert (message or "MemoryError") in err and err.count("\n") == 1
+
     def test_negative_seed_override_exit_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, SWAP_CONFIG)
         assert main(["simulate", "--config", cfg, "--seed", "-1",

@@ -379,6 +379,16 @@ def test_deep_or_huge_value_exit_2(tmp_path, capsys, loader, text):
     assert err.startswith("config error: ") and err.count("\n") == 1 and len(err) < 300, err
 
 
+@pytest.mark.parametrize("name", ["horizon", "num_paths"])
+def test_run_size_past_int64_refused(name):
+    # refused as the run is built, before any array is sized from it
+    fig6 = config.preset_config("fig6")
+    assert getattr(dataclasses.replace(fig6, **{name: 2**63 - 1}), name) == 2**63 - 1
+    for value in (2**63, 10**23):
+        with pytest.raises(config.ConfigError, match=rf"^run\.{name} must be < 2\*\*63, got "):
+            dataclasses.replace(fig6, **{name: value})
+
+
 @pytest.mark.parametrize("where", ["policy", "policies[1]"])
 @pytest.mark.parametrize("schedule_path", [5, True, None, [1], {}, "latin1.txt"],
                          ids=["int", "bool", "null", "list", "map", "not_utf8"])

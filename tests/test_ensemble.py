@@ -31,6 +31,7 @@ from reference import (
     reference_ensemble,
     reference_survival,
     rows,
+    survival_table,
 )
 
 
@@ -337,20 +338,20 @@ def _homogeneity_pvalue(a: np.ndarray, b: np.ndarray, bins: int | None = 10) -> 
 
 
 class TestBayesBranch:
-    @pytest.mark.parametrize("p", [0.04, 0.5, 0.95])
+    @pytest.mark.parametrize("p", [1e-8, 0.04, 0.5, 0.95])
     def test_series_matches_per_slot_closed_form(self, rng, p):
         model = BayesModel(p)
         horizon = 100
-        h = h_closed(model, np.arange(horizon + 1))
-        decay = bayes.survival_table(model, horizon)
+        survival = survival_table(model, horizon)
         block = random_schedule(horizon, rng, 30)
-        cumulative = bayes_cumulative_gaoi(model, block)
-        for ages, total in zip(aoi_block(block), cumulative):
-            series = ensemble._bayes_gaoi_series(h, decay, ages)
-            reference = [h_closed(model, int(a) + 1) * (1.0 - p) ** (n - int(a))
-                         for n, a in enumerate(ages)]
-            assert np.array_equal(series, reference)
-            assert abs(series.sum() - total) <= 1e-9
+        ages = aoi_block(block)
+        series = bayes.bayes_gaoi_series(model, ages)
+        assert series.shape == ages.shape
+        for row, ages_row, total in zip(series, ages, bayes_cumulative_gaoi(model, block)):
+            reference = [h_closed(model, int(a) + 1) * survival[n - int(a)]
+                         for n, a in enumerate(ages_row)]
+            assert np.array_equal(row, reference)
+            assert abs(row.sum() - total) <= 1e-12 * total
 
     @pytest.mark.parametrize("policy", [PERIODIC_50, GREEDY_2080])
     def test_mean_series_sums_to_mean_cumulative(self, policy):

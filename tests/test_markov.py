@@ -116,6 +116,11 @@ class TestModelChecksItself:
         with pytest.raises(ModelError, match=match):
             JointModel(ChangeKernel(rows), DwellKernel.homogeneous(n, [], tail))
 
+    def test_zero_states_refused(self):
+        # a 0 x 0 matrix is square, stochastic and irreducible by default
+        with pytest.raises(ModelError, match="^change matrix must have at least one state$"):
+            ChangeKernel(np.empty((0, 0)))
+
     @pytest.mark.parametrize("rows, tail", [
         ([[0.0, 1.0], [5e-324, 1.0]], 0.5),
         ([[0.0, 1.0, 0.0], [0.0, 1.0, 2.2e-308], [2.2e-308, 1.0, 0.0]], 0.5),
