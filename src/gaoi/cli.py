@@ -317,7 +317,10 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except MemoryError as exc:
+    except (MemoryError, ValueError) as exc:
+        # numpy refuses an array past its size limit with this ValueError, before allocating
+        if isinstance(exc, ValueError) and not str(exc).startswith("array is too big"):
+            raise
         print(f"config error: the run does not fit in memory ({str(exc) or 'MemoryError'}); "
               "lower run.horizon or run.num_paths", file=sys.stderr)
         return EXIT_CONFIG

@@ -68,7 +68,8 @@ CHUNK_CHANGES = 32
 METRICS = ("cum_aoi", "cum_gaoi", "cum_delay", "num_changes")
 
 
-@dataclass(frozen=True)
+# compared and hashed by identity, as its arrays cannot be
+@dataclass(frozen=True, eq=False)
 class EnsembleStats:
     """Ensemble means with standard errors, plus per-slot average series.
 

@@ -17,6 +17,9 @@ and irreducible, ``DwellKernel`` a probability outside [0, 1] or a tail that
 is not positive, ``JointModel`` two alphabets or a law past float64's range).
 A model owns its tables (hazards, survival products, one-step transitions, the
 law, its entropy rate and change probability), each built once, read-only.
+The types that hold arrays compare and hash by identity (``eq=False``): a
+generated ``==`` would take an array's truth value, and a generated hash
+would hash an array.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ class IrreducibilityError(ModelError):
         super().__init__(f"change chain is not irreducible; unreachable states: {unreachable}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChangeKernel:
     """Row-stochastic, irreducible matrix of next-status distributions given a
     change; any other matrix is refused."""
@@ -72,7 +75,7 @@ class ChangeKernel:
         return self.rows.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DwellKernel:
     """Per-state change probabilities: prefix q_0..q_{m-1} plus constant tail.
 
@@ -127,7 +130,7 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JointModel:
     """Change and dwell kernels over a common alphabet, with a stationary law
     that float64 holds; any other pair is refused."""
@@ -191,8 +194,19 @@ class JointModel:
 
     @cached_property
     def law(self) -> StationaryDistribution:
-        """The exact stationary law of the joint chain."""
-        return stationary_distribution(self)
+        """The exact stationary law mu_{x,i} of the joint chain, solved once.
+
+        Solves the embedded change chain for mu_{x,0} (the per-slot change
+        mass factors through the change matrix alone); every other level is
+        the survival product mu_{x,i} = mu_{x,0} S_x(i),
+        S_x(i) = prod_{j<i}(1-q_j(x)), which is geometric past the prefix.
+        Costs O(n m), whatever the hazards.
+        """
+        pi = embedded_stationary(self)
+        survival, tail = self.survival, self.dwell.tail
+        mean_dwell = survival[:, :-1].sum(axis=1) + survival[:, -1] / tail
+        mu = pi[:, None] / float(pi @ mean_dwell) * survival
+        return StationaryDistribution(mu=_read_only(mu), tail=tail)
 
     @cached_property
     def rate(self) -> float:
@@ -205,7 +219,7 @@ class JointModel:
         return float(self.law.mu0.sum())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StationaryDistribution:
     """Exact stationary law of the joint chain.
 
@@ -300,19 +314,9 @@ def embedded_stationary(model: JointModel) -> np.ndarray:
 
 
 def stationary_distribution(model: JointModel) -> StationaryDistribution:
-    """Exact stationary law mu_{x,i} of the joint chain.
-
-    Solves the embedded change chain for mu_{x,0} (the per-slot change mass
-    factors through the change matrix alone); every other level is the
-    survival product mu_{x,i} = mu_{x,0} S_x(i), S_x(i) = prod_{j<i}(1-q_j(x)),
-    which is geometric past the prefix.  Costs O(n m), whatever the hazards.
-    """
-    pi = embedded_stationary(model)
-    survival, tail = model.survival, model.dwell.tail
-    mean_dwell = survival[:, :-1].sum(axis=1) + survival[:, -1] / tail
-    mu = pi[:, None] / float(pi @ mean_dwell) * survival
-    mu.setflags(write=False)
-    return StationaryDistribution(mu=mu, tail=tail)
+    """The exact stationary law mu_{x,i} of the joint chain: ``model.law``,
+    solved once per model."""
+    return model.law
 
 
 def discrete_entropy(pi: np.ndarray) -> float:

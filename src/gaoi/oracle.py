@@ -10,9 +10,13 @@ The trajectory oracle steps from the model's one-step table over the groups
 built once per model, with a fixed fan-out: every group lists its live moves,
 padded with zero-probability moves to the widest row.
 Each start owns one row of ``b**a`` trajectory probabilities, each step one
-gather and one product over the block, and every trajectory's probability is
-carried individually to the end.  Starts are enumerated together in blocks of
-at most ``BLOCK_TRAJECTORIES`` final trajectories.
+gather and one product over the block (and, but for the last step, one gather
+of the next groups), and every trajectory's probability is carried
+individually to the end.  Starts are enumerated together in blocks of at most
+``BLOCK_TRAJECTORIES`` (8,192) final trajectories, the largest cap measured
+not to raise peak RSS.  A block's entropies take the plain log2 when every
+trajectory is positive, and the masked one (0 log 0 = 0) only when a pad move
+or an underflow left a zero.
 """
 
 from __future__ import annotations
@@ -27,8 +31,11 @@ from .schedule import ScheduleBlock
 
 ENUMERATION_BUDGET = 10**7
 # Starts enumerated together are capped at this many final trajectories,
-# which bounds the frontier's memory.
-BLOCK_TRAJECTORIES = 4096
+# which bounds the frontier's memory.  8,192 puts 3 starts in a block at
+# a = 7 and b = 3, and the peak RSS of one `perfbench/op.py oracle` process
+# (medians of 7 seeds, numpy 2.4.6) read 35.99 MB at 4,096, 35.98 at 8,192,
+# 36.27 at 16,384 and 36.82 at 32,768.
+BLOCK_TRAJECTORIES = 8192
 
 
 class EnumerationBudgetError(RuntimeError):
@@ -45,10 +52,11 @@ def _enumerate(table: tuple[np.ndarray, np.ndarray], starts: np.ndarray, a: int)
     child, prob = table
     groups = starts
     probs = np.ones(len(groups))
-    for _ in range(a):
+    for step in range(a):
+        if step:  # no gather after the last step: nothing reads its groups
+            groups = child.take(groups, axis=0).ravel()
         # np.take gathers whole rows about twice as fast as fancy indexing
         probs = (probs[:, None] * prob.take(groups, axis=0)).ravel()
-        groups = child.take(groups, axis=0).ravel()
     return probs.reshape(len(starts), -1)
 
 
@@ -71,8 +79,14 @@ def _entropies(model: JointModel, starts: np.ndarray, a: int) -> np.ndarray:
         bad = np.abs(mass - 1.0) > 1e-12
         if np.any(bad):
             raise AssertionError(f"enumerated mass {mass[bad][0]} != 1")
-        bits = np.log2(probs, out=np.zeros_like(probs), where=probs > 0.0)
-        out[lo:lo + per_block] = (-probs * bits).sum(axis=1)
+        if probs.min() > 0.0:
+            bits = np.log2(probs)
+        else:  # a pad move or an underflow: 0 log 0 = 0
+            bits = np.log2(probs, out=np.zeros_like(probs), where=probs > 0.0)
+        # the terms -p log2 p, in place: each the same bits as (-p) * log2 p
+        bits *= probs
+        np.negative(bits, out=bits)
+        out[lo:lo + per_block] = bits.sum(axis=1)
     return out
 
 

@@ -100,7 +100,8 @@ class PolicySpec:
         return self.kind == "explicit" or self.delay.lo == self.delay.hi
 
 
-@dataclass(frozen=True)
+# compared and hashed by identity, as its arrays cannot be
+@dataclass(frozen=True, eq=False)
 class ScheduleBlock:
     """The schedules of a block of paths as left-packed ``(paths, K)`` arrays.
 

@@ -331,6 +331,26 @@ class TestSimulate:
         assert capsys.readouterr().err == (
             "config error: run.horizon must be < 2**63, got 100000000000000000000000\n")
 
+    @pytest.mark.parametrize("argv", [["simulate", "--preset", "fig6", "--out", "out"],
+                                      ["verify", "thm2", "--preset", "fig6"]])
+    def test_unsizable_run_exit_2(self, tmp_path, capsys, monkeypatch, argv):
+        # 2**60 paths pass RunConfig, but numpy refuses their 8-byte arrays
+        # with a ValueError before it allocates anything
+        monkeypatch.chdir(tmp_path)
+        assert main([*argv, "--paths", str(2**60)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: the run does not fit in memory (array is too big")
+        assert err.count("\n") == 1
+
+    def test_other_value_error_not_taken_for_memory(self, tmp_path, monkeypatch):
+        def broken(cfg):
+            raise ValueError("operands could not be broadcast together")
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, "run_ensemble", broken)
+        with pytest.raises(ValueError, match="broadcast"):
+            main(["simulate", "--preset", "fig6", "--out", "out"])
+
     @pytest.mark.parametrize("message", [
         "Unable to allocate 745. GiB for an array with shape (100000000000,) and data type "
         "float64", ""])
@@ -355,15 +375,15 @@ class TestSimulate:
         assert "run.base_seed must be >= 0, got -1" in capsys.readouterr().err
 
     def test_stationary_law_computed_once(self, tmp_path, monkeypatch):
-        # JointModel.law looks the law up in markov, once per model
+        # JointModel.law solves the embedded change chain, once per model
         calls = []
-        real = markov.stationary_distribution
+        real = markov.embedded_stationary
 
         def counted(model):
             calls.append(model)
             return real(model)
 
-        monkeypatch.setattr(markov, "stationary_distribution", counted)
+        monkeypatch.setattr(markov, "embedded_stationary", counted)
         data = {**SWAP_CONFIG, "policies": [SWAP_CONFIG["policy"],
                                             {"kind": "greedy", "delay": {"uniform": [1, 9]}}]}
         del data["policy"]

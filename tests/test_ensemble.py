@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -810,3 +811,20 @@ class TestPoliciesShareSourcePaths:
         assert sampled == blocks
         assert salts.count(PATH_SALT) == 10 and salts.count(INIT_SALT) == starts
         assert salts.count(POLICY_SALT) == 10  # greedy_random alone draws delays
+
+
+def test_array_holding_types_compare_by_identity():
+    # a generated == would compare arrays field by field (an array has no
+    # truth value) and a generated hash would hash them (unhashable)
+    from gaoi.config import preset_config
+
+    one, two = preset_config("fig5"), preset_config("fig5")
+    small = dataclasses.replace(one, horizon=20, num_paths=3)
+    schedules = [ensemble.generate_schedules(policy, 20, [None]) for policy in
+                 (PolicySpec(kind="periodic", period=5, delay=DelayLaw.deterministic(2)),) * 2]
+    pairs = [(one.model, two.model), (one.model.change, two.model.change),
+             (one.model.dwell, two.model.dwell), (one.model.law, two.model.law),
+             schedules, (run_ensemble(small)[0], run_ensemble(small)[0]), (one, two)]
+    for a, b in pairs:
+        assert a == a and a != b
+        assert len({a, b, a}) == 2
