@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -116,17 +115,17 @@ def _write_csv(path: Path, columns: list[str], rows: list[dict]) -> None:
 def _series_csv(stats: EnsembleStats) -> str:
     """The text of ``series.csv``, built from whole columns.
 
-    ``np.cumsum`` adds in slot order, as a running float sum does, and the
-    csv writer formats a float by ``repr``, so every cell reads as ``_fmt``
-    would write it.
+    ``np.cumsum`` adds in slot order, as a running float sum does.  Every
+    cell is a number, which csv never quotes, so a row is its cells' ``repr``
+    joined by commas and ended by CRLF: the text ``csv.writer`` writes, each
+    cell as ``_fmt`` formats it.
     """
     aoi, gaoi = stats.mean_aoi_series, stats.mean_gaoi_series
     columns = [aoi, gaoi, np.cumsum(aoi), np.cumsum(gaoi)]
-    text = io.StringIO()
-    writer = csv.writer(text)
-    writer.writerow(SERIES_COLUMNS)
-    writer.writerows(zip(range(stats.horizon), *(c.tolist() for c in columns)))
-    return text.getvalue()
+    rows = [",".join(SERIES_COLUMNS)]
+    rows += [f"{n},{a!r},{g!r},{ca!r},{cg!r}"
+             for n, a, g, ca, cg in zip(range(stats.horizon), *(c.tolist() for c in columns))]
+    return "\r\n".join(rows) + "\r\n"
 
 
 def cmd_entropy_rate(args) -> int:
@@ -201,10 +200,11 @@ def _verify_thm1(cfg: RunConfig, labels: list[str]) -> int:
         if aoi != closed_form_aoi(sched)[0] or aoi != delay_double_sum(sched)[0]:
             print("FAIL: integer schedule identity violated")
             return EXIT_VERIFY_FAILED
+    ensemble = run_ensemble(cfg)  # before any output: a run that cannot fit prints nothing
     print("analytic: cumulative_aoi == closed_form_aoi == delay_double_sum "
           "on 100 schedules (ok)")
     verdicts = []
-    for label, stats in zip(labels, run_ensemble(cfg)):
+    for label, stats in zip(labels, ensemble):
         values = stats.values
         paired = (values["cum_delay"] - values["num_changes"] * values["cum_aoi"]
                   / stats.horizon) / model.p_change
@@ -238,12 +238,13 @@ def _verify_thm2(cfg: RunConfig, labels: list[str]) -> int:
         for b in blocks
     )
     analytic_ok = worst < 1e-9
+    ensemble = run_ensemble(cfg)  # before any output: a run that cannot fit prints nothing
     print(f"C(T)={c_t!r}")
     print(f"analytic: max |residual - C(T)| = {worst:.3e} "
           f"({'ok' if analytic_ok else 'FAIL'})")
     residuals = []
     verdicts = []
-    for label, stats in zip(labels, run_ensemble(cfg)):
+    for label, stats in zip(labels, ensemble):
         res = float(stats.mean["cum_gaoi"] - scale * stats.mean["cum_delay"])
         se = float(scale * stats.se["cum_delay"])
         residuals.append((res, se))

@@ -17,17 +17,23 @@ individually to the end.  Starts are enumerated together in blocks of at most
 not to raise peak RSS.  A block's entropies take the plain log2 when every
 trajectory is positive, and the masked one (0 log 0 = 0) only when a pad move
 or an underflow left a zero.
+
+The oracle imports no other layer at run time: the model, law and schedule
+types it takes appear only in annotations, so ``from gaoi import markov,
+oracle`` loads just those two layers.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .bayes import BayesModel
-from .markov import JointModel, StationaryDistribution
-from .schedule import ScheduleBlock
+if TYPE_CHECKING:  # annotations only: the oracle loads no other layer
+    from .bayes import BayesModel
+    from .markov import JointModel, StationaryDistribution
+    from .schedule import ScheduleBlock
 
 ENUMERATION_BUDGET = 10**7
 # Starts enumerated together are capped at this many final trajectories,

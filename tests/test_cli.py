@@ -332,13 +332,15 @@ class TestSimulate:
             "config error: run.horizon must be < 2**63, got 100000000000000000000000\n")
 
     @pytest.mark.parametrize("argv", [["simulate", "--preset", "fig6", "--out", "out"],
+                                      ["verify", "thm1", "--preset", "fig5"],
                                       ["verify", "thm2", "--preset", "fig6"]])
     def test_unsizable_run_exit_2(self, tmp_path, capsys, monkeypatch, argv):
         # 2**60 paths pass RunConfig, but numpy refuses their 8-byte arrays
-        # with a ValueError before it allocates anything
+        # with a ValueError before it allocates anything; no half report is printed
         monkeypatch.chdir(tmp_path)
         assert main([*argv, "--paths", str(2**60)]) == EXIT_CONFIG
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert out == ""
         assert err.startswith("config error: the run does not fit in memory (array is too big")
         assert err.count("\n") == 1
 
@@ -530,10 +532,33 @@ class TestVerify:
 
 def test_import_gaoi_skips_config_cli_and_yaml():
     # the library (and the oracle workload, which imports it) needs neither
-    # the config reader nor the CLI: loading them costs start-up on every import
-    out = run_python("import gaoi\n"
-                     "print(sorted({'gaoi.config', 'gaoi.cli', 'yaml'} & set(sys.modules)))\n")
-    assert out.splitlines()[-1] == "[]"
+    # the config reader nor the CLI: loading them costs start-up on every import.
+    # `import gaoi` loads no layer at all; a name loads its own layer on first use
+    out = run_python(
+        "def loaded():\n"
+        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'gaoi')\n"
+        "import gaoi\n"
+        "print(loaded(), 'numpy' in sys.modules)\n"
+        "from gaoi import markov, oracle\n"
+        "print(loaded())\n"
+        "names = {name: getattr(gaoi, name) for name in gaoi.__all__}\n"
+        "print(len(names), sorted({value.__module__ for value in names.values()}))\n"
+        "print([name for name, value in names.items() if name not in dir(gaoi)\n"
+        "       or getattr(sys.modules[value.__module__], name) is not value])\n"
+        "print(sorted({'gaoi.config', 'gaoi.cli', 'yaml'} & set(sys.modules)))\n"
+        "try:\n"
+        "    gaoi.no_such_name\n"
+        "except AttributeError as exc:\n"
+        "    print(exc)\n")
+    assert out.splitlines() == [
+        "['gaoi'] False",
+        "['gaoi', 'gaoi.markov', 'gaoi.oracle']",
+        "34 ['gaoi.bayes', 'gaoi.ensemble', 'gaoi.markov', 'gaoi.metrics', 'gaoi.oracle', "
+        "'gaoi.schedule']",
+        "[]",
+        "[]",
+        "module 'gaoi' has no attribute 'no_such_name'",
+    ]
 
 
 
