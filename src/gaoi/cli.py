@@ -18,7 +18,6 @@ error, 3 model error, 4 I/O error.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -46,12 +45,19 @@ SUMMARY_COLUMNS = [
 SERIES_COLUMNS = ["n", "mean_aoi", "mean_gaoi", "mean_cum_aoi", "mean_cum_gaoi"]
 
 
-def _fmt(value) -> str:
-    if value is None or value == "":
-        return ""
-    if isinstance(value, float):
-        return repr(float(value))
-    return str(value)
+def _csv(columns: dict[str, list]) -> str:
+    """CSV text of ``columns``, each a name and its cells: a header line,
+    then one line per row.
+
+    A cell is an int, a float or a str, written as ``str`` writes it; a
+    float's ``str`` is its shortest repr, so it reads back bit for bit.  No
+    cell ever needs quoting: cells are numbers, ``""`` or the policy labels
+    ``periodic<N>``, ``greedy`` and ``explicit``.  A file takes the text with
+    ``newline="\r\n"``, the line ending ``csv.writer`` writes.
+    """
+    # lazily, so that only one line's cells are held at a time
+    cells = (map(str, [name, *values]) for name, values in columns.items())
+    return "\n".join(map(",".join, zip(*cells))) + "\n"
 
 
 def _load(args) -> RunConfig:
@@ -104,28 +110,12 @@ def _summary_row(cfg: RunConfig, label: str, stats: EnsembleStats) -> dict:
     return row
 
 
-def _write_csv(path: Path, columns: list[str], rows: list[dict]) -> None:
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_fmt(row.get(c, "")) for c in columns])
-
-
 def _series_csv(stats: EnsembleStats) -> str:
-    """The text of ``series.csv``, built from whole columns.
-
-    ``np.cumsum`` adds in slot order, as a running float sum does.  Every
-    cell is a number, which csv never quotes, so a row is its cells' ``repr``
-    joined by commas and ended by CRLF: the text ``csv.writer`` writes, each
-    cell as ``_fmt`` formats it.
-    """
+    """The text of ``series.csv``, built from whole columns: ``np.cumsum``
+    adds in slot order, as a running float sum does."""
     aoi, gaoi = stats.mean_aoi_series, stats.mean_gaoi_series
     columns = [aoi, gaoi, np.cumsum(aoi), np.cumsum(gaoi)]
-    rows = [",".join(SERIES_COLUMNS)]
-    rows += [f"{n},{a!r},{g!r},{ca!r},{cg!r}"
-             for n, a, g, ca, cg in zip(range(stats.horizon), *(c.tolist() for c in columns))]
-    return "\r\n".join(rows) + "\r\n"
+    return _csv(dict(zip(SERIES_COLUMNS, [range(stats.horizon), *(c.tolist() for c in columns)])))
 
 
 def cmd_entropy_rate(args) -> int:
@@ -138,8 +128,7 @@ def cmd_entropy_rate(args) -> int:
     row = {c: "" for c in SUMMARY_COLUMNS}
     row.update(policy="", num_paths=0, horizon=cfg.horizon, p_change=model.p_change,
                entropy_rate=model.rate)
-    print(",".join(SUMMARY_COLUMNS))
-    print(",".join(_fmt(row[c]) for c in SUMMARY_COLUMNS))
+    print(_csv({c: [row[c]] for c in SUMMARY_COLUMNS}), end="")
     return EXIT_OK
 
 
@@ -160,12 +149,13 @@ def cmd_simulate(args) -> int:
         summary_rows.append(_summary_row(cfg, label, stats))
         series = _series_csv(stats)
         if i == 0:
-            (out / "series.csv").write_text(series, newline="")
+            (out / "series.csv").write_text(series, newline="\r\n")
         if len(cfg.policies) > 1:
-            (out / f"series_{label}.csv").write_text(series, newline="")
-    _write_csv(out / "summary.csv", SUMMARY_COLUMNS, summary_rows)
+            (out / f"series_{label}.csv").write_text(series, newline="\r\n")
+    summary = {c: [row[c] for row in summary_rows] for c in SUMMARY_COLUMNS}
+    (out / "summary.csv").write_text(_csv(summary), newline="\r\n")
     for row in summary_rows:
-        print(",".join(f"{c}={_fmt(row[c])}" for c in SUMMARY_COLUMNS if row[c] != ""))
+        print(",".join(f"{c}={row[c]}" for c in SUMMARY_COLUMNS if row[c] != ""))
     return EXIT_OK
 
 

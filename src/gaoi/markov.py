@@ -17,15 +17,21 @@ and irreducible, ``DwellKernel`` a probability outside [0, 1] or a tail that
 is not positive, ``JointModel`` two alphabets or a law past float64's range).
 A model owns its tables (hazards, survival products, one-step transitions, the
 law, its entropy rate and change probability), each built once, read-only.
-The types that hold arrays compare and hash by identity (``eq=False``): a
-generated ``==`` would take an array's truth value, and a generated hash
-would hash an array.
+
+The kernels, the model and the law are plain frozen classes, not
+dataclasses: each sets its fields once in ``__init__``, after which
+assignment and deletion raise, so a model stays valid by construction.
+They compare and hash by identity, since a value ``==`` would take an
+array's truth value and a value hash would hash an array; that leaves a
+dataclass nothing to generate but ``__init__`` and ``__repr__``, and its
+decorator and module cost start-up on every import.  ``cached_property``
+writes the instance dict directly, so the tables still build once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,15 +51,31 @@ class IrreducibilityError(ModelError):
         super().__init__(f"change chain is not irreducible; unreachable states: {unreachable}")
 
 
-@dataclass(frozen=True, eq=False)
-class ChangeKernel:
+class _Frozen:
+    """Fields set once in ``__init__``; assigning or deleting one raises.
+    Equality and hash are identity; the repr names the fields."""
+
+    __match_args__: tuple[str, ...] = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}: {type(self).__name__} is frozen")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}: {type(self).__name__} is frozen")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__name__}({fields})"
+
+
+class ChangeKernel(_Frozen):
     """Row-stochastic, irreducible matrix of next-status distributions given a
     change; any other matrix is refused."""
 
-    rows: np.ndarray
+    __match_args__ = ("rows",)
 
-    def __post_init__(self):
-        rows = np.asarray(self.rows, dtype=float)
+    def __init__(self, rows: np.ndarray):
+        rows = np.asarray(rows, dtype=float)
         rows.setflags(write=False)
         object.__setattr__(self, "rows", rows)
         if rows.ndim != 2 or rows.shape[0] != rows.shape[1]:
@@ -75,8 +97,7 @@ class ChangeKernel:
         return self.rows.shape[0]
 
 
-@dataclass(frozen=True, eq=False)
-class DwellKernel:
+class DwellKernel(_Frozen):
     """Per-state change probabilities: prefix q_0..q_{m-1} plus constant tail.
 
     ``prefix[x]`` may be ragged across states; internally rows are padded to a
@@ -84,12 +105,12 @@ class DwellKernel:
     any i >= 0 (``JointModel.hazard[x, min(i, m)]``).
     """
 
-    prefix: np.ndarray  # shape (n_states, m)
-    tail: np.ndarray  # shape (n_states,)
+    __match_args__ = ("prefix", "tail")
 
-    def __post_init__(self):
-        prefix = np.atleast_2d(np.asarray(self.prefix, dtype=float))
-        tail = np.asarray(self.tail, dtype=float)
+    def __init__(self, prefix: np.ndarray, tail: np.ndarray):
+        """``prefix`` of shape (n_states, m), ``tail`` of shape (n_states,)."""
+        prefix = np.atleast_2d(np.asarray(prefix, dtype=float))
+        tail = np.asarray(tail, dtype=float)
         prefix.setflags(write=False)
         tail.setflags(write=False)
         object.__setattr__(self, "prefix", prefix)
@@ -130,15 +151,15 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True, eq=False)
-class JointModel:
+class JointModel(_Frozen):
     """Change and dwell kernels over a common alphabet, with a stationary law
     that float64 holds; any other pair is refused."""
 
-    change: ChangeKernel
-    dwell: DwellKernel
+    __match_args__ = ("change", "dwell")
 
-    def __post_init__(self):
+    def __init__(self, change: ChangeKernel, dwell: DwellKernel):
+        object.__setattr__(self, "change", change)
+        object.__setattr__(self, "dwell", dwell)
         if self.dwell.n_states != self.change.n_states:
             raise ModelError(f"dwell kernel covers {self.dwell.n_states} states, "
                              f"change matrix {self.change.n_states}")
@@ -187,10 +208,12 @@ class JointModel:
         child = np.column_stack([stay, jump])
         prob = np.column_stack([1.0 - q, q[:, None] * rows])
         live = prob > 0.0
-        # each row's live moves first, in column order; its dead moves become the pads
-        order = np.argsort(~live, axis=1, kind="stable")[:, :live.sum(axis=1).max()]
-        return (_read_only(np.take_along_axis(child, order, axis=1)),
-                _read_only(np.take_along_axis(prob, order, axis=1)))
+        if not live.all():
+            # each row's live moves first, in column order; its dead moves become the pads
+            order = np.argsort(~live, axis=1, kind="stable")[:, :live.sum(axis=1).max()]
+            child = np.take_along_axis(child, order, axis=1)
+            prob = np.take_along_axis(prob, order, axis=1)
+        return _read_only(child), _read_only(prob)
 
     @cached_property
     def law(self) -> StationaryDistribution:
@@ -216,11 +239,13 @@ class JointModel:
     @cached_property
     def p_change(self) -> float:
         """Per-slot probability that the status just changed, P[T_n = 0]."""
-        return float(self.law.mu0.sum())
+        # at most 1 exactly, since every dwell lasts a slot, but the float sum
+        # can round past it when every hazard is 1; np.minimum keeps a NaN,
+        # which the model refuses
+        return float(np.minimum(self.law.mu0.sum(), 1.0))
 
 
-@dataclass(frozen=True, eq=False)
-class StationaryDistribution:
+class StationaryDistribution(_Frozen):
     """Exact stationary law of the joint chain.
 
     ``mu[x, i]`` is mu_{x,i} for the dwell levels i = 0..m, m the dwell
@@ -228,23 +253,29 @@ class StationaryDistribution:
     mu_{x,i} = mu[x, m] (1 - tail[x])^(i-m), so the array holds all of it.
     """
 
-    mu: np.ndarray  # shape (n_states, m + 1)
-    tail: np.ndarray  # tail change probability per state
+    __match_args__ = ("mu", "tail")
+
+    def __init__(self, mu: np.ndarray, tail: np.ndarray):
+        """``mu`` of shape (n_states, m + 1), ``tail`` the tail change
+        probability per state."""
+        object.__setattr__(self, "mu", mu)
+        object.__setattr__(self, "tail", tail)
 
     @property
     def mu0(self) -> np.ndarray:
         return self.mu[:, 0]
 
-    @property
+    @cached_property
     def group_weights(self) -> np.ndarray:
-        """Stationary mass of each group (x, min(t, m)), shape (n_states, m + 1).
+        """Stationary mass of each group (x, min(t, m)), shape (n_states, m + 1),
+        built once, read-only.
 
         States past the prefix share one trajectory law, so column m holds
         the whole geometric tail, mu[x, m] / tail[x]; the weights sum to 1.
         """
         weights = self.mu.copy()
         weights[:, -1] /= self.tail
-        return weights
+        return _read_only(weights)
 
     def sample(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Inverse-CDF draw of (x, t), one state per row of uniforms ``u``.
@@ -340,8 +371,7 @@ def binary_entropy(q):
     return np.where(outside, 0.0, h)[()]
 
 
-@dataclass(frozen=True)
-class EntropyRate:
+class EntropyRate(NamedTuple):
     """Entropy rate in bits/slot."""
 
     bits: float

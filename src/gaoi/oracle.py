@@ -14,9 +14,16 @@ gather and one product over the block (and, but for the last step, one gather
 of the next groups), and every trajectory's probability is carried
 individually to the end.  Starts are enumerated together in blocks of at most
 ``BLOCK_TRAJECTORIES`` (8,192) final trajectories, the largest cap measured
-not to raise peak RSS.  A block's entropies take the plain log2 when every
-trajectory is positive, and the masked one (0 log 0 = 0) only when a pad move
-or an underflow left a zero.
+not to raise peak RSS.  The first k steps of every start are taken once, for
+all starts together, k the most steps whose frontier fits in one block; each
+block then continues from its own starts' rows of that frontier.  A block's
+last t steps read their moves from a table of every t-step move sequence
+from each group (t the most whose table fits in a block), one wide gather
+per step in place of narrow gathers of b moves.  A trajectory's probability
+is still the left-to-right product of its moves and each start's row keeps
+its order, so the bits do not depend on k, t or the cap.  A block's
+entropies take the plain log2 when every trajectory is positive, and the
+masked one (0 log 0 = 0) only when a pad move or an underflow left a zero.
 
 The oracle imports no other layer at run time: the model, law and schedule
 types it takes appear only in annotations, so ``from gaoi import markov,
@@ -48,6 +55,45 @@ class EnumerationBudgetError(RuntimeError):
     """Enumeration would exceed the configured trajectory budget."""
 
 
+def _walk(table: tuple[np.ndarray, np.ndarray], groups: np.ndarray, probs: np.ndarray,
+          steps: range, a: int) -> tuple[np.ndarray, np.ndarray]:
+    """Carry trajectories over ``steps`` of an ``a``-step window.
+
+    Trajectory j stands at group ``groups[j]`` with probability ``probs[j]``.
+    A step replaces it by its b moves, contiguous and in table order, so a
+    trajectory's descendants stay together and in order.  Returns the groups
+    and probabilities after the last of ``steps``; after step a - 1 nothing
+    reads the groups, so they are left ungathered.
+    """
+    child, prob = table
+    for step in steps:
+        # np.take gathers whole rows about twice as fast as fancy indexing
+        probs = (probs[:, None] * prob.take(groups, axis=0)).ravel()
+        if step < a - 1:
+            groups = child.take(groups, axis=0).ravel()
+    return groups, probs
+
+
+def _move_factors(table: tuple[np.ndarray, np.ndarray], t: int) -> np.ndarray:
+    """Every t-step move sequence from each group, as its t factors.
+
+    Returns shape (t, G, b**t): ``[j, g]`` holds move j of each sequence
+    from group g, the sequences in enumeration order, so multiplying a
+    trajectory's probability by ``[0, g]``, then ``[1, g]``, ... takes the
+    same products, in the same order, as t steps of ``_walk``.
+    """
+    child, prob = table
+    n_groups, width = prob.shape
+    groups = np.arange(n_groups)[:, None]
+    out = np.empty((t, n_groups, width**t))
+    for j in range(t):
+        # move j depends on the moves before it: repeat it over the moves after
+        out[j] = np.repeat(prob.take(groups, axis=0).reshape(n_groups, -1),
+                           width**(t - 1 - j), axis=1)
+        groups = child.take(groups, axis=0).reshape(n_groups, -1)
+    return out
+
+
 def _enumerate(table: tuple[np.ndarray, np.ndarray], starts: np.ndarray, a: int) -> np.ndarray:
     """Probabilities of all length-``a`` trajectories from the start groups.
 
@@ -55,15 +101,7 @@ def _enumerate(table: tuple[np.ndarray, np.ndarray], starts: np.ndarray, a: int)
     each probability the left-to-right product of its moves, and 0.0 for
     those through a pad move.  A row does not depend on the other starts.
     """
-    child, prob = table
-    groups = starts
-    probs = np.ones(len(groups))
-    for step in range(a):
-        if step:  # no gather after the last step: nothing reads its groups
-            groups = child.take(groups, axis=0).ravel()
-        # np.take gathers whole rows about twice as fast as fancy indexing
-        probs = (probs[:, None] * prob.take(groups, axis=0)).ravel()
-    return probs.reshape(len(starts), -1)
+    return _walk(table, starts, np.ones(len(starts)), range(a), a)[1].reshape(len(starts), -1)
 
 
 def _entropies(model: JointModel, starts: np.ndarray, a: int) -> np.ndarray:
@@ -76,15 +114,31 @@ def _entropies(model: JointModel, starts: np.ndarray, a: int) -> np.ndarray:
             f"~{fan}^{a} trajectories exceed the budget of {ENUMERATION_BUDGET}"
         )
     table = model.transitions
+    n_groups, width = table[1].shape
     # a start has b^a trajectories, b the table's width
-    per_block = max(1, BLOCK_TRAJECTORIES // table[0].shape[1]**a)
-    out = np.empty(len(starts))
+    per_block = max(1, BLOCK_TRAJECTORIES // width**a)
+    # the first k steps of every start at once, k the most that fit in a block
+    k = 0
+    while k < a and len(starts) * width**(k + 1) <= BLOCK_TRAJECTORIES:
+        k += 1
+    groups, shared = _walk(table, starts, np.ones(len(starts)), range(k), a)
+    per_start = width**k  # each start's rows of the shared frontier
+    # a block's last t steps read their moves from a table of every t-step
+    # sequence, t the most whose table fits in a block: one wide gather per
+    # step in place of narrow ones of b moves
+    t = 0
+    while t < a - k and (t + 1) * n_groups * width**(t + 1) <= BLOCK_TRAJECTORIES:
+        t += 1
+    tail = _move_factors(table, t)
+    out, mass = np.empty(len(starts)), np.empty(len(starts))
     for lo in range(0, len(starts), per_block):
-        probs = _enumerate(table, starts[lo:lo + per_block], a)
-        mass = probs.sum(axis=1)
-        bad = np.abs(mass - 1.0) > 1e-12
-        if np.any(bad):
-            raise AssertionError(f"enumerated mass {mass[bad][0]} != 1")
+        rows = slice(lo * per_start, (lo + per_block) * per_start)
+        ends, probs = _walk(table, groups[rows], shared[rows], range(k, a - t), a)
+        probs = probs[:, None]
+        for factor in tail:
+            probs = probs * factor.take(ends, axis=0)
+        probs = probs.reshape(-1, width**a)
+        mass[lo:lo + per_block] = probs.sum(axis=1)
         if probs.min() > 0.0:
             bits = np.log2(probs)
         else:  # a pad move or an underflow: 0 log 0 = 0
@@ -93,6 +147,9 @@ def _entropies(model: JointModel, starts: np.ndarray, a: int) -> np.ndarray:
         bits *= probs
         np.negative(bits, out=bits)
         out[lo:lo + per_block] = bits.sum(axis=1)
+    bad = np.abs(mass - 1.0) > 1e-12
+    if bad.any():
+        raise AssertionError(f"enumerated mass {mass[bad][0]} != 1")
     return out
 
 

@@ -533,14 +533,15 @@ class TestVerify:
 def test_import_gaoi_skips_config_cli_and_yaml():
     # the library (and the oracle workload, which imports it) needs neither
     # the config reader nor the CLI: loading them costs start-up on every import.
-    # `import gaoi` loads no layer at all; a name loads its own layer on first use
+    # `import gaoi` loads no layer at all; a name loads its own layer on first use.
+    # The model's types are plain classes, so the oracle's layers skip dataclasses
     out = run_python(
         "def loaded():\n"
         "    return sorted(m for m in sys.modules if m.split('.')[0] == 'gaoi')\n"
         "import gaoi\n"
         "print(loaded(), 'numpy' in sys.modules)\n"
         "from gaoi import markov, oracle\n"
-        "print(loaded())\n"
+        "print(loaded(), 'dataclasses' in sys.modules)\n"
         "names = {name: getattr(gaoi, name) for name in gaoi.__all__}\n"
         "print(len(names), sorted({value.__module__ for value in names.values()}))\n"
         "print([name for name, value in names.items() if name not in dir(gaoi)\n"
@@ -552,7 +553,7 @@ def test_import_gaoi_skips_config_cli_and_yaml():
         "    print(exc)\n")
     assert out.splitlines() == [
         "['gaoi'] False",
-        "['gaoi', 'gaoi.markov', 'gaoi.oracle']",
+        "['gaoi', 'gaoi.markov', 'gaoi.oracle'] False",
         "34 ['gaoi.bayes', 'gaoi.ensemble', 'gaoi.markov', 'gaoi.metrics', 'gaoi.oracle', "
         "'gaoi.schedule']",
         "[]",

@@ -12,7 +12,7 @@ import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gaoi import config
+from gaoi import config, markov
 from gaoi.cli import EXIT_CONFIG, EXIT_OK, main
 from gaoi.markov import ModelError
 
@@ -51,6 +51,8 @@ def same(a, b) -> bool:
     if dataclasses.is_dataclass(a):
         return all(same(getattr(a, f.name), getattr(b, f.name))
                    for f in dataclasses.fields(a))
+    if isinstance(a, markov._Frozen):  # the model's plain frozen classes, field by field
+        return all(same(getattr(a, name), getattr(b, name)) for name in a.__match_args__)
     return a == b
 
 

@@ -4,13 +4,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from gaoi import (
     ChangeKernel,
     DwellKernel,
+    EntropyRate,
     JointModel,
     ModelError,
     discrete_entropy,
@@ -149,7 +150,17 @@ def kernel_arrays(draw):
             draw(arrays(float, n, elements=PROBABILITIES)))
 
 
+def certain_change_rows(draw: int) -> np.ndarray:
+    """The ``draw``-th 5 x 5 matrix of Dirichlet(1) rows from seed 0."""
+    rng = np.random.default_rng(0)
+    for _ in range(draw):
+        rows = rng.dirichlet(np.ones(5), size=5)
+    return rows
+
+
 @given(kernel_arrays())
+# every hazard 1: p_change is exactly 1, and its float sum read 1 + 2^-52
+@example((certain_change_rows(6), np.ones((5, 1)), np.ones(5)))
 @settings(max_examples=500, deadline=None)
 def test_every_model_that_constructs_has_finite_constants(kernels):
     rows, prefix, tail = kernels
@@ -157,9 +168,8 @@ def test_every_model_that_constructs_has_finite_constants(kernels):
         model = JointModel(ChangeKernel(rows), DwellKernel(prefix, tail))
     except ModelError:
         return
-    # p_change is a ratio of float sums: exactly 1 in exact arithmetic when
-    # every hazard is 1, it may round up by an ulp or two
-    assert 0.0 < model.p_change <= 1.0 + 4 * np.finfo(float).eps
+    # a probability: every dwell lasts at least one slot
+    assert 0.0 < model.p_change <= 1.0
     assert np.isfinite(model.rate) and model.rate >= 0.0
 
 
@@ -511,7 +521,7 @@ class TestEntropyRate:
 class TestModelTables:
     def test_tables_are_read_only(self, rng):
         model = random_model(rng)
-        for table in (model.hazard, model.survival, *model.transitions):
+        for table in (model.hazard, model.survival, *model.transitions, model.law.group_weights):
             with pytest.raises(ValueError):
                 table[0, 0] = 0.5
 
@@ -519,6 +529,29 @@ class TestModelTables:
         model = random_model(rng)
         for name in ("hazard", "survival", "transitions", "law"):
             assert getattr(model, name) is getattr(model, name)
+        assert model.law.group_weights is model.law.group_weights
+
+    def test_frozen_identity_types(self, rng):
+        # the kernels, the model and the law: fields fixed at construction,
+        # identity equality and hash, cached tables kept
+        model = random_model(rng)
+        law = model.law
+        for value, fields, cached in ((model.change, ["rows"], []),
+                                      (model.dwell, ["prefix", "tail"], []),
+                                      (model, ["change", "dwell"], ["law", "rate", "transitions"]),
+                                      (law, ["mu", "tail"], ["group_weights"])):
+            tables = {name: getattr(value, name) for name in cached}
+            for name in [*fields, *cached, "extra"]:
+                with pytest.raises(AttributeError, match="frozen"):
+                    setattr(value, name, None)
+                with pytest.raises(AttributeError, match="frozen"):
+                    delattr(value, name)
+            assert all(getattr(value, name) is table for name, table in tables.items())
+            twin = type(value)(*(getattr(value, name) for name in fields))
+            assert value == value and value != twin and len({value, twin}) == 2
+            assert repr(value).startswith(f"{type(value).__name__}({fields[0]}=")
+        assert JointModel(change=model.change, dwell=model.dwell).rate == model.rate
+        assert entropy_rate(model, law) == EntropyRate(bits=model.rate)
 
     def test_hazard_and_survival_tables(self, rng):
         for _ in range(10):

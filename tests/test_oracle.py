@@ -271,6 +271,16 @@ class TestExactEnsembleGaoi:
         with pytest.raises(EnumerationBudgetError):
             exact_ensemble_gaoi(model, dist, 6)
 
+    def test_lost_mass_raises(self, rng, monkeypatch):
+        # every start's trajectory mass is checked, in whichever block it ran
+        model = random_model(rng, max_prefix=3)
+        child, prob = model.transitions
+        twin = JointModel(model.change, model.dwell)  # its table not built yet
+        monkeypatch.setattr(JointModel, "transitions", (child, prob * (1.0 - 1e-9)))
+        monkeypatch.setattr(oracle, "BLOCK_TRAJECTORIES", 1)
+        with pytest.raises(AssertionError, match="enumerated mass"):
+            exact_ensemble_gaoi(twin, twin.law, 3)
+
 
 class TestBlockIndependence:
     def test_ensemble_is_weighted_sum_of_starts(self, rng):
@@ -298,7 +308,9 @@ class TestBlockIndependence:
             return out
 
         expected = entropies(oracle.BLOCK_TRAJECTORIES)
-        for block in (1, 10**7):
+        # small caps cut the steps shared by all starts, and the steps read
+        # from the move-sequence table, at every depth
+        for block in (1, 2, 3, 9, 27, 100, 10**7):
             assert all(map(np.array_equal, entropies(block), expected))
 
 
