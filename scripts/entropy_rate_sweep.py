@@ -9,7 +9,7 @@ import argparse
 
 import numpy as np
 
-from gaoi import ChangeKernel, DwellKernel, validate_model
+from gaoi import ChangeKernel, DwellKernel, JointModel
 
 
 def main() -> None:
@@ -20,7 +20,7 @@ def main() -> None:
     swap = ChangeKernel(np.array([[0.0, 1.0], [1.0, 0.0]]))
     print("q,p_change,entropy_rate_bits")
     for q in np.linspace(0.05, 0.95, args.steps):
-        model = validate_model(swap, DwellKernel.homogeneous(2, [], float(q)))
+        model = JointModel(swap, DwellKernel.homogeneous(2, [], float(q)))
         print(f"{q:.2f},{model.p_change!r},{model.rate!r}")
 
 

@@ -12,7 +12,6 @@ import importlib
 _LAYERS = {
     "bayes": (
         "BayesModel",
-        "bayes_constant_c",
         "bayes_cumulative_gaoi",
         "bayes_expected_delay",
         "bayes_gaoi",
@@ -26,15 +25,11 @@ _LAYERS = {
     "markov": (
         "ChangeKernel",
         "DwellKernel",
-        "EntropyRate",
         "IrreducibilityError",
         "JointModel",
         "ModelError",
         "StationaryDistribution",
         "discrete_entropy",
-        "entropy_rate",
-        "stationary_distribution",
-        "validate_model",
     ),
     "metrics": (
         "closed_form_aoi",

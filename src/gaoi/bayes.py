@@ -124,9 +124,3 @@ def bayes_expected_delay(model: BayesModel, block: ScheduleBlock) -> np.ndarray:
     after theta, capped at the horizon; changes after T contribute nothing.
     """
     return _pending(model, block, 0)
-
-
-def bayes_constant_c(model: BayesModel, t: int) -> float:
-    """Schedule-independent residual between cumulative staleness (bits) and
-    h(1)/p times the expected detection delay, for horizon T: h(T)."""
-    return h_closed(model, t)

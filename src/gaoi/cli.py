@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bayes import BayesModel, bayes_constant_c, bayes_cumulative_gaoi, bayes_expected_delay
+from .bayes import BayesModel, bayes_cumulative_gaoi, bayes_expected_delay, h_closed
 from .config import ConfigError, RunConfig, load_config, preset_config
 from .ensemble import EnsembleStats, derive_stream, run_ensemble
 from .markov import ModelError
@@ -61,12 +61,7 @@ def _csv(columns: dict[str, list]) -> str:
 
 
 def _load(args) -> RunConfig:
-    if args.preset:
-        cfg = preset_config(args.preset)
-    elif args.config:
-        cfg = load_config(args.config)
-    else:
-        raise ConfigError("either --config or --preset is required")
+    cfg = load_config(args.config) if args.preset is None else preset_config(args.preset)
     overrides = {"base_seed": args.seed, "num_paths": args.paths}
     # a new RunConfig checks the run's ranges again, overrides included
     return replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
@@ -213,7 +208,7 @@ def _verify_thm1(cfg: RunConfig, labels: list[str]) -> int:
 def _verify_thm2(cfg: RunConfig, labels: list[str]) -> int:
     model: BayesModel = cfg.model
     t = cfg.horizon
-    c_t = float(bayes_constant_c(model, t))
+    c_t = float(h_closed(model, t))
     scale = model.h1 / model.p
     rng = derive_stream(cfg.base_seed, 0, 98)
     blocks = [random_schedule(t, rng, 100)]
@@ -271,13 +266,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--config", help="YAML config path")
-        p.add_argument("--preset", help="built-in preset name (fig5, fig6)")
+        source = p.add_mutually_exclusive_group(required=True)
+        source.add_argument("--config", help="YAML config path")
+        source.add_argument("--preset", help="built-in preset name (fig5, fig6)")
         p.add_argument("--seed", type=int, help="override run.base_seed")
         p.add_argument("--paths", type=int, help="override run.num_paths")
-        p.add_argument("--workers", type=int, default=1,
-                       help="accepted for compatibility; starts no workers, "
-                            "results never depend on it")
 
     p = sub.add_parser("entropy-rate", help="print entropy rate of a stationary model")
     common(p)

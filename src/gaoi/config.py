@@ -36,7 +36,7 @@ from reprlib import repr as _show
 import numpy as np
 
 from .bayes import BayesModel
-from .markov import ChangeKernel, DwellKernel, JointModel, ModelError, validate_model
+from .markov import ChangeKernel, DwellKernel, JointModel, ModelError
 from .schedule import DelayLaw, PolicySpec
 
 
@@ -162,7 +162,7 @@ def _parse_model(section: dict):
     # the dwell first, so that its config errors (exit 2) come before the model
     # errors (exit 3) that ChangeKernel raises as it is built
     dwell = _parse_dwell(section["dwell"], n)
-    return validate_model(ChangeKernel(rows), dwell)
+    return JointModel(ChangeKernel(rows), dwell)
 
 
 def _parse_delay(raw, where: str) -> DelayLaw:

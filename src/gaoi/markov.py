@@ -26,6 +26,14 @@ array's truth value and a value hash would hash an array; that leaves a
 dataclass nothing to generate but ``__init__`` and ``__repr__``, and its
 decorator and module cost start-up on every import.  ``cached_property``
 writes the instance dict directly, so the tables still build once.
+
+The model's own API is the only one gaoi uses: ``JointModel(change, dwell)``,
+``model.law`` and ``model.rate``.  Three older names for these remain as
+one-line shims at the end of this module, outside ``gaoi``'s public names:
+``validate_model``, ``stationary_distribution`` and ``entropy_rate`` (with
+its ``EntropyRate``).  The benchmark's oracle operation (``perfbench/op.py``)
+still calls them, and a benchmark's operations change only with the
+benchmark (ROADMAP item 1), so they go then.
 """
 
 from __future__ import annotations
@@ -233,8 +241,21 @@ class JointModel(_Frozen):
 
     @cached_property
     def rate(self) -> float:
-        """The entropy rate in bits/slot: GAoI per slot of AoI (Theorem 1)."""
-        return entropy_rate(self, self.law).bits
+        """The entropy rate in bits/slot, exactly: GAoI per slot of AoI
+        (Theorem 1).
+
+        Sums mu_{x,0} sum_i S_x(i) [H(q_i(x)) + q_i(x) H(P_x)] over the statuses.
+        Past the prefix every term is the tail's term times a geometric factor,
+        so the series remainder is column m's term over the tail hazard.  Each
+        series is added in dwell order (``cumsum``), then the statuses in turn.
+        """
+        hazard = self.hazard
+        weights = self.survival.copy()
+        weights[:, -1] /= self.dwell.tail
+        h_change = np.array([discrete_entropy(row) for row in self.change.rows])
+        terms = weights * (binary_entropy(hazard) + hazard * h_change[:, None])
+        series = np.cumsum(terms, axis=1)[:, -1]
+        return float(np.cumsum(self.law.mu0 * series)[-1])
 
     @cached_property
     def p_change(self) -> float:
@@ -306,11 +327,6 @@ def geometric_tail(u: np.ndarray, q: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.minimum(extra, 2**62).astype(np.int64)
 
 
-def validate_model(change: ChangeKernel, dwell: DwellKernel) -> JointModel:
-    """The model of two kernels; each type refuses what it cannot hold."""
-    return JointModel(change, dwell)
-
-
 def _unreachable(rows: np.ndarray) -> list[int]:
     """States outside state 0's strongly connected component, found by a
     boolean frontier grown one step at a time, forward then backward."""
@@ -344,12 +360,6 @@ def embedded_stationary(model: JointModel) -> np.ndarray:
     return pi / pi.sum()
 
 
-def stationary_distribution(model: JointModel) -> StationaryDistribution:
-    """The exact stationary law mu_{x,i} of the joint chain: ``model.law``,
-    solved once per model."""
-    return model.law
-
-
 def discrete_entropy(pi: np.ndarray) -> float:
     """Shannon entropy in bits, with 0 log 0 = 0."""
     pi = np.asarray(pi, dtype=float)
@@ -371,24 +381,22 @@ def binary_entropy(q):
     return np.where(outside, 0.0, h)[()]
 
 
-class EntropyRate(NamedTuple):
-    """Entropy rate in bits/slot."""
+# Shims for perfbench/op.py, which still calls these; they go with ROADMAP
+# item 1 (see the module docstring).
 
+def validate_model(change: ChangeKernel, dwell: DwellKernel) -> JointModel:
+    return JointModel(change, dwell)
+
+
+def stationary_distribution(model: JointModel) -> StationaryDistribution:
+    return model.law
+
+
+class EntropyRate(NamedTuple):
     bits: float
 
 
 def entropy_rate(model: JointModel, dist: StationaryDistribution) -> EntropyRate:
-    """Entropy rate of the joint chain in bits/slot, exactly.
-
-    Sums mu_{x,0} sum_i S_x(i) [H(q_i(x)) + q_i(x) H(P_x)] over the statuses.
-    Past the prefix every term is the tail's term times a geometric factor,
-    so the series remainder is column m's term over the tail hazard.  Each
-    series is added in dwell order (``cumsum``), then the statuses in turn.
-    """
-    hazard = model.hazard
-    weights = model.survival.copy()
-    weights[:, -1] /= model.dwell.tail
-    h_change = np.array([discrete_entropy(row) for row in model.change.rows])
-    terms = weights * (binary_entropy(hazard) + hazard * h_change[:, None])
-    series = np.cumsum(terms, axis=1)[:, -1]
-    return EntropyRate(bits=float(np.cumsum(dist.mu0 * series)[-1]))
+    if dist is not model.law:
+        raise ValueError("entropy_rate reads the model's own law: pass model.law")
+    return EntropyRate(bits=model.rate)

@@ -1,15 +1,20 @@
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gaoi import ChangeKernel, DwellKernel, validate_model
+import gaoi
+from gaoi import ChangeKernel, DwellKernel, JointModel
 
 
 def make_two_state_swap(q: float = 0.6):
     """Symmetric two-state chain: every change swaps the status."""
-    return validate_model(
+    return JointModel(
         ChangeKernel(np.array([[0.0, 1.0], [1.0, 0.0]])),
         DwellKernel.homogeneous(2, [], q),
     )
@@ -18,13 +23,13 @@ def make_two_state_swap(q: float = 0.6):
 def make_cycle(n: int = 3):
     """Deterministic cycle: status advances every slot."""
     rows = np.roll(np.eye(n), 1, axis=1)
-    return validate_model(ChangeKernel(rows), DwellKernel.homogeneous(n, [1.0], 1.0))
+    return JointModel(ChangeKernel(rows), DwellKernel.homogeneous(n, [1.0], 1.0))
 
 
 def make_uniform_three(q: float = 0.5):
     """Three states, changes jump uniformly to one of the other two."""
     rows = (np.ones((3, 3)) - np.eye(3)) / 2.0
-    return validate_model(ChangeKernel(rows), DwellKernel.homogeneous(3, [], q))
+    return JointModel(ChangeKernel(rows), DwellKernel.homogeneous(3, [], q))
 
 
 def random_model(rng: np.random.Generator, max_alphabet: int = 4,
@@ -41,7 +46,7 @@ def random_model(rng: np.random.Generator, max_alphabet: int = 4,
         dwell = DwellKernel(
             rng.uniform(0.05, 0.95, size=(n, m)), rng.uniform(0.1, 0.9, size=n)
         )
-    return validate_model(ChangeKernel(rows), dwell)
+    return JointModel(ChangeKernel(rows), dwell)
 
 
 def sticky_model(seed: int, prefix: int) -> dict:
@@ -57,6 +62,19 @@ def sticky_model(seed: int, prefix: int) -> dict:
     dwell = [{"prefix": [math.exp(rng.uniform(lo, hi)) for _ in range(170)][:prefix],
               "tail": 0.01} for _ in range(3)]
     return {"kind": "stationary", "alphabet_size": 3, "px_rows": rows, "dwell": dwell}
+
+
+def run_cli_fresh(argv: list[str]) -> subprocess.CompletedProcess:
+    """``python -m gaoi.cli`` with ``argv`` in a fresh interpreter, with this
+    tree's gaoi on its path and a string-hash seed other than this process's,
+    so that an output which hangs on interpreter state differs from an
+    in-process run's."""
+    src = str(Path(gaoi.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    hashseed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+    env = {**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": hashseed}
+    return subprocess.run([sys.executable, "-m", "gaoi.cli", *argv], capture_output=True,
+                          text=True, env=env)
 
 
 @pytest.fixture

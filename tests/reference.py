@@ -21,10 +21,10 @@ vectorised exp(k log1p(-p)) table.
 ``joint_step`` is the per-slot sampler of the joint chain, one state at a
 time, that the renewal sampler ``sample_block``'s law is tested against, and
 ``entropy_rate_homogeneous`` is an entropy-rate formula for models whose
-statuses share one dwell law, against which ``entropy_rate`` is tested.
+statuses share one dwell law, against which ``JointModel.rate`` is tested.
 ``reference_entropy_rate`` is the entropy rate as a loop over the dwell
 prefix, one status at a time, with the scalar ``reference_binary_entropy``:
-``entropy_rate`` must agree with it bit for bit.  ``reference_survival`` is
+``JointModel.rate`` must agree with it bit for bit.  ``reference_survival`` is
 one survival product S_x(i), taken for any i >= 0.
 ``reference_change_slots`` is one path of the renewal sampler, one change at
 a time, each dwell end and each jump found by a linear scan:
@@ -55,10 +55,8 @@ from gaoi.ensemble import (
     sample_block,
 )
 from gaoi.markov import (
-    EntropyRate,
     JointModel,
     ModelError,
-    StationaryDistribution,
     discrete_entropy,
     embedded_stationary,
     geometric_tail,
@@ -194,17 +192,17 @@ def _dwell_entropy_series(model: JointModel, x: int, h_change: float) -> float:
     return total
 
 
-def reference_entropy_rate(model: JointModel, dist: StationaryDistribution) -> EntropyRate:
+def reference_entropy_rate(model: JointModel) -> float:
     """Entropy rate as the change-weighted dwell series, one status at a time."""
-    mu0 = dist.mu0
+    mu0 = model.law.mu0
     rate = 0.0
     for x in range(model.alphabet_size):
         h_px = discrete_entropy(model.change.rows[x])
         rate += mu0[x] * _dwell_entropy_series(model, x, h_px)
-    return EntropyRate(bits=float(rate))
+    return float(rate)
 
 
-def entropy_rate_homogeneous(model: JointModel, dist: StationaryDistribution) -> EntropyRate:
+def entropy_rate_homogeneous(model: JointModel) -> float:
     """Entropy rate via the split H(dwell chain) + H(change chain) * P[T_n=0].
 
     Only valid when every status shares the same dwell law.
@@ -212,7 +210,7 @@ def entropy_rate_homogeneous(model: JointModel, dist: StationaryDistribution) ->
     dwell = model.dwell
     if not (np.all(dwell.prefix == dwell.prefix[0:1, :]) and np.all(dwell.tail == dwell.tail[0])):
         raise ModelError("dwell kernel differs across states; split formula does not apply")
-    p_change = float(dist.mu0.sum())  # one change per mean dwell
+    p_change = float(model.law.mu0.sum())  # one change per mean dwell
     # entropy rate of the dwell counter chain alone
     h_dwell = _dwell_entropy_series(model, 0, 0.0) * p_change
     embedded = embedded_stationary(model)  # the status seen at change slots
@@ -220,8 +218,7 @@ def entropy_rate_homogeneous(model: JointModel, dist: StationaryDistribution) ->
         sum(embedded[x] * discrete_entropy(model.change.rows[x])
             for x in range(model.alphabet_size))
     )
-    rate = h_dwell + h_change * p_change
-    return EntropyRate(bits=float(rate))
+    return float(h_dwell + h_change * p_change)
 
 
 def _draw(law: DelayLaw, rng: np.random.Generator) -> int:

@@ -13,7 +13,6 @@ from gaoi import (
     BayesModel,
     DelayLaw,
     PolicySpec,
-    bayes_constant_c,
     bayes_cumulative_gaoi,
     bayes_expected_delay,
     bayes_gaoi,
@@ -21,20 +20,19 @@ from gaoi import (
     cumulative_aoi,
     delay_double_sum,
     derive_stream,
-    entropy_rate,
     exact_bayes_delay,
     exact_bayes_gaoi,
     exact_ensemble_gaoi,
     generate_schedules,
+    h_closed,
     random_schedule,
     run_ensemble,
-    stationary_distribution,
 )
 from gaoi.cli import main
 from gaoi.config import RunConfig
 from gaoi.schedule import aoi_block
 
-from conftest import make_cycle, make_two_state_swap, random_model
+from conftest import make_cycle, make_two_state_swap, random_model, run_cli_fresh
 from reference import entropy_rate_homogeneous
 
 
@@ -86,13 +84,11 @@ def test_criterion_3_rate_matches_one_step_oracle():
             homogeneous = i % 3 == 0
             model = random_model(rng, max_alphabet=4, max_prefix=10,
                                  homogeneous=homogeneous)
-            dist = stationary_distribution(model)
-            er = entropy_rate(model, dist)
-            oracle = exact_ensemble_gaoi(model, dist, 1)
-            assert abs(er.bits - oracle) <= 1e-9
+            oracle = exact_ensemble_gaoi(model, model.law, 1)
+            assert abs(model.rate - oracle) <= 1e-9
             if homogeneous:
-                split = entropy_rate_homogeneous(model, dist)
-                assert abs(er.bits - split.bits) <= 1e-9
+                split = entropy_rate_homogeneous(model)
+                assert abs(model.rate - split) <= 1e-9
 
 
 def test_criterion_4_gaoi_is_age_times_rate():
@@ -100,27 +96,22 @@ def test_criterion_4_gaoi_is_age_times_rate():
     with _Budget(60.0):
         for _ in range(20):
             model = random_model(rng, max_alphabet=4, max_prefix=6)
-            dist = stationary_distribution(model)
-            er = entropy_rate(model, dist)
             for a in range(1, 7):
-                gaoi = exact_ensemble_gaoi(model, dist, a)
-                assert abs(gaoi - a * er.bits) <= 1e-9
+                gaoi = exact_ensemble_gaoi(model, model.law, a)
+                assert abs(gaoi - a * model.rate) <= 1e-9
 
 
 def test_criterion_5_cyclic_model_is_degenerate():
     model = make_cycle(3)
-    dist = stationary_distribution(model)
-    er = entropy_rate(model, dist)
-    assert er.bits == 0.0
+    assert model.rate == 0.0
     sched = random_schedule(100, np.random.default_rng(5), 1)
-    series = aoi_block(sched) * er.bits
+    series = aoi_block(sched) * model.rate
     assert np.all(series == 0.0)
 
 
 def test_criterion_6_fig5_replication():
     model = make_two_state_swap(0.6)
-    dist = stationary_distribution(model)
-    rate = entropy_rate(model, dist).bits
+    rate = model.rate
     p = model.p_change
     assert p == pytest.approx(0.6, abs=1e-12)
     policies = [
@@ -157,7 +148,7 @@ def test_criterion_7_bayes_closed_forms():
 def test_criterion_8_fig6_replication():
     model = BayesModel(p=0.04)
     horizon = 100
-    c_t = bayes_constant_c(model, horizon)
+    c_t = h_closed(model, horizon)
     scale = model.h1 / model.p
     policies = [
         PolicySpec(kind="periodic", period=5, delay=DelayLaw.deterministic(0)),
@@ -189,12 +180,13 @@ def test_criterion_8_fig6_replication():
 
 
 def test_criterion_9_byte_identical_csvs(tmp_path):
+    # two runs in this process, then one in a fresh interpreter with another
+    # string-hash seed
     args = ["simulate", "--preset", "fig5", "--paths", "60"]
-    contents = []
-    for name, workers in (("r1", 1), ("r2", 1), ("r3", 6)):
-        out = tmp_path / name
-        assert main(args + ["--out", str(out), "--workers", str(workers)]) == 0
-        contents.append(sorted(
-            (f.name, f.read_bytes()) for f in out.iterdir()
-        ))
+    assert main(args + ["--out", str(tmp_path / "r1")]) == 0
+    assert main(args + ["--out", str(tmp_path / "r2")]) == 0
+    fresh = run_cli_fresh(args + ["--out", str(tmp_path / "r3")])
+    assert fresh.returncode == 0, fresh.stderr
+    contents = [sorted((f.name, f.read_bytes()) for f in (tmp_path / name).iterdir())
+                for name in ("r1", "r2", "r3")]
     assert contents[0] == contents[1] == contents[2]

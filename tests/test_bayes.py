@@ -1,5 +1,6 @@
 from bisect import bisect_left
 from decimal import Decimal, localcontext
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -8,10 +9,11 @@ from hypothesis import strategies as st
 
 from gaoi import (
     BayesModel,
-    bayes_constant_c,
+    ScheduleBlock,
     bayes_cumulative_gaoi,
     bayes_expected_delay,
     bayes_gaoi,
+    closed_form_aoi,
     filter_stale,
     h_closed,
     random_schedule,
@@ -147,12 +149,12 @@ def _decimal_gaoi_and_delay(model: BayesModel, pairs: list, t: int) -> tuple[Dec
 class TestAffineLaw:
     def test_worked_example(self):
         model = BayesModel(0.5)
-        assert bayes_constant_c(model, 2) == pytest.approx(1.5, abs=1e-12)
-        assert bayes_constant_c(model, 0) == 0.0
+        assert h_closed(model, 2) == pytest.approx(1.5, abs=1e-12)
+        assert h_closed(model, 0) == 0.0
 
     def test_schedule_independence(self, rng):
         model = BayesModel(0.04)
-        c100 = bayes_constant_c(model, 100)
+        c100 = h_closed(model, 100)
         scale = model.h1 / model.p
         block = random_schedule(100, rng, 100)
         residual = bayes_cumulative_gaoi(model, block) - scale * bayes_expected_delay(model, block)
@@ -165,13 +167,7 @@ class TestAffineLaw:
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         sched = random_schedule(horizon, rng, 1)
         lhs = bayes_cumulative_gaoi(model, sched) - model.h1 / p * bayes_expected_delay(model, sched)
-        assert lhs[0] == pytest.approx(bayes_constant_c(model, horizon), abs=1e-9)
-
-    @given(st.floats(0.02, 0.98), st.integers(0, 5000))
-    @settings(max_examples=200)
-    def test_constant_is_window_entropy(self, p, t):
-        model = BayesModel(p)
-        assert abs(bayes_constant_c(model, t) - h_closed(model, t)) <= 1e-12
+        assert lhs[0] == pytest.approx(h_closed(model, horizon), abs=1e-9)
 
     @pytest.mark.parametrize("p", [1e-8, 1e-6, 1e-4, 1e-3, 0.04, 0.5, 0.95])
     @pytest.mark.parametrize("t", [0, 1, 2, 50, 100, 400, 1000])
@@ -195,9 +191,65 @@ class TestAffineLaw:
             def close(value, want):
                 return abs(Decimal(float(value)) - want) <= Decimal(1e-14) * want
 
-            assert close(bayes_constant_c(model, t), h[t])
             assert close(h_closed(model, t), h[t])
             assert all(map(close, h_closed(model, np.arange(t + 1)), h))
             for (gaoi, delay), (gaoi_exact, delay_exact) in zip(got, exact):
                 assert close(gaoi, gaoi_exact)
                 assert close(delay, delay_exact)
+
+
+def zero_delay_schedules(horizon: int, updates: int) -> ScheduleBlock:
+    """Every schedule of ``updates`` zero-delay updates sampled in 1..T-1, a
+    row each, in lexicographic order."""
+    slots = np.array(list(combinations(range(1, horizon), updates)), dtype=np.int64)
+    return ScheduleBlock(horizon, slots, slots.copy())
+
+
+def best(scores: np.ndarray, block: ScheduleBlock) -> list[tuple[int, ...]]:
+    """The sampling slots of every row with the least score."""
+    return [tuple(row) for row in block.samples[scores == scores.min()].tolist()]
+
+
+class TestCorollary:
+    """Over every zero-delay schedule with K = 1, 2, 3 updates in T = 14
+    (13, 78 and 286 schedules), cumulative GAoI is h(1)/p times the
+    expected delay plus C(T) = h(T), so a GAoI-optimal schedule is
+    delay-optimal; AoI is not, under a likely early change."""
+
+    HORIZON = 14
+
+    @pytest.mark.parametrize("p", [0.2, 0.04])
+    @pytest.mark.parametrize("updates", [1, 2, 3])
+    def test_gaoi_ranks_as_delay(self, p, updates):
+        model = BayesModel(p)
+        block = zero_delay_schedules(self.HORIZON, updates)
+        assert block.num_paths == {1: 13, 2: 78, 3: 286}[updates]
+        gaoi = bayes_cumulative_gaoi(model, block)
+        delay = bayes_expected_delay(model, block)
+        residual = gaoi - model.h1 / p * delay
+        assert np.abs(residual - h_closed(model, self.HORIZON)).max() <= 1e-13
+        assert np.array_equal(np.argsort(gaoi, kind="stable"), np.argsort(delay, kind="stable"))
+        # the brute force over every change time theta
+        assert np.abs(delay - exact_bayes_delay(model, block)).max() <= 1e-12
+
+    def test_likely_early_change_aoi_optimal_is_not_delay_optimal(self):
+        # the AoI ties are integer ties of the closed form
+        model = BayesModel(0.2)
+        pinned = {
+            1: ([(5,)], [(7,)]),
+            2: ([(3, 7)], [(4, 9), (5, 9), (5, 10)]),
+            3: ([(2, 5, 9)], [(3, 6, 10), (3, 7, 10), (3, 7, 11), (4, 7, 10), (4, 7, 11),
+                              (4, 8, 11)]),
+        }
+        for updates, (delay_best, aoi_best) in pinned.items():
+            block = zero_delay_schedules(self.HORIZON, updates)
+            assert best(bayes_expected_delay(model, block), block) == delay_best
+            assert best(bayes_cumulative_gaoi(model, block), block) == delay_best
+            assert best(closed_form_aoi(block), block) == aoi_best
+
+    def test_rare_change_delay_optimal_is_aoi_optimal(self):
+        model = BayesModel(0.04)
+        for updates in (1, 2, 3):
+            block = zero_delay_schedules(self.HORIZON, updates)
+            (delay_best,) = best(bayes_expected_delay(model, block), block)
+            assert delay_best in best(closed_form_aoi(block), block)

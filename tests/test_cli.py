@@ -13,7 +13,7 @@ from gaoi import cli, ensemble, markov, metrics
 from gaoi.cli import (EXIT_CONFIG, EXIT_IO, EXIT_MODEL, EXIT_OK, EXIT_VERIFY_FAILED,
                       SUMMARY_COLUMNS, main)
 
-from conftest import sticky_model
+from conftest import run_cli_fresh, sticky_model
 
 SWAP_CONFIG = {
     "model": {
@@ -165,16 +165,17 @@ class TestSimulate:
         assert row["p_change"] == "" and row["entropy_rate"] == ""
 
     @pytest.mark.parametrize("config", [SWAP_CONFIG, BAYES_CONFIG], ids=["swap", "bayes"])
-    def test_deterministic_across_runs_and_workers(self, tmp_path, config):
+    def test_deterministic_across_runs_and_interpreters(self, tmp_path, config):
+        # two runs in this process, then one in a fresh interpreter with
+        # another string-hash seed
         cfg = write_config(tmp_path, config)
-        outputs = []
-        for name, workers in (("a", "1"), ("b", "1"), ("c", "4")):
-            out = tmp_path / name
-            assert main(["simulate", "--config", cfg, "--out", str(out),
-                         "--workers", workers]) == EXIT_OK
-            outputs.append(
-                ((out / "series.csv").read_bytes(), (out / "summary.csv").read_bytes())
-            )
+        args = ["simulate", "--config", cfg, "--out"]
+        assert main([*args, str(tmp_path / "a")]) == EXIT_OK
+        assert main([*args, str(tmp_path / "b")]) == EXIT_OK
+        fresh = run_cli_fresh([*args, str(tmp_path / "c")])
+        assert fresh.returncode == EXIT_OK, fresh.stderr
+        outputs = [((tmp_path / name / "series.csv").read_bytes(),
+                    (tmp_path / name / "summary.csv").read_bytes()) for name in "abc"]
         assert outputs[0] == outputs[1] == outputs[2]
 
     def test_seed_and_paths_overrides(self, tmp_path):
@@ -196,6 +197,24 @@ class TestSimulate:
         blocked.mkdir()
         blocked.chmod(stat.S_IRUSR | stat.S_IXUSR)
         assert main(["simulate", "--config", cfg, "--out", str(blocked / "x")]) == EXIT_IO
+
+    def test_refused_write_exit_4(self, tmp_path, capsys, monkeypatch):
+        # the same refusal for any user, root included: the write probe is denied
+        cfg = write_config(tmp_path, SWAP_CONFIG)
+        out = tmp_path / "out"
+        write_text = Path.write_text
+
+        def refuse_probe(path, *args, **kwargs):
+            if path.name == ".write_probe":
+                raise PermissionError(13, "Permission denied", str(path))
+            return write_text(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "write_text", refuse_probe)
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_IO
+        captured = capsys.readouterr()
+        assert captured.err == (f"error: cannot write to {out}: [Errno 13] Permission denied: "
+                                f"'{out / '.write_probe'}'\n")
+        assert captured.out == "" and list(out.iterdir()) == []
 
     def test_out_dir_under_regular_file_exit_4(self, tmp_path, capsys):
         # fails for any user, root included
@@ -530,6 +549,69 @@ class TestVerify:
         assert out.split() == ["False", "True"]
 
 
+@pytest.mark.parametrize("command", [["entropy-rate"], ["simulate"], ["verify", "thm1"],
+                                     ["verify", "thm2"]],
+                         ids=["entropy_rate", "simulate", "verify_thm1", "verify_thm2"])
+@pytest.mark.parametrize("source, message", [
+    (["--preset", "fig5", "--config", "{config}"],
+     "argument --config: not allowed with argument --preset"),
+    ([], "one of the arguments --config --preset is required"),
+], ids=["both", "neither"])
+def test_config_xor_preset_exit_2(tmp_path, capsys, monkeypatch, command, source, message):
+    # a run reads exactly one of a config file and a preset: given both, it
+    # once ran the preset and ignored the file
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path, BAYES_CONFIG)
+    with pytest.raises(SystemExit) as exc:
+        main([*command, *(arg.format(config=cfg) for arg in source)])
+    assert exc.value.code == EXIT_CONFIG
+    out_err = capsys.readouterr()
+    assert out_err.out == "" and message in out_err.err
+    assert list(tmp_path.iterdir()) == [tmp_path / "config.yaml"]
+
+
+def test_workers_option_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--preset", "fig5", "--workers", "2"])
+    assert exc.value.code == EXIT_CONFIG
+    assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+
+
+# gaoi's public names, sorted: one per concept, so adding or removing one is a
+# one-line diff here
+PUBLIC_NAMES = [
+    "BayesModel",
+    "ChangeKernel",
+    "DelayLaw",
+    "DwellKernel",
+    "EnsembleStats",
+    "IrreducibilityError",
+    "JointModel",
+    "ModelError",
+    "PolicySpec",
+    "ScheduleBlock",
+    "ScheduleError",
+    "StationaryDistribution",
+    "bayes_cumulative_gaoi",
+    "bayes_expected_delay",
+    "bayes_gaoi",
+    "closed_form_aoi",
+    "cumulative_aoi",
+    "delay_double_sum",
+    "derive_stream",
+    "discrete_entropy",
+    "exact_bayes_delay",
+    "exact_bayes_gaoi",
+    "exact_conditional_entropy",
+    "exact_ensemble_gaoi",
+    "filter_stale",
+    "generate_schedules",
+    "h_closed",
+    "random_schedule",
+    "run_ensemble",
+]
+
+
 def test_import_gaoi_skips_config_cli_and_yaml():
     # the library (and the oracle workload, which imports it) needs neither
     # the config reader nor the CLI: loading them costs start-up on every import.
@@ -543,18 +625,21 @@ def test_import_gaoi_skips_config_cli_and_yaml():
         "from gaoi import markov, oracle\n"
         "print(loaded(), 'dataclasses' in sys.modules)\n"
         "names = {name: getattr(gaoi, name) for name in gaoi.__all__}\n"
-        "print(len(names), sorted({value.__module__ for value in names.values()}))\n"
+        "print(sorted({value.__module__ for value in names.values()}))\n"
         "print([name for name, value in names.items() if name not in dir(gaoi)\n"
         "       or getattr(sys.modules[value.__module__], name) is not value])\n"
         "print(sorted({'gaoi.config', 'gaoi.cli', 'yaml'} & set(sys.modules)))\n"
         "try:\n"
         "    gaoi.no_such_name\n"
         "except AttributeError as exc:\n"
-        "    print(exc)\n")
-    assert out.splitlines() == [
+        "    print(exc)\n"
+        "print(*sorted(names), sep='\\n')\n")
+    lines = out.splitlines()
+    assert lines[6:] == PUBLIC_NAMES
+    assert lines[:6] == [
         "['gaoi'] False",
         "['gaoi', 'gaoi.markov', 'gaoi.oracle'] False",
-        "34 ['gaoi.bayes', 'gaoi.ensemble', 'gaoi.markov', 'gaoi.metrics', 'gaoi.oracle', "
+        "['gaoi.bayes', 'gaoi.ensemble', 'gaoi.markov', 'gaoi.metrics', 'gaoi.oracle', "
         "'gaoi.schedule']",
         "[]",
         "[]",
@@ -567,9 +652,10 @@ def test_import_gaoi_skips_config_cli_and_yaml():
                                   ["setup", "--library"], ["setup", "--config", "{sticky_json}"]],
                          ids=["oracle", "setup_preset", "setup_library", "setup_json_config"])
 def test_benchmark_operations_run(tmp_path, argv):
-    # perfbench/op.py calls the library itself: stationary_distribution,
-    # entropy_rate(...).bits, exact_ensemble_gaoi, validate_model, the
-    # kernels, preset_config and load_config (on a JSON file, as sticky-sim writes it)
+    # perfbench/op.py calls the library itself: gaoi.markov's shims
+    # stationary_distribution, entropy_rate(...).bits and validate_model,
+    # exact_ensemble_gaoi, the kernels, preset_config and load_config (on a
+    # JSON file, as sticky-sim writes it)
     repo = Path(__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(repo / "src")}
     sticky_json = tmp_path / "sticky.yaml"

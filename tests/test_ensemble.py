@@ -10,20 +10,18 @@ from gaoi import (
     ChangeKernel,
     DelayLaw,
     DwellKernel,
+    JointModel,
     PolicySpec,
-    bayes_constant_c,
     bayes_cumulative_gaoi,
     derive_stream,
     h_closed,
     random_schedule,
     run_ensemble,
-    validate_model,
 )
 from gaoi import bayes, ensemble, markov
 from gaoi.config import RunConfig
 from gaoi.ensemble import INIT_SALT, METRICS, PATH_SALT, POLICY_SALT, sample_block
 from gaoi.schedule import aoi_block
-from gaoi.markov import stationary_distribution
 
 from conftest import make_cycle, make_two_state_swap, sticky_model
 from reference import (
@@ -44,15 +42,15 @@ def make_ragged_three():
     """Three statuses with ragged dwell prefixes and self-transition mass."""
     rows = np.array([[0.2, 0.5, 0.3], [0.3, 0.3, 0.4], [0.5, 0.25, 0.25]])
     dwell = DwellKernel.from_lists([[0.0, 0.1, 0.5], [0.9], []], [0.3, 0.2, 0.4])
-    return validate_model(ChangeKernel(rows), dwell)
+    return JointModel(ChangeKernel(rows), dwell)
 
 
 def make_split_hazards():
     """Three statuses with hazards 0.05, 0.5 and 0.95: a path's first dwell
     shows which status it started in."""
     rows = np.array([[0.0, 0.5, 0.5], [0.5, 0.0, 0.5], [0.5, 0.5, 0.0]])
-    return validate_model(ChangeKernel(rows),
-                          DwellKernel(np.empty((3, 0)), np.array([0.05, 0.5, 0.95])))
+    return JointModel(ChangeKernel(rows),
+                      DwellKernel(np.empty((3, 0)), np.array([0.05, 0.5, 0.95])))
 
 
 def make_sticky(prefix: int = 150):
@@ -60,7 +58,7 @@ def make_sticky(prefix: int = 150):
     data = sticky_model(7, prefix)
     dwell = DwellKernel.from_lists([d["prefix"] for d in data["dwell"]],
                                    [d["tail"] for d in data["dwell"]])
-    return validate_model(ChangeKernel(np.array(data["px_rows"])), dwell)
+    return JointModel(ChangeKernel(np.array(data["px_rows"])), dwell)
 
 
 def _draws(rng: np.random.Generator) -> list:
@@ -171,7 +169,7 @@ class TestOnePathBlock:
 
 class TestStationarySample:
     def test_frequencies_match_distribution(self):
-        dist = stationary_distribution(make_two_state_swap(0.6))
+        dist = make_two_state_swap(0.6).law
         x, t = dist.sample(np.random.default_rng(11).random((20000, 2)))
         assert (t == 0).mean() == pytest.approx(0.6, abs=0.02)
         assert (x == 0).mean() == pytest.approx(0.5, abs=0.02)
@@ -181,7 +179,7 @@ class TestStationarySample:
         # each status's bins lie past the prefix
         model = make_ragged_three()
         m, extra = model.dwell.prefix_len, 6
-        dist = stationary_distribution(model)
+        dist = model.law
         draws = 20000
         u = np.array([derive_stream(13, k, INIT_SALT).random(2) for k in range(draws)])
         x, t = dist.sample(u)
@@ -204,7 +202,7 @@ class TestStationarySample:
         # dwell t of the swap chain at q = 1e-6: P[t >= k] = (1 - q)^k, binned
         # at the law's exact deciles (t is about 1e6 on average)
         q = 1e-6
-        dist = stationary_distribution(make_two_state_swap(q))
+        dist = make_two_state_swap(q).law
         draws = 20000
         _, t = dist.sample(np.random.default_rng(21).random((draws, 2)))
         edges = np.ceil(np.log1p(-np.arange(1, 10) / 10) / np.log1p(-q)).astype(np.int64)
@@ -215,9 +213,9 @@ class TestStationarySample:
 
     def test_zero_weight_groups_never_drawn(self):
         # q = 1 at dwell 1: dwell 2 and the tail t >= 3 have zero mass
-        model = validate_model(ChangeKernel(np.array([[0.0, 1.0], [1.0, 0.0]])),
-                               DwellKernel.homogeneous(2, [0.3, 1.0, 0.2], 0.5))
-        dist = stationary_distribution(model)
+        model = JointModel(ChangeKernel(np.array([[0.0, 1.0], [1.0, 0.0]])),
+                           DwellKernel.homogeneous(2, [0.3, 1.0, 0.2], 0.5))
+        dist = model.law
         u = np.random.default_rng(8).random((5000, 2))
         u[:10, 0] = 0.0
         u[10:20, 0] = np.nextafter(1.0, 0.0)
@@ -268,7 +266,7 @@ class TestRunEnsemble:
         [stats] = run_ensemble(config)
         residual = stats.mean["cum_gaoi"] - model.h1 / model.p * stats.mean["cum_delay"]
         se = model.h1 / model.p * stats.se["cum_delay"]
-        assert abs(residual - bayes_constant_c(model, 100)) <= 4 * se
+        assert abs(residual - h_closed(model, 100)) <= 4 * se
 
     def test_standard_error_scales_with_paths(self):
         base = dict(model=make_two_state_swap(0.6), policies=(GREEDY_2080,),
@@ -563,7 +561,7 @@ class TestSamplerEdgeCases:
             [0.25, 0.25, 0.25, 0.25, 0.0],
             [1.0, 0.0, 0.0, 0.0, 0.0],
         ])
-        model = validate_model(ChangeKernel(rows), DwellKernel.homogeneous(5, [], 1.0))
+        model = JointModel(ChangeKernel(rows), DwellKernel.homogeneous(5, [], 1.0))
         paths, horizon = 50, 400
         uniforms = np.random.default_rng(6).random((paths, horizon, 2))
         # the first paths always jump from the bottom or the top of the CDF
@@ -590,8 +588,8 @@ class TestSamplerEdgeCases:
 
     def test_initial_dwell_past_prefix(self):
         # no change possible in the first 3 dwell slots, certain change after
-        model = validate_model(ChangeKernel(np.array([[0.0, 1.0], [1.0, 0.0]])),
-                               DwellKernel.homogeneous(2, [0.0, 0.0, 0.0], 1.0))
+        model = JointModel(ChangeKernel(np.array([[0.0, 1.0], [1.0, 0.0]])),
+                           DwellKernel.homogeneous(2, [0.0, 0.0, 0.0], 1.0))
         horizon = 12
         t0 = np.array([0, 2, 3, 5, 40])
         changed, _ = _per_slot(model, np.zeros(5, dtype=int), t0,
@@ -609,8 +607,8 @@ def make_edge_three():
     """Status 0 has a hazard-1 prefix entry, so S_0(2) = 0 and a start at
     (0, t >= 2) cannot be reached; rows 0 and 2 end in a zero-probability entry."""
     rows = np.array([[0.5, 0.5, 0.0], [0.3, 0.0, 0.7], [0.2, 0.8, 0.0]])
-    return validate_model(ChangeKernel(rows),
-                          DwellKernel.from_lists([[0.2, 1.0], [0.5], []], [0.3, 0.6, 0.4]))
+    return JointModel(ChangeKernel(rows),
+                      DwellKernel.from_lists([[0.2, 1.0], [0.5], []], [0.3, 0.6, 0.4]))
 
 
 class TestSamplerMatchesReference:
@@ -646,7 +644,7 @@ class TestSamplerMemory:
         # status's levels for every status
         rng = np.random.default_rng(n)
         dwell = DwellKernel(rng.uniform(0.002, 0.1, size=(n, m)), rng.uniform(0.1, 0.9, size=n))
-        model = validate_model(ChangeKernel(rng.dirichlet(np.ones(n), size=n)), dwell)
+        model = JointModel(ChangeKernel(rng.dirichlet(np.ones(n), size=n)), dwell)
         model.survival  # the model's own table, built once per model
         uniforms = rng.random((64, 200, 2))
         tracemalloc.start()

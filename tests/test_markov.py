@@ -11,13 +11,9 @@ from hypothesis.extra.numpy import arrays
 from gaoi import (
     ChangeKernel,
     DwellKernel,
-    EntropyRate,
     JointModel,
     ModelError,
     discrete_entropy,
-    entropy_rate,
-    stationary_distribution,
-    validate_model,
 )
 from gaoi.config import preset_config
 from gaoi.markov import IrreducibilityError, _unreachable, binary_entropy, embedded_stationary
@@ -42,13 +38,13 @@ def exact_level(dist, x: int, i: int) -> float:
     return dist.mu[x, min(i, m)] * (1.0 - dist.tail[x]) ** max(i - m, 0)
 
 
-class TestValidateModel:
+class TestJointModel:
     def test_swap_model_valid(self):
         model = make_two_state_swap(0.6)
         assert model.alphabet_size == 2
 
     def test_self_transition_row_allowed(self):
-        model = validate_model(
+        model = JointModel(
             ChangeKernel(np.array([[0.5, 0.5], [1.0, 0.0]])),
             DwellKernel.homogeneous(2, [], 0.5),
         )
@@ -62,27 +58,27 @@ class TestValidateModel:
     def test_unreachable_states_reported(self, rows, unreachable):
         # a reducible change matrix is refused where the model is built
         with pytest.raises(IrreducibilityError) as exc:
-            validate_model(ChangeKernel(np.array(rows)),
-                           DwellKernel.homogeneous(len(rows), [], 0.5))
+            JointModel(ChangeKernel(np.array(rows)),
+                       DwellKernel.homogeneous(len(rows), [], 0.5))
         assert exc.value.unreachable == unreachable
 
     def test_bad_row_sum_rejected(self):
         with pytest.raises(ModelError, match="sum to 1"):
-            validate_model(
+            JointModel(
                 ChangeKernel(np.array([[0.4, 0.5], [1.0, 0.0]])),
                 DwellKernel.homogeneous(2, [], 0.5),
             )
 
     def test_zero_tail_rejected(self):
         with pytest.raises(ModelError, match="tail"):
-            validate_model(
+            JointModel(
                 ChangeKernel(np.array([[0.0, 1.0], [1.0, 0.0]])),
                 DwellKernel.homogeneous(2, [0.3], 0.0),
             )
 
     def test_dimension_mismatch(self):
         with pytest.raises(ModelError):
-            validate_model(
+            JointModel(
                 ChangeKernel(np.array([[0.0, 1.0], [1.0, 0.0]])),
                 DwellKernel.homogeneous(3, [], 0.5),
             )
@@ -90,22 +86,22 @@ class TestValidateModel:
     def test_prefix_needs_one_row_per_state(self):
         # an empty prefix array is promoted to shape (1, 0), not (2, 0)
         with pytest.raises(ModelError, match="prefix"):
-            validate_model(
+            JointModel(
                 ChangeKernel(np.array([[0.0, 1.0], [1.0, 0.0]])),
                 DwellKernel(np.array([]), np.array([0.5, 0.5])),
             )
 
     def test_entry_out_of_range(self):
         with pytest.raises(ModelError):
-            validate_model(
+            JointModel(
                 ChangeKernel(np.array([[-0.1, 1.1], [1.0, 0.0]])),
                 DwellKernel.homogeneous(2, [], 0.5),
             )
 
 
 class TestModelChecksItself:
-    """``JointModel`` built directly, without ``validate_model``, refuses what
-    ``validate_model`` refuses, rather than giving NaN, 0 or numpy's errors."""
+    """Each type refuses, with a ``ModelError``, what it cannot hold, rather
+    than giving NaN, 0 or numpy's errors."""
 
     @pytest.mark.parametrize("rows, n, tail, match", [
         (np.eye(2), 2, 0.5, "not irreducible"),
@@ -175,7 +171,7 @@ def test_every_model_that_constructs_has_finite_constants(kernels):
 
 class TestJointStep:
     def test_zero_change_probability_increments(self, rng):
-        model = validate_model(
+        model = JointModel(
             ChangeKernel(np.array([[0.0, 1.0], [1.0, 0.0]])),
             DwellKernel.homogeneous(2, [0.5, 0.5, 0.5, 0.0], 0.5),
         )
@@ -183,7 +179,7 @@ class TestJointStep:
             assert joint_step(model, 0, 3, rng) == (0, 4)
 
     def test_forced_change_deterministic_target(self, rng):
-        model = validate_model(
+        model = JointModel(
             ChangeKernel(np.array([[0.0, 1.0], [1.0, 0.0]])),
             DwellKernel.homogeneous(2, [1.0], 0.5),
         )
@@ -194,7 +190,7 @@ class TestJointStep:
 class TestStationaryDistribution:
     def test_swap_geometric_levels(self):
         # renewal oracle: symmetric states split mass 1/2, dwell Geometric(0.6)
-        dist = stationary_distribution(make_two_state_swap(0.6))
+        dist = make_two_state_swap(0.6).law
         for x in (0, 1):
             for i in range(10):
                 assert exact_level(dist, x, i) == pytest.approx(0.3 * 0.4**i, abs=1e-12)
@@ -203,11 +199,11 @@ class TestStationaryDistribution:
     def test_total_mass_is_one(self, rng):
         for _ in range(10):
             model = random_model(rng)
-            dist = stationary_distribution(model)
+            dist = model.law
             assert dist.group_weights.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_cycle_all_mass_at_zero(self):
-        dist = stationary_distribution(make_cycle(3))
+        dist = make_cycle(3).law
         for x in range(3):
             assert dist.mu[x][0] == pytest.approx(1.0 / 3.0, abs=1e-12)
             assert dist.mu[x][1:].sum() == 0.0
@@ -217,7 +213,7 @@ class TestStationaryDistribution:
         # for every tail hazard >= 0.1 that random_model draws
         for _ in range(10):
             model = random_model(rng)
-            dist = stationary_distribution(model)
+            dist = model.law
             for x in range(model.alphabet_size):
                 mu0 = dist.mu[x][0]
                 for i in range(model.dwell.prefix_len + 400):
@@ -229,7 +225,7 @@ class TestStationaryDistribution:
         # independent oracle: power-iterate the truncated joint transition matrix
         for _ in range(5):
             model = random_model(rng, max_prefix=3)
-            dist = stationary_distribution(model)
+            dist = model.law
             n = model.alphabet_size
             cap = 80
             dim = n * cap
@@ -256,7 +252,7 @@ class TestStationaryDistribution:
         # mass past dwell 10^7 is still 4.5e-5
         q = 1e-6
         start = time.perf_counter()
-        dist = stationary_distribution(make_two_state_swap(q))
+        dist = make_two_state_swap(q).law
         assert time.perf_counter() - start < 0.5
         assert dist.mu.shape == (2, 1)
         assert dist.mu0.sum() == pytest.approx(q, rel=1e-12)
@@ -268,11 +264,11 @@ class TestStationaryDistribution:
     def test_long_prefix_matches_survival_product(self):
         rng = np.random.default_rng(400)
         m = 400
-        model = validate_model(
+        model = JointModel(
             ChangeKernel(np.array([[0.0, 0.4, 0.6], [0.5, 0.0, 0.5], [0.7, 0.3, 0.0]])),
             DwellKernel(rng.uniform(0.001, 0.02, size=(3, m)), np.array([0.05, 0.01, 0.2])),
         )
-        dist = stationary_distribution(model)
+        dist = model.law
         assert dist.mu.shape == (3, m + 1)
         assert dist.group_weights.sum() == pytest.approx(1.0, abs=1e-12)
         mean_dwell = np.empty(3)
@@ -285,9 +281,9 @@ class TestStationaryDistribution:
         np.testing.assert_allclose(dist.mu0, pi / (pi @ mean_dwell), rtol=1e-12, atol=0)
 
     def test_certain_change_inside_prefix_empties_later_groups(self):
-        model = validate_model(ChangeKernel(np.array([[0.0, 1.0], [1.0, 0.0]])),
-                               DwellKernel.homogeneous(2, [0.3, 1.0, 0.2], 0.5))
-        dist = stationary_distribution(model)
+        model = JointModel(ChangeKernel(np.array([[0.0, 1.0], [1.0, 0.0]])),
+                           DwellKernel.homogeneous(2, [0.3, 1.0, 0.2], 0.5))
+        dist = model.law
         weights = dist.group_weights
         assert np.array_equal(weights[:, 2:], np.zeros((2, 2)))
         assert weights[:, :2] == pytest.approx(np.array([[1.0, 0.7]] * 2) / 3.4, rel=1e-12)
@@ -305,7 +301,7 @@ def birth_death(n: int, step: float) -> np.ndarray:
     return rows
 
 
-# change chains with rare states, each valid for validate_model; the smallest
+# change chains with rare states, each a valid ChangeKernel; the smallest
 # exact masses are 5.0e-14, 1.0e-17, 5.0e-13 and 5.0e-28
 RARE_CHAINS = {
     "one_entry_1e-13": np.array([[0.0, 1.0 - 1e-13, 1e-13], [1.0, 0.0, 0.0], [0.5, 0.5, 0.0]]),
@@ -318,7 +314,7 @@ RARE_CHAINS = {
 def assert_relatively_exact(rows: np.ndarray) -> None:
     """Every entry of the change chain's stationary vector within 1e-14 of
     the exact one, relative to that entry."""
-    model = validate_model(ChangeKernel(rows), DwellKernel.homogeneous(len(rows), [], 0.5))
+    model = JointModel(ChangeKernel(rows), DwellKernel.homogeneous(len(rows), [], 0.5))
     pi = embedded_stationary(model)
     assert pi.dtype == np.float64
     for got, want in zip(pi.tolist(), exact_embedded_stationary(rows), strict=True):
@@ -333,7 +329,7 @@ class TestEmbeddedStationary:
         assert_relatively_exact(rows)
 
     def test_one_state(self):
-        model = validate_model(ChangeKernel(np.array([[1.0]])), DwellKernel.homogeneous(1, [], 0.3))
+        model = JointModel(ChangeKernel(np.array([[1.0]])), DwellKernel.homogeneous(1, [], 0.3))
         assert embedded_stationary(model).tolist() == [1.0]
         assert model.p_change == pytest.approx(0.3, rel=1e-15)
 
@@ -427,59 +423,43 @@ class TestBinaryEntropy:
 
 class TestEntropyRate:
     def test_swap_rate_is_binary_entropy(self):
-        model = make_two_state_swap(0.6)
-        rate = entropy_rate(model, stationary_distribution(model))
-        assert rate.bits == pytest.approx(H_06, abs=1e-12)
+        assert make_two_state_swap(0.6).rate == pytest.approx(H_06, abs=1e-12)
 
     def test_cycle_rate_zero(self):
-        model = make_cycle(3)
-        rate = entropy_rate(model, stationary_distribution(model))
-        assert rate.bits == pytest.approx(0.0, abs=1e-12)
+        assert make_cycle(3).rate == pytest.approx(0.0, abs=1e-12)
 
     def test_three_state_uniform(self):
-        model = make_uniform_three(0.5)
-        rate = entropy_rate(model, stationary_distribution(model))
-        assert rate.bits == pytest.approx(1.5, abs=1e-12)
+        assert make_uniform_three(0.5).rate == pytest.approx(1.5, abs=1e-12)
 
     def test_homogeneous_split_agrees(self, rng):
         for model in (make_two_state_swap(0.6), make_uniform_three(0.5)):
-            dist = stationary_distribution(model)
-            assert entropy_rate(model, dist).bits == pytest.approx(
-                entropy_rate_homogeneous(model, dist).bits, abs=1e-9
-            )
+            assert model.rate == pytest.approx(entropy_rate_homogeneous(model), abs=1e-9)
         for _ in range(10):
             model = random_model(rng, homogeneous=True)
-            dist = stationary_distribution(model)
-            assert entropy_rate(model, dist).bits == pytest.approx(
-                entropy_rate_homogeneous(model, dist).bits, abs=1e-9
-            )
+            assert model.rate == pytest.approx(entropy_rate_homogeneous(model), abs=1e-9)
 
     def test_every_slot_change_reduces_to_change_chain_entropy(self, rng):
         # q_0 = 1 homogeneous: the dwell chain is deterministic
         for _ in range(5):
             n = int(rng.integers(2, 5))
             rows = rng.dirichlet(np.ones(n), size=n)
-            model = validate_model(ChangeKernel(rows), DwellKernel.homogeneous(n, [], 1.0))
-            dist = stationary_distribution(model)
+            model = JointModel(ChangeKernel(rows), DwellKernel.homogeneous(n, [], 1.0))
             pi = embedded_stationary(model)
             h_px = sum(pi[x] * discrete_entropy(rows[x]) for x in range(n))
-            assert entropy_rate(model, dist).bits == pytest.approx(h_px, abs=1e-12)
-            assert entropy_rate_homogeneous(model, dist).bits == pytest.approx(h_px, abs=1e-12)
+            assert model.rate == pytest.approx(h_px, abs=1e-12)
+            assert entropy_rate_homogeneous(model) == pytest.approx(h_px, abs=1e-12)
 
     def test_heterogeneous_dwell_rejected_by_split(self):
-        model = validate_model(
+        model = JointModel(
             ChangeKernel(np.array([[0.0, 1.0], [1.0, 0.0]])),
             DwellKernel(np.empty((2, 0)), np.array([0.3, 0.7])),
         )
-        dist = stationary_distribution(model)
         with pytest.raises(ModelError):
-            entropy_rate_homogeneous(model, dist)
+            entropy_rate_homogeneous(model)
 
     def test_deterministic_model_rate_exactly_zero(self):
         for n in (2, 3, 4):
-            model = make_cycle(n)
-            dist = stationary_distribution(model)
-            assert entropy_rate(model, dist).bits == 0.0
+            assert make_cycle(n).rate == 0.0
 
     @pytest.mark.parametrize("q", [1e-12, 1e-8, 1e-6])
     def test_tiny_hazard_swap_keeps_log1p_digits(self, q):
@@ -490,8 +470,7 @@ class TestEntropyRate:
             ctx.prec = 60
             d = Decimal(q)
             exact = -(d * d.ln() + (1 - d) * (1 - d).ln()) / Decimal(2).ln()
-        bits = entropy_rate(model, stationary_distribution(model)).bits
-        assert abs(Decimal(bits) - exact) <= Decimal(1e-15) * exact
+        assert abs(Decimal(model.rate) - exact) <= Decimal(1e-15) * exact
 
     def test_bit_identical_to_reference_loop(self, rng):
         # the vectorised rate adds every dwell series in dwell order and the
@@ -504,18 +483,17 @@ class TestEntropyRate:
         models = [
             preset_config("fig5").model,
             # 3 statuses, a 170-slot prefix of log-uniform hazards, a 0.01 tail
-            validate_model(ChangeKernel(rows), DwellKernel(
+            JointModel(ChangeKernel(rows), DwellKernel(
                 np.exp(sticky.uniform(np.log(0.002), np.log(0.1), (3, 170))),
                 np.full(3, 0.01))),
             make_cycle(3),
             # a certain change inside the prefix, and impossible ones
-            validate_model(ChangeKernel(zero_diagonal), DwellKernel.from_lists(
+            JointModel(ChangeKernel(zero_diagonal), DwellKernel.from_lists(
                 [[0.2, 1.0, 0.4], [0.0, 1.0], [0.5]], [0.3, 0.6, 0.9])),
             *(random_model(rng) for _ in range(200)),
         ]
         for model in models:
-            dist = stationary_distribution(model)
-            assert entropy_rate(model, dist).bits == reference_entropy_rate(model, dist).bits
+            assert model.rate == reference_entropy_rate(model)
 
 
 class TestModelTables:
@@ -551,7 +529,6 @@ class TestModelTables:
             assert value == value and value != twin and len({value, twin}) == 2
             assert repr(value).startswith(f"{type(value).__name__}({fields[0]}=")
         assert JointModel(change=model.change, dwell=model.dwell).rate == model.rate
-        assert entropy_rate(model, law) == EntropyRate(bits=model.rate)
 
     def test_hazard_and_survival_tables(self, rng):
         for _ in range(10):
@@ -567,7 +544,4 @@ class TestModelTables:
 
     def test_law_matches_its_parts(self, rng):
         model = random_model(rng)
-        dist = stationary_distribution(model)
-        assert dist is model.law  # solved once, by the model
-        assert model.rate == entropy_rate(model, dist).bits
-        assert model.p_change == float(dist.mu0.sum())
+        assert model.p_change == float(model.law.mu0.sum())

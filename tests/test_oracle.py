@@ -10,12 +10,9 @@ from gaoi import (
     JointModel,
     bayes_expected_delay,
     discrete_entropy,
-    entropy_rate,
     filter_stale,
     h_closed,
     random_schedule,
-    stationary_distribution,
-    validate_model,
 )
 from gaoi import oracle
 from gaoi.oracle import (
@@ -67,16 +64,16 @@ def edge_models(rng):
         random_model(rng, max_prefix=4),
         random_model(rng, max_alphabet=3, max_prefix=4),
         # zero-diagonal change rows, certain and impossible changes inside the prefix
-        validate_model(ChangeKernel(zero_diagonal), DwellKernel(
+        JointModel(ChangeKernel(zero_diagonal), DwellKernel(
             np.array([[0.0, 1.0, 0.3], [0.5, 0.0, 0.2], [1.0, 0.0, 0.7]]),
             np.array([0.4, 0.6, 0.9]),
         )),
         # ragged prefixes, padded with each state's tail
-        validate_model(ChangeKernel(zero_diagonal), DwellKernel.from_lists(
+        JointModel(ChangeKernel(zero_diagonal), DwellKernel.from_lists(
             [[0.2, 0.0, 1.0, 0.4], [0.7], []], [0.3, 0.6, 0.9]
         )),
         # runs of q = 0: stay-only groups, one live move and the most padding
-        validate_model(ChangeKernel(zero_diagonal), DwellKernel.from_lists(
+        JointModel(ChangeKernel(zero_diagonal), DwellKernel.from_lists(
             [[0.0, 0.0, 0.0, 0.5], [0.0, 0.8], [0.0]], [0.3, 0.6, 0.9]
         )),
     ]
@@ -175,7 +172,7 @@ class TestExactConditionalEntropy:
     def test_cycle_has_fan_out_one_and_zero_entropy(self):
         # q = 1 everywhere: one live move per group, a certain trajectory
         model = make_cycle(3)
-        dist = stationary_distribution(model)
+        dist = model.law
         assert model.transitions[0].shape[1] == 1
         for a in range(9):
             # +0.0, the sum of the terms -p log2 p, never a negated sum's -0.0
@@ -190,14 +187,12 @@ class TestExactConditionalEntropy:
         rows = np.zeros((3, 3))
         for x in range(3):
             rows[x, [y for y in range(3) if y != x]] = rng.dirichlet(np.ones(2))
-        model = validate_model(ChangeKernel(rows),
-                               DwellKernel(rng.uniform(0.05, 0.95, (3, 2)),
+        model = JointModel(ChangeKernel(rows),
+                           DwellKernel(rng.uniform(0.05, 0.95, (3, 2)),
                                            rng.uniform(0.05, 0.95, 3)))
         assert model.transitions[0].shape[1] == 3
         assert 3**9 > oracle.BLOCK_TRAJECTORIES
-        dist = stationary_distribution(model)
-        rate = entropy_rate(model, dist)
-        assert exact_ensemble_gaoi(model, dist, 9) == pytest.approx(9 * rate.bits, abs=1e-9)
+        assert exact_ensemble_gaoi(model, model.law, 9) == pytest.approx(9 * model.rate, abs=1e-9)
 
 
 class TestExactEnsembleGaoi:
@@ -213,60 +208,51 @@ class TestExactEnsembleGaoi:
         table.__set_name__(JointModel, "transitions")
         monkeypatch.setattr(JointModel, "transitions", table)
         model = random_model(rng, max_prefix=3)
-        dist = stationary_distribution(model)
+        dist = model.law
         for a in range(1, 9):
             exact_ensemble_gaoi(model, dist, a)
         assert builds == [model]
 
     def test_zero_age(self, rng):
         model = random_model(rng)
-        dist = stationary_distribution(model)
+        dist = model.law
         assert exact_ensemble_gaoi(model, dist, 0) == 0.0
 
     def test_age_one_equals_entropy_rate(self, rng):
         for _ in range(10):
             model = random_model(rng)
-            dist = stationary_distribution(model)
-            rate = entropy_rate(model, dist)
-            assert exact_ensemble_gaoi(model, dist, 1) == pytest.approx(
-                rate.bits, abs=1e-9
-            )
+            assert exact_ensemble_gaoi(model, model.law, 1) == pytest.approx(model.rate, abs=1e-9)
 
     def test_age_scaling_three_state(self, rng):
         model = random_model(rng, max_alphabet=3, max_prefix=4)
-        dist = stationary_distribution(model)
-        rate = entropy_rate(model, dist)
-        assert exact_ensemble_gaoi(model, dist, 4) == pytest.approx(
-            4 * rate.bits, abs=1e-9
-        )
+        assert exact_ensemble_gaoi(model, model.law, 4) == pytest.approx(4 * model.rate, abs=1e-9)
 
     def test_certain_change_inside_prefix(self):
         # q = 1 at dwell 1 leaves zero-weight groups, which the oracle skips
-        model = validate_model(
+        model = JointModel(
             ChangeKernel(np.array([[0.0, 0.5, 0.5], [0.2, 0.0, 0.8], [0.6, 0.4, 0.0]])),
             DwellKernel.homogeneous(3, [0.3, 1.0, 0.2], 0.5),
         )
-        dist = stationary_distribution(model)
-        rate = entropy_rate(model, dist)
         for a in range(1, 5):
-            assert exact_ensemble_gaoi(model, dist, a) == pytest.approx(a * rate.bits, abs=1e-9)
+            assert exact_ensemble_gaoi(model, model.law, a) == pytest.approx(a * model.rate,
+                                                                             abs=1e-9)
 
 
     def test_negative_window_rejected(self, rng):
         model = random_model(rng)
-        dist = stationary_distribution(model)
+        dist = model.law
         with pytest.raises(ValueError, match="window length must be non-negative"):
             exact_ensemble_gaoi(model, dist, -2)
 
     def test_returns_python_float(self, rng):
         model = random_model(rng)
-        dist = stationary_distribution(model)
+        dist = model.law
         for a in (0, 1, 3):
             assert type(exact_ensemble_gaoi(model, dist, a)) is float
 
     def test_budget_exceeded(self, rng, monkeypatch):
         model = random_model(rng)
-        dist = stationary_distribution(model)
+        dist = model.law
         monkeypatch.setattr(oracle, "ENUMERATION_BUDGET", 10)
         with pytest.raises(EnumerationBudgetError):
             exact_ensemble_gaoi(model, dist, 6)
@@ -287,7 +273,7 @@ class TestBlockIndependence:
         # each start's trajectories stay contiguous, so the batched reduction
         # adds them in the same order as a lone start: equal bit for bit
         for model in edge_models(rng):
-            dist = stationary_distribution(model)
+            dist = model.law
             for a in range(1, 6):
                 total = 0.0
                 for (x, t), weight in np.ndenumerate(dist.group_weights):
