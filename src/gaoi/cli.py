@@ -215,7 +215,7 @@ def _verify_thm2(cfg: RunConfig, labels: list[str]) -> int:
     for policy in cfg.policies:
         # deterministic-delay variant of each configured policy (midpoint delay)
         mid = (policy.delay.lo + policy.delay.hi) // 2
-        det = replace(policy, delay=DelayLaw.deterministic(mid))
+        det = replace(policy, delay=DelayLaw(mid, mid))
         blocks.append(generate_schedules(det, t, [rng]))
     worst = max(
         float(np.abs(bayes_cumulative_gaoi(model, b) - scale * bayes_expected_delay(model, b)

@@ -1,5 +1,11 @@
 """Run configuration: config-file reading (fail-closed) and the built-in presets.
 
+Every config mapping (the document and its model, policy, delay, dwell entry
+and run sections) passes one key rule, ``_keys``: it holds every key it needs
+and no other but those it takes.  A model or policy section reads its kind
+first, then takes that kind's keys from ``MODEL_KINDS`` or ``POLICY_KINDS``: a
+key its kind does not take (a period on a greedy policy) is an error.
+
 ``load_config`` reads the file's bytes once. Text that decodes as strict UTF-8
 and is a JSON document is read with the standard library's ``json``; PyYAML is
 imported only for any other text, so a JSON config (the shape a generated
@@ -67,12 +73,37 @@ class RunConfig:
         return isinstance(self.model, BayesModel)
 
 
-def _require_keys(section, allowed: set[str], where: str) -> None:
+# The keys each model and policy kind needs besides ``kind``, then the keys it
+# may also take.
+MODEL_KINDS = {"stationary": (("px_rows", "dwell"), ("alphabet_size",)),
+               "bayesian": (("bayes_p",), ())}
+POLICY_KINDS = {"periodic": (("period",), ("delay",)),
+                "greedy": ((), ("delay",)),
+                "explicit": (("schedule_path",), ())}
+
+
+def _keys(section, where: str, need=(), take=()) -> dict:
+    """The one key rule: ``section`` is a mapping that holds every key in
+    ``need`` and no key outside ``need`` and ``take``."""
     if not isinstance(section, dict):
         raise ConfigError(f"{where} must be a mapping, got {_show(section)}")
-    unknown = set(section) - allowed
+    unknown = set(section).difference(need, take)
     if unknown:
         raise ConfigError(f"unknown keys in {where}: {_show(sorted(unknown, key=str))}")
+    for key in need:
+        if key not in section:
+            raise ConfigError(f"{where} needs {key}")
+    return section
+
+
+def _kind(section, where: str, kinds: dict) -> str:
+    """A model or policy section's kind, after the key rule for that kind."""
+    kind = _keys(section, where, take=section).get("kind")  # any keys until the kind is known
+    if kind not in tuple(kinds):  # compared, not hashed: a list is no kind
+        raise ConfigError(f"{where}.kind must be one of {list(kinds)}, got {_show(kind)}")
+    need, take = kinds[kind]
+    _keys(section, f"{where} ({kind})", ("kind", *need), take)
+    return kind
 
 
 def _int(value, where: str) -> int:
@@ -109,9 +140,7 @@ def _list(value, where: str) -> list:
 
 
 def _dwell_entry(entry, where: str) -> tuple[list[float], float]:
-    _require_keys(entry, {"prefix", "tail"}, where)
-    if "tail" not in entry:
-        raise ConfigError(f"{where} needs tail")
+    _keys(entry, where, ("tail",), ("prefix",))
     raw = _list(entry.get("prefix", []), f"{where}.prefix")
     prefix = [_float(v, f"{where}.prefix[{i}]") for i, v in enumerate(raw)]
     return prefix, _float(entry["tail"], f"{where}.tail")
@@ -124,29 +153,16 @@ def _parse_dwell(raw, n_states: int) -> DwellKernel:
         return DwellKernel.homogeneous(n_states, *_dwell_entry(raw, "model.dwell"))
     if isinstance(raw, list):
         if len(raw) != n_states:
-            raise ConfigError(f"model.dwell needs one entry per state ({n_states}), "
+            raise ConfigError(f"model.dwell must hold one entry per state ({n_states}), "
                               f"got {len(raw)}")
         prefixes, tails = zip(*(_dwell_entry(e, f"model.dwell[{i}]") for i, e in enumerate(raw)))
         return DwellKernel.from_lists(list(prefixes), list(tails))
     raise ConfigError("model.dwell must be a probability, a {prefix, tail} map, or a per-state list")
 
 
-def _parse_model(section: dict):
-    _require_keys(section, {"kind", "alphabet_size", "px_rows", "dwell", "bayes_p"}, "model")
-    kind = section.get("kind")
-    if kind == "bayesian":
-        if "bayes_p" not in section:
-            raise ConfigError("bayesian model needs bayes_p")
-        for k in ("alphabet_size", "px_rows", "dwell"):
-            if k in section:
-                raise ConfigError(f"model.{k} does not apply to a bayesian model")
+def _parse_model(section):
+    if _kind(section, "model", MODEL_KINDS) == "bayesian":
         return _make("model.bayes_p", BayesModel, p=_float(section["bayes_p"], "model.bayes_p"))
-    if kind != "stationary":
-        raise ConfigError(f"model.kind must be 'stationary' or 'bayesian', got {_show(kind)}")
-    if "bayes_p" in section:
-        raise ConfigError("model.bayes_p does not apply to a stationary model")
-    if "px_rows" not in section:
-        raise ConfigError("stationary model needs px_rows")
     raw = section["px_rows"]
     cells = np.array(raw, dtype=object)  # a ragged list stays 1-D
     if cells.ndim != 2:
@@ -157,8 +173,6 @@ def _parse_model(section: dict):
     if rows.shape != (n, n):
         raise ConfigError(f"model.px_rows has shape {rows.shape}, expected ({n}, {n}) "
                           f"from model.alphabet_size")
-    if "dwell" not in section:
-        raise ConfigError("stationary model needs dwell")
     # the dwell first, so that its config errors (exit 2) come before the model
     # errors (exit 3) that ChangeKernel raises as it is built
     dwell = _parse_dwell(section["dwell"], n)
@@ -167,20 +181,21 @@ def _parse_model(section: dict):
 
 def _parse_delay(raw, where: str) -> DelayLaw:
     if raw is None:
-        return DelayLaw.deterministic(0)
-    _require_keys(raw, {"deterministic", "uniform"}, where)
+        return DelayLaw(0, 0)
+    _keys(raw, where, take=("deterministic", "uniform"))
     if len(raw) != 1:
         raise ConfigError(f"{where} takes exactly one of 'deterministic' or 'uniform'")
     if "deterministic" in raw:
         where = f"{where}.deterministic"
-        return _make(where, DelayLaw.deterministic, _int(raw["deterministic"], where))
+        c = _int(raw["deterministic"], where)
+        return _make(where, DelayLaw, c, c)
     where, bounds = f"{where}.uniform", raw["uniform"]
     if not isinstance(bounds, list) or len(bounds) != 2:
         raise ConfigError(f"{where} must be a [lo, hi] pair, got {_show(bounds)}")
     lo, hi = (_int(b, f"{where}[{i}]") for i, b in enumerate(bounds))
     if hi >= 2**63:  # delays are drawn as int64
         raise ConfigError(f"{where}[1] must be < 2**63, got {hi}")
-    return _make(where, DelayLaw.uniform, lo, hi)
+    return _make(where, DelayLaw, lo, hi)
 
 
 def read_explicit_pairs(path: str | Path) -> tuple[tuple[int, int], ...]:
@@ -199,13 +214,10 @@ def read_explicit_pairs(path: str | Path) -> tuple[tuple[int, int], ...]:
     return tuple(pairs)
 
 
-def _parse_policy(section: dict, idx: int | None = None) -> PolicySpec:
+def _parse_policy(section, idx: int | None = None) -> PolicySpec:
     where = "policy" if idx is None else f"policies[{idx}]"
-    _require_keys(section, {"kind", "period", "delay", "schedule_path"}, where)
-    kind = section.get("kind")
+    kind = _kind(section, where, POLICY_KINDS)
     if kind == "explicit":
-        if "schedule_path" not in section:
-            raise ConfigError(f"{where}: explicit policy needs schedule_path")
         path = section["schedule_path"]
         try:
             pairs = read_explicit_pairs(path)
@@ -215,16 +227,9 @@ def _parse_policy(section: dict, idx: int | None = None) -> PolicySpec:
             if s > d:
                 raise ConfigError(f"{where}: pair ({s}, {d}) is sampled after its delivery")
         return PolicySpec(kind="explicit", pairs=pairs)
-    if kind == "periodic":
-        if "period" not in section:
-            raise ConfigError(f"{where}: periodic policy needs period")
-        period = _int(section["period"], f"{where}.period")
-        return _make(f"{where}.period", PolicySpec, kind="periodic", period=period,
-                     delay=_parse_delay(section.get("delay"), f"{where}.delay"))
-    if kind == "greedy":
-        delay = _parse_delay(section.get("delay"), f"{where}.delay")
-        return PolicySpec(kind="greedy", delay=delay)
-    raise ConfigError(f"{where}: unknown policy kind {_show(kind)}")
+    period = _int(section.get("period", 0), f"{where}.period")  # greedy takes none
+    return _make(f"{where}.period", PolicySpec, kind=kind, period=period,
+                 delay=_parse_delay(section.get("delay"), f"{where}.delay"))
 
 
 def parse_config(data: dict) -> RunConfig:
@@ -243,9 +248,7 @@ def parse_config(data: dict) -> RunConfig:
 
 
 def _parse_config(data: dict) -> RunConfig:
-    _require_keys(data, {"model", "policy", "policies", "run"}, "config")
-    if "model" not in data:
-        raise ConfigError("missing config section 'model'")
+    _keys(data, "config", ("model",), ("policy", "policies", "run"))
     if "policy" in data and "policies" in data:
         raise ConfigError("config takes at most one of 'policy' or 'policies'")
     model = _parse_model(data["model"])
@@ -256,8 +259,7 @@ def _parse_config(data: dict) -> RunConfig:
                          for i, p in enumerate(_list(data["policies"], "policies")))
     else:
         policies = ()  # enough for entropy-rate; simulate/verify demand one
-    run = data.get("run", {})
-    _require_keys(run, {"horizon", "num_paths", "base_seed"}, "run")
+    run = _keys(data.get("run", {}), "run", take=("horizon", "num_paths", "base_seed"))
     return RunConfig(
         model=model,
         policies=policies,

@@ -216,12 +216,10 @@ class JointModel(_Frozen):
         child = np.column_stack([stay, jump])
         prob = np.column_stack([1.0 - q, q[:, None] * rows])
         live = prob > 0.0
-        if not live.all():
-            # each row's live moves first, in column order; its dead moves become the pads
-            order = np.argsort(~live, axis=1, kind="stable")[:, :live.sum(axis=1).max()]
-            child = np.take_along_axis(child, order, axis=1)
-            prob = np.take_along_axis(prob, order, axis=1)
-        return _read_only(child), _read_only(prob)
+        # each row's live moves first, in column order; its dead moves become the pads
+        order = np.argsort(~live, axis=1, kind="stable")[:, :live.sum(axis=1).max()]
+        return (_read_only(np.take_along_axis(child, order, axis=1)),
+                _read_only(np.take_along_axis(prob, order, axis=1)))
 
     @cached_property
     def law(self) -> StationaryDistribution:

@@ -50,16 +50,9 @@ class DelayLaw:
     hi: int
 
     def __post_init__(self):
-        if self.lo < 0 or self.hi < self.lo:
-            raise ValueError("delay bounds must satisfy 0 <= lo <= hi")
-
-    @classmethod
-    def deterministic(cls, c: int) -> "DelayLaw":
-        return cls(int(c), int(c))
-
-    @classmethod
-    def uniform(cls, lo: int, hi: int) -> "DelayLaw":
-        return cls(int(lo), int(hi))
+        # a float or a bool is no bound, as config._int has it (type(True) is bool)
+        if not (type(self.lo) is type(self.hi) is int and 0 <= self.lo <= self.hi):
+            raise ValueError("delay bounds must be integers with 0 <= lo <= hi")
 
     def draw_rows(self, streams: Iterable, size: int, cap: int) -> np.ndarray:
         """One row of ``size`` delays per stream, each row in one call, with
@@ -84,14 +77,14 @@ class PolicySpec:
 
     kind: str  # "periodic" | "greedy" | "explicit"
     period: int = 0
-    delay: DelayLaw = DelayLaw.deterministic(0)
+    delay: DelayLaw = DelayLaw(0, 0)
     pairs: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
         if self.kind not in ("periodic", "greedy", "explicit"):
             raise ValueError(f"unknown policy kind {self.kind!r}")
-        if self.kind == "periodic" and self.period < 1:
-            raise ValueError("periodic policy needs period >= 1")
+        if self.kind == "periodic" and not (type(self.period) is int and self.period >= 1):
+            raise ValueError("periodic policy needs an integer period >= 1")
 
     @property
     def is_fixed(self) -> bool:

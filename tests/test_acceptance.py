@@ -115,8 +115,8 @@ def test_criterion_6_fig5_replication():
     p = model.p_change
     assert p == pytest.approx(0.6, abs=1e-12)
     policies = [
-        PolicySpec(kind="periodic", period=50, delay=DelayLaw.deterministic(0)),
-        PolicySpec(kind="greedy", delay=DelayLaw.uniform(20, 80)),
+        PolicySpec(kind="periodic", period=50, delay=DelayLaw(0, 0)),
+        PolicySpec(kind="greedy", delay=DelayLaw(20, 80)),
     ]
     with _Budget(30.0):
         for stats in run_ensemble(RunConfig(
@@ -151,8 +151,8 @@ def test_criterion_8_fig6_replication():
     c_t = h_closed(model, horizon)
     scale = model.h1 / model.p
     policies = [
-        PolicySpec(kind="periodic", period=5, delay=DelayLaw.deterministic(0)),
-        PolicySpec(kind="greedy", delay=DelayLaw.uniform(2, 8)),
+        PolicySpec(kind="periodic", period=5, delay=DelayLaw(0, 0)),
+        PolicySpec(kind="greedy", delay=DelayLaw(2, 8)),
     ]
     with _Budget(60.0):
         gen = derive_stream(88, 0, 96)
@@ -160,7 +160,7 @@ def test_criterion_8_fig6_replication():
         for policy in policies:
             mid = (policy.delay.lo + policy.delay.hi) // 2
             det = PolicySpec(kind=policy.kind, period=policy.period,
-                             delay=DelayLaw.deterministic(mid))
+                             delay=DelayLaw(mid, mid))
             analytic.append(generate_schedules(det, horizon, [gen]))
         for block in analytic:
             residual = (bayes_cumulative_gaoi(model, block)

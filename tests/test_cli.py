@@ -135,6 +135,11 @@ BAD_CONFIG_MESSAGES = {
     "explicit_bad_field": "bad_field.txt:2: expected integers 's d', got '5 x'",
     "prefix_scalar": "model.dwell.prefix must be a list, got 0.5",
     "policies_scalar": "policies must be a list, got 5",
+    "greedy_period": "unknown keys in policy (greedy): ['period']",
+    "greedy_schedule_path": "unknown keys in policy (greedy): ['schedule_path']",
+    "periodic_schedule_path": "unknown keys in policy (periodic): ['schedule_path']",
+    "explicit_delay": "unknown keys in policy (explicit): ['delay']",
+    "explicit_period": "unknown keys in policy (explicit): ['period']",
 }
 
 
@@ -283,16 +288,25 @@ class TestSimulate:
         ("model", {"kind": "stationary", "px_rows": [[0, 1], [1, 0]],
                    "dwell": {"prefix": 0.5, "tail": 0.5}}),
         ("policies", 5),
+        # a key that the policy's kind does not take
+        ("policy", {"kind": "greedy", "period": 50}),
+        ("policy", {"kind": "greedy", "schedule_path": "pairs.txt"}),
+        ("policy", {"kind": "periodic", "period": 50, "schedule_path": "pairs.txt"}),
+        ("policy", {"kind": "explicit", "schedule_path": "pairs.txt",
+                    "delay": {"uniform": [2, 8]}}),
+        ("policy", {"kind": "explicit", "schedule_path": "pairs.txt", "period": 5}),
     ], ids=["bayes_p", "period_0", "uniform_scalar", "model_null", "horizon_0",
             "horizon_negative", "horizon_float", "horizon_bool", "num_paths_float",
             "seed_negative", "period_float", "delay_float", "delay_bool", "dwell_no_tail",
             "px_rows_scalar", "px_rows_ragged", "delay_past_int64", "explicit_late_pair",
             "num_paths_0", "tail_bool", "tail_text", "tail_past_float", "prefix_text",
             "px_entry_bool", "bayes_p_bool", "explicit_bad_field", "prefix_scalar",
-            "policies_scalar"])
+            "policies_scalar", "greedy_period", "greedy_schedule_path",
+            "periodic_schedule_path", "explicit_delay", "explicit_period"])
     def test_bad_config_exit_2(self, tmp_path, capsys, monkeypatch, request, section, edit):
         (tmp_path / "late_pair.txt").write_text("5 3\n")  # sampled after its delivery
         (tmp_path / "bad_field.txt").write_text("3 5\n5 x\n")
+        (tmp_path / "pairs.txt").write_text("3 5\n")
         monkeypatch.chdir(tmp_path)
         data = {**SWAP_CONFIG, section: edit}
         if section == "run":
@@ -303,6 +317,7 @@ class TestSimulate:
                      "--out", str(tmp_path / "out")]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("config error:") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
         if request.node.callspec.id.startswith("px_rows"):
             assert "model.px_rows must be an n x n list of numbers, got" in err
         assert BAD_CONFIG_MESSAGES.get(request.node.callspec.id, "") in err

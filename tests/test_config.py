@@ -12,7 +12,7 @@ import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gaoi import config, markov
+from gaoi import PolicySpec, config, markov
 from gaoi.cli import EXIT_CONFIG, EXIT_OK, main
 from gaoi.markov import ModelError
 
@@ -469,3 +469,61 @@ def test_config_mutations_fail_closed_and_name_their_field(tmp_path):
             names = {field_name(path), field_name(path[:-1]) or field_name(path)}
             assert any(name in got[1] for name in names), (path, got)
     assert 500 <= count <= 650
+
+
+# applicability fuzz: every key that another kind takes, set in each model and
+# policy section of the same three configs, each valued as that kind takes it
+
+VALID_VALUES = {"px_rows": [[0.0, 1.0], [1.0, 0.0]], "alphabet_size": 2, "dwell": 0.6,
+                "bayes_p": 0.04, "period": 5, "delay": {"uniform": [2, 8]},
+                "schedule_path": "pairs.txt"}
+
+
+def foreign_keys():
+    """(section name, key, config) triples: one model or policy section of a
+    base config given one key that its kind does not take and another kind does."""
+    for base in (config.PRESETS["fig5"], config.PRESETS["fig6"], STICKY):
+        sections = [("model", None, config.MODEL_KINDS)]
+        sections += [("policies", i, config.POLICY_KINDS) for i in range(len(base["policies"]))]
+        for name, idx, kinds in sections:
+            taken = {kind: {"kind", *need, *take} for kind, (need, take) in kinds.items()}
+            own = taken[(base[name] if idx is None else base[name][idx])["kind"]]
+            for key in sorted(set().union(*taken.values()) - own):
+                doc = json.loads(json.dumps(base))
+                section = doc[name] if idx is None else doc[name][idx]
+                section[key] = VALID_VALUES[key]
+                yield name if idx is None else f"{name}[{idx}]", key, doc
+
+
+def test_config_keys_their_kind_does_not_take_fail_closed(tmp_path, monkeypatch, loader):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "pairs.txt").write_text("3 5\n")
+    # every value is valid where it belongs: a section of each kind made of them loads
+    bayes = {"kind": "bayesian", "bayes_p": 0.04}
+    for name, kinds in (("model", config.MODEL_KINDS), ("policy", config.POLICY_KINDS)):
+        for kind, (need, take) in kinds.items():
+            section = {"kind": kind, **{key: VALID_VALUES[key] for key in (*need, *take)}}
+            config.parse_config({"model": bayes, name: section})
+    as_json, as_yaml = tmp_path / "k.json", tmp_path / "k.yaml"
+    seen = set()
+    for where, key, doc in foreign_keys():
+        seen.add(key)
+        as_json.write_text(json.dumps(doc))
+        as_yaml.write_text(yaml.safe_dump(doc))
+        for path in (as_json, as_yaml):
+            got = outcome(config.load_config, path)
+            assert isinstance(got, tuple) and got[0] is config.ConfigError, (where, key, got)
+            assert f"unknown keys in {where} (" in got[1] and repr(key) in got[1], (where, got)
+    assert seen == set(VALID_VALUES) - {"delay"}  # no base policy is explicit
+
+
+def test_policy_kinds_are_the_kinds_a_policy_spec_takes():
+    def builds(kind) -> bool:
+        try:
+            PolicySpec(kind=kind, period=1)
+        except ValueError:
+            return False
+        return True
+
+    others = ("", "random", "Periodic", "stationary", "bayesian", "explicit ")
+    assert {k for k in (*config.POLICY_KINDS, *others) if builds(k)} == set(config.POLICY_KINDS)

@@ -34,8 +34,8 @@ from reference import (
 )
 
 
-PERIODIC_50 = PolicySpec(kind="periodic", period=50, delay=DelayLaw.deterministic(0))
-GREEDY_2080 = PolicySpec(kind="greedy", delay=DelayLaw.uniform(20, 80))
+PERIODIC_50 = PolicySpec(kind="periodic", period=50, delay=DelayLaw(0, 0))
+GREEDY_2080 = PolicySpec(kind="greedy", delay=DelayLaw(20, 80))
 
 
 def make_ragged_three():
@@ -260,7 +260,7 @@ class TestRunEnsemble:
         model = BayesModel(0.04)
         config = RunConfig(
             model=model, policies=(PolicySpec(kind="periodic", period=5,
-                                              delay=DelayLaw.deterministic(0)),),
+                                              delay=DelayLaw(0, 0)),),
             horizon=100, num_paths=500, base_seed=3,
         )
         [stats] = run_ensemble(config)
@@ -682,12 +682,12 @@ def test_tail_drawn_only_past_prefix(monkeypatch):
 ENSEMBLE_MODELS = {"swap": make_two_state_swap(0.6), "ragged": make_ragged_three(),
                    "bayes": BayesModel(0.04), "bayes_even": BayesModel(0.5)}
 ENSEMBLE_POLICIES = {
-    "periodic_fixed": PolicySpec(kind="periodic", period=7, delay=DelayLaw.deterministic(3)),
+    "periodic_fixed": PolicySpec(kind="periodic", period=7, delay=DelayLaw(3, 3)),
     # a sample in every slot, delivered at once: every slot before T detects itself
-    "periodic_instant": PolicySpec(kind="periodic", period=1, delay=DelayLaw.deterministic(0)),
-    "periodic_random": PolicySpec(kind="periodic", period=5, delay=DelayLaw.uniform(0, 12)),
-    "greedy_fixed": PolicySpec(kind="greedy", delay=DelayLaw.uniform(4, 4)),
-    "greedy_random": PolicySpec(kind="greedy", delay=DelayLaw.uniform(2, 8)),
+    "periodic_instant": PolicySpec(kind="periodic", period=1, delay=DelayLaw(0, 0)),
+    "periodic_random": PolicySpec(kind="periodic", period=5, delay=DelayLaw(0, 12)),
+    "greedy_fixed": PolicySpec(kind="greedy", delay=DelayLaw(4, 4)),
+    "greedy_random": PolicySpec(kind="greedy", delay=DelayLaw(2, 8)),
     "explicit": PolicySpec(kind="explicit",
                            pairs=((3, 9), (5, 6), (20, 41), (30, 35), (90, 130))),
 }
@@ -819,7 +819,7 @@ def test_array_holding_types_compare_by_identity():
     one, two = preset_config("fig5"), preset_config("fig5")
     small = dataclasses.replace(one, horizon=20, num_paths=3)
     schedules = [ensemble.generate_schedules(policy, 20, [None]) for policy in
-                 (PolicySpec(kind="periodic", period=5, delay=DelayLaw.deterministic(2)),) * 2]
+                 (PolicySpec(kind="periodic", period=5, delay=DelayLaw(2, 2)),) * 2]
     pairs = [(one.model, two.model), (one.model.change, two.model.change),
              (one.model.dwell, two.model.dwell), (one.model.law, two.model.law),
              schedules, (run_ensemble(small)[0], run_ensemble(small)[0]), (one, two)]

@@ -115,7 +115,7 @@ def one_schedule(policy, horizon, rng):
 
 class TestGenerateSchedule:
     def test_periodic_instant_delivery(self, rng):
-        policy = PolicySpec(kind="periodic", period=50, delay=DelayLaw.deterministic(0))
+        policy = PolicySpec(kind="periodic", period=50, delay=DelayLaw(0, 0))
         assert rows(one_schedule(policy, 200, rng)) == [[(50, 50), (100, 100), (150, 150)]]
 
     def test_explicit_monotone_unchanged(self, rng):
@@ -125,34 +125,41 @@ class TestGenerateSchedule:
     def test_greedy_constant_delay_unrolls(self, rng):
         # s_{i+1} = d_i with constant delay c; the time-0 pair is filtered out
         c = 7
-        policy = PolicySpec(kind="greedy", delay=DelayLaw.deterministic(c))
+        policy = PolicySpec(kind="greedy", delay=DelayLaw(c, c))
         expected = [(s, s + c) for s in range(c, 100, c) if s + c <= 100]
         assert rows(one_schedule(policy, 100, rng)) == [expected]
 
     def test_greedy_zero_delay_samples_every_slot(self, rng):
-        policy = PolicySpec(kind="greedy", delay=DelayLaw.deterministic(0))
+        policy = PolicySpec(kind="greedy", delay=DelayLaw(0, 0))
         assert rows(one_schedule(policy, 10, rng)) == [[(s, s) for s in range(1, 10)]]
 
     def test_deterministic_given_seed(self):
-        policy = PolicySpec(kind="greedy", delay=DelayLaw.uniform(2, 8))
+        policy = PolicySpec(kind="greedy", delay=DelayLaw(2, 8))
         a = one_schedule(policy, 100, np.random.default_rng(5))
         b = one_schedule(policy, 100, np.random.default_rng(5))
         assert rows(a) == rows(b)
 
     def test_uniform_delay_is_integer_in_range(self, rng):
-        law = DelayLaw.uniform(20, 80)
+        law = DelayLaw(20, 80)
         draws = law.draw_rows([rng], 500, cap=100)
         assert draws.shape == (1, 500) and draws.dtype == np.int64
         assert draws.min() == 20 and draws.max() == 80
 
     def test_delay_law_is_its_bounds(self):
         # a law is its bounds alone: lo == hi is the deterministic law
-        assert DelayLaw(3, 3) == DelayLaw.deterministic(3)
-        assert DelayLaw(2, 5) == DelayLaw.uniform(2, 5)
+        assert DelayLaw(3, 3) == DelayLaw(lo=3, hi=3)
+        assert DelayLaw(2, 5) == DelayLaw(lo=2, hi=5)
         assert np.all(DelayLaw(3, 3).draw_rows([None], 4, cap=100) == 3)
-        for lo, hi in ((-1, 2), (5, 2)):
+        # a float or a bool is refused, not truncated: (2.5, 8.9) is not the law on [2, 8]
+        for lo, hi in ((-1, 2), (5, 2), (2.5, 8), (2, 8.9), (True, 3), (0, False), (3.0, 3.0)):
             with pytest.raises(ValueError, match="0 <= lo <= hi"):
                 DelayLaw(lo, hi)
+
+    @pytest.mark.parametrize("period", [2.5, 5.0, True, 0, -3])
+    def test_periodic_policy_refuses_a_period_that_is_not_an_int_from_1(self, period):
+        # refused as the policy is built, not later in generate_schedules' range()
+        with pytest.raises(ValueError, match="integer period >= 1"):
+            PolicySpec(kind="periodic", period=period)
 
 
 class TestAoiBlock:
@@ -164,7 +171,7 @@ class TestAoiBlock:
         assert aoi_block(filter_stale([], horizon=4)).tolist() == [[0, 1, 2, 3]]
 
     def test_instant_periodic_sawtooth(self, rng):
-        policy = PolicySpec(kind="periodic", period=5, delay=DelayLaw.deterministic(0))
+        policy = PolicySpec(kind="periodic", period=5, delay=DelayLaw(0, 0))
         assert aoi_block(one_schedule(policy, 20, rng)).tolist() == [[0, 1, 2, 3, 4] * 4]
 
     def test_age_resets_at_delivery(self, rng):
@@ -238,9 +245,9 @@ def policies(draw):
         return PolicySpec(kind="explicit", pairs=tuple(pairs)), horizon
     lo = draw(st.integers(0, horizon + 3))
     if draw(st.booleans()):
-        delay = DelayLaw.deterministic(lo)
+        delay = DelayLaw(lo, lo)
     else:
-        delay = DelayLaw.uniform(lo, draw(st.integers(lo, lo + horizon + 3)))
+        delay = DelayLaw(lo, draw(st.integers(lo, lo + horizon + 3)))
     period = draw(st.integers(1, horizon + 3)) if kind == "periodic" else 0
     return PolicySpec(kind=kind, period=period, delay=delay), horizon
 
@@ -249,21 +256,21 @@ class TestGenerateSchedules:
     """Every row of a block equals the one-update-at-a-time loop on the same stream."""
 
     @given(policies(), st.integers(1, 4), st.integers(0, 2**32 - 1))
-    @example((PolicySpec(kind="greedy", delay=DelayLaw.uniform(0, 3)), 1), 3, 0)
-    @example((PolicySpec(kind="periodic", period=7, delay=DelayLaw.uniform(0, 9)), 7), 2, 1)
-    @example((PolicySpec(kind="periodic", period=2, delay=DelayLaw.uniform(0, 30)), 20), 4, 2)
-    @example((PolicySpec(kind="greedy", delay=DelayLaw.uniform(5, 5)), 30), 2, 3)
+    @example((PolicySpec(kind="greedy", delay=DelayLaw(0, 3)), 1), 3, 0)
+    @example((PolicySpec(kind="periodic", period=7, delay=DelayLaw(0, 9)), 7), 2, 1)
+    @example((PolicySpec(kind="periodic", period=2, delay=DelayLaw(0, 30)), 20), 4, 2)
+    @example((PolicySpec(kind="greedy", delay=DelayLaw(5, 5)), 30), 2, 3)
     @example((PolicySpec(kind="explicit", pairs=((3, 8), (5, 8), (3, 4), (2, 9))), 10), 2, 4)
-    @example((PolicySpec(kind="periodic", period=3, delay=DelayLaw.uniform(0, 2**62)), 30), 2, 5)
-    @example((PolicySpec(kind="greedy", delay=DelayLaw.uniform(1, 2**62)), 30), 2, 6)
-    @example((PolicySpec(kind="greedy", delay=DelayLaw.deterministic(10**30)), 30), 1, 7)
+    @example((PolicySpec(kind="periodic", period=3, delay=DelayLaw(0, 2**62)), 30), 2, 5)
+    @example((PolicySpec(kind="greedy", delay=DelayLaw(1, 2**62)), 30), 2, 6)
+    @example((PolicySpec(kind="greedy", delay=DelayLaw(10**30, 10**30)), 30), 1, 7)
     @example((PolicySpec(kind="periodic", period=10**30), 30), 1, 8)
     # delays near the int64 limit: s + D must not wrap around
     @example((PolicySpec(kind="periodic", period=3,
-                         delay=DelayLaw.uniform(2**63 - 10, 2**63 - 2)), 30), 2, 9)
+                         delay=DelayLaw(2**63 - 10, 2**63 - 2)), 30), 2, 9)
     # delays 3, 2, 2, 3, 0: a delivery at T, then a drawn pair sampled and
     # delivered at T, which lies outside the horizon and must not make it stale
-    @example((PolicySpec(kind="greedy", delay=DelayLaw.uniform(0, 3)), 10), 1, 15)
+    @example((PolicySpec(kind="greedy", delay=DelayLaw(0, 3)), 10), 1, 15)
     @settings(max_examples=400, deadline=None)
     def test_rows_match_reference_loop(self, case, paths, seed):
         policy, horizon = case
@@ -288,9 +295,9 @@ class TestGenerateSchedules:
             assert delay[k] == reference_expected_delay(BayesModel(0.3), ref, horizon)
 
     def test_fixed_policy_draws_nothing(self):
-        fixed = PolicySpec(kind="greedy", delay=DelayLaw.uniform(4, 4))
+        fixed = PolicySpec(kind="greedy", delay=DelayLaw(4, 4))
         assert fixed.is_fixed
-        assert not PolicySpec(kind="greedy", delay=DelayLaw.uniform(2, 8)).is_fixed
+        assert not PolicySpec(kind="greedy", delay=DelayLaw(2, 8)).is_fixed
         block = generate_schedules(fixed, 50, [None, None])
         # the sample at 48 would be delivered at 52, past the horizon
         assert rows(block) == [[(s, s + 4) for s in range(4, 47, 4)]] * 2
