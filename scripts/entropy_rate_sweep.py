@@ -20,7 +20,7 @@ def main() -> None:
     swap = ChangeKernel(np.array([[0.0, 1.0], [1.0, 0.0]]))
     print("q,p_change,entropy_rate_bits")
     for q in np.linspace(0.05, 0.95, args.steps):
-        model = JointModel(swap, DwellKernel.homogeneous(2, [], float(q)))
+        model = JointModel(swap, DwellKernel([[]] * 2, [float(q)] * 2))
         print(f"{q:.2f},{model.p_change!r},{model.rate!r}")
 
 

@@ -9,10 +9,11 @@ key its kind does not take (a period on a greedy policy) is an error.
 ``load_config`` reads the file's bytes once. Text that decodes as strict UTF-8
 and is a JSON document is read with the standard library's ``json``; PyYAML is
 imported only for any other text, so a JSON config (the shape a generated
-config takes) never pays for the import. JSON that PyYAML can read is a subset
-of YAML as configs are read here: every JSON number goes through the same
-``float()``/``int()`` that YAML's resolver and ``_float`` apply, so a JSON file
-gives the same ``RunConfig`` bit for bit either way. JSON text that PyYAML
+config takes) never pays for the import. A preset imports neither module.
+JSON that PyYAML can read is a subset of YAML as configs are read here: every
+JSON number goes through the same ``float()``/``int()`` that YAML's resolver
+and ``_float`` apply, so a JSON file gives the same ``RunConfig`` bit for bit
+either way. JSON text that PyYAML
 refuses (a character outside YAML's printable set, such as a raw U+007F, or a
 ``\\uD800``-``\\uDFFF`` escape, which libyaml refuses) goes to PyYAML and fails
 as its YAML reading does. The choice is made from the content alone, with no
@@ -33,7 +34,6 @@ value gives a one-line message, never a traceback.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -148,15 +148,16 @@ def _dwell_entry(entry, where: str) -> tuple[list[float], float]:
 
 def _parse_dwell(raw, n_states: int) -> DwellKernel:
     if isinstance(raw, (int, float, str)) and not isinstance(raw, bool):
-        return DwellKernel.homogeneous(n_states, [], _float(raw, "model.dwell"))
+        return DwellKernel([[]] * n_states, [_float(raw, "model.dwell")] * n_states)
     if isinstance(raw, dict):
-        return DwellKernel.homogeneous(n_states, *_dwell_entry(raw, "model.dwell"))
+        prefix, tail = _dwell_entry(raw, "model.dwell")
+        return DwellKernel([prefix] * n_states, [tail] * n_states)
     if isinstance(raw, list):
         if len(raw) != n_states:
             raise ConfigError(f"model.dwell must hold one entry per state ({n_states}), "
                               f"got {len(raw)}")
-        prefixes, tails = zip(*(_dwell_entry(e, f"model.dwell[{i}]") for i, e in enumerate(raw)))
-        return DwellKernel.from_lists(list(prefixes), list(tails))
+        entries = (_dwell_entry(e, f"model.dwell[{i}]") for i, e in enumerate(raw))
+        return DwellKernel(*zip(*entries))
     raise ConfigError("model.dwell must be a probability, a {prefix, tail} map, or a per-state list")
 
 
@@ -223,10 +224,7 @@ def _parse_policy(section, idx: int | None = None) -> PolicySpec:
             pairs = read_explicit_pairs(path)
         except (TypeError, UnicodeDecodeError) as exc:  # not a file name, or not UTF-8 text
             raise ConfigError(f"{where}.schedule_path {_show(path)}: {exc}") from None
-        for s, d in pairs:
-            if s > d:
-                raise ConfigError(f"{where}: pair ({s}, {d}) is sampled after its delivery")
-        return PolicySpec(kind="explicit", pairs=pairs)
+        return _make(where, PolicySpec, kind="explicit", pairs=pairs)
     period = _int(section.get("period", 0), f"{where}.period")  # greedy takes none
     return _make(f"{where}.period", PolicySpec, kind=kind, period=period,
                  delay=_parse_delay(section.get("delay"), f"{where}.delay"))
@@ -287,6 +285,8 @@ def load_config(path: str | Path) -> RunConfig:
     levels and kills the process, so YAML text is parsed once for its depth
     before it is composed.
     """
+    import json  # here, not at module level: a preset never pays for the import
+
     raw = Path(path).read_bytes()
     text = raw.decode("utf-8", "surrogateescape")  # an undecodable byte: a lone surrogate
     if re.search(_YAML_REFUSES, text):

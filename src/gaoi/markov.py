@@ -11,9 +11,14 @@ constant tail used for every dwell index >= m, so the stationary law is
 geometric past the prefix and the infinite series below (normalization,
 entropy rate) have closed-form tails: the law and the entropy rate are exact.
 
-A model is valid by construction: each type refuses, with a ``ModelError``,
-what it cannot hold (``ChangeKernel`` a matrix that is not square, stochastic
-and irreducible, ``DwellKernel`` a probability outside [0, 1] or a tail that
+Each type is built one way, by its constructor: ``ChangeKernel(rows)``,
+``DwellKernel(prefix, tail)`` (one row of hazards and one tail value per
+state; a short row is padded with its state's tail) and
+``JointModel(change, dwell)``.  A model is valid by construction: each type
+refuses, with a one-line ``ModelError`` rather than numpy's errors, what it
+cannot hold (ragged or non-numeric rows; ``ChangeKernel`` a matrix that is
+not square, stochastic and irreducible, ``DwellKernel`` a prefix whose row
+count is not its tail's length, a probability outside [0, 1] or a tail that
 is not positive, ``JointModel`` two alphabets or a law past float64's range).
 A model owns its tables (hazards, survival products, one-step transitions, the
 law, its entropy rate and change probability), each built once, read-only.
@@ -83,7 +88,10 @@ class ChangeKernel(_Frozen):
     __match_args__ = ("rows",)
 
     def __init__(self, rows: np.ndarray):
-        rows = np.asarray(rows, dtype=float)
+        try:
+            rows = np.asarray(rows, dtype=float)
+        except (TypeError, ValueError, OverflowError):  # ragged, non-numeric or past float
+            raise ModelError("change matrix must be a list of rows of numbers") from None
         rows.setflags(write=False)
         object.__setattr__(self, "rows", rows)
         if rows.ndim != 2 or rows.shape[0] != rows.shape[1]:
@@ -108,42 +116,37 @@ class ChangeKernel(_Frozen):
 class DwellKernel(_Frozen):
     """Per-state change probabilities: prefix q_0..q_{m-1} plus constant tail.
 
-    ``prefix[x]`` may be ragged across states; internally rows are padded to a
-    common length with the state's tail value, so q_i(x) is well defined for
-    any i >= 0 (``JointModel.hazard[x, min(i, m)]``).
+    ``DwellKernel(prefix, tail)`` takes one row of hazards ``prefix[x]`` and
+    one tail value ``tail[x]`` per state.  The rows may be ragged: a short
+    row is padded with its state's tail up to the longest, m, so ``prefix``
+    is an (n, m) array and q_i(x) is well defined for any i >= 0
+    (``JointModel.hazard[x, min(i, m)]``).
     """
 
     __match_args__ = ("prefix", "tail")
 
-    def __init__(self, prefix: np.ndarray, tail: np.ndarray):
-        """``prefix`` of shape (n_states, m), ``tail`` of shape (n_states,)."""
-        prefix = np.atleast_2d(np.asarray(prefix, dtype=float))
-        tail = np.asarray(tail, dtype=float)
+    def __init__(self, prefix, tail):
+        try:
+            tail = np.asarray(tail, dtype=float)
+            rows = [np.asarray(row, dtype=float) for row in prefix]
+        except (TypeError, ValueError, OverflowError):  # as ChangeKernel, or a scalar prefix
+            raise ModelError("dwell prefix and tail must be numbers") from None
+        if not rows or tail.ndim != 1 or len(rows) != len(tail) or any(r.ndim != 1 for r in rows):
+            raise ModelError(f"dwell prefix and tail need one row and one value per state, "
+                             f"got {len(rows)} rows and a tail of shape {tail.shape}")
+        prefix = np.repeat(tail[:, None], max(len(row) for row in rows), axis=1)
+        for x, row in enumerate(rows):
+            prefix[x, :len(row)] = row  # and the rest of the row is its tail
         prefix.setflags(write=False)
         tail.setflags(write=False)
         object.__setattr__(self, "prefix", prefix)
         object.__setattr__(self, "tail", tail)
-        if prefix.ndim != 2 or len(prefix) != len(tail):
-            raise ModelError(f"dwell prefix must have one row per state ({len(tail)}), "
-                             f"got shape {prefix.shape}")
         q_all = np.concatenate([prefix.ravel(), tail])
         if np.any(~((q_all >= 0.0) & (q_all <= 1.0))):
             raise ModelError("dwell probabilities must lie in [0, 1]")
         zero = np.flatnonzero(~(tail > 0.0)).tolist()
         if zero:
             raise ModelError(f"dwell tail must be positive (states {zero} would never change again)")
-
-    @classmethod
-    def from_lists(cls, prefixes: list[list[float]], tails: list[float]) -> "DwellKernel":
-        """Build from possibly-ragged per-state prefixes (padded with tails)."""
-        m = max((len(p) for p in prefixes), default=0)
-        rows = [list(p) + [t] * (m - len(p)) for p, t in zip(prefixes, tails)]
-        return cls(np.array(rows, dtype=float).reshape(len(tails), m), np.asarray(tails))
-
-    @classmethod
-    def homogeneous(cls, n_states: int, prefix: list[float], tail: float) -> "DwellKernel":
-        return cls(np.tile(np.asarray(prefix, dtype=float), (n_states, 1)).reshape(n_states, -1),
-                   np.full(n_states, float(tail)))
 
     @property
     def n_states(self) -> int:

@@ -170,8 +170,10 @@ def exact_ensemble_gaoi(model: JointModel, dist: StationaryDistribution, a: int)
     so states are grouped by their effective dwell index and weighted by the
     exact group masses of the stationary law, geometric tail included.  All
     positive-weight groups are enumerated together, in blocks of at most
-    ``BLOCK_TRAJECTORIES`` trajectories.
+    ``BLOCK_TRAJECTORIES`` trajectories.  ``dist`` must be ``model.law``.
     """
+    if dist is not model.law:
+        raise ValueError("exact_ensemble_gaoi weighs by the model's own law: pass model.law")
     weights = dist.group_weights.ravel()
     starts = np.flatnonzero(weights > 0.0)
     # a sequential sum, in the order of a loop over the starts

@@ -21,12 +21,16 @@ stream.  The array stale filter has a fixed cost per call, however few rows
 it is given: on 8 pairs about 47 us, where a Python loop takes about 2.4 us
 (2-core VM, numpy 2.4).  So schedules are filtered a block at a time, and
 ``random_schedule`` draws all its rows before filtering them together.
+
+``PolicySpec`` checks itself as it is built, with a ``ValueError``: a field
+its kind does not read (``POLICY_FIELDS``) must keep its default, and no
+explicit pair may be sampled after its delivery.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -66,6 +70,10 @@ class DelayLaw:
         return np.minimum(np.array(rows, dtype=np.int64).reshape(len(rows), size), cap)
 
 
+# the fields each policy kind reads; it takes no other field but at its default
+POLICY_FIELDS = {"periodic": ("period", "delay"), "greedy": ("delay",), "explicit": ("pairs",)}
+
+
 @dataclass(frozen=True)
 class PolicySpec:
     """State-independent updating policy.
@@ -81,16 +89,29 @@ class PolicySpec:
     pairs: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
-        if self.kind not in ("periodic", "greedy", "explicit"):
+        if self.kind not in tuple(POLICY_FIELDS):  # compared, not hashed: a list is no kind
             raise ValueError(f"unknown policy kind {self.kind!r}")
+        reads = POLICY_FIELDS[self.kind]
+        for field in fields(self)[1:]:
+            if field.name not in reads and getattr(self, field.name) != field.default:
+                raise ValueError(f"{self.kind} policy takes no {field.name}")
         if self.kind == "periodic" and not (type(self.period) is int and self.period >= 1):
             raise ValueError("periodic policy needs an integer period >= 1")
+        if not isinstance(self.delay, DelayLaw):
+            raise ValueError("policy delay must be a DelayLaw")
+        if not (type(self.pairs) is tuple and all(
+                type(p) is tuple and len(p) == 2 and type(p[0]) is type(p[1]) is int
+                for p in self.pairs)):
+            raise ValueError("explicit pairs must be a tuple of (sample, delivery) integer pairs")
+        for s, d in self.pairs:
+            if s > d:
+                raise ScheduleError(f"pair ({s}, {d}) is sampled after its delivery")
 
     @property
     def is_fixed(self) -> bool:
         """True when the policy draws no random delay: every realisation is
         the same schedule."""
-        return self.kind == "explicit" or self.delay.lo == self.delay.hi
+        return self.delay.lo == self.delay.hi  # an explicit policy has no delay
 
 
 # compared and hashed by identity, as its arrays cannot be

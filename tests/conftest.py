@@ -16,20 +16,20 @@ def make_two_state_swap(q: float = 0.6):
     """Symmetric two-state chain: every change swaps the status."""
     return JointModel(
         ChangeKernel(np.array([[0.0, 1.0], [1.0, 0.0]])),
-        DwellKernel.homogeneous(2, [], q),
+        DwellKernel([[]] * 2, [q] * 2),
     )
 
 
 def make_cycle(n: int = 3):
     """Deterministic cycle: status advances every slot."""
     rows = np.roll(np.eye(n), 1, axis=1)
-    return JointModel(ChangeKernel(rows), DwellKernel.homogeneous(n, [1.0], 1.0))
+    return JointModel(ChangeKernel(rows), DwellKernel([[1.0]] * n, [1.0] * n))
 
 
 def make_uniform_three(q: float = 0.5):
     """Three states, changes jump uniformly to one of the other two."""
     rows = (np.ones((3, 3)) - np.eye(3)) / 2.0
-    return JointModel(ChangeKernel(rows), DwellKernel.homogeneous(3, [], q))
+    return JointModel(ChangeKernel(rows), DwellKernel([[]] * 3, [q] * 3))
 
 
 def random_model(rng: np.random.Generator, max_alphabet: int = 4,
@@ -39,9 +39,8 @@ def random_model(rng: np.random.Generator, max_alphabet: int = 4,
     rows = rng.dirichlet(np.ones(n), size=n)
     m = int(rng.integers(0, max_prefix + 1))
     if homogeneous:
-        dwell = DwellKernel.homogeneous(
-            n, rng.uniform(0.05, 0.95, size=m).tolist(), float(rng.uniform(0.1, 0.9))
-        )
+        prefix, tail = rng.uniform(0.05, 0.95, size=m).tolist(), float(rng.uniform(0.1, 0.9))
+        dwell = DwellKernel([prefix] * n, [tail] * n)
     else:
         dwell = DwellKernel(
             rng.uniform(0.05, 0.95, size=(n, m)), rng.uniform(0.1, 0.9, size=n)

@@ -140,6 +140,7 @@ BAD_CONFIG_MESSAGES = {
     "periodic_schedule_path": "unknown keys in policy (periodic): ['schedule_path']",
     "explicit_delay": "unknown keys in policy (explicit): ['delay']",
     "explicit_period": "unknown keys in policy (explicit): ['period']",
+    "explicit_late_pair": "config error: policy: pair (5, 3) is sampled after its delivery\n",
 }
 
 
@@ -550,6 +551,18 @@ class TestVerify:
                          "code = cli.main(argv)\n"
                          "print(code, sorted({'yaml', 'numpy.ma'} & set(sys.modules)))\n")
         assert out.splitlines()[-1] in ("0 []", "1 []")
+
+    def test_preset_skips_json_and_yaml(self, tmp_path):
+        # a preset reads no text, so it imports neither parser; a JSON config
+        # then imports json alone
+        as_json = tmp_path / "swap.json"
+        as_json.write_text(json.dumps(SWAP_CONFIG))
+        out = run_python("from gaoi import cli\n"
+                         "cli.preset_config('fig5')\n"
+                         "print(sorted({'json', 'yaml'} & set(sys.modules)))\n"
+                         f"cli.load_config({str(as_json)!r})\n"
+                         "print(sorted({'json', 'yaml'} & set(sys.modules)))\n")
+        assert out.splitlines() == ["[]", "['json']"]
 
     def test_json_config_skips_yaml(self, tmp_path):
         # JSON text is read with the standard library; only YAML text imports yaml

@@ -41,7 +41,7 @@ GREEDY_2080 = PolicySpec(kind="greedy", delay=DelayLaw(20, 80))
 def make_ragged_three():
     """Three statuses with ragged dwell prefixes and self-transition mass."""
     rows = np.array([[0.2, 0.5, 0.3], [0.3, 0.3, 0.4], [0.5, 0.25, 0.25]])
-    dwell = DwellKernel.from_lists([[0.0, 0.1, 0.5], [0.9], []], [0.3, 0.2, 0.4])
+    dwell = DwellKernel([[0.0, 0.1, 0.5], [0.9], []], [0.3, 0.2, 0.4])
     return JointModel(ChangeKernel(rows), dwell)
 
 
@@ -56,7 +56,7 @@ def make_split_hazards():
 def make_sticky(prefix: int = 150):
     """The slow-changing 3-status source ``sticky_model(7, prefix)``."""
     data = sticky_model(7, prefix)
-    dwell = DwellKernel.from_lists([d["prefix"] for d in data["dwell"]],
+    dwell = DwellKernel([d["prefix"] for d in data["dwell"]],
                                    [d["tail"] for d in data["dwell"]])
     return JointModel(ChangeKernel(np.array(data["px_rows"])), dwell)
 
@@ -214,7 +214,7 @@ class TestStationarySample:
     def test_zero_weight_groups_never_drawn(self):
         # q = 1 at dwell 1: dwell 2 and the tail t >= 3 have zero mass
         model = JointModel(ChangeKernel(np.array([[0.0, 1.0], [1.0, 0.0]])),
-                           DwellKernel.homogeneous(2, [0.3, 1.0, 0.2], 0.5))
+                           DwellKernel([[0.3, 1.0, 0.2]] * 2, [0.5] * 2))
         dist = model.law
         u = np.random.default_rng(8).random((5000, 2))
         u[:10, 0] = 0.0
@@ -561,7 +561,7 @@ class TestSamplerEdgeCases:
             [0.25, 0.25, 0.25, 0.25, 0.0],
             [1.0, 0.0, 0.0, 0.0, 0.0],
         ])
-        model = JointModel(ChangeKernel(rows), DwellKernel.homogeneous(5, [], 1.0))
+        model = JointModel(ChangeKernel(rows), DwellKernel([[]] * 5, [1.0] * 5))
         paths, horizon = 50, 400
         uniforms = np.random.default_rng(6).random((paths, horizon, 2))
         # the first paths always jump from the bottom or the top of the CDF
@@ -589,7 +589,7 @@ class TestSamplerEdgeCases:
     def test_initial_dwell_past_prefix(self):
         # no change possible in the first 3 dwell slots, certain change after
         model = JointModel(ChangeKernel(np.array([[0.0, 1.0], [1.0, 0.0]])),
-                           DwellKernel.homogeneous(2, [0.0, 0.0, 0.0], 1.0))
+                           DwellKernel([[0.0, 0.0, 0.0]] * 2, [1.0] * 2))
         horizon = 12
         t0 = np.array([0, 2, 3, 5, 40])
         changed, _ = _per_slot(model, np.zeros(5, dtype=int), t0,
@@ -608,7 +608,7 @@ def make_edge_three():
     (0, t >= 2) cannot be reached; rows 0 and 2 end in a zero-probability entry."""
     rows = np.array([[0.5, 0.5, 0.0], [0.3, 0.0, 0.7], [0.2, 0.8, 0.0]])
     return JointModel(ChangeKernel(rows),
-                      DwellKernel.from_lists([[0.2, 1.0], [0.5], []], [0.3, 0.6, 0.4]))
+                      DwellKernel([[0.2, 1.0], [0.5], []], [0.3, 0.6, 0.4]))
 
 
 class TestSamplerMatchesReference:

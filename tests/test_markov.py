@@ -46,7 +46,7 @@ class TestJointModel:
     def test_self_transition_row_allowed(self):
         model = JointModel(
             ChangeKernel(np.array([[0.5, 0.5], [1.0, 0.0]])),
-            DwellKernel.homogeneous(2, [], 0.5),
+            DwellKernel([[]] * 2, [0.5] * 2),
         )
         assert model.hazard[0, min(3, model.dwell.prefix_len)] == 0.5
 
@@ -59,32 +59,32 @@ class TestJointModel:
         # a reducible change matrix is refused where the model is built
         with pytest.raises(IrreducibilityError) as exc:
             JointModel(ChangeKernel(np.array(rows)),
-                       DwellKernel.homogeneous(len(rows), [], 0.5))
+                       DwellKernel([[]] * len(rows), [0.5] * len(rows)))
         assert exc.value.unreachable == unreachable
 
     def test_bad_row_sum_rejected(self):
         with pytest.raises(ModelError, match="sum to 1"):
             JointModel(
                 ChangeKernel(np.array([[0.4, 0.5], [1.0, 0.0]])),
-                DwellKernel.homogeneous(2, [], 0.5),
+                DwellKernel([[]] * 2, [0.5] * 2),
             )
 
     def test_zero_tail_rejected(self):
         with pytest.raises(ModelError, match="tail"):
             JointModel(
                 ChangeKernel(np.array([[0.0, 1.0], [1.0, 0.0]])),
-                DwellKernel.homogeneous(2, [0.3], 0.0),
+                DwellKernel([[0.3]] * 2, [0.0] * 2),
             )
 
     def test_dimension_mismatch(self):
         with pytest.raises(ModelError):
             JointModel(
                 ChangeKernel(np.array([[0.0, 1.0], [1.0, 0.0]])),
-                DwellKernel.homogeneous(3, [], 0.5),
+                DwellKernel([[]] * 3, [0.5] * 3),
             )
 
     def test_prefix_needs_one_row_per_state(self):
-        # an empty prefix array is promoted to shape (1, 0), not (2, 0)
+        # an empty prefix array has no rows, not two empty ones
         with pytest.raises(ModelError, match="prefix"):
             JointModel(
                 ChangeKernel(np.array([[0.0, 1.0], [1.0, 0.0]])),
@@ -95,7 +95,7 @@ class TestJointModel:
         with pytest.raises(ModelError):
             JointModel(
                 ChangeKernel(np.array([[-0.1, 1.1], [1.0, 0.0]])),
-                DwellKernel.homogeneous(2, [], 0.5),
+                DwellKernel([[]] * 2, [0.5] * 2),
             )
 
 
@@ -103,15 +103,28 @@ class TestModelChecksItself:
     """Each type refuses, with a ``ModelError``, what it cannot hold, rather
     than giving NaN, 0 or numpy's errors."""
 
-    @pytest.mark.parametrize("rows, n, tail, match", [
-        (np.eye(2), 2, 0.5, "not irreducible"),
-        ([[0.0, 1.0], [1.0, 0.0]], 2, 0.0, "tail must be positive"),
-        ([[0.5, 0.7], [1.0, 0.0]], 2, 0.5, "do not sum to 1"),
-        ([[0.0, 1.0], [1.0, 0.0]], 3, 0.5, "covers 3 states"),
-    ], ids=["reducible", "zero_tail", "row_sum", "alphabets_differ"])
-    def test_bad_input_raises_model_error(self, rows, n, tail, match):
+    @pytest.mark.parametrize("rows, prefix, tail, match", [
+        (np.eye(2), [[], []], [0.5, 0.5], "not irreducible"),
+        ([[0.0, 1.0], [1.0, 0.0]], [[], []], [0.0, 0.0], "tail must be positive"),
+        ([[0.5, 0.7], [1.0, 0.0]], [[], []], [0.5, 0.5], "do not sum to 1"),
+        ([[0.0, 1.0], [1.0, 0.0]], [[], [], []], [0.5, 0.5, 0.5], "covers 3 states"),
+        # numpy's ValueError or TypeError, not a ModelError, at the parent
+        ([[0.5, 0.5], [1.0]], [[], []], [0.5, 0.5], "^change matrix must be a list of rows"),
+        ([[0.5, "a"], [1.0, 0.0]], [[], []], [0.5, 0.5], "^change matrix must be a list of rows"),
+        ([[1.0]], [[0.1]], 0.5, r"one value per state, got 1 rows and a tail of shape \(\)$"),
+        ([[1.0]], [[0.1, "a"]], [0.5], "^dwell prefix and tail must be numbers$"),
+        ([[1.0]], [[0.1]], [0.5, [0.5]], "^dwell prefix and tail must be numbers$"),
+        ([[1.0]], 0.1, [0.5], "^dwell prefix and tail must be numbers$"),
+        ([[1.0]], [0.1], [0.5], r"^dwell prefix and tail need one row and one value per state"),
+        # built 2 states at the parent, dropping the third row
+        ([[0.0, 1.0], [1.0, 0.0]], [[0.1], [0.2], [0.3]], [0.5, 0.5],
+         r"got 3 rows and a tail of shape \(2,\)$"),
+    ], ids=["reducible", "zero_tail", "row_sum", "alphabets_differ", "change_ragged",
+            "change_text", "tail_scalar", "prefix_text", "tail_ragged", "prefix_scalar",
+            "prefix_scalar_rows", "prefix_extra_row"])
+    def test_bad_input_raises_model_error(self, rows, prefix, tail, match):
         with pytest.raises(ModelError, match=match):
-            JointModel(ChangeKernel(rows), DwellKernel.homogeneous(n, [], tail))
+            JointModel(ChangeKernel(rows), DwellKernel(prefix, tail))
 
     def test_zero_states_refused(self):
         # a 0 x 0 matrix is square, stochastic and irreducible by default
@@ -127,7 +140,7 @@ class TestModelChecksItself:
         # valid in exact arithmetic, but GTH's ratios or the mean dwell
         # overflow, which gave a NaN or 0 change probability
         with pytest.raises(ModelError, match="does not fit in float64"):
-            JointModel(ChangeKernel(rows), DwellKernel.homogeneous(len(rows), [], tail))
+            JointModel(ChangeKernel(rows), DwellKernel([[]] * len(rows), [tail] * len(rows)))
 
 
 PROBABILITIES = st.floats(0.0, 1.0)
@@ -173,7 +186,7 @@ class TestJointStep:
     def test_zero_change_probability_increments(self, rng):
         model = JointModel(
             ChangeKernel(np.array([[0.0, 1.0], [1.0, 0.0]])),
-            DwellKernel.homogeneous(2, [0.5, 0.5, 0.5, 0.0], 0.5),
+            DwellKernel([[0.5, 0.5, 0.5, 0.0]] * 2, [0.5] * 2),
         )
         for _ in range(50):
             assert joint_step(model, 0, 3, rng) == (0, 4)
@@ -181,7 +194,7 @@ class TestJointStep:
     def test_forced_change_deterministic_target(self, rng):
         model = JointModel(
             ChangeKernel(np.array([[0.0, 1.0], [1.0, 0.0]])),
-            DwellKernel.homogeneous(2, [1.0], 0.5),
+            DwellKernel([[1.0]] * 2, [0.5] * 2),
         )
         for _ in range(50):
             assert joint_step(model, 0, 0, rng) == (1, 0)
@@ -282,7 +295,7 @@ class TestStationaryDistribution:
 
     def test_certain_change_inside_prefix_empties_later_groups(self):
         model = JointModel(ChangeKernel(np.array([[0.0, 1.0], [1.0, 0.0]])),
-                           DwellKernel.homogeneous(2, [0.3, 1.0, 0.2], 0.5))
+                           DwellKernel([[0.3, 1.0, 0.2]] * 2, [0.5] * 2))
         dist = model.law
         weights = dist.group_weights
         assert np.array_equal(weights[:, 2:], np.zeros((2, 2)))
@@ -314,7 +327,7 @@ RARE_CHAINS = {
 def assert_relatively_exact(rows: np.ndarray) -> None:
     """Every entry of the change chain's stationary vector within 1e-14 of
     the exact one, relative to that entry."""
-    model = JointModel(ChangeKernel(rows), DwellKernel.homogeneous(len(rows), [], 0.5))
+    model = JointModel(ChangeKernel(rows), DwellKernel([[]] * len(rows), [0.5] * len(rows)))
     pi = embedded_stationary(model)
     assert pi.dtype == np.float64
     for got, want in zip(pi.tolist(), exact_embedded_stationary(rows), strict=True):
@@ -329,7 +342,7 @@ class TestEmbeddedStationary:
         assert_relatively_exact(rows)
 
     def test_one_state(self):
-        model = JointModel(ChangeKernel(np.array([[1.0]])), DwellKernel.homogeneous(1, [], 0.3))
+        model = JointModel(ChangeKernel(np.array([[1.0]])), DwellKernel([[]], [0.3]))
         assert embedded_stationary(model).tolist() == [1.0]
         assert model.p_change == pytest.approx(0.3, rel=1e-15)
 
@@ -443,7 +456,7 @@ class TestEntropyRate:
         for _ in range(5):
             n = int(rng.integers(2, 5))
             rows = rng.dirichlet(np.ones(n), size=n)
-            model = JointModel(ChangeKernel(rows), DwellKernel.homogeneous(n, [], 1.0))
+            model = JointModel(ChangeKernel(rows), DwellKernel([[]] * n, [1.0] * n))
             pi = embedded_stationary(model)
             h_px = sum(pi[x] * discrete_entropy(rows[x]) for x in range(n))
             assert model.rate == pytest.approx(h_px, abs=1e-12)
@@ -488,7 +501,7 @@ class TestEntropyRate:
                 np.full(3, 0.01))),
             make_cycle(3),
             # a certain change inside the prefix, and impossible ones
-            JointModel(ChangeKernel(zero_diagonal), DwellKernel.from_lists(
+            JointModel(ChangeKernel(zero_diagonal), DwellKernel(
                 [[0.2, 1.0, 0.4], [0.0, 1.0], [0.5]], [0.3, 0.6, 0.9])),
             *(random_model(rng) for _ in range(200)),
         ]

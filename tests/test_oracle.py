@@ -69,11 +69,11 @@ def edge_models(rng):
             np.array([0.4, 0.6, 0.9]),
         )),
         # ragged prefixes, padded with each state's tail
-        JointModel(ChangeKernel(zero_diagonal), DwellKernel.from_lists(
+        JointModel(ChangeKernel(zero_diagonal), DwellKernel(
             [[0.2, 0.0, 1.0, 0.4], [0.7], []], [0.3, 0.6, 0.9]
         )),
         # runs of q = 0: stay-only groups, one live move and the most padding
-        JointModel(ChangeKernel(zero_diagonal), DwellKernel.from_lists(
+        JointModel(ChangeKernel(zero_diagonal), DwellKernel(
             [[0.0, 0.0, 0.0, 0.5], [0.0, 0.8], [0.0]], [0.3, 0.6, 0.9]
         )),
     ]
@@ -231,12 +231,19 @@ class TestExactEnsembleGaoi:
         # q = 1 at dwell 1 leaves zero-weight groups, which the oracle skips
         model = JointModel(
             ChangeKernel(np.array([[0.0, 0.5, 0.5], [0.2, 0.0, 0.8], [0.6, 0.4, 0.0]])),
-            DwellKernel.homogeneous(3, [0.3, 1.0, 0.2], 0.5),
+            DwellKernel([[0.3, 1.0, 0.2]] * 3, [0.5] * 3),
         )
         for a in range(1, 5):
             assert exact_ensemble_gaoi(model, model.law, a) == pytest.approx(a * model.rate,
                                                                              abs=1e-9)
 
+
+    def test_another_models_law_refused(self):
+        # the weights are read off the law given: another model's law of the
+        # same shape gave a wrong number without a word
+        model, other = make_two_state_swap(0.6), make_two_state_swap(0.3)
+        with pytest.raises(ValueError, match="pass model.law"):
+            exact_ensemble_gaoi(model, other.law, 3)
 
     def test_negative_window_rejected(self, rng):
         model = random_model(rng)
