@@ -267,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         source = p.add_mutually_exclusive_group(required=True)
-        source.add_argument("--config", help="YAML config path")
+        source.add_argument("--config", help="JSON config path")
         source.add_argument("--preset", help="built-in preset name (fig5, fig6)")
         p.add_argument("--seed", type=int, help="override run.base_seed")
         p.add_argument("--paths", type=int, help="override run.num_paths")

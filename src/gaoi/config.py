@@ -1,32 +1,12 @@
 """Run configuration: config-file reading (fail-closed) and the built-in presets.
 
-Every config mapping (the document and its model, policy, delay, dwell entry
-and run sections) passes one key rule, ``_keys``: it holds every key it needs
-and no other but those it takes.  A model or policy section reads its kind
-first, then takes that kind's keys from ``MODEL_KINDS`` or ``POLICY_KINDS``: a
-key its kind does not take (a period on a greedy policy) is an error.
-
-``load_config`` reads the file's bytes once. Text that decodes as strict UTF-8
-and is a JSON document is read with the standard library's ``json``; PyYAML is
-imported only for any other text, so a JSON config (the shape a generated
-config takes) never pays for the import. A preset imports neither module.
-JSON that PyYAML can read is a subset of YAML as configs are read here: every
-JSON number goes through the same ``float()``/``int()`` that YAML's resolver
-and ``_float`` apply, so a JSON file gives the same ``RunConfig`` bit for bit
-either way. JSON text that PyYAML
-refuses (a character outside YAML's printable set, such as a raw U+007F, or a
-``\\uD800``-``\\uDFFF`` escape, which libyaml refuses) goes to PyYAML and fails
-as its YAML reading does. The choice is made from the content alone, with no
-flag or file-extension rule.
-
-Other text, and bytes that are not strict UTF-8 (a BOM, UTF-16 or UTF-32, or an
-undecodable byte), go to PyYAML, so YAML's own encoding detection applies and an
-undecodable byte is a parse error like any other. It parses with libyaml's C
-parser (``yaml.CSafeLoader``) when the installed PyYAML has it, else with the
-pure-Python ``yaml.SafeLoader``. Both pair their parser with ``safe_load``'s
-constructor and resolver, so every scalar resolves the same way (YAML 1.1:
-``1e-3``, with no dot, is a string, which the number fields accept); only the
-text of a syntax error differs.
+A config file is JSON, read with the standard library's ``json`` and nothing
+else. Every config mapping (the document and its model, policy, delay, dwell
+entry and run sections) passes one key rule, ``_keys``: it holds every key it
+needs and no other but those it takes.  A model or policy section reads its
+kind first, then takes that kind's keys from ``MODEL_KINDS`` or
+``POLICY_KINDS``: a key its kind does not take (a period on a greedy policy)
+is an error.
 
 Error messages show values through ``reprlib.repr``, so a deeply nested or huge
 value gives a one-line message, never a traceback.
@@ -34,7 +14,6 @@ value gives a one-line message, never a traceback.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from pathlib import Path
 from reprlib import repr as _show
@@ -114,12 +93,11 @@ def _int(value, where: str) -> int:
 
 
 def _float(value, where: str) -> float:
-    """A number: an int, a float or a numeric string (YAML 1.1 reads 1e-3,
-    with no dot, as the string '1e-3'); a bool is an error."""
-    if not isinstance(value, bool) and isinstance(value, (int, float, str)):
+    """A number: an int or a float (a bool is an error)."""
+    if not isinstance(value, bool) and isinstance(value, (int, float)):
         try:
             return float(value)
-        except (ValueError, OverflowError):  # text, or an int past the float range
+        except OverflowError:  # an int past the float range
             pass
     raise ConfigError(f"{where} must be a number, got {_show(value)}")
 
@@ -147,7 +125,7 @@ def _dwell_entry(entry, where: str) -> tuple[list[float], float]:
 
 
 def _parse_dwell(raw, n_states: int) -> DwellKernel:
-    if isinstance(raw, (int, float, str)) and not isinstance(raw, bool):
+    if isinstance(raw, (int, float)) and not isinstance(raw, bool):
         return DwellKernel([[]] * n_states, [_float(raw, "model.dwell")] * n_states)
     if isinstance(raw, dict):
         prefix, tail = _dwell_entry(raw, "model.dwell")
@@ -267,62 +245,24 @@ def _parse_config(data: dict) -> RunConfig:
     )
 
 
-# What PyYAML refuses in any text: a character outside YAML 1.1's printable
-# set (both its readers), such as the lone surrogate that "surrogateescape"
-# makes of an undecodable byte, or a JSON escape of a UTF-16 surrogate
-# (libyaml).  The escape pattern may over-match, which only sends more JSON text
-# to YAML.  ``re`` compiles it on first use, so a preset never pays for that.
-_YAML_REFUSES = (r"[\x00-\x08\x0b\x0c\x0e-\x1f\x7f-\x84\x86-\x9f\ud800-\udfff\ufffe\uffff]"
-                 r"|\\u[dD][89a-fA-F]")
-
-
 def load_config(path: str | Path) -> RunConfig:
-    """Read a config file: JSON text that PyYAML can read with ``json``,
-    anything else with PyYAML, so that text PyYAML refuses fails as YAML.
+    """Read a JSON config file.
 
-    A document nested more than about 1,000 levels deep is a ConfigError,
-    JSON or YAML: libyaml's composer overflows the C stack at about 50,000
-    levels and kills the process, so YAML text is parsed once for its depth
-    before it is composed.
+    ``json`` reads the file's bytes, so its own encoding detection (RFC 8259)
+    takes UTF-8, with or without a BOM, UTF-16 and UTF-32. Text that is not
+    JSON (YAML text included), an undecodable byte, an integer past Python's
+    4,300-digit limit and a document nested too deeply for ``json`` are each
+    a one-line ConfigError.
     """
     import json  # here, not at module level: a preset never pays for the import
 
-    raw = Path(path).read_bytes()
-    text = raw.decode("utf-8", "surrogateescape")  # an undecodable byte: a lone surrogate
-    if re.search(_YAML_REFUSES, text):
-        return parse_config(_load_yaml(raw, path))
     try:
-        data = json.loads(text)
+        data = json.loads(Path(path).read_bytes())
     except RecursionError:
         raise ConfigError(f"cannot parse {path}: nested too deeply") from None
-    except ValueError:  # not JSON: a BOM or UTF-16 text is not JSON here
-        data = _load_yaml(raw, path)
+    except ValueError as exc:  # a JSONDecodeError, a UnicodeDecodeError or an int too long
+        raise ConfigError(f"cannot parse {path}: config must be JSON: {exc}") from None
     return parse_config(data)
-
-
-def _load_yaml(raw: bytes, path: str | Path):
-    import yaml  # here, not at module level: presets and JSON configs never pay for the import
-
-    loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)  # C parser where PyYAML has libyaml
-    try:
-        # libyaml's composer recurses once per level and overflows the C stack
-        # at about 50,000; its parser does not, so the events are walked first
-        depth = 0
-        for event in yaml.parse(raw, Loader=loader):
-            if isinstance(event, yaml.CollectionStartEvent):
-                depth += 1
-                if depth > 1_000:  # json's own limit
-                    break
-            elif isinstance(event, yaml.CollectionEndEvent):
-                depth -= 1
-        else:
-            return yaml.load(raw, Loader=loader)
-    except RecursionError:  # the pure-Python composer recurses once per level
-        pass
-    except (yaml.YAMLError, ValueError) as exc:  # ValueError: an int past 4300 digits, a bad date
-        # PyYAML's text spans lines ("while parsing ...", then "  in ..."): join them
-        raise ConfigError(f"cannot parse {path}: {' '.join(str(exc).split())}") from exc
-    raise ConfigError(f"cannot parse {path}: nested too deeply")
 
 
 # Simulation presets for the two reference experiments: a symmetric two-state

@@ -89,7 +89,7 @@ class ChangeKernel(_Frozen):
 
     def __init__(self, rows: np.ndarray):
         try:
-            rows = np.asarray(rows, dtype=float)
+            rows = np.array(rows, dtype=float)  # a copy: the caller's array stays writable
         except (TypeError, ValueError, OverflowError):  # ragged, non-numeric or past float
             raise ModelError("change matrix must be a list of rows of numbers") from None
         rows.setflags(write=False)
@@ -127,7 +127,7 @@ class DwellKernel(_Frozen):
 
     def __init__(self, prefix, tail):
         try:
-            tail = np.asarray(tail, dtype=float)
+            tail = np.array(tail, dtype=float)  # a copy, as ChangeKernel takes
             rows = [np.asarray(row, dtype=float) for row in prefix]
         except (TypeError, ValueError, OverflowError):  # as ChangeKernel, or a scalar prefix
             raise ModelError("dwell prefix and tail must be numbers") from None

@@ -39,6 +39,13 @@ class ScheduleError(ValueError):
     """Raised for an update sampled after its delivery."""
 
 
+def _check_order(pairs) -> None:
+    """Refuse a (sample, delivery) pair sampled after its delivery."""
+    for s, d in pairs:
+        if s > d:
+            raise ScheduleError(f"pair ({s}, {d}) is sampled after its delivery")
+
+
 # A random_schedule row samples up to 2 * MEAN_UPDATES slots, each delivered
 # up to MAX_DELAY slots later.
 MEAN_UPDATES = 8
@@ -103,9 +110,7 @@ class PolicySpec:
                 type(p) is tuple and len(p) == 2 and type(p[0]) is type(p[1]) is int
                 for p in self.pairs)):
             raise ValueError("explicit pairs must be a tuple of (sample, delivery) integer pairs")
-        for s, d in self.pairs:
-            if s > d:
-                raise ScheduleError(f"pair ({s}, {d}) is sampled after its delivery")
+        _check_order(self.pairs)
 
     @property
     def is_fixed(self) -> bool:
@@ -172,9 +177,7 @@ def filter_stale(raw: list[tuple[int, int]], horizon: int) -> ScheduleBlock:
     sampled no earlier and delivered no later.  Ties on delivery time keep
     the freshest sample; ties on sampling time keep the earliest delivery.
     """
-    for s, d in raw:
-        if s > d:
-            raise ScheduleError(f"pair ({s},{d}) samples after delivery")
+    _check_order(raw)
     # times outside the horizon need not fit in int64, so their pairs go first
     inside = [(s, d) for s, d in raw if 0 < s < horizon and d <= horizon]
     s, d = np.array(inside, dtype=np.int64).reshape(-1, 2).T

@@ -6,12 +6,12 @@ runs every case in ``CASES`` on this tree and rewrites ``tests/golden/``:
 one ``<case>.json`` per case, holding its command line, exit code, stdout
 and, for ``simulate``, the exact text of ``summary.csv`` and the SHA-256 of
 each ``series*.csv``, plus ``versions.json``, the Python and numpy versions
-the files were made with.  ``test_golden.py`` runs the same cases and
-compares them with the files.  The outputs are fixed-seed floats written
-with ``repr``, so any change in a float operation shows; another numpy or
-Python may round differently, so a version mismatch fails on its own,
-naming both versions.  A change that moves an output on purpose reruns this
-script and says which bytes moved and why.
+and numpy's SIMD targets the files were made with.  ``test_golden.py`` runs
+the same cases and compares them with the files.  The outputs are
+fixed-seed floats written with ``repr``, so any change in a float operation
+shows; another numpy, Python or SIMD target may round differently, so a
+mismatch of any of them fails on its own, naming both.  A change that moves
+an output on purpose reruns this script and says which bytes moved and why.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
-import yaml
+from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 
 from gaoi import cli
 
@@ -75,7 +75,7 @@ def configs(pairs: Path) -> dict:
     }
 
 
-# "{name}" in a command line is the path of config "name" written as YAML
+# "{name}" in a command line is the path of config "name" written as JSON
 CASES = {
     "simulate_fig5": ["simulate", "--preset", "fig5", "--paths", "30"],
     "simulate_fig6": ["simulate", "--preset", "fig6"],
@@ -90,7 +90,11 @@ CASES = {
 
 
 def versions() -> dict:
-    return {"python": platform.python_version(), "numpy": np.__version__}
+    """The Python and numpy versions, and the SIMD targets numpy dispatches
+    to on this CPU: its AVX-512 paths of ``exp``, ``expm1`` and the logs
+    round some inputs differently from its other paths."""
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "numpy_simd": [t for t in __cpu_dispatch__ if __cpu_features__.get(t)]}
 
 
 def run_case(name: str, workdir: Path) -> dict:
@@ -98,8 +102,8 @@ def run_case(name: str, workdir: Path) -> dict:
     pairs = workdir / "pairs.txt"
     pairs.write_text(PAIRS)
     for config, data in configs(pairs).items():
-        (workdir / f"{config}.yaml").write_text(yaml.safe_dump(data))
-    argv = [str(workdir / f"{arg[1:-1]}.yaml") if arg.startswith("{") else arg
+        (workdir / f"{config}.json").write_text(json.dumps(data))
+    argv = [str(workdir / f"{arg[1:-1]}.json") if arg.startswith("{") else arg
             for arg in CASES[name]]
     out = workdir / "out"
     if argv[0] == "simulate":

@@ -237,7 +237,7 @@ def reference_filter_stale(raw: list[tuple[int, int]], horizon: int) -> list[tup
     """
     for s, d in raw:
         if s > d:
-            raise ScheduleError(f"pair ({s},{d}) samples after delivery")
+            raise ScheduleError(f"pair ({s}, {d}) is sampled after its delivery")
     inside = [(s, d) for s, d in raw if 0 < s < horizon and d <= horizon]
     inside.sort(key=lambda sd: (sd[1], -sd[0]))
     kept: list[tuple[int, int]] = []

@@ -7,7 +7,6 @@ import sys
 from pathlib import Path
 
 import pytest
-import yaml
 
 from gaoi import cli, ensemble, markov, metrics
 from gaoi.cli import (EXIT_CONFIG, EXIT_IO, EXIT_MODEL, EXIT_OK, EXIT_VERIFY_FAILED,
@@ -33,9 +32,9 @@ BAYES_CONFIG = {
 }
 
 
-def write_config(tmp_path, data, name="config.yaml"):
+def write_config(tmp_path, data, name="config.json"):
     path = tmp_path / name
-    path.write_text(yaml.safe_dump(data))
+    path.write_text(json.dumps(data))
     return str(path)
 
 
@@ -543,38 +542,43 @@ class TestVerify:
     def test_preset_fig6_verifies(self, tmp_path):
         assert main(["verify", "thm2", "--preset", "fig6", "--paths", "400"]) == EXIT_OK
 
-    def test_preset_verify_skips_yaml_and_numpy_ma(self):
-        # a preset needs no YAML parser, and nothing on the verify path needs
-        # numpy.ma: importing either costs 10-30 ms of every run's start-up
+    def test_preset_verify_skips_numpy_ma(self):
+        # nothing on the verify path needs numpy.ma: importing it costs 10-30 ms
+        # of every run's start-up
         out = run_python("from gaoi import cli\n"
                          "argv = ['verify', 'thm2', '--preset', 'fig6', '--paths', '20']\n"
                          "code = cli.main(argv)\n"
-                         "print(code, sorted({'yaml', 'numpy.ma'} & set(sys.modules)))\n")
-        assert out.splitlines()[-1] in ("0 []", "1 []")
+                         "print(code, 'numpy.ma' in sys.modules)\n")
+        assert out.splitlines()[-1] in ("0 False", "1 False")
 
-    def test_preset_skips_json_and_yaml(self, tmp_path):
-        # a preset reads no text, so it imports neither parser; a JSON config
-        # then imports json alone
+    def test_preset_skips_json(self, tmp_path):
+        # a preset reads no text, so it imports no parser; a JSON config
+        # then imports json
         as_json = tmp_path / "swap.json"
         as_json.write_text(json.dumps(SWAP_CONFIG))
         out = run_python("from gaoi import cli\n"
                          "cli.preset_config('fig5')\n"
-                         "print(sorted({'json', 'yaml'} & set(sys.modules)))\n"
+                         "print('json' in sys.modules)\n"
                          f"cli.load_config({str(as_json)!r})\n"
-                         "print(sorted({'json', 'yaml'} & set(sys.modules)))\n")
-        assert out.splitlines() == ["[]", "['json']"]
-
-    def test_json_config_skips_yaml(self, tmp_path):
-        # JSON text is read with the standard library; only YAML text imports yaml
-        as_yaml = Path(cli.__file__).resolve().parents[2] / "configs" / "geometric_change.yaml"
-        as_json = tmp_path / "geometric_change.json"
-        as_json.write_text(json.dumps(yaml.safe_load(as_yaml.read_text())))
-        out = run_python("from gaoi import config\n"
-                         f"config.load_config({str(as_json)!r})\n"
-                         "print('yaml' in sys.modules)\n"
-                         f"config.load_config({str(as_yaml)!r})\n"
-                         "print('yaml' in sys.modules)\n")
+                         "print('json' in sys.modules)\n")
         assert out.split() == ["False", "True"]
+
+
+def test_gaoi_needs_no_pyyaml(tmp_path):
+    # with yaml unimportable: the library's names, a preset's verify run, and
+    # a shipped config's simulate run
+    swap = Path(cli.__file__).resolve().parents[2] / "configs" / "two_state_swap.json"
+    out = run_python(
+        "sys.modules['yaml'] = None\n"
+        "import gaoi\n"
+        "names = [getattr(gaoi, name) for name in gaoi.__all__]\n"
+        "from gaoi import cli\n"
+        "codes = [cli.main(['verify', 'thm2', '--preset', 'fig6', '--paths', '20']),\n"
+        f"         cli.main(['simulate', '--config', {str(swap)!r}, '--paths', '20',\n"
+        f"                   '--out', {str(tmp_path / 'out')!r}])]\n"
+        "print(codes)\n")
+    assert out.splitlines()[-1] in ("[0, 0]", "[1, 0]")
+    assert (tmp_path / "out" / "summary.csv").exists()
 
 
 @pytest.mark.parametrize("command", [["entropy-rate"], ["simulate"], ["verify", "thm1"],
@@ -595,7 +599,7 @@ def test_config_xor_preset_exit_2(tmp_path, capsys, monkeypatch, command, source
     assert exc.value.code == EXIT_CONFIG
     out_err = capsys.readouterr()
     assert out_err.out == "" and message in out_err.err
-    assert list(tmp_path.iterdir()) == [tmp_path / "config.yaml"]
+    assert list(tmp_path.iterdir()) == [tmp_path / "config.json"]
 
 
 def test_workers_option_is_gone(capsys):
@@ -640,7 +644,7 @@ PUBLIC_NAMES = [
 ]
 
 
-def test_import_gaoi_skips_config_cli_and_yaml():
+def test_import_gaoi_skips_config_and_cli():
     # the library (and the oracle workload, which imports it) needs neither
     # the config reader nor the CLI: loading them costs start-up on every import.
     # `import gaoi` loads no layer at all; a name loads its own layer on first use.
@@ -656,7 +660,7 @@ def test_import_gaoi_skips_config_cli_and_yaml():
         "print(sorted({value.__module__ for value in names.values()}))\n"
         "print([name for name, value in names.items() if name not in dir(gaoi)\n"
         "       or getattr(sys.modules[value.__module__], name) is not value])\n"
-        "print(sorted({'gaoi.config', 'gaoi.cli', 'yaml'} & set(sys.modules)))\n"
+        "print(sorted({'gaoi.config', 'gaoi.cli'} & set(sys.modules)))\n"
         "try:\n"
         "    gaoi.no_such_name\n"
         "except AttributeError as exc:\n"
@@ -686,7 +690,7 @@ def test_benchmark_operations_run(tmp_path, argv):
     # JSON file, as sticky-sim writes it)
     repo = Path(__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(repo / "src")}
-    sticky_json = tmp_path / "sticky.yaml"
+    sticky_json = tmp_path / "sticky.json"
     sticky_json.write_text(json.dumps({"model": sticky_model(7, 170)}))
     argv = [a.format(sticky_json=sticky_json) for a in argv]
     proc = subprocess.run([sys.executable, str(repo / "perfbench" / "op.py"), *argv],

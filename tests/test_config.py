@@ -1,39 +1,24 @@
 import dataclasses
 import json
-import os
-import re
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
-import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gaoi import PolicySpec, config, markov
-from gaoi.cli import EXIT_CONFIG, EXIT_OK, main
+from gaoi.cli import EXIT_CONFIG, main
 from gaoi.markov import ModelError
 
 from conftest import sticky_model
 
-CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.yaml"))
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 STICKY = {
     "model": sticky_model(7, 170),
     "policies": [{"kind": "periodic", "period": 5, "delay": {"deterministic": 2}},
                  {"kind": "greedy", "delay": {"uniform": [1, 6]}}],
     "run": {"horizon": 50, "num_paths": 60, "base_seed": 7}}
-needs_libyaml = pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML built without libyaml")
-
-
-@pytest.fixture(params=[pytest.param("c", marks=needs_libyaml), "pure"])
-def loader(request, monkeypatch):
-    """Run the test once with libyaml's parser and once with the fallback."""
-    if request.param == "pure":
-        monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
-        return yaml.SafeLoader
-    return yaml.CSafeLoader
 
 
 def same(a, b) -> bool:
@@ -56,131 +41,69 @@ def same(a, b) -> bool:
     return a == b
 
 
-def both_loaders(data: bytes):
-    return yaml.load(data, Loader=yaml.CSafeLoader), yaml.load(data, Loader=yaml.SafeLoader)
+def entropy_rate(path, capsys) -> tuple[int, str]:
+    """``gaoi entropy-rate --config path``: (exit status, stderr)."""
+    status = main(["entropy-rate", "--config", str(path)])
+    return status, capsys.readouterr().err
 
 
-def load_both(path, monkeypatch) -> tuple[config.RunConfig, config.RunConfig]:
-    fast = config.load_config(path)
-    with monkeypatch.context() as m:
-        m.delattr(yaml, "CSafeLoader")
-        pure = config.load_config(path)
-    return fast, pure
-
-
-def spy_yaml_load(monkeypatch) -> list:
-    """The Loader of every ``yaml.load`` call made from now on."""
-    seen = []
-    real = yaml.load
-
-    def spy(stream, Loader):
-        seen.append(Loader)
-        return real(stream, Loader=Loader)
-
-    monkeypatch.setattr(yaml, "load", spy)
-    return seen
-
-
-def test_load_config_picks_libyaml_when_present(monkeypatch, loader):
-    # a silent fallback to the pure-Python parser reads a long config ~9x slower
-    seen = spy_yaml_load(monkeypatch)
-    config.load_config(CONFIGS[0])
-    assert seen == [loader]
-
-
-@pytest.mark.parametrize("name, preset", [("two_state_swap.yaml", "fig5"),
-                                          ("geometric_change.yaml", "fig6")])
+@pytest.mark.parametrize("name, preset", [("two_state_swap.json", "fig5"),
+                                          ("geometric_change.json", "fig6")])
 def test_shipped_config_is_its_preset(name, preset):
     # each shipped file is a preset written out: model, policies and run
-    path = CONFIGS[0].parent / name
-    assert same(config.load_config(path), config.preset_config(preset))
+    assert same(config.load_config(CONFIGS / name), config.preset_config(preset))
 
 
-@needs_libyaml
-class TestLoadersAgree:
-    @pytest.mark.parametrize("path", CONFIGS, ids=[p.name for p in CONFIGS])
-    def test_shipped_configs(self, path, monkeypatch):
-        fast, pure = both_loaders(path.read_bytes())
-        assert same(fast, pure)
-        fast, pure = load_both(path, monkeypatch)
-        assert same(fast, pure)
-
-    def test_sticky_json_config(self, tmp_path, monkeypatch):
-        # the shape perfbench writes for sticky-sim: 3 statuses x 170 hazards, as JSON.
-        # load_config reads it with json; both YAML readings of the text agree with it
-        path = tmp_path / "sticky.yaml"
-        path.write_text(json.dumps(STICKY))
-        fast, pure = both_loaders(path.read_bytes())
-        assert same(fast, pure) and len(fast["model"]["dwell"][2]["prefix"]) == 170
-        seen = spy_yaml_load(monkeypatch)
-        loaded = config.load_config(path)
-        assert seen == []
-        assert same(loaded, config.parse_config(fast))
-        assert same(loaded, config.parse_config(pure))
-        assert loaded.model.dwell.prefix.shape == (3, 170)
-
-    @settings(max_examples=150, deadline=None)
-    @given(data=st.recursive(
-        st.none() | st.booleans() | st.integers() | st.floats()
-        | st.text(st.characters(blacklist_categories=("Cs",))),
-        lambda inner: st.lists(inner, max_size=4)
-        | st.dictionaries(st.text(max_size=8), inner, max_size=4),
-        max_leaves=20),
-        allow_unicode=st.booleans())
-    def test_random_documents(self, data, allow_unicode):
-        text = yaml.safe_dump(data, allow_unicode=allow_unicode, sort_keys=False).encode()
-        fast, pure = both_loaders(text)
-        assert same(fast, pure)
-
-
-def test_utf16_config_loads_as_utf8(tmp_path, loader):
-    # YAML's own encoding detection reads a UTF-16 file that carries a BOM
-    text = Path(CONFIGS[-1]).read_text(encoding="utf-8")
-    utf16 = tmp_path / "utf16.yaml"
-    utf16.write_bytes(text.encode("utf-16"))
-    assert same(config.load_config(utf16), config.load_config(CONFIGS[-1]))
-
-
-def test_non_utf8_config_exit_2(tmp_path, capsys, loader):
-    path = tmp_path / "f.yaml"
-    path.write_bytes(b"model: \xff\n")
-    assert main(["entropy-rate", "--config", str(path)]) == EXIT_CONFIG
-    assert capsys.readouterr().err.startswith("config error: cannot parse")
+@pytest.mark.parametrize("encoding", ["utf-8-sig", "utf-16", "utf-16-le", "utf-32"])
+def test_json_in_any_encoding_loads_the_same_run(tmp_path, encoding):
+    # json detects the encoding of the bytes (RFC 8259): a BOM, UTF-16 or UTF-32
+    text = json.dumps(STICKY)
+    plain, encoded = tmp_path / "plain.json", tmp_path / "encoded.json"
+    plain.write_text(text)
+    encoded.write_bytes(text.encode(encoding))
+    want = config.load_config(plain)
+    assert want.model.dwell.prefix.shape == (3, 170)
+    assert same(config.load_config(encoded), want)
 
 
 @pytest.mark.parametrize("text", [
-    "model: [1, 2\n", "model:\n\tkind: stationary\n",
-    '{"model": {"kind": "bayesian", "bayes_p": "\x7f"}}',
-], ids=["unclosed_flow_sequence", "tab_indented_mapping", "json_raw_u007f"])
-def test_yaml_syntax_error_exit_2(tmp_path, capsys, loader, text):
-    # PyYAML's error text spans lines; the config error is one line
-    path = tmp_path / "f.yaml"
-    path.write_text(text)
-    assert main(["entropy-rate", "--config", str(path)]) == EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert err.startswith("config error: cannot parse") and err.count("\n") == 1, err
+    b"model: {kind: bayesian, bayes_p: 0.04}\n",
+    b"model:\n  kind: bayesian\n  bayes_p: 0.04\n",
+    b"{model: {kind: bayesian, bayes_p: 0.04}, run: {horizon: 10}}",
+    b'{"model": [1, 2\n',
+    b'{"model": "\xff"}',
+    b"",
+], ids=["yaml_flow", "yaml_block", "yaml_flow_document", "unclosed_list", "not_utf8", "empty"])
+def test_text_that_is_not_json_exit_2(tmp_path, capsys, text):
+    # a config is JSON: YAML text, like any other text that is not JSON, is one line
+    path = tmp_path / "f.json"
+    path.write_bytes(text)
+    status, err = entropy_rate(path, capsys)
+    assert status == EXIT_CONFIG
+    assert err.startswith(f"config error: cannot parse {path}: config must be JSON: ")
+    assert err.count("\n") == 1, err
+    if text.startswith(b"model: {"):
+        assert err.endswith("config must be JSON: Expecting value: line 1 column 1 (char 0)\n")
 
 
-STATIONARY = "model:\n  kind: stationary\n  px_rows: [[0, 1], [1, 0]]\n  dwell: {}\n"
+STATIONARY = {"kind": "stationary", "px_rows": [[0, 1], [1, 0]]}
 
 
-def test_dwell_scalar_takes_what_tail_takes(tmp_path, loader):
-    # YAML 1.1 resolves 1e-3 (no dot) as the string '1e-3'
-    scalar, mapping = tmp_path / "scalar.yaml", tmp_path / "mapping.yaml"
-    scalar.write_text(STATIONARY.format("1e-3"))
-    mapping.write_text(STATIONARY.format("{tail: 1e-3}"))
-    assert yaml.load(scalar.read_bytes(), Loader=loader)["model"]["dwell"] == "1e-3"
+def test_dwell_scalar_takes_what_tail_takes(tmp_path):
+    scalar, mapping = tmp_path / "scalar.json", tmp_path / "mapping.json"
+    scalar.write_text(json.dumps({"model": {**STATIONARY, "dwell": 1e-3}}))
+    mapping.write_text(json.dumps({"model": {**STATIONARY, "dwell": {"tail": 1e-3}}}))
     model = config.load_config(scalar).model
     assert same(model, config.load_config(mapping).model)
     assert model.dwell.tail.tolist() == [1e-3, 1e-3]
 
 
-@pytest.mark.parametrize("dwell", ["true", "abc", "'0.5x'"])
+@pytest.mark.parametrize("dwell", [True, "abc", "0.5x"])
 def test_dwell_scalar_rejects_bool_and_text(tmp_path, capsys, dwell):
-    path = tmp_path / "f.yaml"
-    path.write_text(STATIONARY.format(dwell))
-    assert main(["entropy-rate", "--config", str(path)]) == EXIT_CONFIG
-    err = capsys.readouterr().err
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps({"model": {**STATIONARY, "dwell": dwell}}))
+    status, err = entropy_rate(path, capsys)
+    assert status == EXIT_CONFIG
     assert err.startswith("config error:") and err.count("\n") == 1
 
 
@@ -191,56 +114,32 @@ def test_config_error_comes_before_model_error(tmp_path, capsys):
     path.write_text(json.dumps({"model": {"kind": "stationary", "dwell": "abc",
                                           "px_rows": [[0.4, 0.5], [1, 0]]}}))
     assert main(["entropy-rate", "--config", str(path)]) == EXIT_CONFIG
-    assert capsys.readouterr().err == "config error: model.dwell must be a number, got 'abc'\n"
+    assert capsys.readouterr().err == ("config error: model.dwell must be a probability, "
+                                       "a {prefix, tail} map, or a per-state list\n")
 
 
-@pytest.mark.parametrize("text, numbers", [
-    ("model:\n  kind: stationary\n  px_rows: [[0, 1e0], [1e0, 0]]\n"
-     "  dwell: {prefix: [1e-1], tail: 5e-1}\n",
-     "model:\n  kind: stationary\n  px_rows: [[0, 1.0], [1.0, 0]]\n"
-     "  dwell: {prefix: [0.1], tail: 0.5}\n"),
-    ("model: {kind: bayesian, bayes_p: 4e-2}\n", "model: {kind: bayesian, bayes_p: 0.04}\n"),
-], ids=["stationary", "bayesian"])
-def test_number_fields_take_exponent_strings(tmp_path, loader, text, numbers):
-    # YAML 1.1 reads 1e0 and 4e-2 (no dot) as strings; every number field takes them
-    strings, floats = tmp_path / "strings.yaml", tmp_path / "floats.yaml"
-    strings.write_text(text)
-    floats.write_text(numbers)
-    assert same(config.load_config(strings), config.load_config(floats))
+@pytest.mark.parametrize("model, message", [
+    ({"kind": "bayesian", "bayes_p": "4e-2"}, "model.bayes_p must be a number, got '4e-2'"),
+    ({"kind": "stationary", "px_rows": [[0, "1e0"], [1, 0]], "dwell": 0.5},
+     "model.px_rows[0][1] must be a number, got '1e0'"),
+    ({**STATIONARY, "dwell": {"prefix": ["1e-1"], "tail": 0.5}},
+     "model.dwell.prefix[0] must be a number, got '1e-1'"),
+    ({**STATIONARY, "dwell": {"tail": "5e-1"}}, "model.dwell.tail must be a number, got '5e-1'"),
+], ids=["bayes_p", "px_rows", "dwell_prefix", "dwell_tail"])
+def test_number_fields_refuse_numeric_strings(tmp_path, capsys, model, message):
+    # a number field takes a JSON number, not a string that reads as one
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps({"model": model}))
+    assert entropy_rate(path, capsys) == (EXIT_CONFIG, f"config error: {message}\n")
 
-
-# JSON text is read with json, and reads as its YAML reading does
 
 def outcome(load, *args):
     """What ``load(*args)`` returns, or the class and text of the ConfigError
-    or ModelError it raises (a YAML parse error counts as a ConfigError, as
-    ``load_config`` reports it)."""
+    or ModelError it raises; any other exception fails the test."""
     try:
         return load(*args)
-    except yaml.YAMLError as exc:
-        return config.ConfigError, str(exc)
     except (config.ConfigError, ModelError) as exc:
         return type(exc), str(exc)
-
-
-def read_as_yaml(text: bytes, loader) -> config.RunConfig:
-    return config.parse_config(yaml.load(text, Loader=loader))
-
-
-@pytest.mark.parametrize("path", CONFIGS, ids=[p.name for p in CONFIGS])
-def test_shipped_configs_as_json(path, tmp_path, monkeypatch):
-    as_json = tmp_path / "config.json"
-    as_json.write_text(json.dumps(yaml.safe_load(path.read_bytes())))
-    seen = spy_yaml_load(monkeypatch)
-    assert same(config.load_config(as_json), config.load_config(path))
-    assert len(seen) == 1  # the YAML file's
-    outputs = []
-    for i, cfg in enumerate((path, as_json)):
-        out = tmp_path / f"out{i}"
-        assert main(["simulate", "--config", str(cfg), "--paths", "40",
-                     "--out", str(out)]) == EXIT_OK
-        outputs.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
-    assert outputs[0] == outputs[1] and "summary.csv" in outputs[0]
 
 
 # config-shaped documents: mostly well formed, with odd values in every field
@@ -271,114 +170,53 @@ CONFIG_DOCS = st.builds(
     st.text(max_size=4), ODD, st.integers(0, 3))
 
 
-def refused_by_yaml(kind: str) -> dict:
-    """An invalid model (dwell 0) with a policy kind that json reads but
-    PyYAML refuses, as ``json.dumps`` writes it: U+10000 as a surrogate-pair
-    escape (``ensure_ascii=True``), or a raw U+007F (``ensure_ascii=False``).
-    Read by json, such a config fails the model check (a ModelError), where
-    libyaml stops at the parse (a ConfigError)."""
+# any JSON document: a config-shaped one, or any value at all
+JSON_DOCS = CONFIG_DOCS | st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner,
+                                                                max_size=4),
+    max_leaves=20)
+
+
+def invalid_model_with_kind(kind: str) -> dict:
+    """A config with an invalid model (dwell 0) and a policy kind that json
+    writes as a surrogate-pair escape (U+10000, ``ensure_ascii=True``) or a
+    raw control character (U+007F, ``ensure_ascii=False``): json reads both,
+    and the model is refused first, with a ModelError."""
     return {"model": {"kind": "stationary", "px_rows": [[0.0, 1.0], [1.0, 0.0]], "dwell": 0},
             "policies": [{"kind": kind, "delay": None}]}
 
 
-# a JSON escape of a UTF-16 surrogate: SafeLoader reads a pair of them as two
-# lone surrogates, where libyaml refuses it, so no one reading fits both loaders
-SURROGATE_ESCAPE = re.compile(rb"\\u[dD][89a-fA-F]")
-
-
-@needs_libyaml
 @settings(max_examples=200, deadline=None)
-@given(doc=CONFIG_DOCS, ensure_ascii=st.booleans())
-@example(doc=refused_by_yaml("\U00010000"), ensure_ascii=True)
-@example(doc=refused_by_yaml("\x7f"), ensure_ascii=False)
-def test_json_reads_as_yaml_reads_it(tmp_path_factory, doc, ensure_ascii):
+@given(doc=JSON_DOCS, ensure_ascii=st.booleans())
+@example(doc=invalid_model_with_kind("\U00010000"), ensure_ascii=True)
+@example(doc=invalid_model_with_kind("\x7f"), ensure_ascii=False)
+def test_every_json_document_loads_or_fails_closed(tmp_path_factory, doc, ensure_ascii):
     # exponent floats with no dot, -0.0, NaN/Infinity, big ints and unicode text:
-    # the same RunConfig, or the same exception class, under either YAML loader
-    text = json.dumps(doc, ensure_ascii=ensure_ascii).encode()
+    # a RunConfig, or a ConfigError or ModelError with a one-line message
     path = tmp_path_factory.getbasetemp() / "property.json"
-    path.write_bytes(text)
+    path.write_text(json.dumps(doc, ensure_ascii=ensure_ascii), encoding="utf-8")
     got = outcome(config.load_config, path)
-    for loader in (yaml.CSafeLoader, yaml.SafeLoader):
-        if loader is yaml.SafeLoader and SURROGATE_ESCAPE.search(text):
-            continue  # load_config follows libyaml's reading
-        want = outcome(read_as_yaml, text, loader)
-        if isinstance(want, config.RunConfig):
-            assert same(got, want)
-        else:
-            assert isinstance(got, tuple) and got[0] is want[0], (got, want)
-
-
-@pytest.mark.parametrize("encode", [lambda t: ("\ufeff" + t).encode(),
-                                    lambda t: t.encode("utf-16")], ids=["utf8_bom", "utf16_bom"])
-def test_json_text_behind_a_bom_goes_to_yaml(tmp_path, monkeypatch, loader, encode):
-    # only strict UTF-8 text is tried as JSON; YAML's encoding detection reads the rest
-    text = json.dumps(STICKY)
-    plain, marked = tmp_path / "plain.json", tmp_path / "marked.json"
-    plain.write_text(text)
-    marked.write_bytes(encode(text))
-    want = config.load_config(plain)
-    seen = spy_yaml_load(monkeypatch)
-    assert same(config.load_config(marked), want)
-    assert seen == [loader]
-
-
-def test_flow_yaml_that_is_not_json_goes_to_yaml(tmp_path, capsys, monkeypatch, loader):
-    path = tmp_path / "flow.yaml"
-    seen = spy_yaml_load(monkeypatch)
-    path.write_text("{model: {kind: bayesian, bayes_p: 0.04}, run: {horizon: 10}}")
-    cfg = config.load_config(path)
-    assert cfg.model.p == 0.04 and cfg.horizon == 10
-    path.write_text("{a: 1}")
-    assert main(["entropy-rate", "--config", str(path)]) == EXIT_CONFIG
-    assert capsys.readouterr().err == "config error: unknown keys in config: ['a']\n"
-    assert seen == [loader, loader]
+    assert isinstance(got, config.RunConfig) or "\n" not in got[1], got
 
 
 # deep or huge values: exit 2 with one line, never a traceback or a crash
 
-# nested 50,000 deep, these crashed libyaml's composer (SIGSEGV), so they run
-# in a fresh interpreter, where a crash fails the test and spares pytest
-DEEP_YAML = {
-    "flow_yaml_50000_deep": "model: " + "[" * 50_000 + "a" + "]" * 50_000 + "\n",
-    "block_yaml_50000_deep": "model:\n  " + "- " * 50_000 + "a\n",
-}
-
-
-def entropy_rate_apart(path: Path, loader) -> tuple[int, str]:
-    """``gaoi entropy-rate --config path`` in a fresh interpreter that reads
-    YAML with ``loader``, with this tree's gaoi on its path: (exit status, stderr)."""
-    code = ("import sys, yaml\n"
-            f"if {loader is yaml.SafeLoader}:\n    yaml.__dict__.pop('CSafeLoader', None)\n"
-            "from gaoi.cli import main\n"
-            f"sys.exit(main(['entropy-rate', '--config', {str(path)!r}]))\n")
-    src = str(Path(config.__file__).resolve().parents[1])
-    path_var = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": path_var})
-    return done.returncode, done.stderr
-
-
-@pytest.mark.parametrize("text", [
-    '{"model": ' + "[" * 5_000 + "1" + "]" * 5_000 + "}",
-    '{"model": ' + "[" * 50_000 + "1" + "]" * 50_000 + "}",
-    "model:\n  " + "- " * 5_000 + "1\n",
-    '{"model": {"kind": "bayesian", "bayes_p": 0.5}, "run": {"horizon": ' + "1" * 5_000 + "}}",
-    "model: {kind: bayesian, bayes_p: 0.5}\nrun: {horizon: " + "1" * 5_000 + "}\n",
-    json.dumps({"model": {"kind": "stationary", "px_rows": [[0.5] * 300] * 300 + [[1.0]],
-                          "dwell": 0.5}}),
-    *DEEP_YAML.values(),
-], ids=["json_5000_deep", "json_50000_deep", "block_yaml_5000_deep", "json_5000_digits",
-        "yaml_5000_digits", "ragged_301_rows", *DEEP_YAML])
-def test_deep_or_huge_value_exit_2(tmp_path, capsys, loader, text):
-    path = tmp_path / "f.yaml"
+@pytest.mark.parametrize("text, message", [
+    ('{"model": ' + "[" * 5_000 + "1" + "]" * 5_000 + "}", "nested too deeply"),
+    ('{"model": ' + "[" * 50_000 + "1" + "]" * 50_000 + "}", "nested too deeply"),
+    ('{"model": {"kind": "bayesian", "bayes_p": 0.5}, "run": {"horizon": ' + "1" * 5_000 + "}}",
+     "config must be JSON: Exceeds the limit (4300 digits)"),
+    (json.dumps({"model": {"kind": "stationary", "px_rows": [[0.5] * 300] * 300 + [[1.0]],
+                           "dwell": 0.5}}), "model.px_rows must be an n x n list of numbers"),
+], ids=["json_5000_deep", "json_50000_deep", "json_5000_digits", "ragged_301_rows"])
+def test_deep_or_huge_value_exit_2(tmp_path, capsys, text, message):
+    path = tmp_path / "f.json"
     path.write_text(text)
-    if text in DEEP_YAML.values():
-        status, err = entropy_rate_apart(path, loader)
-        assert "nested too deeply" in err, (status, err[-300:])
-    else:
-        status, err = main(["entropy-rate", "--config", str(path)]), capsys.readouterr().err
+    status, err = entropy_rate(path, capsys)
     assert status == EXIT_CONFIG, err[-300:]
     assert err.startswith("config error: ") and err.count("\n") == 1 and len(err) < 300, err
+    assert message in err, err
 
 
 @pytest.mark.parametrize("name", ["horizon", "num_paths"])
@@ -455,19 +293,16 @@ def mutations():
 
 
 def test_config_mutations_fail_closed_and_name_their_field(tmp_path):
-    as_json, as_yaml = tmp_path / "m.json", tmp_path / "m.yaml"
-    dumper = getattr(yaml, "CSafeDumper", yaml.SafeDumper)  # block-style YAML, 4x faster
+    path = tmp_path / "m.json"
     count = 0
-    for path, doc in mutations():
+    for field, doc in mutations():
         count += 1
-        as_json.write_text(json.dumps(doc))
-        as_yaml.write_text(yaml.dump(doc, Dumper=dumper))
-        got = outcome(config.load_config, as_json)  # any other exception fails the test
-        assert same(got, outcome(config.load_config, as_yaml)), (path, got)
+        path.write_text(json.dumps(doc))
+        got = outcome(config.load_config, path)  # any other exception fails the test
         if isinstance(got, tuple) and got[0] is config.ConfigError:
             # the field, or the list or map that holds it (a ragged row, a bad pair)
-            names = {field_name(path), field_name(path[:-1]) or field_name(path)}
-            assert any(name in got[1] for name in names), (path, got)
+            names = {field_name(field), field_name(field[:-1]) or field_name(field)}
+            assert any(name in got[1] for name in names), (field, got)
     assert 500 <= count <= 650
 
 
@@ -495,7 +330,7 @@ def foreign_keys():
                 yield name if idx is None else f"{name}[{idx}]", key, doc
 
 
-def test_config_keys_their_kind_does_not_take_fail_closed(tmp_path, monkeypatch, loader):
+def test_config_keys_their_kind_does_not_take_fail_closed(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "pairs.txt").write_text("3 5\n")
     # every value is valid where it belongs: a section of each kind made of them loads
@@ -504,16 +339,14 @@ def test_config_keys_their_kind_does_not_take_fail_closed(tmp_path, monkeypatch,
         for kind, (need, take) in kinds.items():
             section = {"kind": kind, **{key: VALID_VALUES[key] for key in (*need, *take)}}
             config.parse_config({"model": bayes, name: section})
-    as_json, as_yaml = tmp_path / "k.json", tmp_path / "k.yaml"
+    path = tmp_path / "k.json"
     seen = set()
     for where, key, doc in foreign_keys():
         seen.add(key)
-        as_json.write_text(json.dumps(doc))
-        as_yaml.write_text(yaml.safe_dump(doc))
-        for path in (as_json, as_yaml):
-            got = outcome(config.load_config, path)
-            assert isinstance(got, tuple) and got[0] is config.ConfigError, (where, key, got)
-            assert f"unknown keys in {where} (" in got[1] and repr(key) in got[1], (where, got)
+        path.write_text(json.dumps(doc))
+        got = outcome(config.load_config, path)
+        assert isinstance(got, tuple) and got[0] is config.ConfigError, (where, key, got)
+        assert f"unknown keys in {where} (" in got[1] and repr(key) in got[1], (where, got)
     assert seen == set(VALID_VALUES) - {"delay"}  # no base policy is explicit
 
 

@@ -13,5 +13,6 @@ def test_matches_golden(tmp_path, name):
     recorded = json.loads(VERSIONS_FILE.read_text())
     assert recorded == versions(), (
         f"golden outputs were made with {recorded}, this is {versions()}: other "
-        "versions may round floats differently; rewrite them with tests/golden.py")
+        "versions or SIMD targets may round floats differently; rewrite them with "
+        "tests/golden.py")
     assert run_case(name, tmp_path) == json.loads((GOLDEN_DIR / f"{name}.json").read_text())

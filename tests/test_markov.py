@@ -516,6 +516,18 @@ class TestModelTables:
             with pytest.raises(ValueError):
                 table[0, 0] = 0.5
 
+    def test_kernels_leave_the_callers_arrays_writable(self):
+        # a kernel freezes its own copy, never the caller's array
+        rows = np.array([[0.0, 1.0], [1.0, 0.0]])
+        prefix, tail = np.array([[0.2], [0.3]]), np.array([0.5, 0.5])
+        change, dwell = ChangeKernel(rows), DwellKernel(prefix, tail)
+        rows[0, 0], prefix[0, 0], tail[0] = 0.3, 0.4, 0.6
+        assert change.rows.tolist() == [[0.0, 1.0], [1.0, 0.0]]
+        assert dwell.prefix.tolist() == [[0.2], [0.3]] and dwell.tail.tolist() == [0.5, 0.5]
+        for table in (change.rows, dwell.prefix, dwell.tail):
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 0.5
+
     def test_tables_are_built_once(self, rng):
         model = random_model(rng)
         for name in ("hazard", "survival", "transitions", "law"):

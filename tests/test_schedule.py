@@ -71,9 +71,13 @@ class TestFilterStale:
         assert sched.deliveries.tolist() == [[8]]
 
     def test_sample_after_delivery_rejected(self):
-        with pytest.raises(ScheduleError):
+        # one check, one message, whether the pairs come raw or in a policy
+        late = r"^pair \(6, 5\) is sampled after its delivery$"
+        with pytest.raises(ScheduleError, match=late):
             filter_stale([(2, 4), (6, 5)], horizon=10)
-        with pytest.raises(ScheduleError):
+        with pytest.raises(ScheduleError, match=late):
+            PolicySpec(kind="explicit", pairs=((2, 4), (6, 5)))
+        with pytest.raises(ScheduleError, match=late):
             reference_filter_stale([(2, 4), (6, 5)], horizon=10)
 
     def test_times_past_int64_outside_horizon(self):
