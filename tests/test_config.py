@@ -54,7 +54,8 @@ def test_shipped_config_is_its_preset(name, preset):
     assert same(config.load_config(CONFIGS / name), config.preset_config(preset))
 
 
-@pytest.mark.parametrize("encoding", ["utf-8-sig", "utf-16", "utf-16-le", "utf-32"])
+@pytest.mark.parametrize("encoding", ["utf-8", "utf-8-sig", "utf-16", "utf-16-le", "utf-16-be",
+                                      "utf-32", "utf-32-le", "utf-32-be"])
 def test_json_in_any_encoding_loads_the_same_run(tmp_path, encoding):
     # json detects the encoding of the bytes (RFC 8259): a BOM, UTF-16 or UTF-32
     text = json.dumps(STICKY)
@@ -66,6 +67,9 @@ def test_json_in_any_encoding_loads_the_same_run(tmp_path, encoding):
     assert same(config.load_config(encoded), want)
 
 
+BAYES_JSON = b'{"model": {"kind": "bayesian", "bayes_p": 0.04}}'
+
+
 @pytest.mark.parametrize("text", [
     b"model: {kind: bayesian, bayes_p: 0.04}\n",
     b"model:\n  kind: bayesian\n  bayes_p: 0.04\n",
@@ -73,7 +77,20 @@ def test_json_in_any_encoding_loads_the_same_run(tmp_path, encoding):
     b'{"model": [1, 2\n',
     b'{"model": "\xff"}',
     b"",
-], ids=["yaml_flow", "yaml_block", "yaml_flow_document", "unclosed_list", "not_utf8", "empty"])
+    b"\xef\xbb\xbf",
+    b"model:\n\tkind: stationary\n",
+    b"---\nmodel: {kind: bayesian, bayes_p: 0.04}\n",
+    b"# a comment\n" + BAYES_JSON,
+    b"// a comment\n" + BAYES_JSON,
+    b'{"model": {"kind": "bayesian", "bayes_p": 0.04},}',
+    b"{'model': {'kind': 'bayesian', 'bayes_p': 0.04}}",
+    BAYES_JSON + b"\n" + BAYES_JSON,
+    b'{"model": {"kind": "bayes\tian", "bayes_p": 0.04}}',
+    BAYES_JSON.decode().encode("utf-16-le")[:-1],
+], ids=["yaml_flow", "yaml_block", "yaml_flow_document", "unclosed_list", "not_utf8", "empty",
+        "bom_only", "yaml_tab_indented", "yaml_document_marker", "hash_comment",
+        "slash_comment", "trailing_comma", "single_quotes", "two_documents",
+        "raw_tab_in_string", "truncated_utf16"])
 def test_text_that_is_not_json_exit_2(tmp_path, capsys, text):
     # a config is JSON: YAML text, like any other text that is not JSON, is one line
     path = tmp_path / "f.json"
@@ -84,6 +101,16 @@ def test_text_that_is_not_json_exit_2(tmp_path, capsys, text):
     assert err.count("\n") == 1, err
     if text.startswith(b"model: {"):
         assert err.endswith("config must be JSON: Expecting value: line 1 column 1 (char 0)\n")
+
+
+@pytest.mark.parametrize("doc", [[], 42, "model", None, True],
+                         ids=["list", "number", "string", "null", "bool"])
+def test_document_that_is_not_a_mapping_exit_2(tmp_path, capsys, doc):
+    # any JSON value is a document; a config is a mapping
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(doc))
+    assert entropy_rate(path, capsys) == (
+        EXIT_CONFIG, f"config error: config must be a mapping, got {doc!r}\n")
 
 
 STATIONARY = {"kind": "stationary", "px_rows": [[0, 1], [1, 0]]}
@@ -98,7 +125,7 @@ def test_dwell_scalar_takes_what_tail_takes(tmp_path):
     assert model.dwell.tail.tolist() == [1e-3, 1e-3]
 
 
-@pytest.mark.parametrize("dwell", [True, "abc", "0.5x"])
+@pytest.mark.parametrize("dwell", [True, False, "abc", "0.5x", "true", "1e-3"])
 def test_dwell_scalar_rejects_bool_and_text(tmp_path, capsys, dwell):
     path = tmp_path / "f.json"
     path.write_text(json.dumps({"model": {**STATIONARY, "dwell": dwell}}))
@@ -131,6 +158,31 @@ def test_number_fields_refuse_numeric_strings(tmp_path, capsys, model, message):
     path = tmp_path / "f.json"
     path.write_text(json.dumps({"model": model}))
     assert entropy_rate(path, capsys) == (EXIT_CONFIG, f"config error: {message}\n")
+
+
+# an integer field and a fig6 edit that gives it a string that reads as an integer
+INTEGER_STRINGS = {
+    "model.alphabet_size": lambda d: d.update(model={**STATIONARY, "dwell": 0.5,
+                                                     "alphabet_size": "2"}),
+    "run.horizon": lambda d: d["run"].update(horizon="10"),
+    "run.num_paths": lambda d: d["run"].update(num_paths="10"),
+    "run.base_seed": lambda d: d["run"].update(base_seed="1"),
+    "policies[0].period": lambda d: d["policies"][0].update(period="5"),
+    "policies[0].delay.deterministic":
+        lambda d: d["policies"][0]["delay"].update(deterministic="0"),
+    "policies[1].delay.uniform[1]": lambda d: d["policies"][1]["delay"].update(uniform=[2, "8"]),
+}
+
+
+@pytest.mark.parametrize("where", INTEGER_STRINGS)
+def test_integer_fields_refuse_numeric_strings(tmp_path, capsys, where):
+    doc = json.loads(json.dumps(config.PRESETS["fig6"]))
+    INTEGER_STRINGS[where](doc)
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(doc))
+    status, err = entropy_rate(path, capsys)
+    assert status == EXIT_CONFIG
+    assert err.startswith(f"config error: {where} must be an integer, got '"), err
 
 
 def outcome(load, *args):
@@ -209,7 +261,18 @@ def test_every_json_document_loads_or_fails_closed(tmp_path_factory, doc, ensure
      "config must be JSON: Exceeds the limit (4300 digits)"),
     (json.dumps({"model": {"kind": "stationary", "px_rows": [[0.5] * 300] * 300 + [[1.0]],
                            "dwell": 0.5}}), "model.px_rows must be an n x n list of numbers"),
-], ids=["json_5000_deep", "json_50000_deep", "json_5000_digits", "ragged_301_rows"])
+    ('{"model": ' + '{"a": ' * 5_000 + "1" + "}" * 5_000 + "}", "nested too deeply"),
+    (json.dumps({"model": {"kind": "bayesian", "bayes_p": 0.5}, "run": {"horizon": 10**4_000}}),
+     "run.horizon must be < 2**63, got "),
+    (json.dumps({"model": {"kind": "bayesian", "bayes_p": 10**4_000}}),
+     "model.bayes_p must be a number, got "),
+    ('{"model": {"kind": "bayesian", "bayes_p": 0.5}, "run": {"horizon": 1e999}}',
+     "run.horizon must be an integer, got inf"),
+    ('{"model": {"kind": "bayesian", "bayes_p": -1e999}}',
+     "model.bayes_p: change hazard must lie in (0, 1), got -inf"),
+], ids=["json_5000_deep", "json_50000_deep", "json_5000_digits", "ragged_301_rows",
+        "json_5000_deep_objects", "json_4000_digit_horizon", "json_4000_digit_hazard",
+        "json_overflow_horizon", "json_overflow_hazard"])
 def test_deep_or_huge_value_exit_2(tmp_path, capsys, text, message):
     path = tmp_path / "f.json"
     path.write_text(text)
