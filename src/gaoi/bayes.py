@@ -96,9 +96,10 @@ def _pending(model: BayesModel, block: ScheduleBlock, shift: int) -> np.ndarray:
     s_cap = np.concatenate([zeros, block.samples], axis=1)
     d_cap = np.concatenate([zeros, block.deliveries, zeros + t], axis=1)
     exponent = _log_survival(model, t)
-    r = np.concatenate([[0.0], np.cumsum(-np.expm1(exponent))])  # R[k], from G(0..T)
-    span = r[d_cap[:, 1:] - s_cap + shift] - r[d_cap[:, :-1] - s_cap + shift]
-    terms = np.exp(exponent)[s_cap] * span
+    r = np.concatenate([[0.0], np.cumsum(-np.expm1(exponent))])[shift:]  # R[k + shift] at k
+    terms = r.take(d_cap[:, 1:] - s_cap)
+    terms -= r.take(d_cap[:, :-1] - s_cap)
+    terms *= np.exp(exponent).take(s_cap)
     return np.cumsum(terms, axis=1)[:, -1]
 
 
@@ -113,8 +114,9 @@ def bayes_gaoi_series(model: BayesModel, ages: np.ndarray) -> np.ndarray:
     informs the monitor from the next slot on), so a row sums to
     ``bayes_cumulative_gaoi``'s total up to rounding."""
     t = ages.shape[-1]
-    held = np.arange(t) - ages  # sampling time of the freshest delivery
-    return h_closed(model, np.arange(t + 1))[ages + 1] * np.exp(_log_survival(model, t))[held]
+    # (1-p)^{held(n)}, held(n) = n - a_n, times h(a_n + 1) off the table shifted by one
+    series = np.exp(_log_survival(model, t)).take(np.arange(t) - ages)
+    return np.multiply(series, h_closed(model, np.arange(t + 1))[1:].take(ages), out=series)
 
 
 def bayes_expected_delay(model: BayesModel, block: ScheduleBlock) -> np.ndarray:

@@ -12,38 +12,36 @@ family and moves it from path to path by setting its whole state
 generator, the per-path reference the shared one is checked against.
 
 Paths run in blocks of ``BLOCK_PATHS`` through one block loop for both
-source models.  The models differ only in their staleness and in their
-change slots, a ``(paths, changes)`` array per block, each row increasing:
+source models, which differ only in their staleness and in their change
+slots, a ``(paths, changes)`` array per block, each row increasing:
 
-* A stationary path is a semi-Markov chain, so it is sampled as its change
-  slots by one renewal sampler, ``sample_block``, from a start drawn from
-  the exact stationary law.  Each dwell is one inverse-CDF draw on the
-  survival table (geometric past the dwell prefix) and each jump one count
-  of the change CDF's bounds at or below a uniform.  Both compare directly
-  against the model's own rows, so the sampler adds O(n (n + m)) memory for
-  n statuses and an m-slot prefix.  The block's statuses advance one change
-  per Python iteration, ``CHUNK_CHANGES`` changes at a time, each chunk's
-  dwells are drawn at once, and the chunks' slots are stacked into the
-  block's.  The survival table and the law are the model's own
-  (``JointModel.survival``, ``JointModel.law``), computed once per model,
-  not once per ensemble.
-  Path k draws only from its own streams, so its realization depends
-  neither on the block size, nor on the chunk size, nor on the other paths
-  in its block.  Its staleness is the entropy rate times its age.
+* A stationary path is a semi-Markov chain, sampled as its change slots by
+  one renewal sampler, ``sample_block``, from a start drawn from the exact
+  stationary law.  Each dwell is one inverse-CDF draw on the survival table
+  (geometric past the dwell prefix) and each jump one count of the change
+  CDF's bounds at or below a uniform, both compared directly against the
+  model's own rows (``JointModel.survival`` and ``.law``, computed once per
+  model), so the sampler adds O(n (n + m)) memory for n statuses and an
+  m-slot prefix.  The block's statuses advance one change per Python
+  iteration, ``CHUNK_CHANGES`` changes at a time, with each chunk's dwells
+  drawn at once.  Path k draws only from its own streams, so its realization
+  depends neither on the block or chunk size nor on the other paths in its
+  block.  Its staleness is the entropy rate times its age.
 * A Bayesian path has one change, at a geometric time.  Its staleness is in
-  closed form per schedule, read from ``gaoi.bayes``: the total from
-  ``bayes_cumulative_gaoi`` and the per-slot series from
-  ``bayes_gaoi_series``; the ensemble builds no table of its own.
+  closed form per schedule, from ``gaoi.bayes``: the total from
+  ``bayes_cumulative_gaoi``, the per-slot series from ``bayes_gaoi_series``.
 
-The policies are state-independent, so every policy of a run sees the same
-source paths, each block's change slots sampled once.  Schedules come from
-``generate_schedules`` as ``(paths, K)`` arrays, each path's delays from its
-own policy stream; ages and detection times are read off them for the whole
-block: a change's delay is the detection time gathered at its slot, minus
-the slot.  A fixed policy (no random delay) is realised once per ensemble
-and shared by every path.  Aggregation runs per policy in path order (float
-series are added one path at a time, never by a pairwise sum), so results
-are bit-identical for any block size and any other policies in the run.
+Every policy of a run sees the same source paths (the policies are
+state-independent), each block's change slots sampled once.  Schedules come
+from ``generate_schedules`` as ``(paths, K)`` arrays, each path's delays from
+its own policy stream, and ages and detection times are read off them for the
+whole block (a change's delay is the detection time at its slot, minus the
+slot).  A fixed policy (no random delay) is realised once per ensemble and
+shared, read-only, by every block.  Each block array is written once, updated
+in place and freed before the next policy's, so a run's peak is one block's
+few ``(paths, horizon)`` arrays.  Aggregation runs per policy in path order
+(float series are added one path at a time, never by a pairwise sum), so
+results are bit-identical for any block size and any other policies run.
 """
 
 from __future__ import annotations
@@ -60,8 +58,12 @@ PATH_SALT = 0
 POLICY_SALT = 1
 INIT_SALT = 2
 
-# Paths sampled together; memory per block is O(BLOCK_PATHS x horizon).
-BLOCK_PATHS = 256
+# Paths sampled together; a block holds a few (BLOCK_PATHS, horizon) arrays.
+# Warm run_ensemble time and traced peak at 64 / 128 / 256 paths a block
+# (2-core VM, numpy 2.4.6, medians of three runs of 15 interleaved):
+#   fig5 preset        107 / 85 / 76 ms,  1.74 / 3.37 / 6.64 MiB
+#   fig6, 1000 paths    19 / 16 / 15 ms,  0.35 / 0.62 / 1.16 MiB
+BLOCK_PATHS = 128
 # Changes per pass of the sampler's status loop; no result depends on it.
 CHUNK_CHANGES = 32
 
@@ -130,6 +132,19 @@ class StreamFamily:
             "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
         }
         return self._rng
+
+
+class PathStreams:
+    """Paths ``block``'s streams of one family, each set up as it is reached, with a length."""
+
+    def __init__(self, family: StreamFamily, block: range):
+        self._at, self._block = family.at, block
+
+    def __len__(self) -> int:
+        return len(self._block)
+
+    def __iter__(self):
+        return map(self._at, self._block)
 
 
 def _dwell_ends(model: JointModel, x, target) -> np.ndarray:
@@ -269,8 +284,7 @@ def run_ensemble(config) -> list[EnsembleStats]:
             if policy.is_fixed:
                 schedules = one.take(np.zeros(len(block), dtype=np.intp))
             else:  # each path's stream is set up and drawn from in turn
-                streams = (policy_streams.at(k) for k in block)
-                schedules = generate_schedules(policy, horizon, streams)
+                schedules = generate_schedules(policy, horizon, PathStreams(policy_streams, block))
             ages = aoi_block(schedules)
             aoi_acc += ages.sum(axis=0)  # integers: exact in any order
             vals["cum_aoi"][part] = ages.sum(axis=1)
@@ -281,7 +295,8 @@ def run_ensemble(config) -> list[EnsembleStats]:
                 for series in bayes_mod.bayes_gaoi_series(model, ages):
                     gaoi_acc += series
             del ages
-            delays = np.take_along_axis(detection_block(schedules), slots, axis=1) - slots
+            delays = np.take_along_axis(detection_block(schedules), slots, axis=1)
+            delays -= slots
             vals["cum_delay"][part] = delays.sum(axis=1, where=changed)
             del schedules, delays  # before the next policy's are built
         del slots, changed  # before the next block's uniforms are drawn

@@ -21,6 +21,9 @@ stream.  The array stale filter has a fixed cost per call, however few rows
 it is given: on 8 pairs about 47 us, where a Python loop takes about 2.4 us
 (2-core VM, numpy 2.4).  So schedules are filtered a block at a time, and
 ``random_schedule`` draws all its rows before filtering them together.
+Block arithmetic is in place: a step writes only into an array its own
+function built, and the blocks built here are read-only, so a step aimed at
+a schedule (or at a fixed realisation, which is shared) raises.
 
 ``PolicySpec`` checks itself as it is built, with a ``ValueError``: a field
 its kind does not read (``POLICY_FIELDS``) must keep its default, and no
@@ -29,7 +32,7 @@ explicit pair may be sampled after its delivery.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Collection
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -65,16 +68,18 @@ class DelayLaw:
         if not (type(self.lo) is type(self.hi) is int and 0 <= self.lo <= self.hi):
             raise ValueError("delay bounds must be integers with 0 <= lo <= hi")
 
-    def draw_rows(self, streams: Iterable, size: int, cap: int) -> np.ndarray:
+    def draw_rows(self, streams: Collection, size: int, cap: int) -> np.ndarray:
         """One row of ``size`` delays per stream, each row in one call, with
         every delay above ``cap`` reported as ``cap``.
 
         Streams are used in order, one at a time.  A law with ``lo == hi``
         draws nothing, so its streams may be None.
         """
-        rows = [np.full(size, min(self.lo, cap)) if self.lo == self.hi
-                else rng.integers(self.lo, self.hi + 1, size=size) for rng in streams]
-        return np.minimum(np.array(rows, dtype=np.int64).reshape(len(rows), size), cap)
+        out = np.full((len(streams), size), min(self.lo, cap), dtype=np.int64)
+        if self.lo < self.hi:
+            for row, rng in zip(out, streams):
+                row[:] = rng.integers(self.lo, self.hi + 1, size=size)
+        return np.minimum(out, cap, out=out)
 
 
 # the fields each policy kind reads; it takes no other field but at its default
@@ -139,8 +144,11 @@ class ScheduleBlock:
         return len(self.samples)
 
     def take(self, rows) -> "ScheduleBlock":
-        """The block made of ``rows`` (an index array; repeats allowed)."""
-        return ScheduleBlock(self.horizon, self.samples[rows], self.deliveries[rows])
+        """The read-only block made of ``rows`` (an index array; repeats allowed)."""
+        taken = self.samples[rows], self.deliveries[rows]  # copies, never this block's own
+        for values in taken:
+            values.setflags(write=False)
+        return ScheduleBlock(self.horizon, *taken)
 
 
 def _keep_fresh(samples: np.ndarray, deliveries: np.ndarray, horizon: int) -> ScheduleBlock:
@@ -152,22 +160,24 @@ def _keep_fresh(samples: np.ndarray, deliveries: np.ndarray, horizon: int) -> Sc
     delivered no later is fresher and makes it stale.  So on equal delivery
     times the freshest sample is kept, as ``filter_stale`` specifies.
     """
-    paths = samples.shape[0]
-    inside = (samples > 0) & (samples < horizon) & (deliveries <= horizon)
-    later = np.where(inside, deliveries, horizon + 1)
-    # earliest in-horizon delivery from column i on, then from column i + 1 on
-    from_here = np.minimum.accumulate(later[:, ::-1], axis=1)[:, ::-1]
-    after = np.concatenate([from_here[:, 1:], np.full((paths, 1), horizon + 1)], axis=1)
-    keep = inside & (deliveries < after)
+    keep = (samples > 0) & (samples < horizon)
+    keep &= deliveries <= horizon
+    # earliest in-horizon delivery from column i on; pair i must come before
+    # column i + 1's (the last pair in the horizon is delivered by T < T + 1)
+    later = np.where(keep, deliveries, horizon + 1)
+    np.minimum.accumulate(later[:, ::-1], axis=1, out=later[:, ::-1])
+    keep[:, :-1] &= deliveries[:, :-1] < later[:, 1:]
+    del later
     rows, cols = np.nonzero(keep)
-    slot = (np.cumsum(keep, axis=1) - 1)[rows, cols]
+    slot = np.cumsum(keep, axis=1)[rows, cols] - 1
     width = int(keep.sum(axis=1).max(initial=0))
     packed = []
     for values in (samples, deliveries):
-        out = np.full((paths, width), horizon, dtype=np.int64)
+        out = np.full((len(samples), width), horizon, dtype=np.int64)
         out[rows, slot] = values[rows, cols]
+        out.setflags(write=False)
         packed.append(out)
-    return ScheduleBlock(horizon, packed[0], packed[1])
+    return ScheduleBlock(horizon, *packed)
 
 
 def filter_stale(raw: list[tuple[int, int]], horizon: int) -> ScheduleBlock:
@@ -187,11 +197,11 @@ def filter_stale(raw: list[tuple[int, int]], horizon: int) -> ScheduleBlock:
     return _keep_fresh(s[None, first], d[None, first], horizon)
 
 
-def generate_schedules(policy: PolicySpec, horizon: int, streams: Iterable) -> ScheduleBlock:
+def generate_schedules(policy: PolicySpec, horizon: int, streams: Collection) -> ScheduleBlock:
     """Realize a policy over ``[1, horizon]`` once per stream, one row each.
 
-    ``streams`` yields one generator per path, used in order and one at a
-    time; a fixed policy draws nothing, so its streams may be None.
+    ``streams`` has a length and yields one generator per path, used in order
+    and one at a time; a fixed policy draws nothing, so its streams may be None.
 
     The greedy policy starts sampling at time 0 (the monitor's initial
     knowledge counts as a delivery); that first pair carries no information
@@ -201,7 +211,7 @@ def generate_schedules(policy: PolicySpec, horizon: int, streams: Iterable) -> S
     """
     if policy.kind == "explicit":
         one = filter_stale(list(policy.pairs), horizon)
-        return one.take(np.zeros(len(list(streams)), dtype=np.intp))
+        return one.take(np.zeros(len(streams), dtype=np.intp))
     # A delay past the horizon delivers past it, and under greedy also ends
     # the sampling, so delays are capped at T + 1 and the sums stay small.
     if policy.kind == "periodic":
@@ -212,9 +222,11 @@ def generate_schedules(policy: PolicySpec, horizon: int, streams: Iterable) -> S
         # every step is at least max(lo, 1), so this many draws pass the horizon
         size = -(-horizon // max(policy.delay.lo, 1))
         delays = policy.delay.draw_rows(streams, size, horizon + 1)
-        steps = np.maximum(delays, 1)
-        samples = np.cumsum(steps, axis=1) - steps
-    return _keep_fresh(samples, samples + delays, horizon)
+        samples = np.zeros_like(delays)
+        np.maximum(delays[:, :-1], 1, out=samples[:, 1:])
+        np.cumsum(samples[:, 1:], axis=1, out=samples[:, 1:])  # s_{i+1} = s_i + max(D_i, 1)
+    delays += samples  # the deliveries
+    return _keep_fresh(samples, delays, horizon)
 
 
 def random_schedule(horizon: int, rng: np.random.Generator, count: int) -> ScheduleBlock:
@@ -227,15 +239,15 @@ def random_schedule(horizon: int, rng: np.random.Generator, count: int) -> Sched
     """
     width = 2 * MEAN_UPDATES
     samples = np.full((count, width), horizon, dtype=np.int64)
-    delays = np.zeros((count, width), dtype=np.int64)
+    deliveries = np.full((count, width), horizon, dtype=np.int64)
     if horizon >= 2:
         for row in range(count):
             k = int(rng.integers(0, width + 1))
             # sorted distinct draws, as np.unique gives, without importing numpy.ma
             times = sorted(set(rng.integers(1, horizon, size=k).tolist()))
             samples[row, :len(times)] = times
-            delays[row, :len(times)] = rng.integers(0, MAX_DELAY + 1, size=len(times))
-    return _keep_fresh(samples, samples + delays, horizon)
+            deliveries[row, :len(times)] = rng.integers(0, MAX_DELAY + 1, size=len(times)) + times
+    return _keep_fresh(samples, deliveries, horizon)
 
 
 def aoi_block(block: ScheduleBlock) -> np.ndarray:
@@ -248,7 +260,8 @@ def aoi_block(block: ScheduleBlock) -> np.ndarray:
     t = block.horizon
     held = np.zeros((block.num_paths, t + 1), dtype=np.int64)
     np.put_along_axis(held, block.deliveries, block.samples, axis=1)  # padding lands in column T
-    return np.arange(t) - np.maximum.accumulate(held[:, :t], axis=1)
+    ages = np.maximum.accumulate(held[:, :t], axis=1, out=held[:, :t])
+    return np.subtract(np.arange(t), ages, out=ages)
 
 
 def detection_block(block: ScheduleBlock) -> np.ndarray:
@@ -261,4 +274,4 @@ def detection_block(block: ScheduleBlock) -> np.ndarray:
     t = block.horizon
     first = np.full((block.num_paths, t + 1), t, dtype=np.int64)
     np.put_along_axis(first, block.samples, block.deliveries, axis=1)  # padding writes T at T
-    return np.minimum.accumulate(first[:, ::-1], axis=1)[:, ::-1]
+    return np.minimum.accumulate(first[:, ::-1], axis=1, out=first[:, ::-1])[:, ::-1]

@@ -419,7 +419,7 @@ class TestSamplerEquivalence:
             assert np.array_equal(alone[0], changed[k])
             assert np.array_equal(alone[1], states[k])
 
-    @pytest.mark.parametrize("block_paths", [1, 3, 64])
+    @pytest.mark.parametrize("block_paths", [1, 3, 64, 128, 256])
     def test_ensemble_independent_of_block_size(self, monkeypatch, block_paths):
         config = RunConfig(model=make_ragged_three(), policies=(GREEDY_2080,), horizon=150,
                            num_paths=70, base_seed=8)
@@ -656,6 +656,29 @@ class TestSamplerMemory:
         assert peak < 16 * 2**20, f"{peak / 2**20:.1f} MiB"
 
 
+class TestEnsembleMemory:
+    """A block's working set is a few (BLOCK_PATHS, horizon) arrays, each
+    written once and updated in place.  Each bound is about 1.3 times the
+    traced peak measured with 128-path blocks: 0.62, 3.37 and 53.3 MiB
+    (with 256-path blocks and fresh temporaries: 1.36, 7.61 and 118.0 MiB)."""
+
+    @pytest.mark.parametrize("case, paths, horizon, bound_mib", [
+        ("fig6", 1000, 100, 0.8), ("fig5", 1000, 1000, 4.4), ("fig6", 256, 10**4, 69),
+    ])
+    def test_traced_peak(self, case, paths, horizon, bound_mib):
+        from gaoi.config import preset_config
+
+        config = dataclasses.replace(preset_config(case), num_paths=paths, horizon=horizon)
+        run_ensemble(dataclasses.replace(config, num_paths=2))  # the model's own tables
+        tracemalloc.start()
+        try:
+            run_ensemble(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound_mib * 2**20, f"{peak / 2**20:.2f} MiB"
+
+
 def test_tail_drawn_only_past_prefix(monkeypatch):
     # on the sticky model nearly every dwell ends inside its 170-slot
     # prefix; those must not draw a geometric tail
@@ -724,7 +747,7 @@ def _assert_identical(stats, other):
 
 class TestEnsembleMatchesReference:
     @pytest.mark.parametrize("horizon", [1, 2, 120])
-    @pytest.mark.parametrize("block_paths", [1, 3, 256])
+    @pytest.mark.parametrize("block_paths", [1, 3, 128, 256])
     @pytest.mark.parametrize("policy_name", sorted(ENSEMBLE_POLICIES))
     @pytest.mark.parametrize("model_name", sorted(ENSEMBLE_MODELS))
     def test_bit_identical_to_per_path_loop(self, monkeypatch, reference_stats, model_name,
@@ -737,7 +760,7 @@ class TestEnsembleMatchesReference:
             # T (delay 0), and some (a Bayesian theta > T) does not change
             assert set(stats.values["num_changes"].tolist()) == {0.0, 1.0}
 
-    @pytest.mark.parametrize("block_paths", [7, 256])
+    @pytest.mark.parametrize("block_paths", [7, 128, 256])
     def test_start_status_reaches_the_sampler(self, monkeypatch, block_paths):
         # about 13 % of the stationary law sits outside status 0, so some of
         # 200 paths start in a status whose hazard differs from status 0's by
@@ -809,6 +832,26 @@ class TestPoliciesShareSourcePaths:
         assert sampled == blocks
         assert salts.count(PATH_SALT) == 10 and salts.count(INIT_SALT) == starts
         assert salts.count(POLICY_SALT) == 10  # greedy_random alone draws delays
+
+
+def test_fixed_realisation_unchanged_by_the_run(monkeypatch):
+    # a fixed policy is realised once and shared by every block; every
+    # schedule block the run builds is read-only and left as it was built
+    made, generate = [], ensemble.generate_schedules
+
+    def recorded(policy, horizon, streams):
+        block = generate(policy, horizon, streams)
+        made.append((block, block.samples.copy(), block.deliveries.copy()))
+        return block
+    monkeypatch.setattr(ensemble, "generate_schedules", recorded)
+    monkeypatch.setattr(ensemble, "BLOCK_PATHS", 4)
+    names = ("periodic_fixed", "greedy_fixed", "explicit", "greedy_random")
+    run_ensemble(_reference_config("ragged", *names))
+    assert [block.num_paths for block, _, _ in made] == [1, 1, 1, 4, 4, 2]
+    for block, samples, deliveries in made:
+        assert not (block.samples.flags.writeable or block.deliveries.flags.writeable)
+        assert np.array_equal(block.samples, samples)
+        assert np.array_equal(block.deliveries, deliveries)
 
 
 def test_array_holding_types_compare_by_identity():

@@ -14,7 +14,7 @@ from gaoi import (
     generate_schedules,
     random_schedule,
 )
-from gaoi.schedule import aoi_block, detection_block
+from gaoi.schedule import ScheduleBlock, aoi_block, detection_block
 
 from reference import (
     reference_cumulative_gaoi,
@@ -305,3 +305,28 @@ class TestGenerateSchedules:
         block = generate_schedules(fixed, 50, [None, None])
         # the sample at 48 would be delivered at 52, past the horizon
         assert rows(block) == [[(s, s + 4) for s in range(4, 47, 4)]] * 2
+
+    @pytest.mark.parametrize("build", [
+        lambda rngs: generate_schedules(
+            PolicySpec(kind="periodic", period=5, delay=DelayLaw(0, 3)), 40, rngs),
+        lambda rngs: generate_schedules(PolicySpec(kind="greedy", delay=DelayLaw(2, 8)), 40, rngs),
+        lambda rngs: generate_schedules(PolicySpec(kind="greedy", delay=DelayLaw(4, 4)), 40, rngs),
+        lambda rngs: generate_schedules(PolicySpec(kind="explicit", pairs=((3, 9), (5, 6))), 40,
+                                        rngs),
+        lambda rngs: filter_stale([(3, 9), (5, 6)], 40),
+        lambda rngs: random_schedule(40, rngs[0], 3),
+    ], ids=["periodic", "greedy", "greedy_fixed", "explicit", "filter_stale", "random"])
+    def test_blocks_it_builds_are_read_only(self, build):
+        # an in-place step aimed at a schedule's own arrays raises, where it
+        # would corrupt what is read next (a fixed realisation is shared)
+        block = build([np.random.default_rng(k) for k in range(3)])
+        for values in (block.samples, block.deliveries):
+            with pytest.raises(ValueError, match="read-only"):
+                values[0, 0] = 1
+
+    def test_take_leaves_the_callers_arrays_writable(self):
+        samples, deliveries = np.array([[2, 5]]), np.array([[4, 9]])
+        taken = ScheduleBlock(10, samples, deliveries).take(np.zeros(2, dtype=np.intp))
+        assert not (taken.samples.flags.writeable or taken.deliveries.flags.writeable)
+        samples[0, 0], deliveries[0, 0] = 3, 5
+        assert rows(taken) == [[(2, 4), (5, 9)]] * 2
