@@ -10,6 +10,7 @@ import importlib
 
 # Each public name, by the layer that defines it.
 _LAYERS = {
+    "_base": ("ModelError",),
     "bayes": (
         "BayesModel",
         "bayes_cumulative_gaoi",
@@ -27,7 +28,6 @@ _LAYERS = {
         "DwellKernel",
         "IrreducibilityError",
         "JointModel",
-        "ModelError",
         "StationaryDistribution",
         "discrete_entropy",
     ),

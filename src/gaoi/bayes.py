@@ -29,21 +29,20 @@ float power of the rounded 1-p would gather an error of order k ulps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .markov import binary_entropy
+from ._base import _Value, binary_entropy
 from .schedule import ScheduleBlock
 
 
-@dataclass(frozen=True)
-class BayesModel:
+class BayesModel(_Value):
     """Per-slot change hazard of the geometric change point."""
 
-    p: float
+    __match_args__ = ("p",)
+    kind = "bayesian"  # its config.MODEL_KINDS kind
 
-    def __post_init__(self):
+    def __init__(self, p: float):
+        self._init(p=p)
         if not 0.0 < self.p < 1.0:
             raise ValueError(f"change hazard must lie in (0, 1), got {self.p}")
 

@@ -19,17 +19,14 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from .bayes import BayesModel, bayes_cumulative_gaoi, bayes_expected_delay, h_closed
+from ._base import ModelError
 from .config import ConfigError, RunConfig, load_config, preset_config
 from .ensemble import EnsembleStats, derive_stream, run_ensemble
-from .markov import ModelError
-from .metrics import closed_form_aoi, cumulative_aoi, delay_double_sum
-from .schedule import DelayLaw, generate_schedules, random_schedule
+from .schedule import DelayLaw, PolicySpec, generate_schedules, random_schedule
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -62,9 +59,10 @@ def _csv(columns: dict[str, list]) -> str:
 
 def _load(args) -> RunConfig:
     cfg = load_config(args.config) if args.preset is None else preset_config(args.preset)
-    overrides = {"base_seed": args.seed, "num_paths": args.paths}
     # a new RunConfig checks the run's ranges again, overrides included
-    return replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
+    return RunConfig(cfg.model, cfg.policies, cfg.horizon,
+                     cfg.num_paths if args.paths is None else args.paths,
+                     cfg.base_seed if args.seed is None else args.seed)
 
 
 def _policy_labels(cfg: RunConfig, command: str) -> list[str]:
@@ -177,6 +175,8 @@ def _verify_thm1(cfg: RunConfig, labels: list[str]) -> int:
     error.  GAoI/rate is printed but not judged: the ensemble sets each path's
     GAoI to rate * AoI.
     """
+    from .metrics import closed_form_aoi, cumulative_aoi, delay_double_sum  # thm1's alone
+
     model = cfg.model
     rng = derive_stream(cfg.base_seed, 0, 99)
     for _ in range(100):
@@ -206,7 +206,9 @@ def _verify_thm1(cfg: RunConfig, labels: list[str]) -> int:
 
 
 def _verify_thm2(cfg: RunConfig, labels: list[str]) -> int:
-    model: BayesModel = cfg.model
+    from .bayes import bayes_cumulative_gaoi, bayes_expected_delay, h_closed
+
+    model = cfg.model
     t = cfg.horizon
     c_t = float(h_closed(model, t))
     scale = model.h1 / model.p
@@ -215,7 +217,7 @@ def _verify_thm2(cfg: RunConfig, labels: list[str]) -> int:
     for policy in cfg.policies:
         # deterministic-delay variant of each configured policy (midpoint delay)
         mid = (policy.delay.lo + policy.delay.hi) // 2
-        det = replace(policy, delay=DelayLaw(mid, mid))
+        det = PolicySpec(policy.kind, policy.period, DelayLaw(mid, mid), policy.pairs)
         blocks.append(generate_schedules(det, t, [rng]))
     worst = max(
         float(np.abs(bayes_cumulative_gaoi(model, b) - scale * bayes_expected_delay(model, b)

@@ -14,31 +14,35 @@ value gives a one-line message, never a traceback.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 from reprlib import repr as _show
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .bayes import BayesModel
-from .markov import ChangeKernel, DwellKernel, JointModel, ModelError
+from ._base import ModelError, _Value
 from .schedule import DelayLaw, PolicySpec
+
+if TYPE_CHECKING:  # a model's layer loads only when a config names its kind
+    from .bayes import BayesModel
+    from .markov import JointModel
 
 
 class ConfigError(ValueError):
     """Malformed or unknown configuration content."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    model: JointModel | BayesModel
-    policies: tuple[PolicySpec, ...]
-    horizon: int
-    num_paths: int
-    base_seed: int
+class RunConfig(_Value):
+    """One run: a model, its policies, the horizon, the number of paths and
+    the base seed."""
 
-    def __post_init__(self):
-        # every run is checked here: from a file, a preset or dataclasses.replace
+    __match_args__ = ("model", "policies", "horizon", "num_paths", "base_seed")
+
+    def __init__(self, model: JointModel | BayesModel, policies: tuple[PolicySpec, ...],
+                 horizon: int, num_paths: int, base_seed: int):
+        self._init(model=model, policies=policies, horizon=horizon, num_paths=num_paths,
+                   base_seed=base_seed)
+        # every run is checked here: from a file, a preset or the CLI's overrides
         for name, least in (("horizon", 1), ("num_paths", 1), ("base_seed", 0)):
             value = getattr(self, name)
             if value < least:
@@ -49,7 +53,7 @@ class RunConfig:
 
     @property
     def is_bayesian(self) -> bool:
-        return isinstance(self.model, BayesModel)
+        return self.model.kind == "bayesian"
 
 
 # The keys each model and policy kind needs besides ``kind``, then the keys it
@@ -124,23 +128,26 @@ def _dwell_entry(entry, where: str) -> tuple[list[float], float]:
     return prefix, _float(entry["tail"], f"{where}.tail")
 
 
-def _parse_dwell(raw, n_states: int) -> DwellKernel:
+def _parse_dwell(raw, n_states: int) -> tuple:
+    """A ``DwellKernel``'s arguments: one prefix and one tail per state."""
     if isinstance(raw, (int, float)) and not isinstance(raw, bool):
-        return DwellKernel([[]] * n_states, [_float(raw, "model.dwell")] * n_states)
+        return [[]] * n_states, [_float(raw, "model.dwell")] * n_states
     if isinstance(raw, dict):
         prefix, tail = _dwell_entry(raw, "model.dwell")
-        return DwellKernel([prefix] * n_states, [tail] * n_states)
+        return [prefix] * n_states, [tail] * n_states
     if isinstance(raw, list):
         if len(raw) != n_states:
             raise ConfigError(f"model.dwell must hold one entry per state ({n_states}), "
                               f"got {len(raw)}")
         entries = (_dwell_entry(e, f"model.dwell[{i}]") for i, e in enumerate(raw))
-        return DwellKernel(*zip(*entries))
+        return tuple(zip(*entries))
     raise ConfigError("model.dwell must be a probability, a {prefix, tail} map, or a per-state list")
 
 
 def _parse_model(section):
     if _kind(section, "model", MODEL_KINDS) == "bayesian":
+        from .bayes import BayesModel
+
         return _make("model.bayes_p", BayesModel, p=_float(section["bayes_p"], "model.bayes_p"))
     raw = section["px_rows"]
     cells = np.array(raw, dtype=object)  # a ragged list stays 1-D
@@ -152,9 +159,11 @@ def _parse_model(section):
     if rows.shape != (n, n):
         raise ConfigError(f"model.px_rows has shape {rows.shape}, expected ({n}, {n}) "
                           f"from model.alphabet_size")
+    from .markov import ChangeKernel, DwellKernel, JointModel
+
     # the dwell first, so that its config errors (exit 2) come before the model
     # errors (exit 3) that ChangeKernel raises as it is built
-    dwell = _parse_dwell(section["dwell"], n)
+    dwell = DwellKernel(*_parse_dwell(section["dwell"], n))
     return JointModel(ChangeKernel(rows), dwell)
 
 

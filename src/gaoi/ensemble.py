@@ -46,13 +46,15 @@ results are bit-identical for any block size and any other policies run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import bayes as bayes_mod
-from .markov import JointModel, geometric_tail
+from ._base import _Frozen
 from .schedule import aoi_block, detection_block, generate_schedules
+
+if TYPE_CHECKING:  # a model's layer loads only with its model
+    from .markov import JointModel
 
 PATH_SALT = 0
 POLICY_SALT = 1
@@ -71,8 +73,7 @@ METRICS = ("cum_aoi", "cum_gaoi", "cum_delay", "num_changes")
 
 
 # compared and hashed by identity, as its arrays cannot be
-@dataclass(frozen=True, eq=False)
-class EnsembleStats:
+class EnsembleStats(_Frozen):
     """Ensemble means with standard errors, plus per-slot average series.
 
     ``values[name]`` holds one value per path, in path order, for each name
@@ -80,13 +81,14 @@ class EnsembleStats:
     paired statistics (such as ``verify thm1``'s) can be built from them.
     """
 
-    num_paths: int
-    horizon: int
-    mean: dict[str, float]
-    se: dict[str, float]
-    values: dict[str, np.ndarray]
-    mean_aoi_series: np.ndarray
-    mean_gaoi_series: np.ndarray
+    __match_args__ = ("num_paths", "horizon", "mean", "se", "values", "mean_aoi_series",
+                      "mean_gaoi_series")
+
+    def __init__(self, num_paths: int, horizon: int, mean: dict[str, float],
+                 se: dict[str, float], values: dict[str, np.ndarray],
+                 mean_aoi_series: np.ndarray, mean_gaoi_series: np.ndarray):
+        self._init(num_paths=num_paths, horizon=horizon, mean=mean, se=se, values=values,
+                   mean_aoi_series=mean_aoi_series, mean_gaoi_series=mean_gaoi_series)
 
 
 def _philox_key(base_seed: int, salt: int) -> np.ndarray:
@@ -159,6 +161,8 @@ def _dwell_ends(model: JointModel, x, target) -> np.ndarray:
     1..m with S_x(j) >= target: one ``searchsorted`` on -S_x(1..m) per
     status present, exact because it only compares.
     """
+    from .markov import geometric_tail  # a stationary model's layer, loaded with the model
+
     m = model.dwell.prefix_len
     at_m = model.survival[:, m].take(x)
     inside = target > at_m
@@ -252,7 +256,9 @@ def run_ensemble(config) -> list[EnsembleStats]:
     runs in the calling thread, and the output depends only on the config.
     """
     model, horizon = config.model, config.horizon
-    bayesian = isinstance(model, bayes_mod.BayesModel)
+    bayesian = config.is_bayesian
+    if bayesian:
+        from . import bayes as bayes_mod  # loaded only for a Bayesian model
     policy_streams = StreamFamily(config.base_seed, POLICY_SALT)
     paths = StreamFamily(config.base_seed, PATH_SALT)
     inits = StreamFamily(config.base_seed, INIT_SALT)

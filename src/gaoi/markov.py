@@ -23,14 +23,8 @@ is not positive, ``JointModel`` two alphabets or a law past float64's range).
 A model owns its tables (hazards, survival products, one-step transitions, the
 law, its entropy rate and change probability), each built once, read-only.
 
-The kernels, the model and the law are plain frozen classes, not
-dataclasses: each sets its fields once in ``__init__``, after which
-assignment and deletion raise, so a model stays valid by construction.
-They compare and hash by identity, since a value ``==`` would take an
-array's truth value and a value hash would hash an array; that leaves a
-dataclass nothing to generate but ``__init__`` and ``__repr__``, and its
-decorator and module cost start-up on every import.  ``cached_property``
-writes the instance dict directly, so the tables still build once.
+The kernels, the model and the law hold arrays, so they are plain frozen
+classes that compare and hash by identity (``gaoi._base._Frozen``).
 
 The model's own API is the only one gaoi uses: ``JointModel(change, dwell)``,
 ``model.law`` and ``model.rate``.  Three older names for these remain as
@@ -48,12 +42,9 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ._base import ModelError, _Frozen, binary_entropy
+
 ATOL_STOCHASTIC = 1e-12
-
-
-class ModelError(ValueError):
-    """Raised for malformed kernels, a reducible change matrix, or a law that
-    float64 cannot hold."""
 
 
 class IrreducibilityError(ModelError):
@@ -62,23 +53,6 @@ class IrreducibilityError(ModelError):
     def __init__(self, unreachable: list[int]):
         self.unreachable = unreachable
         super().__init__(f"change chain is not irreducible; unreachable states: {unreachable}")
-
-
-class _Frozen:
-    """Fields set once in ``__init__``; assigning or deleting one raises.
-    Equality and hash are identity; the repr names the fields."""
-
-    __match_args__: tuple[str, ...] = ()
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}: {type(self).__name__} is frozen")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}: {type(self).__name__} is frozen")
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
-        return f"{type(self).__name__}({fields})"
 
 
 class ChangeKernel(_Frozen):
@@ -93,7 +67,7 @@ class ChangeKernel(_Frozen):
         except (TypeError, ValueError, OverflowError):  # ragged, non-numeric or past float
             raise ModelError("change matrix must be a list of rows of numbers") from None
         rows.setflags(write=False)
-        object.__setattr__(self, "rows", rows)
+        self._init(rows=rows)
         if rows.ndim != 2 or rows.shape[0] != rows.shape[1]:
             raise ModelError(f"change matrix must be square, got shape {rows.shape}")
         if rows.shape[0] == 0:
@@ -139,8 +113,7 @@ class DwellKernel(_Frozen):
             prefix[x, :len(row)] = row  # and the rest of the row is its tail
         prefix.setflags(write=False)
         tail.setflags(write=False)
-        object.__setattr__(self, "prefix", prefix)
-        object.__setattr__(self, "tail", tail)
+        self._init(prefix=prefix, tail=tail)
         q_all = np.concatenate([prefix.ravel(), tail])
         if np.any(~((q_all >= 0.0) & (q_all <= 1.0))):
             raise ModelError("dwell probabilities must lie in [0, 1]")
@@ -167,10 +140,10 @@ class JointModel(_Frozen):
     that float64 holds; any other pair is refused."""
 
     __match_args__ = ("change", "dwell")
+    kind = "stationary"  # its config.MODEL_KINDS kind
 
     def __init__(self, change: ChangeKernel, dwell: DwellKernel):
-        object.__setattr__(self, "change", change)
-        object.__setattr__(self, "dwell", dwell)
+        self._init(change=change, dwell=dwell)
         if self.dwell.n_states != self.change.n_states:
             raise ModelError(f"dwell kernel covers {self.dwell.n_states} states, "
                              f"change matrix {self.change.n_states}")
@@ -280,8 +253,7 @@ class StationaryDistribution(_Frozen):
     def __init__(self, mu: np.ndarray, tail: np.ndarray):
         """``mu`` of shape (n_states, m + 1), ``tail`` the tail change
         probability per state."""
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "tail", tail)
+        self._init(mu=mu, tail=tail)
 
     @property
     def mu0(self) -> np.ndarray:
@@ -370,16 +342,6 @@ def discrete_entropy(pi: np.ndarray) -> float:
         raise ValueError(f"probabilities sum to {pi.sum()}, expected 1")
     pos = pi[pi > 0.0]
     return float(-(pos * np.log2(pos)).sum())
-
-
-def binary_entropy(q):
-    """H(q, 1-q) in bits, elementwise (a float for a scalar); 0 if q <= 0 or q >= 1."""
-    q = np.asarray(q, dtype=float)
-    outside = (q <= 0.0) | (q >= 1.0)
-    q = np.where(outside, 0.5, q)
-    # log1p keeps the digits of ln(1 - q) that 1 - q rounds away at small q
-    h = -q * np.log2(q) - (1.0 - q) * np.log1p(-q) / np.log(2.0)
-    return np.where(outside, 0.0, h)[()]
 
 
 # Shims for perfbench/op.py, which still calls these; they go with ROADMAP

@@ -33,9 +33,10 @@ explicit pair may be sampled after its delivery.
 from __future__ import annotations
 
 from collections.abc import Collection
-from dataclasses import dataclass, fields
 
 import numpy as np
+
+from ._base import _Frozen, _Value
 
 
 class ScheduleError(ValueError):
@@ -55,15 +56,14 @@ MEAN_UPDATES = 8
 MAX_DELAY = 20
 
 
-@dataclass(frozen=True)
-class DelayLaw:
+class DelayLaw(_Value):
     """Delivery delays uniform on the integers [lo, hi]; deterministic when
     ``lo == hi``."""
 
-    lo: int
-    hi: int
+    __match_args__ = ("lo", "hi")
 
-    def __post_init__(self):
+    def __init__(self, lo: int, hi: int):
+        self._init(lo=lo, hi=hi)
         # a float or a bool is no bound, as config._int has it (type(True) is bool)
         if not (type(self.lo) is type(self.hi) is int and 0 <= self.lo <= self.hi):
             raise ValueError("delay bounds must be integers with 0 <= lo <= hi")
@@ -86,8 +86,7 @@ class DelayLaw:
 POLICY_FIELDS = {"periodic": ("period", "delay"), "greedy": ("delay",), "explicit": ("pairs",)}
 
 
-@dataclass(frozen=True)
-class PolicySpec:
+class PolicySpec(_Value):
     """State-independent updating policy.
 
     * periodic: sample every ``period`` slots, deliver after a delay draw.
@@ -95,18 +94,18 @@ class PolicySpec:
     * explicit: replay a fixed list of (sample, delivery) pairs.
     """
 
-    kind: str  # "periodic" | "greedy" | "explicit"
-    period: int = 0
-    delay: DelayLaw = DelayLaw(0, 0)
-    pairs: tuple[tuple[int, int], ...] = ()
+    __match_args__ = ("kind", "period", "delay", "pairs")
 
-    def __post_init__(self):
+    def __init__(self, kind: str, period: int = 0, delay: DelayLaw = DelayLaw(0, 0),
+                 pairs: tuple[tuple[int, int], ...] = ()):
+        self._init(kind=kind, period=period, delay=delay, pairs=pairs)
         if self.kind not in tuple(POLICY_FIELDS):  # compared, not hashed: a list is no kind
             raise ValueError(f"unknown policy kind {self.kind!r}")
         reads = POLICY_FIELDS[self.kind]
-        for field in fields(self)[1:]:
-            if field.name not in reads and getattr(self, field.name) != field.default:
-                raise ValueError(f"{self.kind} policy takes no {field.name}")
+        # every field but the kind has a default, which a field the kind does not read keeps
+        for name, default in zip(self.__match_args__[1:], PolicySpec.__init__.__defaults__):
+            if name not in reads and getattr(self, name) != default:
+                raise ValueError(f"{self.kind} policy takes no {name}")
         if self.kind == "periodic" and not (type(self.period) is int and self.period >= 1):
             raise ValueError("periodic policy needs an integer period >= 1")
         if not isinstance(self.delay, DelayLaw):
@@ -125,8 +124,7 @@ class PolicySpec:
 
 
 # compared and hashed by identity, as its arrays cannot be
-@dataclass(frozen=True, eq=False)
-class ScheduleBlock:
+class ScheduleBlock(_Frozen):
     """The schedules of a block of paths as left-packed ``(paths, K)`` arrays.
 
     Row k holds path k's delivered updates in order; the rest of the row is
@@ -135,9 +133,11 @@ class ScheduleBlock:
     the horizon, so row k holds ``(samples[k] < horizon).sum()`` of them.
     """
 
-    horizon: int
-    samples: np.ndarray  # (paths, K) int64
-    deliveries: np.ndarray  # (paths, K) int64
+    __match_args__ = ("horizon", "samples", "deliveries")
+
+    def __init__(self, horizon: int, samples: np.ndarray, deliveries: np.ndarray):
+        """``samples`` and ``deliveries`` are (paths, K) int64."""
+        self._init(horizon=horizon, samples=samples, deliveries=deliveries)
 
     @property
     def num_paths(self) -> int:

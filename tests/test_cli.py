@@ -564,6 +564,26 @@ class TestVerify:
         assert out.split() == ["False", "True"]
 
 
+@pytest.mark.parametrize("argv, loaded, skipped", [
+    (["verify", "thm2", "--preset", "fig6"], [], ["gaoi.markov", "gaoi.metrics", "dataclasses"]),
+    (["simulate", "--preset", "fig5"], [], ["gaoi.bayes", "gaoi.metrics", "dataclasses"]),
+    (["verify", "thm1", "--preset", "fig5"], ["gaoi.metrics"], ["gaoi.bayes"]),
+], ids=["verify_thm2", "simulate", "verify_thm1"])
+def test_command_loads_only_its_layers(tmp_path, argv, loaded, skipped):
+    # a command pays start-up only for the layers it runs: a Bayesian run
+    # loads no Markov chain, a stationary one no Bayesian model, and only
+    # thm1 checks the schedule identities of gaoi.metrics
+    argv = [*argv, "--paths", "2", *(["--out", str(tmp_path)] if argv[0] == "simulate" else [])]
+    names = [*loaded, *skipped]
+    out = run_python("from gaoi import cli\n"
+                     f"code = cli.main({argv!r})\n"
+                     f"print(code, *(name in sys.modules for name in {names!r}))\n")
+    code, *found = out.splitlines()[-1].split()
+    assert code in ("0", "1")
+    assert dict(zip(names, found)) == {**dict.fromkeys(loaded, "True"),
+                                       **dict.fromkeys(skipped, "False")}
+
+
 def test_gaoi_needs_no_pyyaml(tmp_path):
     # with yaml unimportable: the library's names, a preset's verify run, and
     # a shipped config's simulate run
@@ -648,7 +668,8 @@ def test_import_gaoi_skips_config_and_cli():
     # the library (and the oracle workload, which imports it) needs neither
     # the config reader nor the CLI: loading them costs start-up on every import.
     # `import gaoi` loads no layer at all; a name loads its own layer on first use.
-    # The model's types are plain classes, so the oracle's layers skip dataclasses
+    # The model's types are plain classes, so the oracle's layers skip dataclasses,
+    # and the one module they load besides is the layers' shared gaoi._base
     out = run_python(
         "def loaded():\n"
         "    return sorted(m for m in sys.modules if m.split('.')[0] == 'gaoi')\n"
@@ -670,9 +691,9 @@ def test_import_gaoi_skips_config_and_cli():
     assert lines[6:] == PUBLIC_NAMES
     assert lines[:6] == [
         "['gaoi'] False",
-        "['gaoi', 'gaoi.markov', 'gaoi.oracle'] False",
-        "['gaoi.bayes', 'gaoi.ensemble', 'gaoi.markov', 'gaoi.metrics', 'gaoi.oracle', "
-        "'gaoi.schedule']",
+        "['gaoi', 'gaoi._base', 'gaoi.markov', 'gaoi.oracle'] False",
+        "['gaoi._base', 'gaoi.bayes', 'gaoi.ensemble', 'gaoi.markov', 'gaoi.metrics', "
+        "'gaoi.oracle', 'gaoi.schedule']",
         "[]",
         "[]",
         "module 'gaoi' has no attribute 'no_such_name'",

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 from pathlib import Path
 
@@ -7,7 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gaoi import PolicySpec, config, markov
+from gaoi import PolicySpec, config
+from gaoi._base import _Frozen
 from gaoi.cli import EXIT_CONFIG, main
 from gaoi.markov import ModelError
 
@@ -33,10 +33,7 @@ def same(a, b) -> bool:
         return list(a) == list(b) and all(same(a[k], b[k]) for k in a)
     if isinstance(a, (list, tuple)):
         return len(a) == len(b) and all(same(x, y) for x, y in zip(a, b))
-    if dataclasses.is_dataclass(a):
-        return all(same(getattr(a, f.name), getattr(b, f.name))
-                   for f in dataclasses.fields(a))
-    if isinstance(a, markov._Frozen):  # the model's plain frozen classes, field by field
+    if isinstance(a, _Frozen):  # gaoi's plain frozen classes, field by field
         return all(same(getattr(a, name), getattr(b, name)) for name in a.__match_args__)
     return a == b
 
@@ -286,10 +283,15 @@ def test_deep_or_huge_value_exit_2(tmp_path, capsys, text, message):
 def test_run_size_past_int64_refused(name):
     # refused as the run is built, before any array is sized from it
     fig6 = config.preset_config("fig6")
-    assert getattr(dataclasses.replace(fig6, **{name: 2**63 - 1}), name) == 2**63 - 1
+
+    def resized(value):
+        fields = {field: getattr(fig6, field) for field in fig6.__match_args__}
+        return config.RunConfig(**{**fields, name: value})
+
+    assert getattr(resized(2**63 - 1), name) == 2**63 - 1
     for value in (2**63, 10**23):
         with pytest.raises(config.ConfigError, match=rf"^run\.{name} must be < 2\*\*63, got "):
-            dataclasses.replace(fig6, **{name: value})
+            resized(value)
 
 
 @pytest.mark.parametrize("where", ["policy", "policies[1]"])
@@ -401,7 +403,9 @@ def test_config_keys_their_kind_does_not_take_fail_closed(tmp_path, monkeypatch)
     for name, kinds in (("model", config.MODEL_KINDS), ("policy", config.POLICY_KINDS)):
         for kind, (need, take) in kinds.items():
             section = {"kind": kind, **{key: VALID_VALUES[key] for key in (*need, *take)}}
-            config.parse_config({"model": bayes, name: section})
+            run = config.parse_config({"model": bayes, name: section})
+            if name == "model":  # the model's kind is its section's, which is_bayesian reads
+                assert run.model.kind == kind and run.is_bayesian == (kind == "bayesian")
     path = tmp_path / "k.json"
     seen = set()
     for where, key, doc in foreign_keys():

@@ -1,4 +1,3 @@
-import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -668,8 +667,10 @@ class TestEnsembleMemory:
     def test_traced_peak(self, case, paths, horizon, bound_mib):
         from gaoi.config import preset_config
 
-        config = dataclasses.replace(preset_config(case), num_paths=paths, horizon=horizon)
-        run_ensemble(dataclasses.replace(config, num_paths=2))  # the model's own tables
+        preset = preset_config(case)
+        config = RunConfig(preset.model, preset.policies, horizon, paths, preset.base_seed)
+        # the model's own tables
+        run_ensemble(RunConfig(preset.model, preset.policies, horizon, 2, preset.base_seed))
         tracemalloc.start()
         try:
             run_ensemble(config)
@@ -684,7 +685,7 @@ def test_tail_drawn_only_past_prefix(monkeypatch):
     # prefix; those must not draw a geometric tail
     model = make_sticky(170)
     seen = {"dwells": 0, "tails": 0}
-    dwell_ends, geometric_tail = ensemble._dwell_ends, ensemble.geometric_tail
+    dwell_ends, geometric_tail = ensemble._dwell_ends, markov.geometric_tail
 
     def counted_dwells(model, x, target):
         seen["dwells"] += x.size
@@ -693,10 +694,11 @@ def test_tail_drawn_only_past_prefix(monkeypatch):
     def counted_tails(u, q, x):
         seen["tails"] += u.size
         return geometric_tail(u, q, x)
-    monkeypatch.setattr(ensemble, "_dwell_ends", counted_dwells)
-    monkeypatch.setattr(ensemble, "geometric_tail", counted_tails)
     rng = np.random.default_rng(170)
-    x0, t0 = model.law.sample(rng.random((256, 2)))
+    x0, t0 = model.law.sample(rng.random((256, 2)))  # the start's draws are not counted
+    # the ensemble reads geometric_tail from gaoi.markov as it draws
+    monkeypatch.setattr(ensemble, "_dwell_ends", counted_dwells)
+    monkeypatch.setattr(markov, "geometric_tail", counted_tails)
     sample_block(model, x0, t0, rng.random((256, 1000, 2)))
     assert seen["dwells"] > 10_000
     assert seen["tails"] <= 0.02 * seen["dwells"], seen
@@ -860,7 +862,7 @@ def test_array_holding_types_compare_by_identity():
     from gaoi.config import preset_config
 
     one, two = preset_config("fig5"), preset_config("fig5")
-    small = dataclasses.replace(one, horizon=20, num_paths=3)
+    small = RunConfig(one.model, one.policies, 20, 3, one.base_seed)
     schedules = [ensemble.generate_schedules(policy, 20, [None]) for policy in
                  (PolicySpec(kind="periodic", period=5, delay=DelayLaw(2, 2)),) * 2]
     pairs = [(one.model, two.model), (one.model.change, two.model.change),
@@ -869,3 +871,41 @@ def test_array_holding_types_compare_by_identity():
     for a, b in pairs:
         assert a == a and a != b
         assert len({a, b, a}) == 2
+
+
+def test_value_types_compare_by_value():
+    # the types of plain values compare and hash by their fields, as a frozen
+    # dataclass does (a run by its model's, policies' and sizes'), and none
+    # of the six types of the run, its policies and its results takes an
+    # assignment or a deletion
+    from gaoi.config import preset_config
+
+    builds = [lambda: DelayLaw(2, 8), lambda: PolicySpec(kind="greedy", delay=DelayLaw(2, 8)),
+              lambda: PolicySpec(kind="explicit", pairs=((3, 9), (5, 6))),
+              lambda: BayesModel(0.04), lambda: preset_config("fig6")]
+    for build in builds:
+        a, b = build(), build()
+        assert a is not b and a == b and not a != b
+        assert hash(a) == hash(b) and len({a, b}) == 1
+    unequal = [(DelayLaw(2, 8), DelayLaw(2, 9)), (DelayLaw(2, 8), (2, 8)),
+               (BayesModel(0.04), BayesModel(0.05)), (BayesModel(0.5), 0.5),
+               (PolicySpec(kind="periodic", period=5), PolicySpec(kind="periodic", period=6)),
+               (PolicySpec(kind="greedy", delay=DelayLaw(2, 8)),
+                PolicySpec(kind="greedy", delay=DelayLaw(2, 9)))]
+    for a, b in unequal:
+        assert a != b and not a == b
+    assert (repr(PolicySpec(kind="greedy", delay=DelayLaw(2, 8)))
+            == "PolicySpec(kind='greedy', period=0, delay=DelayLaw(lo=2, hi=8), pairs=())")
+
+    run = preset_config("fig6")
+    small = RunConfig(run.model, run.policies, 20, 3, run.base_seed)
+    values = [run.policies[1].delay, run.policies[1], run.model, run,
+              ensemble.generate_schedules(run.policies[0], 20, [None]), run_ensemble(small)[0]]
+    for value in values:
+        for name in [*value.__match_args__, "extra"]:
+            before = getattr(value, name, None)
+            with pytest.raises(AttributeError):
+                setattr(value, name, None)
+            with pytest.raises(AttributeError):
+                delattr(value, name)
+            assert getattr(value, name, None) is before
