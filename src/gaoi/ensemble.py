@@ -34,14 +34,20 @@ slots, a ``(paths, changes)`` array per block, each row increasing:
 Every policy of a run sees the same source paths (the policies are
 state-independent), each block's change slots sampled once.  Schedules come
 from ``generate_schedules`` as ``(paths, K)`` arrays, each path's delays from
-its own policy stream, and ages and detection times are read off them for the
-whole block (a change's delay is the detection time at its slot, minus the
-slot).  A fixed policy (no random delay) is realised once per ensemble and
-shared, read-only, by every block.  Each block array is written once, updated
-in place and freed before the next policy's, so a run's peak is one block's
-few ``(paths, horizon)`` arrays.  Aggregation runs per policy in path order
-(float series are added one path at a time, never by a pairwise sum), so
-results are bit-identical for any block size and any other policies run.
+its own policy stream, drawn for the whole block from one raw draw per path
+by numpy's own rule for bounded integers (``PathStreams``).  Ages and
+detection times are read off the schedules for the whole block (a change's
+delay is the detection time at its slot, minus the slot).  A fixed policy (no
+random delay) is realised once per run, as one row: its schedule, ages,
+detection times and staleness are built once, and a block only gathers its
+paths' delays from that row and adds its ages once per path to the AoI total
+(integers, so exactly).  Each block array is written once, updated in place
+and freed before the next policy's, so a run's peak is one block's few
+``(paths, horizon)`` arrays.  Aggregation runs per policy in path order: a
+float series is summed down the block's paths by a cumulative sum that starts
+from the running total, the same additions in the same order as adding one
+path at a time, never a pairwise sum.  So results are bit-identical for any
+block size and any other policies run.
 """
 
 from __future__ import annotations
@@ -137,7 +143,20 @@ class StreamFamily:
 
 
 class PathStreams:
-    """Paths ``block``'s streams of one family, each set up as it is reached, with a length."""
+    """Paths ``block``'s streams of one family, with a length, drawn a block at a time.
+
+    ``integers(lo, hi, size)`` is every path's ``integers(lo, hi + 1,
+    size=size)`` row, from the start of its stream, built from one
+    ``random_raw`` call per path.  numpy draws a bounded integer by Lemire's
+    rule (Lemire, "Fast Random Integer Generation in an Interval", ACM TOMACS
+    2019): for a span n = hi - lo + 1 under 2**32, each value reads the
+    stream's next 32-bit half u (a 64-bit word's low half first), m = u n, and
+    is lo + (m >> 32), unless m's low 32 bits fall under 2**32 % n, where it
+    reads the next half instead.  So a path none of whose values is redrawn
+    takes them straight from its raw words, in int64 (m < 2**63 while
+    n <= 2**31).  A path where one would be redrawn, and every path of a wider
+    span, is drawn by ``integers`` itself on its restarted stream.
+    """
 
     def __init__(self, family: StreamFamily, block: range):
         self._at, self._block = family.at, block
@@ -145,8 +164,32 @@ class PathStreams:
     def __len__(self) -> int:
         return len(self._block)
 
-    def __iter__(self):
-        return map(self._at, self._block)
+    def integers(self, lo: int, hi: int, size: int) -> np.ndarray:
+        """A ``(paths, size)`` int64 array, row i path ``block[i]``'s draws on [lo, hi]."""
+        span = hi - lo + 1
+        out = np.empty((len(self._block), size), dtype=np.int64)
+        redraw = range(len(self._block))
+        # a bound past int64 is left to integers, which refuses it
+        if span <= 2**31 and -2**63 <= lo and hi < 2**63:
+            words = np.empty((len(self._block), -(-size // 2)), dtype=np.uint64)
+            for row, k in zip(words, self._block):
+                row[:] = self._at(k).bit_generator.random_raw(len(row))
+            # each word's 32-bit halves, low first: its bits and its high half
+            # as int64, each taken mod 2**32 by shifts and a subtraction (a
+            # uint32 cast loads one more numpy loop, 64 KiB of resident memory)
+            halves = np.empty((*words.shape, 2), dtype=np.int64)
+            halves[..., 0] = words.view(np.int64)
+            np.right_shift(halves[..., 0], 32, out=halves[..., 1])
+            halves -= (halves >> 32) << 32
+            m = halves.reshape(len(self._block), -1)[:, :size]
+            m *= span
+            np.right_shift(m, 32, out=out)
+            m -= out << 32  # the low 32 bits
+            redraw = np.flatnonzero((m < 2**32 % span).any(axis=1))
+            out += lo
+        for i in redraw:
+            out[i] = self._at(self._block[i]).integers(lo, hi + 1, size=size)
+        return out
 
 
 def _dwell_ends(model: JointModel, x, target) -> np.ndarray:
@@ -256,15 +299,16 @@ def run_ensemble(config) -> list[EnsembleStats]:
     runs in the calling thread, and the output depends only on the config.
     """
     model, horizon = config.model, config.horizon
-    bayesian = config.is_bayesian
-    if bayesian:
+    bayes_mod = None
+    if config.is_bayesian:
         from . import bayes as bayes_mod  # loaded only for a Bayesian model
     policy_streams = StreamFamily(config.base_seed, POLICY_SALT)
     paths = StreamFamily(config.base_seed, PATH_SALT)
     inits = StreamFamily(config.base_seed, INIT_SALT)
-    # a fixed policy (no random delay) is realised once, as a one-row block
-    fixed = [generate_schedules(policy, horizon, [None]) if policy.is_fixed else None
-             for policy in config.policies]
+    # a fixed policy (no random delay) is realised once, as one row that
+    # stands for every path
+    fixed = [_realise(model, generate_schedules(policy, horizon, [None]), bayes_mod)
+             if policy.is_fixed else None for policy in config.policies]
     values = [{name: np.empty(config.num_paths) for name in METRICS} for _ in config.policies]
     aoi_accs = [np.zeros(horizon) for _ in config.policies]
     gaoi_accs = [np.zeros(horizon) for _ in config.policies]
@@ -272,8 +316,9 @@ def run_ensemble(config) -> list[EnsembleStats]:
         block = range(lo, min(lo + BLOCK_PATHS, config.num_paths))
         part = slice(block.start, block.stop)
         # each path's change slots from its own streams (a Bayesian path's one: theta)
-        if bayesian:
-            slots = np.array([[paths.at(k).geometric(model.p)] for k in block])
+        if bayes_mod:
+            slots = np.fromiter((paths.at(k).geometric(model.p) for k in block),
+                                dtype=np.int64, count=len(block))[:, None]
         else:
             uniforms = np.empty((len(block), horizon, 2))
             for i, k in enumerate(block):
@@ -284,33 +329,54 @@ def run_ensemble(config) -> list[EnsembleStats]:
         changed = slots <= horizon
         num_changes = changed.sum(axis=1)
         np.minimum(slots, horizon, out=slots)  # past T: read at column T, never summed
-        for policy, one, vals, aoi_acc, gaoi_acc in zip(config.policies, fixed, values,
-                                                         aoi_accs, gaoi_accs):
+        for policy, shared, vals, aoi_acc, gaoi_acc in zip(config.policies, fixed, values,
+                                                            aoi_accs, gaoi_accs):
             vals["num_changes"][part] = num_changes
-            if policy.is_fixed:
-                schedules = one.take(np.zeros(len(block), dtype=np.intp))
-            else:  # each path's stream is set up and drawn from in turn
-                schedules = generate_schedules(policy, horizon, PathStreams(policy_streams, block))
-            ages = aoi_block(schedules)
-            aoi_acc += ages.sum(axis=0)  # integers: exact in any order
-            vals["cum_aoi"][part] = ages.sum(axis=1)
-            if bayesian:
-                # the path realization drives the delay only; staleness is an
-                # expectation over paths, evaluated analytically per schedule
-                vals["cum_gaoi"][part] = bayes_mod.bayes_cumulative_gaoi(model, schedules)
-                for series in bayes_mod.bayes_gaoi_series(model, ages):
-                    gaoi_acc += series
-            del ages
-            delays = np.take_along_axis(detection_block(schedules), slots, axis=1)
+            # a random policy's rows from each path's own policy stream
+            aoi_total, cum_aoi, detection, cum_gaoi, series = shared or _realise(
+                model, generate_schedules(policy, horizon, PathStreams(policy_streams, block)),
+                bayes_mod)
+            copies = len(block) if shared else 1  # how many paths each row stands for
+            aoi_acc += copies * aoi_total  # integers: exact in any order
+            vals["cum_aoi"][part] = cum_aoi
+            if bayes_mod:
+                vals["cum_gaoi"][part] = cum_gaoi
+                if shared:
+                    series = series.repeat(copies, axis=0)
+                # the running total folded into row 0, then summed down the paths
+                # in place: the same additions, in path order, as one row at a time
+                series[0] += gaoi_acc
+                np.cumsum(series, axis=0, out=series)
+                gaoi_acc[:] = series[-1]
+            delays = np.take_along_axis(detection, slots, axis=1)
             delays -= slots
             vals["cum_delay"][part] = delays.sum(axis=1, where=changed)
-            del schedules, delays  # before the next policy's are built
+            del detection, series, delays  # before the next policy's are built
         del slots, changed  # before the next block's uniforms are drawn
-    if not bayesian:
+    if not bayes_mod:
         for vals in values:
             vals["cum_gaoi"] = model.rate * vals["cum_aoi"]
         gaoi_accs = [model.rate * aoi_acc for aoi_acc in aoi_accs]
     return [_aggregate(*run) for run in zip(values, aoi_accs, gaoi_accs)]
+
+
+def _realise(model, schedules, bayes_mod) -> tuple:
+    """What the ensemble reads off a block of schedules, one row per path: the
+    block's total AoI series, each row's cumulative AoI, its detection slots,
+    and for a Bayesian model (``bayes_mod`` is ``gaoi.bayes``, else None) its
+    expected cumulative GAoI and per-slot GAoI series.
+
+    The path realization drives the delay only; a Bayesian staleness is an
+    expectation over paths, evaluated analytically per schedule.
+    """
+    ages = aoi_block(schedules)
+    totals = ages.sum(axis=0), ages.sum(axis=1)
+    staleness = None, None
+    if bayes_mod:
+        staleness = (bayes_mod.bayes_cumulative_gaoi(model, schedules),
+                     bayes_mod.bayes_gaoi_series(model, ages))
+    del ages  # before the detection slots are built
+    return (*totals, detection_block(schedules), *staleness)
 
 
 def _aggregate(values: dict[str, np.ndarray], aoi_acc: np.ndarray,

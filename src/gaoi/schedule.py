@@ -11,16 +11,18 @@ Every schedule is a row of a ``ScheduleBlock``: left-packed ``(paths, K)``
 arrays, a single schedule being a one-row block.  ``generate_schedules``
 realises a policy for a whole block of paths at once, ``filter_stale`` turns
 raw pairs into a one-row block, and ``aoi_block`` and ``detection_block``
-read ages and detection times off every row.  Each path's random delays come
-from its own stream in one batched ``integers`` call.  That is the same
-draws as one call per update: numpy's bounded integers take the same values
-batched as one at a time, and the policy stream feeds only delays, so
-drawing more than a path uses changes nothing.  A policy with no random delay
-(``PolicySpec.is_fixed``) draws nothing and yields one schedule for every
-stream.  The array stale filter has a fixed cost per call, however few rows
-it is given: on 8 pairs about 47 us, where a Python loop takes about 2.4 us
-(2-core VM, numpy 2.4).  So schedules are filtered a block at a time, and
-``random_schedule`` draws all its rows before filtering them together.
+read ages and detection times off every row.  Each path's random delays are
+the values of one ``integers`` call on its own stream, which
+``ensemble.PathStreams.integers`` gives for a whole block from one raw draw
+per path.  That is the same draws as one call per update: numpy's bounded
+integers take the same values batched as one at a time, and the policy
+stream feeds only delays, so drawing more than a path uses changes nothing.
+A policy with no random delay (``PolicySpec.is_fixed``) draws nothing and
+yields one schedule for every stream.  The array stale filter has a fixed
+cost per call, however few rows it is given: on 8 pairs about 47 us, where a
+Python loop takes about 2.4 us (2-core VM, numpy 2.4).  So schedules are
+filtered a block at a time, and ``random_schedule`` draws all its rows before
+filtering them together.
 Block arithmetic is in place: a step writes only into an array its own
 function built, and the blocks built here are read-only, so a step aimed at
 a schedule (or at a fixed realisation, which is shared) raises.
@@ -69,16 +71,17 @@ class DelayLaw(_Value):
             raise ValueError("delay bounds must be integers with 0 <= lo <= hi")
 
     def draw_rows(self, streams: Collection, size: int, cap: int) -> np.ndarray:
-        """One row of ``size`` delays per stream, each row in one call, with
-        every delay above ``cap`` reported as ``cap``.
+        """One row of ``size`` delays per stream, with every delay above ``cap``
+        reported as ``cap``.
 
-        Streams are used in order, one at a time.  A law with ``lo == hi``
-        draws nothing, so its streams may be None.
+        A law with ``lo < hi`` takes its rows from ``streams.integers(lo, hi,
+        size)`` (an ``ensemble.PathStreams``): each row is its stream's
+        ``integers(lo, hi + 1, size=size)``.  A law with ``lo == hi`` draws
+        nothing, so its streams need only a length and may be None.
         """
-        out = np.full((len(streams), size), min(self.lo, cap), dtype=np.int64)
-        if self.lo < self.hi:
-            for row, rng in zip(out, streams):
-                row[:] = rng.integers(self.lo, self.hi + 1, size=size)
+        if self.lo == self.hi:
+            return np.full((len(streams), size), min(self.lo, cap), dtype=np.int64)
+        out = streams.integers(self.lo, self.hi, size)
         return np.minimum(out, cap, out=out)
 
 
@@ -200,8 +203,10 @@ def filter_stale(raw: list[tuple[int, int]], horizon: int) -> ScheduleBlock:
 def generate_schedules(policy: PolicySpec, horizon: int, streams: Collection) -> ScheduleBlock:
     """Realize a policy over ``[1, horizon]`` once per stream, one row each.
 
-    ``streams`` has a length and yields one generator per path, used in order
-    and one at a time; a fixed policy draws nothing, so its streams may be None.
+    ``streams`` holds one stream per path.  A policy with a random delay
+    draws a block of delays at once by ``streams.integers`` (an
+    ``ensemble.PathStreams``); a fixed policy draws nothing and reads only
+    the length, so a list of None will do.
 
     The greedy policy starts sampling at time 0 (the monitor's initial
     knowledge counts as a delivery); that first pair carries no information

@@ -152,6 +152,47 @@ class TestDeriveStream:
         assert sps.kstest(z, "norm").pvalue > 0.01
 
 
+class TestPathStreams:
+    """``PathStreams.integers`` is each path's own ``integers`` call, bit for bit.
+
+    numpy's stream policy does not cover ``integers``, so the bulk draw,
+    which follows numpy's rule for bounded integers, is checked span by span
+    against the numpy it runs on."""
+
+    # 7 and 61: the fig6 and fig5 delay laws; 2**20 never redraws; at
+    # 2**30 + 8 about one value in four is redrawn; 2**31 is the widest span
+    # taken from raw words, and the two past it go to integers
+    @pytest.mark.parametrize("span", [2, 7, 61, 2**20, 2**30 + 8, 2**31, 2**31 + 1, 2**40])
+    @pytest.mark.parametrize("size", [0, 1, 2, 51])
+    @pytest.mark.parametrize("block", [range(1), range(40), range(300, 340)],
+                             ids=["one", "forty", "forty_later"])
+    @pytest.mark.parametrize("lo", [0, 17])
+    def test_bulk_draw_equals_per_path_integers(self, span, size, block, lo):
+        family = ensemble.StreamFamily(20240102, POLICY_SALT)
+        got = ensemble.PathStreams(family, block).integers(lo, lo + span - 1, size)
+        want = np.array([family.at(k).integers(lo, lo + span, size=size) for k in block],
+                        dtype=np.int64).reshape(len(block), size)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want), f"numpy {np.__version__}: span {span}, size {size}"
+
+    def test_redrawn_rows_mix_with_raw_rows(self):
+        # at span 2**30 + 8 and one value a path, some rows of a block are
+        # taken from raw words and some redrawn by integers
+        family, block = ensemble.StreamFamily(3, POLICY_SALT), range(40)
+        calls = []
+        at = family.at
+
+        def counted(k):
+            calls.append(k)
+            return at(k)
+        family.at = counted
+        got = ensemble.PathStreams(family, block).integers(0, 2**30 + 7, 1)
+        redrawn = len(calls) - len(block)
+        assert 0 < redrawn < len(block) and calls[:len(block)] == list(block)
+        want = [at(k).integers(0, 2**30 + 8, size=1) for k in block]
+        assert np.array_equal(got, want), f"numpy {np.__version__}"
+
+
 class TestOnePathBlock:
     def test_status_moves_only_at_changes(self, rng):
         # the swap chain has no self-transitions: the status moves exactly at
@@ -240,10 +281,13 @@ class TestRunEnsemble:
         from gaoi.schedule import generate_schedules
 
         seed = 31
-        for k in range(5):
-            sched = generate_schedules(GREEDY_2080, 300, [derive_stream(seed, k, POLICY_SALT)])
-            again = generate_schedules(GREEDY_2080, 300, [derive_stream(seed, k, POLICY_SALT)])
-            assert rows(sched) == rows(again)
+        sched = generate_schedules(
+            GREEDY_2080, 300, ensemble.PathStreams(ensemble.StreamFamily(seed, POLICY_SALT),
+                                                   range(5)))
+        again = generate_schedules(
+            GREEDY_2080, 300, ensemble.PathStreams(ensemble.StreamFamily(seed, POLICY_SALT),
+                                                   range(5)))
+        assert rows(sched) == rows(again)
 
     def test_proportionality_relation_small_ensemble(self):
         config = RunConfig(
@@ -418,18 +462,28 @@ class TestSamplerEquivalence:
             assert np.array_equal(alone[0], changed[k])
             assert np.array_equal(alone[1], states[k])
 
+    @pytest.mark.parametrize("model, policies", [
+        (make_ragged_three(), (GREEDY_2080,)),
+        # a fixed policy's one row and a random policy's rows, both summed into
+        # the Bayesian GAoI series
+        (BayesModel(0.04), (PolicySpec(kind="periodic", period=5, delay=DelayLaw(0, 0)),
+                            PolicySpec(kind="greedy", delay=DelayLaw(2, 8)))),
+    ], ids=["ragged", "bayes_fixed_and_random"])
     @pytest.mark.parametrize("block_paths", [1, 3, 64, 128, 256])
-    def test_ensemble_independent_of_block_size(self, monkeypatch, block_paths):
-        config = RunConfig(model=make_ragged_three(), policies=(GREEDY_2080,), horizon=150,
-                           num_paths=70, base_seed=8)
-        [default] = run_ensemble(config)
+    def test_ensemble_independent_of_block_size(self, monkeypatch, block_paths, model,
+                                                policies):
+        config = RunConfig(model=model, policies=policies, horizon=150, num_paths=70,
+                           base_seed=8)
+        defaults = run_ensemble(config)
         monkeypatch.setattr(ensemble, "BLOCK_PATHS", block_paths)
-        [other] = run_ensemble(config)
-        assert default.mean == other.mean and default.se == other.se
-        for name in METRICS:
-            assert np.array_equal(default.values[name], other.values[name])
-        assert np.array_equal(default.mean_aoi_series, other.mean_aoi_series)
-        assert np.array_equal(default.mean_gaoi_series, other.mean_gaoi_series)
+        others = run_ensemble(config)
+        assert len(defaults) == len(others) == len(policies)
+        for default, other in zip(defaults, others):
+            assert default.mean == other.mean and default.se == other.se
+            for name in METRICS:
+                assert np.array_equal(default.values[name], other.values[name])
+            assert np.array_equal(default.mean_aoi_series, other.mean_aoi_series)
+            assert np.array_equal(default.mean_gaoi_series, other.mean_gaoi_series)
 
 
 def _first_change_by_joint_step(model, x0: int, t0: int, draws: int, horizon: int):
@@ -715,6 +769,11 @@ ENSEMBLE_POLICIES = {
     "greedy_random": PolicySpec(kind="greedy", delay=DelayLaw(2, 8)),
     "explicit": PolicySpec(kind="explicit",
                            pairs=((3, 9), (5, 6), (20, 41), (30, 35), (90, 130))),
+    # about one delay in four is redrawn, so a row of more than a few draws is
+    # drawn again by integers, and at horizon 2 (one draw a row) only some are
+    "periodic_redraw": PolicySpec(kind="periodic", period=1, delay=DelayLaw(0, 2**30 + 7)),
+    # a span past 2**31: every row is drawn by integers
+    "greedy_wide": PolicySpec(kind="greedy", delay=DelayLaw(1, 2**31 + 5)),
 }
 
 
@@ -834,6 +893,57 @@ class TestPoliciesShareSourcePaths:
         assert sampled == blocks
         assert salts.count(PATH_SALT) == 10 and salts.count(INIT_SALT) == starts
         assert salts.count(POLICY_SALT) == 10  # greedy_random alone draws delays
+
+
+def test_fixed_policy_rows_built_once(monkeypatch):
+    # three blocks of a fixed and a random policy: the fixed policy's ages,
+    # detection slots and staleness are built once, as one row, and the
+    # random policy's once per block
+    calls = {}
+
+    def counted(module, name):
+        function = getattr(module, name)
+
+        def count(*args):
+            rows = args[-1]  # a schedule block, or its ages
+            calls.setdefault(name, []).append(
+                len(rows) if isinstance(rows, np.ndarray) else rows.num_paths)
+            return function(*args)
+        monkeypatch.setattr(module, name, count)
+
+    for name in ("aoi_block", "detection_block"):
+        counted(ensemble, name)
+    for name in ("bayes_cumulative_gaoi", "bayes_gaoi_series"):
+        counted(bayes, name)
+    monkeypatch.setattr(ensemble, "BLOCK_PATHS", 4)
+    run_ensemble(_reference_config("bayes", "periodic_fixed", "greedy_random"))
+    assert calls == {name: [1, 4, 4, 2] for name in
+                     ("aoi_block", "detection_block", "bayes_cumulative_gaoi",
+                      "bayes_gaoi_series")}
+
+
+@pytest.mark.parametrize("policy, horizon, num_paths", [
+    (PolicySpec(kind="greedy", delay=DelayLaw(2, 8)), 1, 10),
+    # the period reaches the horizon: no update, and a draw of size 0
+    (PolicySpec(kind="periodic", period=30, delay=DelayLaw(0, 9)), 30, 10),
+    (PolicySpec(kind="periodic", period=31, delay=DelayLaw(0, 9)), 30, 10),
+    # lo = 0: a greedy path draws one delay per slot
+    (PolicySpec(kind="greedy", delay=DelayLaw(0, 3)), 30, 10),
+    (PolicySpec(kind="greedy", delay=DelayLaw(2, 8)), 30, 1),
+    (PolicySpec(kind="greedy", delay=DelayLaw(2, 8)), 30, 2),
+    (PolicySpec(kind="periodic", period=4, delay=DelayLaw(3, 3)), 30, 1),
+    (PolicySpec(kind="periodic", period=4, delay=DelayLaw(3, 3)), 30, 2),
+], ids=["horizon_one", "period_at_horizon", "period_past_horizon", "greedy_lo_zero",
+        "one_path", "two_paths", "fixed_one_path", "fixed_two_paths"])
+@pytest.mark.parametrize("model_name", ["swap", "bayes"])
+def test_edge_cases_match_reference(monkeypatch, model_name, policy, horizon, num_paths):
+    config = RunConfig(model=ENSEMBLE_MODELS[model_name], policies=(policy,), horizon=horizon,
+                       num_paths=num_paths, base_seed=11)
+    expected = reference_ensemble(config, policy)
+    for block_paths in (1, 128):
+        monkeypatch.setattr(ensemble, "BLOCK_PATHS", block_paths)
+        [stats] = run_ensemble(config)
+        _assert_identical(stats, expected)
 
 
 def test_fixed_realisation_unchanged_by_the_run(monkeypatch):

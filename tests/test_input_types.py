@@ -17,6 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gaoi import ChangeKernel, DelayLaw, DwellKernel, ModelError, PolicySpec, generate_schedules
+from gaoi.ensemble import POLICY_SALT, PathStreams, StreamFamily
 from gaoi.markov import ATOL_STOCHASTIC
 
 # the fields each policy kind reads, as PolicySpec's docstring lists them
@@ -183,5 +184,5 @@ def test_policy_spec_refuses_or_holds(fields):
     assert isinstance(spec.delay, DelayLaw)
     assert all(type(s) is type(d) is int and s <= d for s, d in spec.pairs)
     # and it realises on a horizon
-    block = generate_schedules(spec, 40, [np.random.default_rng(0)])
+    block = generate_schedules(spec, 40, PathStreams(StreamFamily(0, POLICY_SALT), range(1)))
     assert block.num_paths == 1

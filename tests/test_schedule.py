@@ -14,6 +14,7 @@ from gaoi import (
     generate_schedules,
     random_schedule,
 )
+from gaoi.ensemble import POLICY_SALT, PathStreams, StreamFamily, derive_stream
 from gaoi.schedule import ScheduleBlock, aoi_block, detection_block
 
 from reference import (
@@ -117,6 +118,11 @@ def one_schedule(policy, horizon, rng):
     return generate_schedules(policy, horizon, [rng])
 
 
+def policy_streams(seed, paths):
+    """The first ``paths`` paths' policy streams of ``seed``, as the ensemble draws them."""
+    return PathStreams(StreamFamily(seed, POLICY_SALT), range(paths))
+
+
 class TestGenerateSchedule:
     def test_periodic_instant_delivery(self, rng):
         policy = PolicySpec(kind="periodic", period=50, delay=DelayLaw(0, 0))
@@ -139,13 +145,13 @@ class TestGenerateSchedule:
 
     def test_deterministic_given_seed(self):
         policy = PolicySpec(kind="greedy", delay=DelayLaw(2, 8))
-        a = one_schedule(policy, 100, np.random.default_rng(5))
-        b = one_schedule(policy, 100, np.random.default_rng(5))
+        a = generate_schedules(policy, 100, policy_streams(5, 1))
+        b = generate_schedules(policy, 100, policy_streams(5, 1))
         assert rows(a) == rows(b)
 
-    def test_uniform_delay_is_integer_in_range(self, rng):
+    def test_uniform_delay_is_integer_in_range(self):
         law = DelayLaw(20, 80)
-        draws = law.draw_rows([rng], 500, cap=100)
+        draws = law.draw_rows(policy_streams(1234, 1), 500, cap=100)
         assert draws.shape == (1, 500) and draws.dtype == np.int64
         assert draws.min() == 20 and draws.max() == 80
 
@@ -278,15 +284,15 @@ class TestGenerateSchedules:
     @settings(max_examples=400, deadline=None)
     def test_rows_match_reference_loop(self, case, paths, seed):
         policy, horizon = case
-        block = generate_schedules(
-            policy, horizon, [np.random.default_rng([seed, k]) for k in range(paths)])
+        block = generate_schedules(policy, horizon, policy_streams(seed, paths))
         assert block.num_paths == paths and block.samples.shape == block.deliveries.shape
         assert block.samples.shape[1] == (block.samples < horizon).sum(axis=1).max(initial=0)
         ages, detect = aoi_block(block), detection_block(block)
         staleness = bayes_cumulative_gaoi(BayesModel(0.3), block)
         delay = bayes_expected_delay(BayesModel(0.3), block)
         for k, row in enumerate(rows(block)):
-            ref = reference_generate_schedule(policy, horizon, np.random.default_rng([seed, k]))
+            ref = reference_generate_schedule(policy, horizon,
+                                              derive_stream(seed, k, POLICY_SALT))
             assert row == ref
             assert (block.samples[k, len(ref):] == horizon).all()
             assert (block.deliveries[k, len(ref):] == horizon).all()
@@ -297,6 +303,12 @@ class TestGenerateSchedules:
                                           for n in range(horizon + 1)]
             assert staleness[k] == reference_cumulative_gaoi(BayesModel(0.3), ref, horizon)
             assert delay[k] == reference_expected_delay(BayesModel(0.3), ref, horizon)
+        # the bulk draw on its own: each row is its stream's one integers call
+        lo, hi = policy.delay.lo, policy.delay.hi
+        if lo < hi:
+            want = [derive_stream(seed, k, POLICY_SALT).integers(lo, hi + 1, size=horizon)
+                    for k in range(paths)]
+            assert np.array_equal(policy_streams(seed, paths).integers(lo, hi, horizon), want)
 
     def test_fixed_policy_draws_nothing(self):
         fixed = PolicySpec(kind="greedy", delay=DelayLaw(4, 4))
@@ -308,8 +320,9 @@ class TestGenerateSchedules:
 
     @pytest.mark.parametrize("build", [
         lambda rngs: generate_schedules(
-            PolicySpec(kind="periodic", period=5, delay=DelayLaw(0, 3)), 40, rngs),
-        lambda rngs: generate_schedules(PolicySpec(kind="greedy", delay=DelayLaw(2, 8)), 40, rngs),
+            PolicySpec(kind="periodic", period=5, delay=DelayLaw(0, 3)), 40, policy_streams(0, 3)),
+        lambda rngs: generate_schedules(PolicySpec(kind="greedy", delay=DelayLaw(2, 8)), 40,
+                                        policy_streams(0, 3)),
         lambda rngs: generate_schedules(PolicySpec(kind="greedy", delay=DelayLaw(4, 4)), 40, rngs),
         lambda rngs: generate_schedules(PolicySpec(kind="explicit", pairs=((3, 9), (5, 6))), 40,
                                         rngs),
